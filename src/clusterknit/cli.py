@@ -10,33 +10,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from . import cluster, euler, laurent, mesh, minors, rigidpath
+from . import cluster, euler, laurent, mesh, quiver, reference, rigidpath
 from .errors import ClusterKnitError
-from .laurent import LaurentPoly
-from .mesh import IntervalLabel, MeshVertex
-from .quiver import Quiver, adapted_word, cartan, inversion_roots, validate_quiver
+from .mesh import MeshVertex
 
 BIG_OUTPUT_LINES = 2000
 BIG_OUTPUT_CHARS = 200_000
 
 
-def quiver_to_json(q: Quiver) -> dict:
-    return {"n": q.n, "arrows": [[s, t] for (s, t) in q.arrows]}
-
-
-def quiver_from_json(data: dict) -> Quiver:
-    return validate_quiver(int(data["n"]), [tuple(a) for a in data["arrows"]])
-
-
-def load_quiver(path: str) -> Quiver:
-    with open(path) as fh:
-        return quiver_from_json(json.load(fh))
-
-
-def parse_t(text: str):
-    return tuple(int(x) for x in text.split(","))
+def load_terminal(args) -> mesh.TerminalData:
+    """The terminal data (Q, t) given by the quiver file and ``--t``."""
+    with open(args.quiver) as fh:
+        q = quiver.from_json(json.load(fh))
+    return mesh.validate_terminal(q, tuple(int(x) for x in args.t.split(",")))
 
 
 def load_ordering(cat, spec: str):
@@ -70,8 +57,7 @@ def emit(text: str, args, default_name: str) -> None:
 
 
 def cmd_build(args) -> int:
-    q = load_quiver(args.quiver)
-    td = mesh.validate_terminal(q, parse_t(args.t))
+    td = load_terminal(args)
     cat = mesh.build_category(td)
     ordering = load_ordering(cat, args.ordering)
     if args.format == "dot":
@@ -133,8 +119,7 @@ def cmd_mutate(args) -> int:
 
 
 def cmd_path(args) -> int:
-    q = load_quiver(args.quiver)
-    td = mesh.validate_terminal(q, parse_t(args.t))
+    td = load_terminal(args)
     sch = rigidpath.make_schedule(td)
     if args.no_expand and args.count_only:
         emit(f"schedule length r(M) = {len(sch)}", args, "path_report.txt")
@@ -167,8 +152,7 @@ def cmd_path(args) -> int:
 
 
 def cmd_euler(args) -> int:
-    q = load_quiver(args.quiver)
-    td = mesh.validate_terminal(q, parse_t(args.t))
+    td = load_terminal(args)
     cat = mesh.build_category(td)
     ordering = load_ordering(cat, args.ordering)
     series = euler.g_module(cat, ordering, args.k)
@@ -186,103 +170,24 @@ def cmd_euler(args) -> int:
 # -- minors -----------------------------------------------------------------
 
 
-def _xnames(n: int):
-    return [f"x{i}" for i in range(1, n * (n + 1) // 2 + 1)]
-
-
-def minors_table_checks(n: int):
-    """The x <-> minor dictionary through single-interval keys."""
-    x = minors.unitriangular(n + 1)
-    checks = []
-    for i in range(1, n + 1):
-        for a in range(0, i):
-            key = minors.interval_minor_key(i, a, a, n)
-            val = minors.minor(x, key)
-            checks.append(((i, a), key, val))
-    return checks
-
-
-def _eta_images(cat, n: int):
-    """Substitution images: the single-interval variable at canonical
-    position p maps to its minor."""
-    x = minors.unitriangular(n + 1)
-    images = []
-    for v in cat.vertices:
-        key = minors.interval_minor_key(v.i, v.a, v.a, n)
-        images.append(minors.minor(x, key))
-    return images
-
-
-def linear_type_a(n: int):
-    """The linearly ordered A_n quiver n -> n-1 -> ... -> 1 with t_i = i-1."""
-    q = validate_quiver(n, [(i + 1, i) for i in range(1, n)])
-    td = mesh.validate_terminal(q, tuple(i - 1 for i in range(1, n + 1)))
-    return mesh.build_category(td)
-
-
-def eta_checks(n: int):
-    """Compare substituted PBW expansions against the symbolic minors for
-    every interval (i, a, b) in range."""
-    cat = linear_type_a(n)
-    x = minors.unitriangular(n + 1)
-    images = _eta_images(cat, n)
-    results = []
-    for i in range(1, n + 1):
-        for b in range(0, i):
-            for a in range(0, b + 1):
-                pbw = rigidpath.pbw_expand(cat, IntervalLabel(i, a, b))
-                lhs = laurent.substitute(pbw, images)
-                rhs = minors.minor(x, minors.interval_minor_key(i, a, b, n))
-                results.append(((i, a, b), lhs == rhs))
-    return results
-
-
-def cross_checks(n: int, reps: int = 2):
-    """evaluate_phi(g_module(k)) against the minor of the one-parameter
-    product, over the adapted word repeated ``reps`` times."""
-    cat = linear_type_a(n)
-    ordering = mesh.adapted_orderings(cat)
-    word = adapted_word(cat, ordering)
-    seq = word.letters * reps
-    prod = minors.one_param_product(seq, n + 1)
-    results = []
-    for k in range(1, cat.r + 1):
-        g = euler.g_module(cat, ordering, k)
-        phi = euler.evaluate_phi(g, seq)
-        terms = {}
-        integral = True
-        for e, v in phi.items():
-            fv = Fraction(v)
-            if fv.denominator != 1:
-                integral = False
-                break
-            terms[e] = int(fv)
-        if not integral:
-            results.append((k, False))
-            continue
-        lhs = LaurentPoly(len(seq), terms)
-        key = minors.w_minor(word.letters[:k], word.letters[k - 1], n + 1)
-        results.append((k, lhs == minors.minor(prod, key)))
-    return results
-
-
 def cmd_minors(args) -> int:
     n = args.n
     report = {"n": n, "mode": args.mode, "checks": []}
     ok = True
     if args.mode in ("table", "all"):
-        for (single, key, val) in minors_table_checks(n):
+        names = [f"x{i}" for i in range(1, n * (n + 1) // 2 + 1)]
+        for (single, key, val) in reference.minors_table_checks(n):
             report["checks"].append(
                 {
                     "kind": "table",
                     "interval": list(single),
                     "rows": list(key.rows),
                     "cols": list(key.cols),
-                    "minor": laurent.to_text(val, _xnames(n)),
+                    "minor": laurent.to_text(val, names),
                 }
             )
     if args.mode in ("eta", "all"):
-        for (iab, passed) in eta_checks(n):
+        for (iab, passed) in reference.eta_checks(n):
             ok = ok and passed
             report["checks"].append(
                 {
@@ -293,7 +198,7 @@ def cmd_minors(args) -> int:
                 }
             )
     if args.mode in ("cross", "all"):
-        for (k, passed) in cross_checks(n):
+        for (k, passed) in reference.cross_checks(reference.linear_type_a(n)):
             ok = ok and passed
             report["checks"].append(
                 {"kind": "cross", "k": k, "status": "PASS" if passed else "FAIL"}
@@ -322,197 +227,9 @@ def cmd_minors(args) -> int:
 # -- check: verification manifest --------------------------------------------
 
 
-def _reference_checks(slow: bool):
-    """Built-in worked-example assertions.  Yields (name, callable)."""
-
-    def kronecker_category():
-        q = validate_quiver(3, [(1, 2), (1, 2), (2, 3)])
-        return mesh.build_category(mesh.validate_terminal(q, (2, 1, 1)))
-
-    def chk_cartan():
-        q = validate_quiver(3, [(1, 2), (1, 2), (2, 3)])
-        return cartan(q).entries == ((2, -2, 0), (-2, 2, -1), (0, -1, 2))
-
-    def chk_dim_triangles():
-        cat = kronecker_category()
-        want = {
-            (1, 2): ((1, 3, 9), (2, 6), (0, 2)),
-            (1, 1): ((1, 4, 12), (2, 8), (0, 2)),
-            (1, 0): ((1, 4, 13), (2, 8), (0, 2)),
-            (2, 1): ((0, 2, 6), (1, 4), (0, 1)),
-            (2, 0): ((0, 2, 8), (1, 5), (0, 1)),
-            (3, 1): ((0, 2, 4), (1, 3), (1, 0)),
-            (3, 0): ((0, 2, 6), (1, 4), (1, 1)),
-        }
-        t_of = cat.terminal.level
-        for (i, a), tri in want.items():
-            lbl = IntervalLabel(i, a, t_of(i))
-            got = mesh.triangle_display(cat, mesh.projected_dimvec(cat, lbl))
-            if got != tri:
-                return False
-        return True
-
-    def chk_dim_mutation():
-        cat = kronecker_category()
-        s = cluster.initial_seed(cat)
-        k = list(cat.vertices).index(MeshVertex(1, 1)) + 1
-        vec, dom = cluster.mutate_dimvec(s, k)
-        return dom and mesh.triangle_display(cat, vec) == (
-            (0, 4, 13),
-            (2, 8),
-            (0, 2),
-        )
-
-    def chk_delta():
-        cat = kronecker_category()
-        dd = mesh.triangle_display(cat, mesh.delta_dims(cat))
-        if dd != ((23, 6, 1), (14, 3), (11, 4)):
-            return False
-        s = cluster.initial_seed(cat)
-        k = list(cat.vertices).index(MeshVertex(1, 1)) + 1
-        vec = cluster.mutate_delta_dimvec(s, k)
-        return mesh.triangle_display(cat, vec) == ((0, 0, 1), (2, 0), (0, 0))
-
-    def chk_schedule():
-        q5 = validate_quiver(
-            5, [(3, 1), (3, 5), (3, 5), (5, 2), (2, 4)]
-        )
-        td5 = mesh.validate_terminal(q5, (3, 2, 3, 1, 2))
-        if len(rigidpath.make_schedule(td5)) != 19:
-            return False
-        e8 = validate_quiver(
-            8, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)]
-        )
-        td8 = mesh.validate_terminal(e8, (14,) * 8)
-        return len(rigidpath.make_schedule(td8)) == 840
-
-    def chk_relations():
-        cat = kronecker_category()
-        res = rigidpath.run_path(
-            cluster.initial_seed(cat), rigidpath.make_schedule(cat.terminal)
-        )
-        final = sorted((l.i, l.a, l.b) for l in res.seed.labels)
-        want = sorted(
-            (i, 0, b)
-            for i in (1, 2, 3)
-            for b in range(cat.terminal.level(i) + 1)
-        )
-        return final == want
-
-    def chk_pbw():
-        cat = kronecker_category()
-        p = lambda i, a: cat.pos(MeshVertex(i, a))
-        r = cat.r
-        mono = lambda pairs, c=1: LaurentPoly(
-            r,
-            {
-                tuple(
-                    sum(m for (q_, m) in pairs if q_ == idx) for idx in range(r)
-                ): c
-            },
-        )
-        want = (
-            mono([(p(1, 2), 1), (p(1, 1), 1), (p(1, 0), 1)])
-            + mono([(p(1, 2), 1), (p(2, 0), 2)], -1)
-            + mono([(p(2, 1), 2), (p(1, 0), 1)], -1)
-            + mono([(p(2, 1), 1), (p(2, 0), 1), (p(1, 1), 1), (p(3, 0), 1)], 2)
-            + mono([(p(1, 1), 3), (p(3, 0), 2)], -1)
-        )
-        return rigidpath.pbw_expand(cat, IntervalLabel(1, 0, 2)) == want
-
-    def chk_euler():
-        cat = kronecker_category()
-        V = MeshVertex
-        ordering = [V(1, 0), V(2, 0), V(1, 1), V(3, 0), V(2, 1), V(1, 2), V(3, 1)]
-        S = euler.ShuffleSeries
-        if euler.g_module(cat, ordering, 1) != S.word(1):
-            return False
-        if euler.g_module(cat, ordering, 2) != S.word(2, 1, 1).scale(2):
-            return False
-        g3 = S({(1, 2, 1, 2, 1, 1): 4, (1, 2, 2, 1, 1, 1): 12})
-        if euler.g_module(cat, ordering, 3) != g3:
-            return False
-        if euler.g_module(cat, ordering, 4) != S.word(3, 2, 1, 1).scale(2):
-            return False
-        g7 = euler.g_module(cat, ordering, 7)
-        if sorted(g7.terms.values(), reverse=True) != [
-            288, 144, 96, 48, 48, 48, 48, 16, 16, 16,
-        ]:
-            return False
-        return len(euler.g_module(cat, ordering, 5).terms) == 402
-
-    def chk_roots():
-        q = validate_quiver(3, [(1, 2), (1, 3), (2, 3)])
-        cat = mesh.build_category(mesh.validate_terminal(q, (2, 1, 1)))
-        ordering = mesh.adapted_orderings(cat)
-        word = adapted_word(cat, ordering)
-        roots = inversion_roots(word, cartan(q))
-        got = sorted(r.coords for r in roots)
-        want = sorted(cat.dims[v].coords for v in cat.vertices)
-        return got == want and (4, 3, 3) in got
-
-    def chk_minors():
-        x = minors.unitriangular(5)
-        d = minors.minor(x, minors.MinorKey((2, 3), (3, 5)))
-        x5 = LaurentPoly.variable(4, 10)
-        x9 = LaurentPoly.variable(8, 10)
-        x7 = LaurentPoly.variable(6, 10)
-        if d != x5 * x9 - x7:
-            return False
-        return all(passed for (_, passed) in eta_checks(4))
-
-    def chk_flags():
-        T = euler.ThinModule
-        g = euler.flag_oracle
-        s1, s2, s3 = T((("a", 1),)), T((("b", 2),)), T((("c", 3),))
-        m12 = T((("u", 1), ("v", 2)), (("u", "v"),))
-        m21 = T((("u", 2), ("v", 1)), (("u", "v"),))
-        lhs = g(m12)
-        rhs = euler.shuffle(g(s1), g(s2)) - g(m21)
-        if lhs != rhs:
-            return False
-        m132 = T((("u", 1), ("w", 3), ("v", 2)), (("u", "v"), ("w", "v")))
-        m213 = T((("v", 2), ("u", 1), ("w", 3)), (("v", "u"), ("v", "w")))
-        m23 = T((("v", 2), ("w", 3)), (("v", "w"),))
-        rhs4 = (
-            g(m213)
-            + euler.shuffle(euler.shuffle(g(s1), g(s2)), g(s3))
-            - euler.shuffle(g(s1), g(m23))
-            - euler.shuffle(g(s3), g(m21))
-        )
-        return g(m132) == rhs4
-
-    checks = [
-        ("cartan_kronecker", chk_cartan),
-        ("dim_triangles", chk_dim_triangles),
-        ("dim_mutation", chk_dim_mutation),
-        ("delta_vectors", chk_delta),
-        ("schedule_lengths", chk_schedule),
-        ("path_final_labels", chk_relations),
-        ("pbw_expansion", chk_pbw),
-        ("euler_series", chk_euler),
-        ("inversion_roots", chk_roots),
-        ("minor_dictionary", chk_minors),
-        ("flag_identities", chk_flags),
-    ]
-    if slow:
-
-        def chk_euler_big():
-            cat = kronecker_category()
-            V = MeshVertex
-            ordering = [
-                V(1, 0), V(2, 0), V(1, 1), V(3, 0), V(2, 1), V(1, 2), V(3, 1),
-            ]
-            g6 = euler.g_module(cat, ordering, 6)
-            return g6.is_integral()
-
-        checks.append(("euler_g6_integral", chk_euler_big))
-    return checks
-
-
 def cmd_check(args) -> int:
     manifest = {"checks": [], "status": "PASS"}
-    for name, fn in _reference_checks(args.slow):
+    for name, fn in reference.CHECKS + (reference.SLOW_CHECKS if args.slow else []):
         try:
             passed = bool(fn())
             detail = ""
@@ -546,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, ordering=True):
+    def common(sp, fn, ordering=True):
+        sp.set_defaults(fn=fn)
         sp.add_argument("--format", choices=("text", "json", "dot"), default="text")
         sp.add_argument("--out", help="write output to this file")
         if ordering:
@@ -559,14 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("build", help="build the category model for (Q, t)")
     sp.add_argument("quiver", help="quiver JSON file")
     sp.add_argument("--t", required=True, help="comma-separated levels")
-    common(sp)
-    sp.set_defaults(fn=cmd_build)
+    common(sp, cmd_build)
 
     sp = sub.add_parser("mutate", help="mutate a seed at a vertex sequence")
     sp.add_argument("seed", help="seed JSON file")
     sp.add_argument("vertices", nargs="+", type=int)
-    common(sp, ordering=False)
-    sp.set_defaults(fn=cmd_mutate)
+    common(sp, cmd_mutate, ordering=False)
 
     sp = sub.add_parser("path", help="run the T_M -> T_M^vee schedule")
     sp.add_argument("quiver")
@@ -581,26 +297,22 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="with --no-expand: print only the schedule length",
     )
-    common(sp)
-    sp.set_defaults(fn=cmd_path)
+    common(sp, cmd_path)
 
     sp = sub.add_parser("euler", help="generating function g_{T_k}")
     sp.add_argument("quiver")
     sp.add_argument("--t", required=True)
     sp.add_argument("--k", required=True, type=int)
-    common(sp)
-    sp.set_defaults(fn=cmd_euler)
+    common(sp, cmd_euler)
 
     sp = sub.add_parser("minors", help="type-A minor dictionary and checks")
     sp.add_argument("--n", type=int, default=4)
     sp.add_argument("--mode", choices=("table", "eta", "cross", "all"), default="all")
-    common(sp, ordering=False)
-    sp.set_defaults(fn=cmd_minors)
+    common(sp, cmd_minors, ordering=False)
 
     sp = sub.add_parser("check", help="run the built-in reference checks")
     sp.add_argument("--slow", action="store_true", help="include the large series")
-    common(sp, ordering=False)
-    sp.set_defaults(fn=cmd_check)
+    common(sp, cmd_check, ordering=False)
     return p
 
 
@@ -608,10 +320,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ClusterKnitError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, IndexError) as exc:
+    except (ClusterKnitError, OSError, ValueError, KeyError, IndexError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

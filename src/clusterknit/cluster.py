@@ -129,7 +129,7 @@ def mutate_dimvec(s: Seed, k: int):
     return tuple(m - x for m, x in zip(cmax, d)), dominated
 
 
-def mutate_delta_dimvec(s: Seed, k: int, d_delta=None):
+def mutate_delta_dimvec(s: Seed, k: int):
     """New Delta-dimension vector at k: take the arrow-sum whose dot
     product with d_Delta is larger (equivalently, the branch keeping every
     entry nonnegative)."""
@@ -137,8 +137,7 @@ def mutate_delta_dimvec(s: Seed, k: int, d_delta=None):
         raise FrozenMutationError(f"index {k} is frozen")
     if s.delta_trackers is None:
         raise ValueError("seed carries no Delta trackers")
-    if d_delta is None:
-        d_delta = s.d_delta
+    d_delta = s.d_delta
     if d_delta is None:
         raise ValueError("no d_Delta vector available")
     out, inc = exchange_monomials(s, k)

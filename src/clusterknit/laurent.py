@@ -145,22 +145,6 @@ class LaurentPoly:
         return f"LaurentPoly({to_text(self)})"
 
 
-def add(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return p + q
-
-
-def mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return p * q
-
-
-def neg(p: LaurentPoly) -> LaurentPoly:
-    return -p
-
-
-def pow_(p: LaurentPoly, k: int) -> LaurentPoly:
-    return p ** k
-
-
 def _shift(p: LaurentPoly, offsets: tuple[int, ...]) -> LaurentPoly:
     return LaurentPoly(
         p.arity,

@@ -245,10 +245,6 @@ def build_category(td: TerminalData) -> CategoryModel:
     )
 
 
-def hom_dim(cat: CategoryModel, x: MeshVertex, z: MeshVertex) -> int:
-    return cat.hom_dim(x, z)
-
-
 def validate_label(cat: CategoryModel, lbl: IntervalLabel) -> None:
     if lbl.is_unit():
         return
@@ -323,29 +319,16 @@ def delta_dims(cat: CategoryModel, ordering=None):
     return tuple(out)
 
 
-def triangle_display(cat: CategoryModel, values, ordering=None):
-    """Rearrange a vector in ``ordering`` coordinates into the row-per-orbit
+def triangle_display(cat: CategoryModel, values):
+    """Rearrange a vector in canonical coordinates into the row-per-orbit
     triangle used throughout: row i lists levels t_i, t_i - 1, ..., 0."""
-    if ordering is None:
-        ordering = cat.vertices
-    at = {v: values[s] for s, v in enumerate(ordering)}
+    at = {v: values[s] for s, v in enumerate(cat.vertices)}
     rows = []
     for i in range(1, cat.terminal.q.n + 1):
         rows.append(
             tuple(at[MeshVertex(i, a)] for a in range(cat.terminal.level(i), -1, -1))
         )
     return tuple(rows)
-
-
-def from_triangle(cat: CategoryModel, rows, ordering=None):
-    """Inverse of triangle_display: a triangle back to ordering coordinates."""
-    if ordering is None:
-        ordering = cat.vertices
-    at = {}
-    for i, row in enumerate(rows, start=1):
-        for k, val in enumerate(row):
-            at[MeshVertex(i, cat.terminal.level(i) - k)] = val
-    return tuple(at[v] for v in ordering)
 
 
 # -- exports --------------------------------------------------------------

@@ -37,9 +37,6 @@ class Quiver:
     def is_sink(self, v: int) -> bool:
         return not self.arrows_out(v)
 
-    def is_source(self, v: int) -> bool:
-        return not self.arrows_in(v)
-
     def opposite(self) -> "Quiver":
         return Quiver(self.n, tuple(sorted((t, s) for (s, t) in self.arrows)))
 
@@ -157,6 +154,14 @@ def validate_quiver(n: int, arrows) -> Quiver:
     return Quiver(n, tuple(sorted(arrs)))
 
 
+def to_json(q: Quiver) -> dict:
+    return {"n": q.n, "arrows": [[s, t] for (s, t) in q.arrows]}
+
+
+def from_json(data: dict) -> Quiver:
+    return validate_quiver(int(data["n"]), [tuple(a) for a in data["arrows"]])
+
+
 def cartan(q: Quiver) -> CartanMatrix:
     """Symmetric generalized Cartan matrix of the underlying graph."""
     n = q.n
@@ -194,13 +199,6 @@ def s_root(d: RootVec, i: int, c: CartanMatrix) -> RootVec:
     coords = list(d.coords)
     coords[i - 1] -= pairing
     return RootVec(tuple(coords))
-
-
-def act_word_on_weight(word_letters, w: Weight, c: CartanMatrix) -> Weight:
-    """Apply s_{l_1} s_{l_2} ... s_{l_m} to w, rightmost reflection first."""
-    for letter in reversed(list(word_letters)):
-        w = s_weight(w, letter, c)
-    return w
 
 
 def validate_sink_sequence(q: Quiver, letters) -> None:

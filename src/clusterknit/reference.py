@@ -1,0 +1,330 @@
+"""The worked examples, written once, and the checks built on them.
+
+``CORPUS`` names the worked instances; the constants after it hold the
+worked values for them.  ``CHECKS`` turns those values into the
+named assertions of ``clusterknit check``, and the test suite reads the same
+instances and values.  Importing this module builds nothing: ``category``
+knits an instance on first use and keeps it.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import cache
+
+from . import cluster, euler, laurent, mesh, minors, rigidpath
+from .laurent import LaurentPoly
+from .mesh import IntervalLabel, MeshVertex
+from .quiver import Quiver, adapted_word, cartan, inversion_roots, validate_quiver
+
+# name -> (n, arrows, t): a quiver on 1..n and its level vector.
+CORPUS = {
+    # The double-arrow quiver 1 => 2 -> 3: seven summands, the running
+    # example for dimension and Delta vectors.
+    "kronecker3": (3, [(1, 2), (1, 2), (2, 3)], (2, 1, 1)),
+    # A_3 with central source (arrows 2->1, 2->3), all six summands.
+    "fan_a3": (3, [(2, 1), (2, 3)], (1, 1, 1)),
+    "triangle3": (3, [(1, 2), (1, 3), (2, 3)], (2, 1, 1)),
+    # The linearly ordered A_4 quiver 4->3->2->1 with all ten summands.
+    "linear_a4": (4, [(4, 3), (3, 2), (2, 1)], (0, 1, 2, 3)),
+    # The 19-mutation run.
+    "five_vertex": (5, [(3, 1), (3, 5), (3, 5), (5, 2), (2, 4)], (3, 2, 3, 1, 2)),
+    # Every indecomposable of E8 exists at t = 14: 120 summands.
+    "e8": (8, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)], (14,) * 8),
+}
+# kronecker3's worked adapted ordering; its adapted word reversed is WORKED_WORD.
+V = MeshVertex
+WORKED_ORDERING = [V(1, 0), V(2, 0), V(1, 1), V(3, 0), V(2, 1), V(1, 2), V(3, 1)]
+WORKED_WORD = (3, 1, 2, 3, 1, 2, 1)
+
+
+def quiver(name: str) -> Quiver:
+    n, arrows, _ = CORPUS[name]
+    return validate_quiver(n, arrows)
+
+
+def terminal(name: str) -> mesh.TerminalData:
+    return mesh.validate_terminal(quiver(name), CORPUS[name][2])
+
+
+@cache
+def category(name: str) -> mesh.CategoryModel:
+    return mesh.build_category(terminal(name))
+
+
+# -- expected values (on kronecker3 unless named otherwise) -------------------
+
+CARTAN_KRONECKER3 = ((2, -2, 0), (-2, 2, -1), (0, -1, 2))
+
+# Projected dimension vectors of the seven T_{i,[a,t_i]}, keyed by (i, a), as
+# mesh.triangle_display triangles.
+HOM_TRIANGLES = {
+    (1, 2): ((1, 3, 9), (2, 6), (0, 2)),
+    (1, 1): ((1, 4, 12), (2, 8), (0, 2)),
+    (1, 0): ((1, 4, 13), (2, 8), (0, 2)),
+    (2, 1): ((0, 2, 6), (1, 4), (0, 1)),
+    (2, 0): ((0, 2, 8), (1, 5), (0, 1)),
+    (3, 1): ((0, 2, 4), (1, 3), (1, 0)),
+    (3, 0): ((0, 2, 6), (1, 4), (1, 1)),
+}
+
+# The initial seed mutated at this vertex gives the two vectors below.
+MUTATION_VERTEX = MeshVertex(1, 1)
+MUTATED_DIM_TRIANGLE = ((0, 4, 13), (2, 8), (0, 2))
+MUTATED_DELTA_TRIANGLE = ((0, 0, 1), (2, 0), (0, 0))
+
+D_DELTA = ((23, 6, 1), (14, 3), (11, 4))
+
+SCHEDULE_LENGTHS = {"five_vertex": 19, "e8": 840}
+
+# Q_M^op of five_vertex.
+FIVE_VERTEX_QM_OP = ((1, 3), (2, 4), (2, 5), (3, 5), (3, 5))
+
+EXCHANGE_RELATIONS = (
+    "T_{1,[1,1]}*T_{1,[0,0]} = T_{1,[0,1]} + T_{2,[0,0]}^2",
+    "T_{2,[1,1]}*T_{2,[0,0]} = T_{2,[0,1]} + T_{1,[1,1]}^2*T_{3,[0,0]}",
+    "T_{3,[1,1]}*T_{3,[0,0]} = T_{3,[0,1]} + T_{2,[1,1]}",
+)
+
+# g_{T_k} for the worked ordering; g_5 has G5_WORDS words.
+G_SERIES = {
+    1: {(1,): 1},
+    2: {(2, 1, 1): 2},
+    3: {(1, 2, 1, 2, 1, 1): 4, (1, 2, 2, 1, 1, 1): 12},
+    4: {(3, 2, 1, 1): 2},
+    7: {
+        (3, 2, 1, 1, 2, 2, 2, 1, 1, 1, 1): 288,
+        (3, 2, 1, 1, 2, 2, 1, 2, 1, 1, 1): 144,
+        (3, 2, 1, 2, 1, 2, 2, 1, 1, 1, 1): 96,
+        (3, 2, 1, 1, 2, 2, 1, 1, 2, 1, 1): 48,
+        (3, 2, 1, 2, 1, 1, 2, 2, 1, 1, 1): 48,
+        (3, 2, 1, 2, 1, 2, 1, 2, 1, 1, 1): 48,
+        (3, 2, 1, 1, 2, 1, 2, 2, 1, 1, 1): 48,
+        (3, 2, 1, 2, 1, 2, 1, 1, 2, 1, 1): 16,
+        (3, 2, 1, 2, 1, 1, 2, 1, 2, 1, 1): 16,
+        (3, 2, 1, 1, 2, 1, 2, 1, 2, 1, 1): 16,
+    },
+}
+G5_WORDS = 402
+
+# Sorted inversion roots of the canonical adapted word of triangle3.
+TRIANGLE3_ROOTS = [
+    (1, 0, 0), (1, 1, 0), (2, 1, 1), (2, 2, 1),
+    (3, 2, 2), (3, 3, 2), (4, 3, 3),
+]
+
+# (i, a) -> j: the single-interval minor of linear_a4's vertex (i, a) is the
+# variable x_j of the 5x5 unitriangular matrix.
+MINOR_TABLE = {
+    (4, 3): 1, (3, 2): 2, (2, 1): 3, (1, 0): 4, (4, 2): 5,
+    (3, 1): 6, (2, 0): 7, (4, 1): 8, (3, 0): 9, (4, 0): 10,
+}
+
+
+def pbw_expansion(cat) -> LaurentPoly:
+    """The dual-PBW expansion of T_{1,[0,2]} in the variables z_{i,a}."""
+    z = lambda i, a: LaurentPoly.variable(cat.pos(MeshVertex(i, a)), cat.r)
+    return (
+        z(1, 2) * z(1, 1) * z(1, 0)
+        - z(1, 2) * z(2, 0) ** 2
+        - z(2, 1) ** 2 * z(1, 0)
+        + (z(2, 1) * z(2, 0) * z(1, 1) * z(3, 0)).scale(2)
+        - z(1, 1) ** 3 * z(3, 0) ** 2
+    )
+
+
+def minor_example():
+    """(key, value): Delta_{23,35} of the 5x5 unitriangular matrix."""
+    xv = lambda i: LaurentPoly.variable(i - 1, 10)
+    return minors.MinorKey((2, 3), (3, 5)), xv(5) * xv(9) - xv(7)
+
+
+def flag_identities():
+    """The acyclic A_3 dual-PBW identities at the flag level, as (lhs, rhs)
+    pairs of shuffle series."""
+    T, g, sh = euler.ThinModule, euler.flag_oracle, euler.shuffle
+    s1, s2, s3 = T((("a", 1),)), T((("b", 2),)), T((("c", 3),))
+    m12 = T((("u", 1), ("v", 2)), (("u", "v"),))
+    m21 = T((("u", 2), ("v", 1)), (("u", "v"),))
+    m23 = T((("u", 2), ("v", 3)), (("u", "v"),))
+    m32 = T((("u", 3), ("v", 2)), (("u", "v"),))
+    m132 = T((("u", 1), ("w", 3), ("v", 2)), (("u", "v"), ("w", "v")))
+    m213 = T((("v", 2), ("u", 1), ("w", 3)), (("v", "u"), ("v", "w")))
+    four_term = (
+        g(m213) + sh(sh(g(s1), g(s2)), g(s3)) - sh(g(s1), g(m23)) - sh(g(s3), g(m21))
+    )
+    return [
+        (g(m12), sh(g(s1), g(s2)) - g(m21)),
+        (g(m32), sh(g(s3), g(s2)) - g(m23)),
+        (g(m132), four_term),
+    ]
+
+
+def final_labels(cat) -> list:
+    """The labels (i, 0, b) that every schedule ends on, sorted."""
+    return sorted(
+        (i, 0, b)
+        for i in range(1, cat.terminal.q.n + 1)
+        for b in range(cat.terminal.level(i) + 1)
+    )
+
+
+def minors_table_checks(n: int):
+    """The x <-> minor dictionary through single-interval keys."""
+    x = minors.unitriangular(n + 1)
+    checks = []
+    for i in range(1, n + 1):
+        for a in range(0, i):
+            key = minors.interval_minor_key(i, a, a, n)
+            val = minors.minor(x, key)
+            checks.append(((i, a), key, val))
+    return checks
+
+
+def linear_type_a(n: int):
+    """The linearly ordered A_n quiver n -> n-1 -> ... -> 1 with t_i = i-1."""
+    q = validate_quiver(n, [(i + 1, i) for i in range(1, n)])
+    td = mesh.validate_terminal(q, tuple(i - 1 for i in range(1, n + 1)))
+    return mesh.build_category(td)
+
+
+def eta_checks(n: int):
+    """Compare substituted PBW expansions against the symbolic minors for
+    every interval (i, a, b) in range."""
+    cat = linear_type_a(n)
+    x = minors.unitriangular(n + 1)
+    # the single-interval variable at canonical position p maps to its minor
+    images = [
+        minors.minor(x, minors.interval_minor_key(v.i, v.a, v.a, n))
+        for v in cat.vertices
+    ]
+    results = []
+    for i in range(1, n + 1):
+        for b in range(0, i):
+            for a in range(0, b + 1):
+                pbw = rigidpath.pbw_expand(cat, IntervalLabel(i, a, b))
+                lhs = laurent.substitute(pbw, images)
+                rhs = minors.minor(x, minors.interval_minor_key(i, a, b, n))
+                results.append(((i, a, b), lhs == rhs))
+    return results
+
+
+def cross_checks(cat):
+    """evaluate_phi(g_module(k)) against the minor of the one-parameter
+    product, over the adapted word of a type-A category (such as
+    ``linear_type_a(n)``) repeated twice."""
+    n = cat.terminal.q.n
+    ordering = mesh.adapted_orderings(cat)
+    word = adapted_word(cat, ordering)
+    seq = word.letters * 2
+    prod = minors.one_param_product(seq, n + 1)
+    results = []
+    for k in range(1, cat.r + 1):
+        phi = euler.evaluate_phi(euler.g_module(cat, ordering, k), seq)
+        if any(Fraction(v).denominator != 1 for v in phi.values()):
+            results.append((k, False))
+            continue
+        lhs = LaurentPoly(len(seq), {e: int(v) for e, v in phi.items()})
+        key = minors.w_minor(word.letters[:k], word.letters[k - 1], n + 1)
+        results.append((k, lhs == minors.minor(prod, key)))
+    return results
+
+
+# -- the checks of ``clusterknit check`` ------------------------------------------
+
+
+def check_cartan() -> bool:
+    return cartan(quiver("kronecker3")).entries == CARTAN_KRONECKER3
+
+
+def check_dim_triangles() -> bool:
+    cat = category("kronecker3")
+    for (i, a), tri in HOM_TRIANGLES.items():
+        lbl = IntervalLabel(i, a, cat.terminal.level(i))
+        if mesh.triangle_display(cat, mesh.projected_dimvec(cat, lbl)) != tri:
+            return False
+    return True
+
+
+def check_dim_mutation() -> bool:
+    cat = category("kronecker3")
+    s = cluster.initial_seed(cat)
+    vec, dom = cluster.mutate_dimvec(s, cat.pos(MUTATION_VERTEX) + 1)
+    return dom and mesh.triangle_display(cat, vec) == MUTATED_DIM_TRIANGLE
+
+
+def check_delta_vectors() -> bool:
+    cat = category("kronecker3")
+    if mesh.triangle_display(cat, mesh.delta_dims(cat)) != D_DELTA:
+        return False
+    s = cluster.initial_seed(cat)
+    vec = cluster.mutate_delta_dimvec(s, cat.pos(MUTATION_VERTEX) + 1)
+    return mesh.triangle_display(cat, vec) == MUTATED_DELTA_TRIANGLE
+
+
+def check_schedule_lengths() -> bool:
+    return all(
+        len(rigidpath.make_schedule(terminal(name))) == length
+        for name, length in SCHEDULE_LENGTHS.items()
+    )
+
+
+def check_path_final_labels() -> bool:
+    cat = category("kronecker3")
+    res = rigidpath.run_path(
+        cluster.initial_seed(cat), rigidpath.make_schedule(cat.terminal)
+    )
+    return sorted((l.i, l.a, l.b) for l in res.seed.labels) == final_labels(cat)
+
+
+def check_pbw_expansion() -> bool:
+    cat = category("kronecker3")
+    return rigidpath.pbw_expand(cat, IntervalLabel(1, 0, 2)) == pbw_expansion(cat)
+
+
+def check_euler_series() -> bool:
+    cat, ordering = category("kronecker3"), WORKED_ORDERING
+    return all(
+        euler.g_module(cat, ordering, k) == euler.ShuffleSeries(terms)
+        for k, terms in G_SERIES.items()
+    ) and len(euler.g_module(cat, ordering, 5).terms) == G5_WORDS
+
+
+def check_inversion_roots() -> bool:
+    cat = category("triangle3")
+    word = adapted_word(cat, mesh.adapted_orderings(cat))
+    got = sorted(r.coords for r in inversion_roots(word, cartan(cat.terminal.q)))
+    want = sorted(cat.dims[v].coords for v in cat.vertices)
+    return got == want == TRIANGLE3_ROOTS
+
+
+def check_minor_dictionary() -> bool:
+    key, value = minor_example()
+    if minors.minor(minors.unitriangular(5), key) != value:
+        return False
+    return all(passed for (_, passed) in eta_checks(4))
+
+
+def check_flag_identities() -> bool:
+    return all(lhs == rhs for lhs, rhs in flag_identities())
+
+
+def check_euler_g6_integral() -> bool:
+    return euler.g_module(category("kronecker3"), WORKED_ORDERING, 6).is_integral()
+
+
+CHECKS = [
+    ("cartan_kronecker", check_cartan),
+    ("dim_triangles", check_dim_triangles),
+    ("dim_mutation", check_dim_mutation),
+    ("delta_vectors", check_delta_vectors),
+    ("schedule_lengths", check_schedule_lengths),
+    ("path_final_labels", check_path_final_labels),
+    ("pbw_expansion", check_pbw_expansion),
+    ("euler_series", check_euler_series),
+    ("inversion_roots", check_inversion_roots),
+    ("minor_dictionary", check_minor_dictionary),
+    ("flag_identities", check_flag_identities),
+]
+# Run after CHECKS by ``check --slow``.
+SLOW_CHECKS = [("euler_g6_integral", check_euler_g6_integral)]

@@ -31,15 +31,14 @@ def qm_op(td: TerminalData) -> Quiver:
     return Quiver(td.q.n, tuple(sorted(arrows)))
 
 
-def qm_adapted_order(td: TerminalData, order=None) -> list[int]:
+def qm_adapted_order(td: TerminalData) -> list[int]:
     """A Q_M-adapted ordering of 1..n: each vertex is a sink of Q_M after
-    reflecting at all earlier ones.  Defaults to the sources-first
-    topological order of Q_M^op, which always qualifies."""
+    reflecting at all earlier ones.  The sources-first topological order of
+    Q_M^op always qualifies."""
     op = qm_op(td)
-    if order is None:
-        order = topological_order(op)
+    order = topological_order(op)
     validate_sink_sequence(op.opposite(), order)
-    return list(order)
+    return order
 
 
 def schedule_length(td: TerminalData) -> int:
@@ -57,11 +56,11 @@ class Schedule:
         return len(self.steps)
 
 
-def make_schedule(td: TerminalData, qm_order=None) -> Schedule:
+def make_schedule(td: TerminalData) -> Schedule:
     """Step k mutates, for each i in Q_M-adapted order, the labels
     T_{i,[b,b]}, T_{i,[b-1,b]}, ..., T_{i,[1,b]} with b = t_i - (k - 1),
     skipping exhausted orbits."""
-    order = qm_adapted_order(td, qm_order)
+    order = qm_adapted_order(td)
     steps = []
     k = 1
     while True:
@@ -76,7 +75,8 @@ def make_schedule(td: TerminalData, qm_order=None) -> Schedule:
         steps.extend(round_steps)
         k += 1
     sch = Schedule(td, tuple(order), tuple(steps))
-    assert len(sch) == schedule_length(td)
+    if len(sch) != schedule_length(td):
+        raise ScheduleMismatchError(f"{len(sch)} steps, r(M) = {schedule_length(td)}")
     return sch
 
 
@@ -239,10 +239,6 @@ def pbw_expand(cat: mesh.CategoryModel, lbl: IntervalLabel) -> LaurentPoly:
     if lbl.is_unit():
         return LaurentPoly.one(r)
     return expand(lbl.i, lbl.a, lbl.b)
-
-
-def pbw_names(cat: mesh.CategoryModel):
-    return [f"z[{v.i},{v.a}]" for v in cat.vertices]
 
 
 # -- reporting ---------------------------------------------------------------

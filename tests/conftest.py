@@ -5,48 +5,34 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from clusterknit.mesh import MeshVertex, build_category, validate_terminal
-from clusterknit.quiver import validate_quiver
+from clusterknit import reference
 
 
 @pytest.fixture(scope="session")
 def kronecker3():
-    """The double-arrow quiver 1 => 2 -> 3 with t = (2,1,1): seven
-    summands, the running example for dimension and Delta vectors."""
-    q = validate_quiver(3, [(1, 2), (1, 2), (2, 3)])
-    return build_category(validate_terminal(q, (2, 1, 1)))
+    return reference.category("kronecker3")
 
 
 @pytest.fixture(scope="session")
 def kronecker3_ordering():
-    """The worked adapted ordering giving the word (3,1,2,3,1,2,1)."""
-    V = MeshVertex
-    return [V(1, 0), V(2, 0), V(1, 1), V(3, 0), V(2, 1), V(1, 2), V(3, 1)]
+    return reference.WORKED_ORDERING
 
 
 @pytest.fixture(scope="session")
 def fan_a3():
-    """A_3 with central source (arrows 2->1, 2->3), all six summands."""
-    q = validate_quiver(3, [(2, 1), (2, 3)])
-    return build_category(validate_terminal(q, (1, 1, 1)))
+    return reference.category("fan_a3")
 
 
 @pytest.fixture(scope="session")
 def triangle3():
-    """The three-vertex quiver 1->2, 1->3, 2->3 with t = (2,1,1)."""
-    q = validate_quiver(3, [(1, 2), (1, 3), (2, 3)])
-    return build_category(validate_terminal(q, (2, 1, 1)))
+    return reference.category("triangle3")
 
 
 @pytest.fixture(scope="session")
 def linear_a4():
-    """The linearly ordered A_4 quiver 4->3->2->1 with all ten summands."""
-    q = validate_quiver(4, [(4, 3), (3, 2), (2, 1)])
-    return build_category(validate_terminal(q, (0, 1, 2, 3)))
+    return reference.category("linear_a4")
 
 
 @pytest.fixture(scope="session")
 def five_vertex():
-    """The five-vertex quiver with t = (3,2,3,1,2): the 19-mutation run."""
-    q = validate_quiver(5, [(3, 1), (3, 5), (3, 5), (5, 2), (2, 4)])
-    return build_category(validate_terminal(q, (3, 2, 3, 1, 2)))
+    return reference.category("five_vertex")

@@ -11,7 +11,7 @@ import pytest
 
 from oracles import interval_hom_dim, maximal_terminal
 
-from clusterknit import euler, minors
+from clusterknit import euler, minors, reference
 from clusterknit.cluster import (
     initial_seed,
     mutate_delta_dimvec,
@@ -26,7 +26,6 @@ from clusterknit.mesh import (
     adapted_orderings,
     build_category,
     delta_dims,
-    hom_dim,
     projected_dimvec,
     triangle_display,
     validate_terminal,
@@ -80,37 +79,24 @@ def test_criterion_01_mutation_involution(kronecker3, fan_a3):
 def test_criterion_02_dimension_vectors(kronecker3):
     done = timed(1)
     cat = kronecker3
-    want = {
-        (1, 2): ((1, 3, 9), (2, 6), (0, 2)),
-        (1, 1): ((1, 4, 12), (2, 8), (0, 2)),
-        (1, 0): ((1, 4, 13), (2, 8), (0, 2)),
-        (2, 1): ((0, 2, 6), (1, 4), (0, 1)),
-        (2, 0): ((0, 2, 8), (1, 5), (0, 1)),
-        (3, 1): ((0, 2, 4), (1, 3), (1, 0)),
-        (3, 0): ((0, 2, 6), (1, 4), (1, 1)),
-    }
-    for (i, a), tri in want.items():
+    for (i, a), tri in reference.HOM_TRIANGLES.items():
         lbl = L(i, a, cat.terminal.level(i))
         assert triangle_display(cat, projected_dimvec(cat, lbl)) == tri
     s = initial_seed(cat)
-    k = cat.pos(V(1, 1)) + 1
+    k = cat.pos(reference.MUTATION_VERTEX) + 1
     vec, dominated = mutate_dimvec(s, k)
     assert dominated
-    assert triangle_display(cat, vec) == ((0, 4, 13), (2, 8), (0, 2))
+    assert triangle_display(cat, vec) == reference.MUTATED_DIM_TRIANGLE
     report(2, f"all seven hom triangles and the mutated vector ({done():.2f}s)")
 
 
 def test_criterion_03_delta_vectors(kronecker3):
     done = timed(1)
-    assert triangle_display(kronecker3, delta_dims(kronecker3)) == (
-        (23, 6, 1),
-        (14, 3),
-        (11, 4),
-    )
+    assert triangle_display(kronecker3, delta_dims(kronecker3)) == reference.D_DELTA
     s = initial_seed(kronecker3)
-    k = kronecker3.pos(V(1, 1)) + 1
+    k = kronecker3.pos(reference.MUTATION_VERTEX) + 1
     vec = mutate_delta_dimvec(s, k)
-    assert triangle_display(kronecker3, vec) == ((0, 0, 1), (2, 0), (0, 0))
+    assert triangle_display(kronecker3, vec) == reference.MUTATED_DELTA_TRIANGLE
     report(3, f"d_Delta and the mutated Delta-vector ({done():.2f}s)")
 
 
@@ -122,23 +108,16 @@ def test_criterion_04_schedule(five_vertex):
     for _ in range(50):
         td = random_terminal(rng)
         assert len(make_schedule(td)) == schedule_length(td)
-    e8 = validate_quiver(
-        8, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)]
-    )
-    td8 = validate_terminal(e8, (14,) * 8)
-    assert len(make_schedule(td8)) == 840
-    assert build_category(td8).r == 120  # every indecomposable exists
+    lengths = reference.SCHEDULE_LENGTHS
+    assert len(make_schedule(reference.terminal("e8"))) == lengths["e8"]
+    assert reference.category("e8").r == 120  # every indecomposable exists
     res = run_path(
         initial_seed(five_vertex, with_vars=False),
         make_schedule(five_vertex.terminal),
     )
-    assert len(res.steps) == 19
+    assert len(res.steps) == lengths["five_vertex"]
     final = sorted((l.i, l.a, l.b) for l in res.seed.labels)
-    assert final == sorted(
-        (i, 0, b)
-        for i in range(1, 6)
-        for b in range(five_vertex.terminal.level(i) + 1)
-    )
+    assert final == reference.final_labels(five_vertex)
     report(4, f"r(M) formula, 840 steps on E8, 19-step run ({done():.1f}s)")
 
 
@@ -149,47 +128,18 @@ def test_criterion_05_exchange_pbw(kronecker3):
     from clusterknit.rigidpath import relation_text
 
     texts = [relation_text(s) for s in res.steps]
-    assert "T_{1,[1,1]}*T_{1,[0,0]} = T_{1,[0,1]} + T_{2,[0,0]}^2" in texts
-    assert "T_{2,[1,1]}*T_{2,[0,0]} = T_{2,[0,1]} + T_{1,[1,1]}^2*T_{3,[0,0]}" in texts
-    assert "T_{3,[1,1]}*T_{3,[0,0]} = T_{3,[0,1]} + T_{2,[1,1]}" in texts
-    z = lambda i, a: LaurentPoly.variable(cat.pos(V(i, a)), cat.r)
-    want = (
-        z(1, 2) * z(1, 1) * z(1, 0)
-        - z(1, 2) * z(2, 0) ** 2
-        - z(2, 1) ** 2 * z(1, 0)
-        + (z(2, 1) * z(2, 0) * z(1, 1) * z(3, 0)).scale(2)
-        - z(1, 1) ** 3 * z(3, 0) ** 2
-    )
-    assert pbw_expand(cat, L(1, 0, 2)) == want
+    for relation in reference.EXCHANGE_RELATIONS:
+        assert relation in texts
+    assert pbw_expand(cat, L(1, 0, 2)) == reference.pbw_expansion(cat)
     report(5, f"three exchange relations and the 5-term expansion ({done():.2f}s)")
 
 
 def test_criterion_06_euler_series(kronecker3, kronecker3_ordering):
     done = timed(60)
     cat, ordering = kronecker3, kronecker3_ordering
-    S = euler.ShuffleSeries
-    assert euler.g_module(cat, ordering, 1) == S.word(1)
-    assert euler.g_module(cat, ordering, 2) == S({(2, 1, 1): 2})
-    assert euler.g_module(cat, ordering, 3) == S(
-        {(1, 2, 1, 2, 1, 1): 4, (1, 2, 2, 1, 1, 1): 12}
-    )
-    assert euler.g_module(cat, ordering, 4) == S({(3, 2, 1, 1): 2})
-    g7 = euler.g_module(cat, ordering, 7)
-    assert g7 == S(
-        {
-            (3, 2, 1, 1, 2, 2, 2, 1, 1, 1, 1): 288,
-            (3, 2, 1, 1, 2, 2, 1, 2, 1, 1, 1): 144,
-            (3, 2, 1, 2, 1, 2, 2, 1, 1, 1, 1): 96,
-            (3, 2, 1, 1, 2, 2, 1, 1, 2, 1, 1): 48,
-            (3, 2, 1, 2, 1, 1, 2, 2, 1, 1, 1): 48,
-            (3, 2, 1, 2, 1, 2, 1, 2, 1, 1, 1): 48,
-            (3, 2, 1, 1, 2, 1, 2, 2, 1, 1, 1): 48,
-            (3, 2, 1, 2, 1, 2, 1, 1, 2, 1, 1): 16,
-            (3, 2, 1, 2, 1, 1, 2, 1, 2, 1, 1): 16,
-            (3, 2, 1, 1, 2, 1, 2, 1, 2, 1, 1): 16,
-        }
-    )
-    assert len(euler.g_module(cat, ordering, 5).terms) == 402
+    for k, terms in reference.G_SERIES.items():
+        assert euler.g_module(cat, ordering, k) == euler.ShuffleSeries(terms), k
+    assert len(euler.g_module(cat, ordering, 5).terms) == reference.G5_WORDS
     g6 = euler.g_module(cat, ordering, 6)
     assert g6.is_integral() and not g6.is_zero()
     report(6, f"g-series including the 402-word and large cases ({done():.1f}s)")
@@ -199,12 +149,9 @@ def test_criterion_07_minors(linear_a4):
     done = timed(10)
     x = minors.unitriangular(5)
     xv = lambda i: LaurentPoly.variable(i - 1, 10)
-    assert minors.minor(x, minors.MinorKey((2, 3), (3, 5))) == xv(5) * xv(9) - xv(7)
-    table = {
-        (4, 3): 1, (3, 2): 2, (2, 1): 3, (1, 0): 4, (4, 2): 5,
-        (3, 1): 6, (2, 0): 7, (4, 1): 8, (3, 0): 9, (4, 0): 10,
-    }
-    for (i, a), xi in table.items():
+    key, value = reference.minor_example()
+    assert minors.minor(x, key) == value
+    for (i, a), xi in reference.MINOR_TABLE.items():
         key = minors.interval_minor_key(i, a, a, 4)
         assert minors.minor(x, key) == xv(xi), (i, a)
     cat = linear_a4
@@ -226,19 +173,8 @@ def test_criterion_07_minors(linear_a4):
 
 def test_criterion_08_flag_identities():
     done = timed(1)
-    T, g, sh = euler.ThinModule, euler.flag_oracle, euler.shuffle
-    s1, s2, s3 = T((("a", 1),)), T((("b", 2),)), T((("c", 3),))
-    m12 = T((("u", 1), ("v", 2)), (("u", "v"),))
-    m21 = T((("u", 2), ("v", 1)), (("u", "v"),))
-    m23 = T((("u", 2), ("v", 3)), (("u", "v"),))
-    m32 = T((("u", 3), ("v", 2)), (("u", "v"),))
-    assert g(m12) == sh(g(s1), g(s2)) - g(m21)
-    assert g(m32) == sh(g(s3), g(s2)) - g(m23)
-    m132 = T((("u", 1), ("w", 3), ("v", 2)), (("u", "v"), ("w", "v")))
-    m213 = T((("v", 2), ("u", 1), ("w", 3)), (("v", "u"), ("v", "w")))
-    assert g(m132) == (
-        g(m213) + sh(sh(g(s1), g(s2)), g(s3)) - sh(g(s1), g(m23)) - sh(g(s3), g(m21))
-    )
+    for lhs, rhs in reference.flag_identities():
+        assert lhs == rhs
     report(8, f"the acyclic A3 dual-PBW identities at the flag level ({done():.2f}s)")
 
 
@@ -257,12 +193,7 @@ def test_criterion_09_roots(kronecker3, fan_a3, triangle3, five_vertex):
             cartan(triangle3.terminal.q),
         )
     )
-    assert got == sorted(
-        [
-            (1, 0, 0), (1, 1, 0), (2, 1, 1), (2, 2, 1),
-            (3, 2, 2), (3, 3, 2), (4, 3, 3),
-        ]
-    )
+    assert got == reference.TRIANGLE3_ROOTS
     report(9, f"inversion roots equal knitted dimension vectors ({done():.2f}s)")
 
 
@@ -270,8 +201,8 @@ def test_criterion_10_hom_oracle():
     done = timed(5)
     quivers = [
         validate_quiver(3, [(1, 2), (2, 3)]),
-        validate_quiver(3, [(2, 1), (2, 3)]),
-        validate_quiver(4, [(4, 3), (3, 2), (2, 1)]),
+        reference.quiver("fan_a3"),
+        reference.quiver("linear_a4"),
         validate_quiver(4, [(1, 2), (2, 3), (3, 4)]),
     ]
     pairs = 0
@@ -284,7 +215,7 @@ def test_criterion_10_hom_oracle():
         }
         for x in cat.vertices:
             for z in cat.vertices:
-                assert hom_dim(cat, x, z) == interval_hom_dim(q, supp[x], supp[z])
+                assert cat.hom_dim(x, z) == interval_hom_dim(q, supp[x], supp[z])
                 pairs += 1
     report(10, f"hom knitting vs intertwiner oracle on {pairs} pairs ({done():.1f}s)")
 

@@ -1,27 +1,37 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from clusterknit import cli, cluster
+from clusterknit import cli, cluster, quiver, reference
 from clusterknit.mesh import MeshVertex
+
+
+def quiver_file(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(quiver.to_json(reference.quiver(name))))
+    return str(path)
 
 
 @pytest.fixture
 def kron_file(tmp_path):
-    path = tmp_path / "kron.json"
-    path.write_text(json.dumps({"n": 3, "arrows": [[1, 2], [1, 2], [2, 3]]}))
-    return str(path)
+    return quiver_file(tmp_path, "kronecker3")
 
 
 @pytest.fixture
 def five_file(tmp_path):
-    path = tmp_path / "five.json"
-    path.write_text(
-        json.dumps(
-            {"n": 5, "arrows": [[3, 1], [3, 5], [3, 5], [5, 2], [2, 4]]}
-        )
-    )
-    return str(path)
+    return quiver_file(tmp_path, "five_vertex")
+
+
+@pytest.fixture
+def ordering_file(tmp_path):
+    """The worked ordering of kronecker3 as an ``--ordering`` argument."""
+    path = tmp_path / "ord.json"
+    path.write_text(json.dumps([[v.i, v.a] for v in reference.WORKED_ORDERING]))
+    return f"file:{path}"
 
 
 def test_build_text(kron_file, capsys):
@@ -54,16 +64,9 @@ def test_build_dot(kron_file, capsys):
     assert "digraph" in capsys.readouterr().out
 
 
-def test_build_ordering_file(kron_file, tmp_path, capsys):
-    ordering = [[1, 0], [2, 0], [1, 1], [3, 0], [2, 1], [1, 2], [3, 1]]
-    opath = tmp_path / "ord.json"
-    opath.write_text(json.dumps(ordering))
-    assert (
-        cli.main(
-            ["build", kron_file, "--t", "2,1,1", "--ordering", f"file:{opath}"]
-        )
-        == 0
-    )
+def test_build_ordering_file(kron_file, ordering_file, capsys):
+    argv = ["build", kron_file, "--t", "2,1,1", "--ordering", ordering_file]
+    assert cli.main(argv) == 0
 
 
 def test_mutate_rank2(tmp_path, capsys):
@@ -103,19 +106,9 @@ def test_path_five_vertex(five_file, capsys):
 
 
 def test_path_count_only_e8(tmp_path, capsys):
-    path = tmp_path / "e8.json"
-    path.write_text(
-        json.dumps(
-            {
-                "n": 8,
-                "arrows": [
-                    [1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 7], [3, 8],
-                ],
-            }
-        )
-    )
+    path = quiver_file(tmp_path, "e8")
     t = ",".join(["14"] * 8)
-    assert cli.main(["path", str(path), "--t", t, "--no-expand", "--count-only"]) == 0
+    assert cli.main(["path", path, "--t", t, "--no-expand", "--count-only"]) == 0
     assert "r(M) = 840" in capsys.readouterr().out
 
 
@@ -137,38 +130,25 @@ def test_euler_small(kron_file, capsys):
     assert capsys.readouterr().out.strip() == "w[1]"
 
 
-def test_euler_worked_ordering(kron_file, tmp_path, capsys):
-    ordering = [[1, 0], [2, 0], [1, 1], [3, 0], [2, 1], [1, 2], [3, 1]]
-    opath = tmp_path / "ord.json"
-    opath.write_text(json.dumps(ordering))
-    assert (
-        cli.main(
-            [
-                "euler", kron_file, "--t", "2,1,1", "--k", "2",
-                "--ordering", f"file:{opath}",
-            ]
-        )
-        == 0
-    )
+def test_euler_worked_ordering(kron_file, ordering_file, capsys):
+    argv = ["euler", kron_file, "--t", "2,1,1", "--k", "2", "--ordering", ordering_file]
+    assert cli.main(argv) == 0
     assert capsys.readouterr().out.strip() == "2·w[2,1,1]"
 
 
-def test_euler_402_to_file(kron_file, tmp_path, capsys):
-    ordering = [[1, 0], [2, 0], [1, 1], [3, 0], [2, 1], [1, 2], [3, 1]]
-    opath = tmp_path / "ord.json"
-    opath.write_text(json.dumps(ordering))
+def test_euler_402_to_file(kron_file, ordering_file, tmp_path, capsys):
     out = tmp_path / "g5.txt"
     assert (
         cli.main(
             [
                 "euler", kron_file, "--t", "2,1,1", "--k", "5",
-                "--ordering", f"file:{opath}", "--out", str(out),
+                "--ordering", ordering_file, "--out", str(out),
             ]
         )
         == 0
     )
     text = out.read_text()
-    assert text.count("w[") == 402
+    assert text.count("w[") == reference.G5_WORDS
 
 
 def test_minors_n4(capsys):
@@ -197,6 +177,30 @@ def test_check_manifest(capsys):
     assert "euler_series" in names and "minor_dictionary" in names
 
 
+def test_check_fails_on_a_wrong_expected_value(monkeypatch, capsys):
+    """Corrupting one expected value fails exactly the check that reads it."""
+    (top, *rows) = reference.D_DELTA
+    monkeypatch.setattr(reference, "D_DELTA", ((top[0] + 1, *top[1:]), *rows))
+    assert cli.main(["check", "--format", "json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["status"] == "FAIL"
+    failed = [c["name"] for c in data["checks"] if c["status"] == "FAIL"]
+    assert failed == ["delta_vectors"]
+
+
+def test_check_under_optimize():
+    """``python -O`` strips asserts; the checks must still run and pass."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "clusterknit.cli", "check", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = [c["name"] for c in json.loads(proc.stdout)["checks"]]
+    assert names == [name for (name, _) in reference.CHECKS]
+
+
 def test_bad_quiver_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 2, "arrows": [[1, 2], [2, 1]]}))
@@ -204,21 +208,19 @@ def test_bad_quiver_file(tmp_path, capsys):
 
 
 def test_quiver_json_round_trip():
-    from clusterknit.quiver import validate_quiver
-
-    q = validate_quiver(3, [(1, 2), (1, 2), (2, 3)])
-    assert cli.quiver_from_json(json.loads(json.dumps(cli.quiver_to_json(q)))) == q
+    q = reference.quiver("kronecker3")
+    assert quiver.from_json(json.loads(json.dumps(quiver.to_json(q)))) == q
 
 
 def test_minors_failure_injection(monkeypatch, capsys):
     """A corrupted eta comparison must surface as FAIL with exit code 1."""
-    real = cli.eta_checks
+    real = reference.eta_checks
 
     def corrupted(n):
         results = real(n)
         return [(iab, False if iab == (2, 0, 1) else ok) for (iab, ok) in results]
 
-    monkeypatch.setattr(cli, "eta_checks", corrupted)
+    monkeypatch.setattr(reference, "eta_checks", corrupted)
     assert cli.main(["minors", "--n", "4", "--mode", "eta"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "overall: FAIL" in out

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from clusterknit import reference
 from clusterknit.cluster import (
     Seed,
     from_json,
@@ -45,15 +46,7 @@ def test_initial_seed_kronecker(kronecker3):
     )
     assert frozen_labels == [(1, 0, 2), (2, 0, 1), (3, 0, 1)]
     # dim trackers are the seven hom triangles
-    want = {
-        (1, 2): ((1, 3, 9), (2, 6), (0, 2)),
-        (1, 1): ((1, 4, 12), (2, 8), (0, 2)),
-        (1, 0): ((1, 4, 13), (2, 8), (0, 2)),
-        (2, 1): ((0, 2, 6), (1, 4), (0, 1)),
-        (2, 0): ((0, 2, 8), (1, 5), (0, 1)),
-        (3, 1): ((0, 2, 4), (1, 3), (1, 0)),
-        (3, 0): ((0, 2, 6), (1, 4), (1, 1)),
-    }
+    want = reference.HOM_TRIANGLES
     for k, v in enumerate(kronecker3.vertices):
         assert triangle_display(kronecker3, s.dim_trackers[k]) == want[(v.i, v.a)]
 
@@ -102,10 +95,10 @@ def test_mutate_seed_involution_random_reachable(kronecker3, fan_a3):
 
 def test_mutate_dimvec_worked_example(kronecker3):
     s = initial_seed(kronecker3)
-    k = kronecker3.pos(V(1, 1)) + 1
+    k = kronecker3.pos(reference.MUTATION_VERTEX) + 1
     vec, dominated = mutate_dimvec(s, k)
     assert dominated
-    assert triangle_display(kronecker3, vec) == ((0, 4, 13), (2, 8), (0, 2))
+    assert triangle_display(kronecker3, vec) == reference.MUTATED_DIM_TRIANGLE
 
 
 def test_mutate_dimvec_equal_sums_identical():
@@ -128,9 +121,9 @@ def test_mutate_dimvec_ambiguity():
 
 def test_mutate_delta_worked_example(kronecker3):
     s = initial_seed(kronecker3)
-    k = kronecker3.pos(V(1, 1)) + 1
+    k = kronecker3.pos(reference.MUTATION_VERTEX) + 1
     vec = mutate_delta_dimvec(s, k)
-    assert triangle_display(kronecker3, vec) == ((0, 0, 1), (2, 0), (0, 0))
+    assert triangle_display(kronecker3, vec) == reference.MUTATED_DELTA_TRIANGLE
     # the chosen branch is also the one keeping every entry nonnegative
     assert all(x >= 0 for x in vec)
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from clusterknit import reference
 from clusterknit.errors import NonIntegralError, NotThinError
 from clusterknit.euler import (
     ShuffleSeries,
@@ -20,12 +21,7 @@ from clusterknit.euler import (
     to_json,
     to_text,
 )
-from clusterknit.quiver import (
-    ReducedWord,
-    cartan,
-    fundamental_weight,
-    validate_quiver,
-)
+from clusterknit.quiver import ReducedWord, cartan, fundamental_weight
 
 S = ShuffleSeries
 T = ThinModule
@@ -33,7 +29,7 @@ T = ThinModule
 
 @pytest.fixture(scope="module")
 def kron_cartan():
-    return cartan(validate_quiver(3, [(1, 2), (1, 2), (2, 3)]))
+    return cartan(reference.quiver("kronecker3"))
 
 
 def rand_series(rng, n=2, maxlen=3, terms=3):
@@ -66,20 +62,19 @@ def test_f_action_examples(kron_cartan):
     assert f_action(S.unit(), 1, w1, kron_cartan) == S.word(1)
 
 
-def test_e_action():
+def test_e_action(kron_cartan):
     assert e_action(S.word(2, 1), 1) == S.word(2)
     assert e_action(S.word(2, 1), 2) == S.zero()
     # e then f is not the identity
     w2 = fundamental_weight(2, 3)
-    c = cartan(validate_quiver(3, [(1, 2), (1, 2), (2, 3)]))
     s = S.word(2, 1)
-    assert f_action(e_action(s, 1), 1, w2, c) != s
+    assert f_action(e_action(s, 1), 1, w2, kron_cartan) != s
 
 
 def test_divided_f(kron_cartan):
     w2 = fundamental_weight(2, 3)
     two = divided_f(S.word(2), 1, 2, w2, kron_cartan)
-    assert two == S({(2, 1, 1): 2})
+    assert two == S(reference.G_SERIES[2])  # g_2 = f_1^(2) w[2]
     assert divided_f(S.word(2), 1, 0, w2, kron_cartan) == S.word(2)
     assert divided_f(S.word(2), 1, 1, w2, kron_cartan) == f_action(
         S.word(2), 1, w2, kron_cartan
@@ -107,29 +102,8 @@ def test_b_exponents(kron_cartan):
 
 
 def test_g_module_worked_values(kronecker3, kronecker3_ordering):
-    ordering = kronecker3_ordering
-    assert g_module(kronecker3, ordering, 1) == S.word(1)
-    assert g_module(kronecker3, ordering, 2) == S({(2, 1, 1): 2})
-    assert g_module(kronecker3, ordering, 3) == S(
-        {(1, 2, 1, 2, 1, 1): 4, (1, 2, 2, 1, 1, 1): 12}
-    )
-    assert g_module(kronecker3, ordering, 4) == S({(3, 2, 1, 1): 2})
-    g7 = g_module(kronecker3, ordering, 7)
-    want = S(
-        {
-            (3, 2, 1, 1, 2, 2, 2, 1, 1, 1, 1): 288,
-            (3, 2, 1, 1, 2, 2, 1, 2, 1, 1, 1): 144,
-            (3, 2, 1, 2, 1, 2, 2, 1, 1, 1, 1): 96,
-            (3, 2, 1, 1, 2, 2, 1, 1, 2, 1, 1): 48,
-            (3, 2, 1, 2, 1, 1, 2, 2, 1, 1, 1): 48,
-            (3, 2, 1, 2, 1, 2, 1, 2, 1, 1, 1): 48,
-            (3, 2, 1, 1, 2, 1, 2, 2, 1, 1, 1): 48,
-            (3, 2, 1, 2, 1, 2, 1, 1, 2, 1, 1): 16,
-            (3, 2, 1, 2, 1, 1, 2, 1, 2, 1, 1): 16,
-            (3, 2, 1, 1, 2, 1, 2, 1, 2, 1, 1): 16,
-        }
-    )
-    assert g7 == want
+    for k, terms in reference.G_SERIES.items():
+        assert g_module(kronecker3, kronecker3_ordering, k) == S(terms), k
 
 
 def test_g_module_homogeneous_content(kronecker3, kronecker3_ordering):
@@ -152,12 +126,12 @@ def test_g_module_homogeneous_content(kronecker3, kronecker3_ordering):
 
 
 def test_g_module_402_words(kronecker3, kronecker3_ordering):
-    assert len(g_module(kronecker3, kronecker3_ordering, 5).terms) == 402
+    assert len(g_module(kronecker3, kronecker3_ordering, 5).terms) == reference.G5_WORDS
 
 
 def test_evaluate_phi_examples():
     assert evaluate_phi(S.word(1), (1,)) == {(1,): 1}
-    got = evaluate_phi(S({(2, 1, 1): 2}), (2, 1))
+    got = evaluate_phi(S(reference.G_SERIES[2]), (2, 1))
     assert got == {(1, 2): 1}
     # coefficient of prod t_l is the plain word coefficient
     got = evaluate_phi(S({(1, 2): 5, (2, 1): 7}), (1, 2))
@@ -171,27 +145,8 @@ def test_flag_oracle_examples():
 
 
 def test_flag_oracle_identities():
-    s1, s2, s3 = T((("a", 1),)), T((("b", 2),)), T((("c", 3),))
-    m12 = T((("u", 1), ("v", 2)), (("u", "v"),))
-    m21 = T((("u", 2), ("v", 1)), (("u", "v"),))
-    m23 = T((("u", 2), ("v", 3)), (("u", "v"),))
-    m32 = T((("u", 3), ("v", 2)), (("u", "v"),))
-    assert flag_oracle(m12) == shuffle(flag_oracle(s1), flag_oracle(s2)) - flag_oracle(
-        m21
-    )
-    assert flag_oracle(m32) == shuffle(flag_oracle(s3), flag_oracle(s2)) - flag_oracle(
-        m23
-    )
-    # the four-term identity for the module with top {1,3} over socle 2
-    m132 = T((("u", 1), ("w", 3), ("v", 2)), (("u", "v"), ("w", "v")))
-    m213 = T((("v", 2), ("u", 1), ("w", 3)), (("v", "u"), ("v", "w")))
-    rhs = (
-        flag_oracle(m213)
-        + shuffle(shuffle(flag_oracle(s1), flag_oracle(s2)), flag_oracle(s3))
-        - shuffle(flag_oracle(s1), flag_oracle(m23))
-        - shuffle(flag_oracle(s3), flag_oracle(m21))
-    )
-    assert flag_oracle(m132) == rhs
+    for lhs, rhs in reference.flag_identities():
+        assert lhs == rhs
 
 
 def _small_thin_modules():

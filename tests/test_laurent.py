@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from clusterknit import reference
 from clusterknit.errors import (
     ArityMismatchError,
     NegativeExponentSubstitutionError,
@@ -97,12 +98,9 @@ def test_substitute_identity():
 
 
 def test_substitute_composition():
-    # y1 -> x5 x9 - x7 in arity-10 target (the minor of a 2x2 block)
+    # y1 -> a 2x2 minor in arity-10 target
     p = y(0, 1)
-    img = (
-        LaurentPoly.variable(4, 10) * LaurentPoly.variable(8, 10)
-        - LaurentPoly.variable(6, 10)
-    )
+    img = reference.minor_example()[1]
     assert substitute(p, [img]) == img
 
 

@@ -1,8 +1,8 @@
 import random
-from fractions import Fraction
 
 import pytest
 
+from clusterknit import reference
 from clusterknit.errors import ShapeError
 from clusterknit.laurent import LaurentPoly, substitute
 from clusterknit.mesh import IntervalLabel, adapted_orderings
@@ -42,7 +42,8 @@ def test_diagonal_minor_is_one():
 
 def test_minor_two_by_two():
     x = unitriangular(5)
-    assert minor(x, MinorKey((2, 3), (3, 5))) == xvar(5) * xvar(9) - xvar(7)
+    key, value = reference.minor_example()
+    assert minor(x, key) == value
     assert minor(x, MinorKey((1,), (3,))) == xvar(2)
 
 
@@ -62,20 +63,8 @@ def test_minor_shape_errors():
 def test_minor_table_n4():
     """The ten single-interval minors: x_i = Delta_... as printed."""
     x = unitriangular(5)
-    table = {
-        (4, 3): xvar(1),
-        (3, 2): xvar(2),
-        (2, 1): xvar(3),
-        (1, 0): xvar(4),
-        (4, 2): xvar(5),
-        (3, 1): xvar(6),
-        (2, 0): xvar(7),
-        (4, 1): xvar(8),
-        (3, 0): xvar(9),
-        (4, 0): xvar(10),
-    }
-    for (i, a), want in table.items():
-        assert minor(x, interval_minor_key(i, a, a, 4)) == want
+    for (i, a), j in reference.MINOR_TABLE.items():
+        assert minor(x, interval_minor_key(i, a, a, 4)) == xvar(j)
 
 
 def test_interval_minor_key_examples():
@@ -144,7 +133,7 @@ def test_one_param_product_basics():
 
 
 def test_one_param_product_unitriangular():
-    word = (3, 1, 2, 3, 1, 2, 1) * 2
+    word = reference.WORKED_WORD * 2
     m = one_param_product(word, 4)
     for i in range(1, 5):
         assert m[i, i].is_one()
@@ -185,29 +174,8 @@ def test_w_minor_matches_eta_on_linear_a4(linear_a4):
 def test_phi_minor_cross_check_a3():
     """evaluate_phi(g_{T_k}) equals the prefix minor of the one-parameter
     matrix product, on words twice the module dimension."""
-    from clusterknit.cli import cross_checks
-
-    assert all(passed for (_, passed) in cross_checks(3))
-
-
-def _phi_matches_minor(cat, reps=2):
-    from clusterknit.euler import evaluate_phi, g_module
-    from clusterknit.mesh import adapted_orderings
-
-    n = cat.terminal.q.n
-    ordering = adapted_orderings(cat)
-    word = adapted_word(cat, ordering)
-    seq = word.letters * reps
-    prod = one_param_product(seq, n + 1)
-    for k in range(1, cat.r + 1):
-        phi = evaluate_phi(g_module(cat, ordering, k), seq)
-        terms = {}
-        for e, v in phi.items():
-            assert Fraction(v).denominator == 1
-            terms[e] = int(v)
-        lhs = LaurentPoly(len(seq), terms)
-        key = w_minor(word.letters[:k], word.letters[k - 1], n + 1)
-        assert lhs == minor(prod, key), k
+    cat = reference.linear_type_a(3)
+    assert all(passed for (_, passed) in reference.cross_checks(cat))
 
 
 def test_phi_minor_cross_check_other_orientations():
@@ -217,9 +185,12 @@ def test_phi_minor_cross_check_other_orientations():
     from clusterknit.quiver import validate_quiver
 
     q = validate_quiver(3, [(1, 2), (2, 3)])
-    _phi_matches_minor(build_category(validate_terminal(q, (2, 1, 0))))
     q4 = validate_quiver(4, [(1, 2), (2, 3), (3, 4)])
-    _phi_matches_minor(build_category(validate_terminal(q4, (3, 2, 1, 0))))
+    for cat in (
+        build_category(validate_terminal(q, (2, 1, 0))),
+        build_category(validate_terminal(q4, (3, 2, 1, 0))),
+    ):
+        assert all(passed for (_, passed) in reference.cross_checks(cat))
 
 
 def test_bareiss_matches_cofactor():

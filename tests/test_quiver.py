@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from clusterknit import reference
 from clusterknit.errors import (
     CycleError,
     DisconnectedError,
@@ -45,7 +46,7 @@ def test_validate_smallest():
 
 
 def test_validate_kronecker_type():
-    q = validate_quiver(3, [(1, 2), (1, 2), (2, 3)])
+    q = reference.quiver("kronecker3")
     assert q.arrow_count(1, 2) == 2
 
 
@@ -68,12 +69,12 @@ def test_cartan_a2():
 
 
 def test_cartan_kronecker3():
-    q = validate_quiver(3, [(1, 2), (1, 2), (2, 3)])
-    assert cartan(q).entries == ((2, -2, 0), (-2, 2, -1), (0, -1, 2))
+    q = reference.quiver("kronecker3")
+    assert cartan(q).entries == reference.CARTAN_KRONECKER3
 
 
 def test_cartan_a3_tree():
-    q = validate_quiver(3, [(2, 1), (2, 3)])
+    q = reference.quiver("fan_a3")
     assert cartan(q).entries == ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
 
 
@@ -88,7 +89,7 @@ def test_cartan_orientation_independent():
 def test_reflect_examples():
     q = validate_quiver(2, [(1, 2)])
     assert reflect(q, 2).arrows == ((2, 1),)
-    q3 = validate_quiver(3, [(1, 2), (1, 2), (2, 3)])
+    q3 = reference.quiver("kronecker3")
     assert reflect(q3, 1).arrows == ((2, 1), (2, 1), (2, 3))
     with pytest.raises(IndexError):
         reflect(q, 5)
@@ -103,13 +104,13 @@ def test_reflect_involution_random():
 
 
 def test_s_weight_example():
-    c = cartan(validate_quiver(3, [(1, 2), (1, 2), (2, 3)]))
+    c = cartan(reference.quiver("kronecker3"))
     w = s_weight(fundamental_weight(2, 3), 2, c)
     assert w.pairings == (2, -1, 1)
 
 
 def test_s_weight_fixed_and_involution():
-    c = cartan(validate_quiver(3, [(1, 2), (1, 2), (2, 3)]))
+    c = cartan(reference.quiver("kronecker3"))
     w2 = fundamental_weight(2, 3)
     assert s_weight(w2, 1, c) == w2
     rng = random.Random(3)
@@ -121,7 +122,7 @@ def test_s_weight_fixed_and_involution():
 
 def test_s_root_triangle_example():
     # arrows 1->2, 1->3, 2->3: s_1 s_2 s_3 (alpha_1) has coordinates (2,2,1)
-    c = cartan(validate_quiver(3, [(1, 2), (1, 3), (2, 3)]))
+    c = cartan(reference.quiver("triangle3"))
     r = simple_root(1, 3)
     for i in (3, 2, 1):
         r = s_root(r, i, c)
@@ -129,7 +130,7 @@ def test_s_root_triangle_example():
 
 
 def test_s_root_negates_simple_and_involution():
-    c = cartan(validate_quiver(3, [(1, 2), (1, 3), (2, 3)]))
+    c = cartan(reference.quiver("triangle3"))
     assert s_root(simple_root(1, 3), 1, c).coords == (-1, 0, 0)
     rng = random.Random(5)
     for _ in range(1000):
@@ -140,7 +141,7 @@ def test_s_root_negates_simple_and_involution():
 
 def test_adapted_word_worked_ordering(kronecker3, kronecker3_ordering):
     word = adapted_word(kronecker3, kronecker3_ordering)
-    assert tuple(reversed(word.letters)) == (3, 1, 2, 3, 1, 2, 1)
+    assert tuple(reversed(word.letters)) == reference.WORKED_WORD
 
 
 def test_adapted_word_zero_levels():
@@ -174,17 +175,7 @@ def test_inversion_roots_triangle(triangle3):
     word = adapted_word(triangle3, adapted_orderings(triangle3))
     roots = inversion_roots(word, cartan(triangle3.terminal.q))
     got = sorted(r.coords for r in roots)
-    assert got == sorted(
-        [
-            (1, 0, 0),
-            (1, 1, 0),
-            (2, 1, 1),
-            (2, 2, 1),
-            (3, 2, 2),
-            (3, 3, 2),
-            (4, 3, 3),
-        ]
-    )
+    assert got == reference.TRIANGLE3_ROOTS
 
 
 def test_inversion_roots_single_letter():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from clusterknit import reference, rigidpath
 from clusterknit.cluster import exchange_monomials, initial_seed, mutate_seed
 from clusterknit.errors import ScheduleMismatchError
 from clusterknit.exchange import b_matrix
@@ -31,22 +32,16 @@ V = MeshVertex
 L = IntervalLabel
 
 
-def e8_quiver():
-    return validate_quiver(
-        8, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)]
-    )
-
-
 def test_qm_op_five_vertex(five_vertex):
     op = qm_op(five_vertex.terminal)
-    assert op.arrows == ((1, 3), (2, 4), (2, 5), (3, 5), (3, 5))
+    assert op.arrows == reference.FIVE_VERTEX_QM_OP
     assert qm_adapted_order(five_vertex.terminal) == [1, 2, 3, 4, 5]
 
 
 def test_schedule_e8():
-    td = validate_terminal(e8_quiver(), (14,) * 8)
-    assert schedule_length(td) == 840
-    assert len(make_schedule(td)) == 840
+    td = reference.terminal("e8")
+    assert schedule_length(td) == reference.SCHEDULE_LENGTHS["e8"]
+    assert len(make_schedule(td)) == reference.SCHEDULE_LENGTHS["e8"]
 
 
 def test_schedule_empty():
@@ -60,7 +55,7 @@ def test_schedule_empty():
 
 def test_schedule_five_vertex(five_vertex):
     sch = make_schedule(five_vertex.terminal)
-    assert len(sch) == 19
+    assert len(sch) == reference.SCHEDULE_LENGTHS["five_vertex"]
     # step 1 starts with the full top-to-bottom sweep of orbit 1
     assert sch.steps[:3] == (L(1, 3, 3), L(1, 2, 3), L(1, 1, 3))
 
@@ -72,6 +67,13 @@ def test_schedule_length_random():
     for _ in range(50):
         td = random_terminal(rng)
         assert len(make_schedule(td)) == schedule_length(td)
+
+
+def test_make_schedule_checks_its_length(monkeypatch, kronecker3):
+    """The r(M) guard raises, so it also holds under ``python -O``."""
+    monkeypatch.setattr(rigidpath, "schedule_length", lambda td: 0)
+    with pytest.raises(ScheduleMismatchError):
+        make_schedule(kronecker3.terminal)
 
 
 def test_det_identity_kronecker(kronecker3):
@@ -109,16 +111,8 @@ def test_run_path_kronecker_relations(kronecker3):
         initial_seed(kronecker3), make_schedule(kronecker3.terminal)
     )
     texts = [relation_text(s) for s in res.steps]
-    assert (
-        "T_{1,[1,1]}*T_{1,[0,0]} = T_{1,[0,1]} + T_{2,[0,0]}^2" in texts
-    )
-    assert (
-        "T_{3,[1,1]}*T_{3,[0,0]} = T_{3,[0,1]} + T_{2,[1,1]}" in texts
-    )
-    assert (
-        "T_{2,[1,1]}*T_{2,[0,0]} = T_{2,[0,1]} + T_{1,[1,1]}^2*T_{3,[0,0]}"
-        in texts
-    )
+    for relation in reference.EXCHANGE_RELATIONS:
+        assert relation in texts
 
 
 def test_run_path_visits_all_singles(fan_a3):
@@ -163,7 +157,7 @@ def test_schedule_returns_dual_matrix_all_levels_one():
     """For 1 => 2 -> 3 with t = (1,1,1) the schedule carries B(Gamma^*)
     back to itself under the relabeling (i,b) <-> T_{i,[0,b]}, up to
     frozen-frozen entries."""
-    q = validate_quiver(3, [(1, 2), (1, 2), (2, 3)])
+    q = reference.quiver("kronecker3")
     cat = build_category(validate_terminal(q, (1, 1, 1)))
     res = run_path(initial_seed(cat), make_schedule(cat.terminal))
     assert res.seed.matrix == _expected_final_matrix(cat, res)
@@ -174,14 +168,9 @@ def test_run_path_five_vertex(five_vertex):
         initial_seed(five_vertex, with_vars=False),
         make_schedule(five_vertex.terminal),
     )
-    assert len(res.steps) == 19
+    assert len(res.steps) == reference.SCHEDULE_LENGTHS["five_vertex"]
     final = sorted((l.i, l.a, l.b) for l in res.seed.labels)
-    want = sorted(
-        (i, 0, b)
-        for i in range(1, 6)
-        for b in range(five_vertex.terminal.level(i) + 1)
-    )
-    assert final == want
+    assert final == reference.final_labels(five_vertex)
     assert all(st.dominated for st in res.steps)
 
 
@@ -217,14 +206,7 @@ def test_pbw_worked_expansions(kronecker3):
     assert pbw_expand(cat, L(1, 0, 1)) == z(1, 1) * z(1, 0) - z(2, 0) ** 2
     assert pbw_expand(cat, L(2, 0, 1)) == z(2, 1) * z(2, 0) - z(1, 1) ** 2 * z(3, 0)
     assert pbw_expand(cat, L(3, 0, 1)) == z(3, 1) * z(3, 0) - z(2, 1)
-    want = (
-        z(1, 2) * z(1, 1) * z(1, 0)
-        - z(1, 2) * z(2, 0) ** 2
-        - z(2, 1) ** 2 * z(1, 0)
-        + (z(2, 1) * z(2, 0) * z(1, 1) * z(3, 0)).scale(2)
-        - z(1, 1) ** 3 * z(3, 0) ** 2
-    )
-    assert pbw_expand(cat, L(1, 0, 2)) == want
+    assert pbw_expand(cat, L(1, 0, 2)) == reference.pbw_expansion(cat)
 
 
 def test_pbw_polynomiality(kronecker3, five_vertex, linear_a4):
