@@ -121,7 +121,7 @@ def cmd_mutate(args) -> int:
 def cmd_path(args) -> int:
     td = load_terminal(args)
     sch = rigidpath.make_schedule(td)
-    if args.no_expand and args.count_only:
+    if args.count_only:
         emit(f"schedule length r(M) = {len(sch)}", args, "path_report.txt")
         return 0
     cat = mesh.build_category(td)
@@ -263,9 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, fn, ordering=True):
+    def common(sp, fn, ordering=True, formats=("text", "json")):
         sp.set_defaults(fn=fn)
-        sp.add_argument("--format", choices=("text", "json", "dot"), default="text")
+        sp.add_argument("--format", choices=formats, default="text")
         sp.add_argument("--out", help="write output to this file")
         if ordering:
             sp.add_argument(
@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("build", help="build the category model for (Q, t)")
     sp.add_argument("quiver", help="quiver JSON file")
     sp.add_argument("--t", required=True, help="comma-separated levels")
-    common(sp, cmd_build)
+    common(sp, cmd_build, formats=("text", "json", "dot"))
 
     sp = sub.add_parser("mutate", help="mutate a seed at a vertex sequence")
     sp.add_argument("seed", help="seed JSON file")
@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--count-only",
         action="store_true",
-        help="with --no-expand: print only the schedule length",
+        help="print only the schedule length",
     )
     common(sp, cmd_path)
 

@@ -267,21 +267,22 @@ def from_json(data: dict) -> Seed:
     )
 
 
+def monomial_text(factors) -> str:
+    """(name, multiplicity) pairs, in order, as ``a*b^m``; ``1`` if none."""
+    text = "*".join(name if m == 1 else f"{name}^{m}" for name, m in factors)
+    return text or "1"
+
+
 def relation_monomials(s: Seed, k: int) -> str:
     """The exchange relation at k, written in the seed's variable names."""
     names = s.var_names()
     out, inc = exchange_monomials(s, k)
 
     def fmt(side):
-        if not side:
-            return "1"
         counts: dict = {}
         for i in side:
             counts[i] = counts.get(i, 0) + 1
-        return "*".join(
-            names[i - 1] if m == 1 else f"{names[i - 1]}^{m}"
-            for i, m in sorted(counts.items())
-        )
+        return monomial_text((names[i - 1], m) for i, m in sorted(counts.items()))
 
     return f"{names[k - 1]}' * {names[k - 1]} = {fmt(out)} + {fmt(inc)}"
 

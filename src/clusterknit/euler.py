@@ -23,9 +23,8 @@ from .quiver import (
 
 
 class ShuffleSeries:
-    """Finite linear combination of words over {1..n} with exact rational
-    coefficients.  Coefficients stay plain ints whenever possible; Fractions
-    only appear through explicit rational scaling."""
+    """Finite linear combination of words over {1..n} with integer
+    coefficients: the values of the Euler layer count flags."""
 
     __slots__ = ("terms",)
 
@@ -67,16 +66,8 @@ class ShuffleSeries:
     def __sub__(self, other: "ShuffleSeries") -> "ShuffleSeries":
         return self + (-other)
 
-    def scale(self, c) -> "ShuffleSeries":
-        return ShuffleSeries({w: Fraction(c) * v for w, v in self.terms.items()})
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_integral(self) -> bool:
-        return all(
-            isinstance(c, int) or c.denominator == 1 for c in self.terms.values()
-        )
 
     def content(self, n: int = 0):
         """Letter-count vector, or None if the series is not homogeneous."""
@@ -161,33 +152,28 @@ def e_action(s: ShuffleSeries, i: int) -> ShuffleSeries:
 
 
 def divided_f(
-    s: ShuffleSeries,
-    i: int,
-    b: int,
-    lam: Weight,
-    c: CartanMatrix,
-    require_integral: bool = False,
+    s: ShuffleSeries, i: int, b: int, lam: Weight, c: CartanMatrix
 ) -> ShuffleSeries:
     """Apply f_i b times and divide by b!.
 
-    The division happens progressively (by m after the m-th application, so
-    the intermediate series are the smaller divided powers f^(m)/1); on
-    module-derived input each stage is integral and the arithmetic stays in
-    plain ints."""
+    The division happens progressively: after the m-th application every
+    coefficient is divided by m, in place on the series f_action just made,
+    so each stage is the divided power f_i^(m) of the input.  On an integer
+    series each stage is integral, so a remainder is a broken invariant."""
     if b < 0:
         raise ValueError("divided power needs b >= 0")
     out = s
     for m in range(1, b + 1):
         out = f_action(out, i, lam, c)
-        if all(isinstance(v, int) and v % m == 0 for v in out.terms.values()):
-            if m > 1:
-                out = ShuffleSeries({w: v // m for w, v in out.terms.items()})
-        elif require_integral:
-            raise NonIntegralError(
-                f"divided power f_{i}^({b}) produced non-integer coefficients"
-            )
-        else:
-            out = out.scale(Fraction(1, m))
+        if m == 1:
+            continue
+        terms = out.terms
+        for w, v in terms.items():
+            if v % m:
+                raise NonIntegralError(
+                    f"divided power f_{i}^({b}) left a remainder at stage {m}"
+                )
+            terms[w] = v // m
     return out
 
 
@@ -220,9 +206,7 @@ def g_module(cat: mesh.CategoryModel, ordering, k: int) -> ShuffleSeries:
     lam = fundamental_weight(word.letters[k - 1], c.n)
     series = ShuffleSeries.unit()
     for j in range(k, 0, -1):
-        series = divided_f(
-            series, word.letters[j - 1], bs[j - 1], lam, c, require_integral=True
-        )
+        series = divided_f(series, word.letters[j - 1], bs[j - 1], lam, c)
     return series
 
 
@@ -365,5 +349,5 @@ def from_json(data: dict) -> ShuffleSeries:
     terms = {}
     for key, val in data.items():
         word = tuple(int(x) for x in key.split(",")) if key else ()
-        terms[word] = Fraction(val)
+        terms[word] = int(val)
     return ShuffleSeries(terms)

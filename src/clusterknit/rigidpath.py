@@ -249,12 +249,8 @@ def relation_text(step: PathStep) -> str:
     side1, side2 = ident.exchange_sides()
 
     def fmt(counter):
-        if not counter:
-            return "1"
-        parts = []
-        for lbl, mult in sorted(counter.items(), key=lambda x: repr(x[0])):
-            parts.append(repr(lbl) if mult == 1 else f"{lbl!r}^{mult}")
-        return "*".join(parts)
+        # label reprs are distinct, so the multiplicity never breaks a tie
+        return cluster.monomial_text(sorted((repr(l), m) for l, m in counter.items()))
 
     return (
         f"{ident.main[0]!r}*{ident.main[1]!r} = {fmt(side1)} + {fmt(side2)}"

@@ -62,6 +62,11 @@ def test_build_bad_t(kron_file, capsys):
 def test_build_dot(kron_file, capsys):
     assert cli.main(["build", kron_file, "--t", "2,1,1", "--format", "dot"]) == 0
     assert "digraph" in capsys.readouterr().out
+    # only build draws a graph; the other commands refuse the format
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["minors", "--format", "dot"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'dot'" in capsys.readouterr().err
 
 
 def test_build_ordering_file(kron_file, ordering_file, capsys):
@@ -110,6 +115,11 @@ def test_path_count_only_e8(tmp_path, capsys):
     t = ",".join(["14"] * 8)
     assert cli.main(["path", path, "--t", t, "--no-expand", "--count-only"]) == 0
     assert "r(M) = 840" in capsys.readouterr().out
+
+
+def test_path_count_only(kron_file, capsys):
+    assert cli.main(["path", kron_file, "--t", "2,1,1", "--count-only"]) == 0
+    assert capsys.readouterr().out == "schedule length r(M) = 5\n"
 
 
 def test_path_empty_schedule(kron_file, capsys):

@@ -309,10 +309,6 @@ def test_projected_dimvec_top_label_self_entry(kronecker3, fan_a3):
             assert vec[cat.pos(V(i, ti))] == 1
 
 
-def test_delta_dims_kronecker(kronecker3):
-    assert triangle_display(kronecker3, delta_dims(kronecker3)) == reference.D_DELTA
-
-
 def test_delta_dims_first_injective_is_one():
     q = validate_quiver(2, [(1, 2)])
     cat = build_category(validate_terminal(q, (1, 0)))
