@@ -121,11 +121,14 @@ def cmd_mutate(args) -> int:
 def cmd_path(args) -> int:
     td = load_terminal(args)
     sch = rigidpath.make_schedule(td)
-    if args.count_only:
-        emit(f"schedule length r(M) = {len(sch)}", args, "path_report.txt")
-        return 0
     cat = mesh.build_category(td)
     ordering = load_ordering(cat, args.ordering)
+    if args.count_only:
+        if args.format == "json":
+            emit(json.dumps({"length": len(sch)}), args, "path_report.json")
+        else:
+            emit(f"schedule length r(M) = {len(sch)}", args, "path_report.txt")
+        return 0
     seed = cluster.initial_seed(cat, ordering, with_vars=not args.no_expand)
     res = rigidpath.run_path(seed, sch)
     if args.format == "json":

@@ -8,11 +8,11 @@ Delta-dimension vector.  Seeds are immutable; mutation returns a new seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from . import exchange as ex
 from . import mesh
-from .errors import AmbiguityError, FrozenMutationError
+from .errors import AmbiguityError, SeedFormatError
 from .laurent import (
     LaurentPoly,
     exact_div,
@@ -32,6 +32,10 @@ class Seed:
     dim_trackers: tuple | None = None
     delta_trackers: tuple | None = None
     d_delta: tuple | None = None
+    # Whether the mutation that made this seed was Max-dominated: one
+    # dimension arrow-sum dominated the other componentwise.  True for a
+    # seed that no mutation made and for a seed without dimension trackers.
+    dominated: bool = field(default=True, compare=False)
 
     @property
     def r(self) -> int:
@@ -93,57 +97,44 @@ def initial_seed(cat: mesh.CategoryModel, ordering=None, with_vars: bool = True)
     )
 
 
-def exchange_monomials(s: Seed, k: int):
-    """The two sides of the exchange relation at k, as position lists with
-    multiplicity: (targets of arrows out of k, sources of arrows into k)."""
-    return ex.arrows_at(s.matrix, k)
+def _replace_at(values: tuple, k: int, value) -> tuple:
+    """``values`` with entry k (1-based) replaced by ``value``."""
+    return values[: k - 1] + (value,) + values[k:]
 
 
-def _vector_sums(tracker, out, inc):
-    r = len(tracker[0]) if tracker else 0
-    out_sum = [0] * r
-    in_sum = [0] * r
-    for i in out:
-        out_sum = [a + b for a, b in zip(out_sum, tracker[i - 1])]
-    for j in inc:
-        in_sum = [a + b for a, b in zip(in_sum, tracker[j - 1])]
-    return tuple(out_sum), tuple(in_sum)
+def _side_sum(tracker, side) -> tuple:
+    """The tracker rows at the positions of an exchange side, summed with
+    their multiplicities."""
+    vec = [0] * len(tracker[0])
+    for i, m in side.items():
+        vec = [a + m * b for a, b in zip(vec, tracker[i - 1])]
+    return tuple(vec)
 
 
-def mutate_dimvec(s: Seed, k: int):
-    """New dimension vector at k: d_k* = -d_k + max(out-sum, in-sum),
-    componentwise.  Returns (vector, dominated) where ``dominated`` records
-    whether one arrow-sum dominates the other componentwise, i.e. whether
-    Max could replace max."""
-    if k in s.matrix.frozen:
-        raise FrozenMutationError(f"index {k} is frozen")
+def _dim_rule(s: Seed, k: int, out, inc):
+    """d_k* = -d_k + max(out-sum, in-sum), componentwise, and whether one
+    arrow-sum dominates the other componentwise, i.e. whether Max could
+    replace max."""
     if s.dim_trackers is None:
         raise ValueError("seed carries no dimension trackers")
-    out, inc = exchange_monomials(s, k)
-    out_sum, in_sum = _vector_sums(s.dim_trackers, out, inc)
+    out_sum, in_sum = _side_sum(s.dim_trackers, out), _side_sum(s.dim_trackers, inc)
     if sum(out_sum) == sum(in_sum) and out_sum != in_sum:
         raise AmbiguityError(f"tied arrow-sums at vertex {k} disagree")
     cmax = tuple(max(a, b) for a, b in zip(out_sum, in_sum))
-    dominated = cmax == out_sum or cmax == in_sum
     d = s.dim_trackers[k - 1]
-    return tuple(m - x for m, x in zip(cmax, d)), dominated
+    return tuple(m - x for m, x in zip(cmax, d)), cmax in (out_sum, in_sum)
 
 
-def mutate_delta_dimvec(s: Seed, k: int):
-    """New Delta-dimension vector at k: take the arrow-sum whose dot
-    product with d_Delta is larger (equivalently, the branch keeping every
-    entry nonnegative)."""
-    if k in s.matrix.frozen:
-        raise FrozenMutationError(f"index {k} is frozen")
+def _delta_rule(s: Seed, k: int, out, inc):
+    """Delta*_k = -Delta_k + the arrow-sum whose dot product with d_Delta
+    is larger (equivalently, the branch keeping every entry nonnegative)."""
     if s.delta_trackers is None:
         raise ValueError("seed carries no Delta trackers")
-    d_delta = s.d_delta
-    if d_delta is None:
+    if s.d_delta is None:
         raise ValueError("no d_Delta vector available")
-    out, inc = exchange_monomials(s, k)
-    out_sum, in_sum = _vector_sums(s.delta_trackers, out, inc)
-    dot_out = sum(a * b for a, b in zip(out_sum, d_delta))
-    dot_in = sum(a * b for a, b in zip(in_sum, d_delta))
+    out_sum, in_sum = _side_sum(s.delta_trackers, out), _side_sum(s.delta_trackers, inc)
+    dot_out = sum(a * b for a, b in zip(out_sum, s.d_delta))
+    dot_in = sum(a * b for a, b in zip(in_sum, s.d_delta))
     if dot_out > dot_in:
         branch = out_sum
     elif dot_in > dot_out:
@@ -156,55 +147,45 @@ def mutate_delta_dimvec(s: Seed, k: int):
     return tuple(m - x for m, x in zip(branch, d))
 
 
+def mutate_dimvec(s: Seed, k: int):
+    """New dimension vector at k and its dominance flag (see ``_dim_rule``)."""
+    return _dim_rule(s, k, *ex.arrows_at(s.matrix, k))
+
+
+def mutate_delta_dimvec(s: Seed, k: int):
+    """New Delta-dimension vector at k (see ``_delta_rule``)."""
+    return _delta_rule(s, k, *ex.arrows_at(s.matrix, k))
+
+
 def mutate_seed(s: Seed, k: int, new_label=None) -> Seed:
     """Replace y_k by (prod_out + prod_in) / y_k, mutate the matrix and the
-    trackers.  The label at k becomes ``new_label`` (callers walking the
-    explicit schedule pass the shifted interval; off schedule the new label
-    is unknown)."""
-    if k in s.matrix.frozen:
-        raise FrozenMutationError(f"index {k} is frozen")
-    if not (1 <= k <= s.r):
-        raise IndexError(f"index {k} out of range 1..{s.r}")
-
-    new_vars = s.vars
+    trackers, and record in ``dominated`` whether the dimension rule was
+    Max-dominated.  The label at k becomes ``new_label`` (callers walking
+    the explicit schedule pass the shifted interval; off schedule the new
+    label is unknown)."""
+    out, inc = ex.arrows_at(s.matrix, k)
+    new = {"matrix": ex.mutate_matrix(s.matrix, k), "dominated": True}
     if s.vars is not None:
-        out, inc = exchange_monomials(s, k)
-        plus = LaurentPoly.one(s.r)
-        for i in out:
-            plus = plus * s.vars[i - 1]
-        minus = LaurentPoly.one(s.r)
-        for j in inc:
-            minus = minus * s.vars[j - 1]
-        new_var = exact_div(plus + minus, s.vars[k - 1])
-        new_vars = tuple(
-            new_var if idx == k - 1 else v for idx, v in enumerate(s.vars)
-        )
 
-    new_dim = s.dim_trackers
+        def product(side):
+            p = LaurentPoly.one(s.r)
+            for i, m in side.items():
+                # most multiplicities are 1, where ``**`` would cost one more product
+                p = p * (s.vars[i - 1] if m == 1 else s.vars[i - 1] ** m)
+            return p
+
+        new_var = exact_div(product(out) + product(inc), s.vars[k - 1])
+        new["vars"] = _replace_at(s.vars, k, new_var)
     if s.dim_trackers is not None:
-        vec, _ = mutate_dimvec(s, k)
-        new_dim = tuple(
-            vec if idx == k - 1 else v for idx, v in enumerate(s.dim_trackers)
+        vec, new["dominated"] = _dim_rule(s, k, out, inc)
+        new["dim_trackers"] = _replace_at(s.dim_trackers, k, vec)
+    if s.delta_trackers is not None:
+        new["delta_trackers"] = _replace_at(
+            s.delta_trackers, k, _delta_rule(s, k, out, inc)
         )
-    new_delta = s.delta_trackers
-    if s.delta_trackers is not None and s.d_delta is not None:
-        dvec = mutate_delta_dimvec(s, k)
-        new_delta = tuple(
-            dvec if idx == k - 1 else v for idx, v in enumerate(s.delta_trackers)
-        )
-    new_labels = s.labels
     if s.labels is not None:
-        new_labels = tuple(
-            new_label if idx == k - 1 else l for idx, l in enumerate(s.labels)
-        )
-    return replace(
-        s,
-        matrix=ex.mutate_matrix(s.matrix, k),
-        vars=new_vars,
-        labels=new_labels,
-        dim_trackers=new_dim,
-        delta_trackers=new_delta,
-    )
+        new["labels"] = _replace_at(s.labels, k, new_label)
+    return replace(s, **new)
 
 
 def specialize_frozen(p: LaurentPoly, frozen, arity: int) -> LaurentPoly:
@@ -235,36 +216,38 @@ def to_json(s: Seed) -> dict:
     return data
 
 
+def _sized(value, r: int, what: str):
+    if not isinstance(value, (list, tuple)) or len(value) != r:
+        raise SeedFormatError(f"{what} must be a list of {r} entries")
+    return value
+
+
 def from_json(data: dict) -> Seed:
-    r = data["r"]
+    """The seed of ``to_json``, checked: r is the matrix size, ``vars``,
+    ``labels`` and both trackers have r entries, each tracker row and
+    ``d_delta`` have length r, and Delta trackers come with ``d_delta``."""
     matrix = ex.from_json(data["matrix"])
+    r = data["r"]
+    if r != matrix.r:
+        raise SeedFormatError(f"r = {r!r}, but the matrix is {matrix.r} x {matrix.r}")
+    if "delta_trackers" in data and "d_delta" not in data:
+        raise SeedFormatError("delta_trackers given without d_delta")
     variables = None
     if "vars" in data:
-        variables = tuple(from_json_terms(r, v) for v in data["vars"])
+        variables = tuple(from_json_terms(r, v) for v in _sized(data["vars"], r, "vars"))
     labels = None
     if "labels" in data:
         labels = tuple(
-            mesh.IntervalLabel(*l) if l is not None else None for l in data["labels"]
+            mesh.IntervalLabel(*_sized(l, 3, "a label")) if l is not None else None
+            for l in _sized(data["labels"], r, "labels")
         )
-    dim_trackers = (
-        tuple(tuple(v) for v in data["dim_trackers"])
-        if "dim_trackers" in data
-        else None
-    )
-    delta_trackers = (
-        tuple(tuple(v) for v in data["delta_trackers"])
-        if "delta_trackers" in data
-        else None
-    )
-    d_delta = tuple(data["d_delta"]) if "d_delta" in data else None
-    return Seed(
-        matrix=matrix,
-        vars=variables,
-        labels=labels,
-        dim_trackers=dim_trackers,
-        delta_trackers=delta_trackers,
-        d_delta=d_delta,
-    )
+    trackers = {
+        key: tuple(tuple(_sized(v, r, f"a row of {key}")) for v in _sized(data[key], r, key))
+        for key in ("dim_trackers", "delta_trackers")
+        if key in data
+    }
+    d_delta = tuple(_sized(data["d_delta"], r, "d_delta")) if "d_delta" in data else None
+    return Seed(matrix=matrix, vars=variables, labels=labels, d_delta=d_delta, **trackers)
 
 
 def monomial_text(factors) -> str:
@@ -276,13 +259,10 @@ def monomial_text(factors) -> str:
 def relation_monomials(s: Seed, k: int) -> str:
     """The exchange relation at k, written in the seed's variable names."""
     names = s.var_names()
-    out, inc = exchange_monomials(s, k)
+    out, inc = ex.arrows_at(s.matrix, k)
 
     def fmt(side):
-        counts: dict = {}
-        for i in side:
-            counts[i] = counts.get(i, 0) + 1
-        return monomial_text((names[i - 1], m) for i, m in sorted(counts.items()))
+        return monomial_text((names[i - 1], m) for i, m in side.items())
 
     return f"{names[k - 1]}' * {names[k - 1]} = {fmt(out)} + {fmt(inc)}"
 

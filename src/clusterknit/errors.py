@@ -55,6 +55,10 @@ class AmbiguityError(ClusterKnitError):
     """Both mutation branches are total-tied but differ; refusing to guess."""
 
 
+class SeedFormatError(ClusterKnitError):
+    """Seed JSON whose parts disagree with its size r or with each other."""
+
+
 # -- laurent -----------------------------------------------------------
 
 class ArityMismatchError(ClusterKnitError):

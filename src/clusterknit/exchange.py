@@ -108,41 +108,46 @@ def matrix_to_quiver(m: ExchangeMatrix) -> Quiver:
     return Quiver(m.r, tuple(sorted(arrows)))
 
 
-def mutate_matrix(m: ExchangeMatrix, k: int) -> ExchangeMatrix:
-    """mu_k: flip row/column k, and elsewhere
-    b'_ij = b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2."""
+def _check_mutable(m: ExchangeMatrix, k: int) -> None:
     if k in m.frozen:
         raise FrozenMutationError(f"index {k} is frozen")
     if not (1 <= k <= m.r):
         raise IndexError(f"index {k} out of range 1..{m.r}")
-    old = m.b
+
+
+def mutate_matrix(m: ExchangeMatrix, k: int) -> ExchangeMatrix:
+    """mu_k: flip row/column k, and elsewhere
+    b'_ij = b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2.  A row with b_ik = 0 is
+    left as it is, so only the rows of k and its neighbours are rebuilt."""
+    _check_mutable(m, k)
     kk = k - 1
-    rows = []
-    for i in range(m.r):
-        row = []
-        for j in range(m.r):
-            if i == kk or j == kk:
-                row.append(-old[i][j])
-            else:
-                row.append(
-                    old[i][j]
-                    + (abs(old[i][kk]) * old[kk][j] + old[i][kk] * abs(old[kk][j])) // 2
-                )
-        rows.append(tuple(row))
+    row_k = m.b[kk]
+    rows = list(m.b)
+    for i, row in enumerate(m.b):
+        c = row[kk]
+        if i == kk:
+            rows[i] = tuple(-x for x in row)
+        elif c:
+            rows[i] = tuple(
+                -c if j == kk else x + (abs(c) * y + c * abs(y)) // 2
+                for j, (x, y) in enumerate(zip(row, row_k))
+            )
     return ExchangeMatrix(tuple(rows), m.frozen)
 
 
 def arrows_at(m: ExchangeMatrix, k: int):
-    """(outgoing, incoming) neighbour lists of vertex k in the exchange
-    quiver, with multiplicities: b_ik > 0 means b_ik arrows k -> i."""
-    out = []
-    inc = []
-    for i in range(1, m.r + 1):
-        v = m.entry(i, k)
+    """(outgoing, incoming) sides of the exchange relation at the mutable
+    index k, as {position: multiplicity} in position order: b_ik > 0 means
+    b_ik arrows k -> i, b_ik < 0 means |b_ik| arrows i -> k."""
+    _check_mutable(m, k)
+    out = {}
+    inc = {}
+    for i, row in enumerate(m.b, 1):
+        v = row[k - 1]
         if v > 0:
-            out.extend([i] * v)
+            out[i] = v
         elif v < 0:
-            inc.extend([i] * (-v))
+            inc[i] = -v
     return out, inc
 
 

@@ -117,12 +117,13 @@ class LaurentPoly:
             return exact_div(LaurentPoly.one(self.arity), self ** (-k))
         result = LaurentPoly.one(self.arity)
         base = self
-        while k:
+        while True:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     # -- inspection --------------------------------------------------------
 

@@ -8,6 +8,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import cluster, mesh
+from . import exchange as ex
 from .errors import ScheduleMismatchError, TerminalConstraintError
 from .laurent import LaurentPoly, exact_div
 from .mesh import IntervalLabel, MeshVertex, TerminalData
@@ -155,6 +156,14 @@ class PathResult:
     steps: tuple[PathStep, ...]
 
 
+def _label_counts(labels, side) -> Counter:
+    """An exchange side {position: multiplicity} as a multiset of labels."""
+    counts: Counter = Counter()
+    for i, m in side.items():
+        counts[labels[i - 1]] += m
+    return counts
+
+
 def run_path(seed: cluster.Seed, sch: Schedule) -> PathResult:
     """Run the full schedule.  Every mutation must hit the vertex currently
     carrying the scheduled label and its exchange relation must match the
@@ -171,9 +180,9 @@ def run_path(seed: cluster.Seed, sch: Schedule) -> PathResult:
                 f"step {idx + 1}: no vertex is labeled {target!r}"
             ) from None
         ident = det_identity(sch.td, target.i, target.a, target.b)
-        out, inc = cluster.exchange_monomials(cur, k)
-        out_labels = Counter(cur.labels[i - 1] for i in out)
-        in_labels = Counter(cur.labels[j - 1] for j in inc)
+        out_labels, in_labels = (
+            _label_counts(cur.labels, side) for side in ex.arrows_at(cur.matrix, k)
+        )
         side1, side2 = ident.exchange_sides()
         if {
             frozenset(out_labels.items()),
@@ -184,9 +193,6 @@ def run_path(seed: cluster.Seed, sch: Schedule) -> PathResult:
                 f"{dict(out_labels)} / {dict(in_labels)}, predicted "
                 f"{dict(side1)} / {dict(side2)}"
             )
-        dominated = True
-        if cur.dim_trackers is not None:
-            _, dominated = cluster.mutate_dimvec(cur, k)
         new_label = IntervalLabel(target.i, target.a - 1, target.b - 1)
         cur = cluster.mutate_seed(cur, k, new_label=new_label)
         records.append(
@@ -196,7 +202,7 @@ def run_path(seed: cluster.Seed, sch: Schedule) -> PathResult:
                 old_label=target,
                 new_label=new_label,
                 identity=ident,
-                dominated=dominated,
+                dominated=cur.dominated,
             )
         )
     return PathResult(schedule=sch, seed=cur, steps=tuple(records))

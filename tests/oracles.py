@@ -1,12 +1,13 @@
 """Independent brute-force oracles used by the tests.
 
-These never touch the knitting code paths they check: hom dimensions come
-from solving intertwiner equations on explicit interval representations,
-over the rationals.
+These never touch the code paths they check: hom dimensions come from
+solving intertwiner equations on explicit interval representations, over
+the rationals, and matrix mutation is the dense entry-by-entry rule.
 """
 
 from fractions import Fraction
 
+from clusterknit.exchange import ExchangeMatrix
 from clusterknit.mesh import TerminalData, _knit_dims
 from clusterknit.quiver import Quiver
 
@@ -63,3 +64,23 @@ def maximal_terminal(q: Quiver) -> TerminalData:
     raw = _knit_dims(probe)
     t = tuple(max(a for (i, a) in raw if i == v) for v in range(1, q.n + 1))
     return TerminalData(q, t)
+
+
+def dense_mutate_matrix(m: ExchangeMatrix, k: int) -> ExchangeMatrix:
+    """mu_k entry by entry over all r^2 entries: flip row/column k, and
+    elsewhere b'_ij = b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2."""
+    old = m.b
+    kk = k - 1
+    rows = []
+    for i in range(m.r):
+        row = []
+        for j in range(m.r):
+            if i == kk or j == kk:
+                row.append(-old[i][j])
+            else:
+                row.append(
+                    old[i][j]
+                    + (abs(old[i][kk]) * old[kk][j] + old[i][kk] * abs(old[kk][j])) // 2
+                )
+        rows.append(tuple(row))
+    return ExchangeMatrix(tuple(rows), m.frozen)

@@ -102,6 +102,24 @@ def test_mutate_frozen_exit_code(tmp_path, kronecker3, capsys):
     assert cli.main(["mutate", str(spath), "1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "seed, detail",
+    [
+        ({"r": 3, "matrix": {"b": [[0, 1], [-1, 0]], "frozen": []}}, "r = 3"),
+        (
+            {"r": 2, "matrix": {"b": [[0, 1], [-1, 0]], "frozen": []}, "vars": [{"1,0": "1"}]},
+            "vars must be a list of 2 entries",
+        ),
+    ],
+)
+def test_mutate_rejects_an_inconsistent_seed(tmp_path, capsys, seed, detail):
+    spath = tmp_path / "seed.json"
+    spath.write_text(json.dumps(seed))
+    assert cli.main(["mutate", str(spath), "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: SeedFormatError: ") and detail in err
+
+
 def test_path_five_vertex(five_file, capsys):
     assert cli.main(["path", five_file, "--t", "3,2,3,1,2", "--no-expand"]) == 0
     out = capsys.readouterr().out
@@ -120,6 +138,11 @@ def test_path_count_only_e8(tmp_path, capsys):
 def test_path_count_only(kron_file, capsys):
     assert cli.main(["path", kron_file, "--t", "2,1,1", "--count-only"]) == 0
     assert capsys.readouterr().out == "schedule length r(M) = 5\n"
+    argv = ["path", kron_file, "--t", "2,1,1", "--count-only"]
+    assert cli.main(argv + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"length": 5}
+    assert cli.main(argv + ["--ordering", "bogus"]) == 2
+    assert "unknown ordering spec 'bogus'" in capsys.readouterr().err
 
 
 def test_path_empty_schedule(kron_file, capsys):

@@ -1,5 +1,7 @@
 import json
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,12 @@ from clusterknit.cluster import (
     to_json,
     trace_line,
 )
-from clusterknit.errors import AmbiguityError, FrozenMutationError
+from clusterknit.errors import (
+    AmbiguityError,
+    ArityMismatchError,
+    FrozenMutationError,
+    SeedFormatError,
+)
 from clusterknit.exchange import make_matrix
 from clusterknit.laurent import LaurentPoly
 from clusterknit.mesh import (
@@ -219,3 +226,60 @@ def test_tracker_consistency_after_schedule_step(kronecker3):
     s2 = mutate_seed(s, k, new_label=IntervalLabel(1, 1, 1))
     assert s2.dim_trackers[k - 1] == projected_dimvec(cat, IntervalLabel(1, 1, 1))
     assert s2.delta_trackers[k - 1] == delta_support(cat, IntervalLabel(1, 1, 1))
+
+
+def test_mutate_seed_needs_d_delta_for_delta_trackers(kronecker3):
+    """A Delta tracker cannot be mutated without d_Delta: mutate_seed raises
+    as mutate_delta_dimvec does instead of keeping the old vector at k."""
+    s = initial_seed(kronecker3)
+    assert mutate_seed(s, 4).delta_trackers[3] == (1, 0, 0, 0, 2, 0, 0)
+    stale = replace(s, d_delta=None)
+    for fn in (mutate_seed, mutate_delta_dimvec):
+        with pytest.raises(ValueError, match="d_Delta"):
+            fn(stale, 4)
+
+
+def test_mutate_seed_reports_dominance(kronecker3):
+    s = initial_seed(kronecker3)
+    assert s.dominated
+    for k in s.matrix.mutable():
+        assert mutate_seed(s, k).dominated == mutate_dimvec(s, k)[1]
+    bare = Seed(matrix=s.matrix)
+    assert mutate_seed(bare, s.matrix.mutable()[0]).dominated
+
+
+def test_from_json_checks_sizes(kronecker3):
+    good = to_json(initial_seed(kronecker3))
+    assert from_json(good).core_equal(initial_seed(kronecker3))
+
+    def spoiled(**changes):
+        data = json.loads(json.dumps(good))
+        for key, value in changes.items():
+            if value is None:
+                del data[key]
+            else:
+                data[key] = value
+        return data
+
+    bad = [
+        spoiled(r=8),
+        spoiled(vars=good["vars"][:-1]),
+        spoiled(labels=good["labels"] + [None]),
+        spoiled(labels=[[1, 0]] + good["labels"][1:]),
+        spoiled(dim_trackers=good["dim_trackers"][1:]),
+        spoiled(delta_trackers=[v[:-1] for v in good["delta_trackers"]]),
+        spoiled(d_delta=good["d_delta"] + [0]),
+        spoiled(d_delta=None),
+    ]
+    for data in bad:
+        with pytest.raises(SeedFormatError):
+            from_json(data)
+    wrong_arity = spoiled(vars=[{"1,0": "1"}] + good["vars"][1:])
+    with pytest.raises(ArityMismatchError):
+        from_json(wrong_arity)
+
+
+def test_from_json_loads_the_benchmark_walk_seeds():
+    pins = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
+    for data in json.loads(pins.read_text())["seeds"].values():
+        assert to_json(from_json(data)) == data

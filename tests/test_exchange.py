@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from oracles import dense_mutate_matrix
 
 from clusterknit.errors import FrozenMutationError, TwoCycleError
 from clusterknit.exchange import (
@@ -73,8 +74,30 @@ def test_mutate_involution_random():
 
 def test_mutate_frozen_guard():
     m = make_matrix([[0, 1], [-1, 0]], frozen=(2,))
-    with pytest.raises(FrozenMutationError):
-        mutate_matrix(m, 2)
+    for fn in (mutate_matrix, arrows_at):
+        with pytest.raises(FrozenMutationError):
+            fn(m, 2)
+        with pytest.raises(IndexError):
+            fn(m, 3)
+
+
+def test_mutate_matches_dense_oracle():
+    """Rebuilding only the rows of k and its neighbours agrees with the
+    dense rule on every entry, frozen-frozen entries included, along
+    seeded random walks."""
+    rng = random.Random(47)
+    for _ in range(100):
+        r = rng.randint(2, 9)
+        frozen = rng.sample(range(1, r + 1), rng.randint(0, r - 1))
+        b = [list(row) for row in rand_skew(rng, r).b]
+        for i in frozen:
+            for j in frozen:
+                b[i - 1][j - 1] = rng.randint(-3, 3)
+        m = make_matrix(b, frozen)
+        for _ in range(20):
+            k = rng.choice(m.mutable())
+            m, want = mutate_matrix(m, k), dense_mutate_matrix(m, k)
+            assert m.strictly_equal(want)
 
 
 def test_mutation_preserves_skew_symmetry():
@@ -101,8 +124,11 @@ def test_equality_ignores_frozen_frozen():
 def test_arrows_at():
     q = validate_quiver(3, [(1, 2), (1, 2), (3, 1)])
     m = b_matrix(q)
+    assert arrows_at(m, 1) == ({2: 2}, {3: 1})
+    # sides list their positions in increasing order
+    m = make_matrix([[0, 1, -2, 1], [-1, 0, 0, 0], [2, 0, 0, 0], [-1, 0, 0, 0]])
     out, inc = arrows_at(m, 1)
-    assert sorted(out) == [2, 2] and inc == [3]
+    assert list(out.items()) == [(3, 2)] and list(inc.items()) == [(2, 1), (4, 1)]
 
 
 def test_json_round_trip():

@@ -80,6 +80,22 @@ def test_exact_div_round_trip_random():
         assert exact_div(p * q, q) == p
 
 
+def test_pow_squares_only_while_bits_remain(monkeypatch):
+    calls = []
+    mul = LaurentPoly.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    p = LaurentPoly.variable(0, 2) + LaurentPoly.one(2)
+    for k, muls in ((1, 1), (2, 2), (4, 3)):
+        calls.clear()
+        p ** k
+        assert len(calls) == muls, k
+
+
 def test_pow_and_negative_pow():
     y1 = y(0)
     assert y1 ** 3 == LaurentPoly(2, {(3, 0): 1})

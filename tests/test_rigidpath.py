@@ -1,11 +1,13 @@
 import random
+from collections import Counter
 
 import pytest
 
 from clusterknit import reference, rigidpath
-from clusterknit.cluster import exchange_monomials, initial_seed, mutate_seed
+from clusterknit import cluster, exchange
+from clusterknit.cluster import initial_seed, mutate_seed
 from clusterknit.errors import ScheduleMismatchError
-from clusterknit.exchange import b_matrix
+from clusterknit.exchange import arrows_at, b_matrix
 from clusterknit.laurent import LaurentPoly, substitute
 from clusterknit.mesh import (
     IntervalLabel,
@@ -255,20 +257,15 @@ def test_mutation_reaches_four_term_identity(fan_a3):
 def test_total_rule_agrees_with_max_on_schedule(kronecker3, fan_a3, linear_a4):
     """The |d|-selection (pick the arrow-sum with larger total) agrees with
     the componentwise-Max selection at every schedule step."""
-    from clusterknit.cluster import exchange_monomials
-
     for cat in (kronecker3, fan_a3, linear_a4):
         cur = initial_seed(cat, with_vars=False)
         for target in make_schedule(cat.terminal).steps:
             k = cur.labels.index(target) + 1
-            out, inc = exchange_monomials(cur, k)
             tr = cur.dim_trackers
-            out_sum = [0] * cat.r
-            in_sum = [0] * cat.r
-            for i in out:
-                out_sum = [a + b for a, b in zip(out_sum, tr[i - 1])]
-            for j in inc:
-                in_sum = [a + b for a, b in zip(in_sum, tr[j - 1])]
+            out_sum, in_sum = (
+                [sum(m * tr[i - 1][c] for i, m in side.items()) for c in range(cat.r)]
+                for side in arrows_at(cur.matrix, k)
+            )
             assert sum(out_sum) != sum(in_sum)
             by_total = out_sum if sum(out_sum) > sum(in_sum) else in_sum
             cmax = [max(a, b) for a, b in zip(out_sum, in_sum)]
@@ -276,6 +273,27 @@ def test_total_rule_agrees_with_max_on_schedule(kronecker3, fan_a3, linear_a4):
             cur = mutate_seed(
                 cur, k, new_label=L(target.i, target.a - 1, target.b - 1)
             )
+
+
+def test_run_path_reads_each_step_once(kronecker3, five_vertex, monkeypatch):
+    """Each schedule step reads the exchange sides at most twice (the label
+    check and the mutation) and applies the dimension rule once."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(exchange, "arrows_at", counted("sides", exchange.arrows_at))
+    monkeypatch.setattr(cluster, "_dim_rule", counted("dim", cluster._dim_rule))
+    for cat in (kronecker3, five_vertex):
+        calls.clear()
+        res = run_path(initial_seed(cat, with_vars=False), make_schedule(cat.terminal))
+        assert calls["sides"] <= 2 * len(res.steps)
+        assert calls["dim"] == len(res.steps)
 
 
 def test_dominance_reported_off_schedule(kronecker3, fan_a3):
