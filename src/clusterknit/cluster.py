@@ -222,10 +222,20 @@ def _sized(value, r: int, what: str):
     return value
 
 
+def _ints(value, r: int, what: str) -> tuple:
+    """``value`` as a tuple of r ints (JSON true and false are not ints)."""
+    if any(type(x) is not int for x in _sized(value, r, what)):
+        raise SeedFormatError(f"{what} must hold integers")
+    return tuple(value)
+
+
 def from_json(data: dict) -> Seed:
-    """The seed of ``to_json``, checked: r is the matrix size, ``vars``,
-    ``labels`` and both trackers have r entries, each tracker row and
-    ``d_delta`` have length r, and Delta trackers come with ``d_delta``."""
+    """The seed of ``to_json``, checked: the matrix has square integer rows
+    and frozen indices in range, r is its size, ``vars``, ``labels`` and
+    both trackers have r entries, each variable is a nonzero term map with
+    integer coefficients, each tracker row and ``d_delta`` are r integers,
+    each label is three integers, and Delta trackers come with
+    ``d_delta``."""
     matrix = ex.from_json(data["matrix"])
     r = data["r"]
     if r != matrix.r:
@@ -234,19 +244,28 @@ def from_json(data: dict) -> Seed:
         raise SeedFormatError("delta_trackers given without d_delta")
     variables = None
     if "vars" in data:
-        variables = tuple(from_json_terms(r, v) for v in _sized(data["vars"], r, "vars"))
+        term_maps = _sized(data["vars"], r, "vars")
+        # int() would truncate a float coefficient
+        if any(
+            not isinstance(v, dict) or any(type(c) not in (str, int) for c in v.values())
+            for v in term_maps
+        ):
+            raise SeedFormatError("each of vars must map exponent strings to integer coefficients")
+        variables = tuple(from_json_terms(r, v) for v in term_maps)
+        if any(v.is_zero() for v in variables):
+            raise SeedFormatError("a cluster variable is zero")
     labels = None
     if "labels" in data:
         labels = tuple(
-            mesh.IntervalLabel(*_sized(l, 3, "a label")) if l is not None else None
+            mesh.IntervalLabel(*_ints(l, 3, "a label")) if l is not None else None
             for l in _sized(data["labels"], r, "labels")
         )
     trackers = {
-        key: tuple(tuple(_sized(v, r, f"a row of {key}")) for v in _sized(data[key], r, key))
+        key: tuple(_ints(v, r, f"a row of {key}") for v in _sized(data[key], r, key))
         for key in ("dim_trackers", "delta_trackers")
         if key in data
     }
-    d_delta = tuple(_sized(data["d_delta"], r, "d_delta")) if "d_delta" in data else None
+    d_delta = _ints(data["d_delta"], r, "d_delta") if "d_delta" in data else None
     return Seed(matrix=matrix, vars=variables, labels=labels, d_delta=d_delta, **trackers)
 
 

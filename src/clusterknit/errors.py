@@ -56,7 +56,8 @@ class AmbiguityError(ClusterKnitError):
 
 
 class SeedFormatError(ClusterKnitError):
-    """Seed JSON whose parts disagree with its size r or with each other."""
+    """Seed JSON whose parts disagree with its size r or with each other, or
+    whose entries are not integers where integers belong."""
 
 
 # -- laurent -----------------------------------------------------------

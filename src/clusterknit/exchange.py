@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import FrozenMutationError, TwoCycleError
+from .errors import FrozenMutationError, SeedFormatError, TwoCycleError
 from .quiver import Quiver
 
 
@@ -156,4 +156,17 @@ def to_json(m: ExchangeMatrix) -> dict:
 
 
 def from_json(data: dict) -> ExchangeMatrix:
-    return make_matrix(data["b"], data.get("frozen", ()))
+    """The matrix of ``to_json``, checked: square rows of integers (JSON
+    true and false are not integers) and frozen indices in 1..r."""
+    rows = data.get("b") if isinstance(data, dict) else None
+    if not isinstance(rows, list) or any(
+        not isinstance(row, list) or len(row) != len(rows) or any(type(x) is not int for x in row)
+        for row in rows
+    ):
+        raise SeedFormatError("matrix b must be a square list of integer rows")
+    frozen = data.get("frozen", [])
+    if not isinstance(frozen, list) or any(
+        type(k) is not int or not 1 <= k <= len(rows) for k in frozen
+    ):
+        raise SeedFormatError(f"frozen must be a list of indices in 1..{len(rows)}")
+    return make_matrix(rows, frozen)

@@ -1,14 +1,31 @@
 """Exact multivariate Laurent polynomials with integer coefficients.
 
-Terms live in a sparse map from dense exponent tuples (entries may be
-negative) to arbitrary-precision ints.  Zero coefficients are never stored
-and the monomial order is graded lexicographic, so structural equality is
+Terms live in a sparse map from packed exponent vectors (ints) to
+arbitrary-precision ints.  Zero coefficients are never stored and the
+monomial order is graded lexicographic, so structural equality is
 mathematical equality and printing is canonical.
+
+Packed monomials.  With r variables and w-bit slots, the exponent vector
+(e_0, ..., e_{r-1}) of total degree d is the int
+
+    d * 2**(r*w) + sum_i (e_i + 2**(w-1)) * 2**((r-1-i)*w)
+
+The degree on top is unbounded (and may be negative) and e_0 sits in the
+highest slot, so int order is graded-lex order and a monomial product is
+``k1 + k2 - bias``, where ``bias`` is the key of the monomial 1.  A stored
+exponent lies in [-2**(w-2), 2**(w-2)), which is the case exactly when the
+two top bits of its slot (its guard bits) differ.  A sum or difference of
+two such slots stays inside its w bits, so a result is exact even when an
+exponent leaves that range; every result is checked, and when a check fails
+the operation is redone with its operands re-packed at twice the width.  A
+polynomial is held at the narrowest of 16, 32, 64, ... bits that holds its
+exponents, so equal polynomials have equal keys.
 """
 
 from __future__ import annotations
 
 import heapq
+from functools import cache
 
 from .errors import (
     ArityMismatchError,
@@ -16,32 +33,149 @@ from .errors import (
     NotDivisibleError,
 )
 
+_BASE_WIDTH = 16
 
-def _grlex_key(exps: tuple[int, ...]):
-    return (sum(exps), exps)
+
+class _Overflow(Exception):
+    """A result exponent does not fit its slot; redo the operation wider."""
+
+
+class _Layout:
+    """The packing of exponent vectors of one arity in slots of one width."""
+
+    __slots__ = ("r", "w", "half", "bias", "guard", "guards", "slots")
+
+    def __init__(self, r: int, w: int):
+        self.r, self.w = r, w
+        self.half = 1 << (w - 1)  # slot value of exponent 0
+        shifts = [(r - 1 - i) * w for i in range(r)]
+        self.bias = sum(self.half << s for s in shifts)
+        # the top bit of every slot, and the top two bits of every slot
+        self.guard = sum(1 << (s + w - 1) for s in shifts)
+        self.guards = self.guard | (self.guard >> 1)
+        self.slots = tuple((s, ((1 << w) - 1) << s) for s in shifts)
+
+    def pack(self, exps) -> int:
+        k = sum(exps)
+        for e in exps:
+            k = (k << self.w) + e + self.half
+        return k
+
+    def unpack(self, k: int) -> tuple[int, ...]:
+        half = self.half
+        return tuple([((k & m) >> s) - half for s, m in self.slots])
+
+
+@cache
+def _layout(r: int, w: int) -> _Layout:
+    return _Layout(r, w)
+
+
+def _width_for(lo: int, hi: int) -> int:
+    """The narrowest slot width holding every exponent in [lo, hi]."""
+    need = max(-lo, hi + 1, 1) - 1
+    w = _BASE_WIDTH
+    while need.bit_length() > w - 2:
+        w *= 2
+    return w
+
+
+def _fits(lay: _Layout, keys) -> bool:
+    """Whether every slot of every key holds an exponent in
+    [-2**(w-2), 2**(w-2)), i.e. its two guard bits differ."""
+    g = lay.guard
+    for k in keys:
+        if (k ^ (k << 1)) & g != g:
+            return False
+    return True
+
+
+def _slot_bounds(lay: _Layout, keys, bound) -> list[int]:
+    """Per-variable ``bound`` (min or max) exponent over nonempty keys."""
+    return [(bound(map(m.__and__, keys)) >> s) - lay.half for s, m in lay.slots]
+
+
+def _new(lay: _Layout, terms: dict) -> "LaurentPoly":
+    """The polynomial with these packed terms (no zero coefficients),
+    re-packed at the narrowest width that holds them."""
+    if lay.w > _BASE_WIDTH and terms:
+        lo = min(_slot_bounds(lay, terms, min))
+        hi = max(_slot_bounds(lay, terms, max))
+        narrow = _layout(lay.r, _width_for(lo, hi))
+        if narrow is not lay:
+            terms = _repack(terms, lay, narrow)
+            lay = narrow
+    p = object.__new__(LaurentPoly)
+    p.arity, p._lay, p.terms = lay.r, lay, terms
+    return p
+
+
+def _repack(terms: dict, old: _Layout, lay: _Layout) -> dict:
+    if old is lay:
+        return terms
+    return {lay.pack(old.unpack(k)): c for k, c in terms.items()}
+
+
+def _redo_wider(op, a: "LaurentPoly", b: "LaurentPoly") -> "LaurentPoly":
+    """``op(layout, a_terms, b_terms)`` at the wider of the two widths,
+    doubled until no result exponent overflows its slot."""
+    lay = a._lay if a._lay.w >= b._lay.w else b._lay
+    while True:
+        try:
+            return _new(lay, op(lay, _repack(a.terms, a._lay, lay), _repack(b.terms, b._lay, lay)))
+        except _Overflow:
+            lay = _layout(lay.r, 2 * lay.w)
+
+
+def _add(lay: _Layout, a: dict, b: dict) -> dict:
+    terms = dict(a)
+    get = terms.get
+    for k, c in b.items():
+        terms[k] = get(k, 0) + c
+    if 0 in terms.values():
+        terms = {k: c for k, c in terms.items() if c}
+    return terms
+
+
+def _mul(lay: _Layout, a: dict, b: dict) -> dict:
+    terms: dict = {}
+    get = terms.get
+    b_items = [(k - lay.bias, c) for k, c in b.items()]
+    for k1, c1 in a.items():
+        for k2, c2 in b_items:
+            k = k1 + k2
+            terms[k] = get(k, 0) + c1 * c2
+    if 0 in terms.values():
+        terms = {k: c for k, c in terms.items() if c}
+    if not _fits(lay, terms):
+        raise _Overflow
+    return terms
 
 
 class LaurentPoly:
-    __slots__ = ("arity", "terms")
+    __slots__ = ("arity", "terms", "_lay")
 
     def __init__(self, arity: int, terms=None):
-        self.arity = arity
-        clean = {}
-        if terms:
-            for exps, coeff in terms.items():
-                if coeff:
-                    clean[tuple(exps)] = coeff
-        self.terms = clean
+        """The polynomial sum coeff * y^exps over a map from exponent
+        tuples to coefficients; zero coefficients are dropped."""
+        clean = {tuple(e): c for e, c in terms.items() if c} if terms else {}
+        if any(len(e) != arity for e in clean):
+            raise ArityMismatchError(f"an exponent vector does not have {arity} entries")
+        flat = [x for e in clean for x in e]
+        lay = _layout(arity, _width_for(min(flat, default=0), max(flat, default=0)))
+        self.arity, self._lay = arity, lay
+        self.terms = {lay.pack(e): c for e, c in clean.items()}
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def zero(arity: int) -> "LaurentPoly":
-        return LaurentPoly(arity, {})
+        return _new(_layout(arity, _BASE_WIDTH), {})
 
     @staticmethod
     def const(arity: int, c: int) -> "LaurentPoly":
-        return LaurentPoly(arity, {(0,) * arity: c})
+        lay = _layout(arity, _BASE_WIDTH)
+        return _new(lay, {lay.bias: c} if c else {})
 
     @staticmethod
     def one(arity: int) -> "LaurentPoly":
@@ -52,8 +186,8 @@ class LaurentPoly:
         """The variable y_{idx}, 0-based index."""
         if not (0 <= idx < arity):
             raise IndexError(f"variable index {idx} out of range 0..{arity - 1}")
-        exps = tuple(1 if i == idx else 0 for i in range(arity))
-        return LaurentPoly(arity, {exps: 1})
+        lay = _layout(arity, _BASE_WIDTH)
+        return _new(lay, {lay.bias + (1 << arity * lay.w) + (1 << lay.slots[idx][0]): 1})
 
     @staticmethod
     def monomial(arity: int, exps, coeff: int = 1) -> "LaurentPoly":
@@ -65,7 +199,7 @@ class LaurentPoly:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(0,) * self.arity: 1}
+        return self.terms == {self._lay.bias: 1}
 
     def is_unit_monomial(self) -> bool:
         """A single term with coefficient +-1 (invertible over Z)."""
@@ -75,6 +209,7 @@ class LaurentPoly:
         return (
             isinstance(other, LaurentPoly)
             and self.arity == other.arity
+            and self._lay.w == other._lay.w
             and self.terms == other.terms
         )
 
@@ -89,28 +224,20 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check_arity(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            terms[exps] = terms.get(exps, 0) + coeff
-        return LaurentPoly(self.arity, terms)
+        return _redo_wider(_add, self, other)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.arity, {e: -c for e, c in self.terms.items()})
+        return _new(self._lay, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check_arity(other)
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return LaurentPoly(self.arity, terms)
+        return _redo_wider(_mul, self, other)
 
     def scale(self, c: int) -> "LaurentPoly":
-        return LaurentPoly(self.arity, {e: c * v for e, v in self.terms.items()})
+        return _new(self._lay, {k: c * v for k, v in self.terms.items()} if c else {})
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
@@ -129,68 +256,81 @@ class LaurentPoly:
 
     def leading(self) -> tuple[tuple[int, ...], int]:
         """Leading (exponent, coefficient) in graded-lex order."""
-        exps = max(self.terms, key=_grlex_key)
-        return exps, self.terms[exps]
+        k = max(self.terms)
+        return self._lay.unpack(k), self.terms[k]
 
     def min_exponents(self) -> tuple[int, ...]:
         """Componentwise minimum exponent over all terms (0 if empty)."""
         if not self.terms:
             return (0,) * self.arity
-        cols = zip(*self.terms.keys())
-        return tuple(min(col) for col in cols)
+        return tuple(_slot_bounds(self._lay, self.terms, min))
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+        """(exponent tuple, coefficient) pairs in descending graded-lex order."""
+        unpack = self._lay.unpack
+        return [(unpack(k), c) for k, c in sorted(self.terms.items(), reverse=True)]
 
     def __repr__(self) -> str:
         return f"LaurentPoly({to_text(self)})"
 
 
-def _shift(p: LaurentPoly, offsets: tuple[int, ...]) -> LaurentPoly:
-    return LaurentPoly(
-        p.arity,
-        {tuple(a + b for a, b in zip(e, offsets)): c for e, c in p.terms.items()},
-    )
+def _divide(lay: _Layout, num: dict, den: dict) -> dict:
+    """The quotient num / den in the Laurent ring; NotDivisibleError if
+    there is none.
 
-
-def _heap_key(exps: tuple[int, ...]):
-    # min-heap entry that pops graded-lex-largest first
-    return (-sum(exps), tuple(-x for x in exps), exps)
-
-
-def _poly_divide(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """Long division of genuine polynomials; exact or NotDivisibleError.
-
-    The remainder lives in a mutable dict with a lazy max-heap over its
-    monomials: every term created by a subtraction is graded-lex smaller
-    than the term just cancelled, so popped entries with a live coefficient
-    are true leading terms."""
-    den_lead_exps, den_lead_coeff = den.leading()
-    den_items = list(den.terms.items())
-    rem = dict(num.terms)
-    quot: dict = {}
-    heap = [_heap_key(e) for e in rem]
+    Both sides are shifted by their componentwise minimum exponents, so
+    the question becomes polynomial long division: the remainder lives in
+    a mutable dict with a lazy max-heap of negated keys over its monomials,
+    and every term a subtraction creates is graded-lex smaller than the
+    term just cancelled, so a popped key with a live coefficient is the
+    true leading term.  Remainder exponents lie in [0, 2**(w-1)) and the
+    shifted divisor's and each quotient term's in [0, 2**(w-2)), so no sum
+    or difference below leaves its slot."""
+    bias, guard, guards = lay.bias, lay.guard, lay.guards
+    num_shift = bias - lay.pack(_slot_bounds(lay, num, min))
+    den_shift = bias - lay.pack(_slot_bounds(lay, den, min))
+    den = {k + den_shift: c for k, c in den.items()}
+    if not _fits(lay, den):
+        raise _Overflow
+    lead = max(den)
+    lead_c = den[lead]
+    den_items = [(k - bias, c) for k, c in den.items()]
+    rem = {k + num_shift: c for k, c in num.items()}
+    heap = [-k for k in rem]
     heapq.heapify(heap)
+    quot = {}
     while heap:
-        e = heapq.heappop(heap)[2]
-        c = rem.get(e, 0)
-        if not c:
+        k = -heapq.heappop(heap)
+        c = rem.get(k)
+        if c is None:
             continue
-        q_exps = tuple(a - b for a, b in zip(e, den_lead_exps))
-        if any(x < 0 for x in q_exps) or c % den_lead_coeff != 0:
+        q = k - lead + bias
+        if q & guards != guard:
+            if q & guard != guard:  # an exponent of the quotient term is negative
+                raise NotDivisibleError("nonzero remainder in exact division")
+            raise _Overflow
+        q_c, r = divmod(c, lead_c)
+        if r:
             raise NotDivisibleError("nonzero remainder in exact division")
-        q_c = c // den_lead_coeff
-        quot[q_exps] = q_c
-        for (de, dc) in den_items:
-            te = tuple(a + b for a, b in zip(q_exps, de))
-            nv = rem.get(te, 0) - q_c * dc
-            if nv:
-                if te not in rem:
-                    heapq.heappush(heap, _heap_key(te))
-                rem[te] = nv
+        quot[q] = q_c
+        for dk, dc in den_items:
+            t = q + dk
+            if t in rem:
+                v = rem[t] - q_c * dc
+                if v:
+                    rem[t] = v
+                else:
+                    del rem[t]
             else:
-                rem.pop(te, None)
-    return LaurentPoly(num.arity, quot)
+                heapq.heappush(heap, -t)
+                rem[t] = -q_c * dc
+    # Shifting back can push a slot past its range, even into its upper
+    # neighbour; such a slot then reads 00 or 11 in its guard bits.
+    back = den_shift - num_shift
+    quot = {k + back: c for k, c in quot.items()}
+    if not _fits(lay, quot):
+        raise _Overflow
+    return quot
 
 
 def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
@@ -204,15 +344,7 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         raise ZeroDivisionError("division by zero polynomial")
     if num.is_zero():
         return LaurentPoly.zero(num.arity)
-    # strip full monomial content; q is Laurent-divisible iff the stripped
-    # parts divide in the plain polynomial ring
-    num_min = num.min_exponents()
-    den_min = den.min_exponents()
-    quot = _poly_divide(
-        _shift(num, tuple(-m for m in num_min)),
-        _shift(den, tuple(-m for m in den_min)),
-    )
-    return _shift(quot, tuple(n - d for n, d in zip(num_min, den_min)))
+    return _redo_wider(_divide, num, den)
 
 
 def substitute(p: LaurentPoly, images: list[LaurentPoly]) -> LaurentPoly:
@@ -236,9 +368,8 @@ def substitute(p: LaurentPoly, images: list[LaurentPoly]) -> LaurentPoly:
                 f"variable {i} occurs with negative exponent but its image "
                 "is not a unit monomial"
             )
-    # precompute powers lazily per variable
     result = LaurentPoly.zero(target)
-    for exps, coeff in p.terms.items():
+    for exps, coeff in p.sorted_terms():
         term = LaurentPoly.const(target, coeff)
         for i, e in enumerate(exps):
             if e == 0:
@@ -246,7 +377,7 @@ def substitute(p: LaurentPoly, images: list[LaurentPoly]) -> LaurentPoly:
             if e > 0:
                 term = term * images[i] ** e
             else:
-                (m_exps, m_coeff) = next(iter(images[i].terms.items()))
+                m_exps, m_coeff = images[i].leading()
                 inv = LaurentPoly.monomial(target, tuple(-x for x in m_exps), m_coeff)
                 term = term * inv ** (-e)
         result = result + term
@@ -291,7 +422,7 @@ def to_text(p: LaurentPoly, names=None) -> str:
 def to_json_terms(p: LaurentPoly) -> dict:
     """JSON term map: ','-joined exponent vector -> coefficient string."""
     return {
-        ",".join(str(e) for e in exps): str(coeff)
+        ",".join(map(str, exps)): str(coeff)
         for exps, coeff in p.sorted_terms()
     }
 

@@ -2,12 +2,15 @@
 
 These never touch the code paths they check: hom dimensions come from
 solving intertwiner equations on explicit interval representations, over
-the rationals, and matrix mutation is the dense entry-by-entry rule.
+the rationals, matrix mutation is the dense entry-by-entry rule, and
+Laurent arithmetic is the tuple-keyed kernel the packed one replaced.
 """
 
+import heapq
 from fractions import Fraction
 
-from clusterknit.exchange import ExchangeMatrix
+from clusterknit.errors import NotDivisibleError
+from clusterknit.exchange import ExchangeMatrix, arrows_at
 from clusterknit.mesh import TerminalData, _knit_dims
 from clusterknit.quiver import Quiver
 
@@ -84,3 +87,140 @@ def dense_mutate_matrix(m: ExchangeMatrix, k: int) -> ExchangeMatrix:
                 )
         rows.append(tuple(row))
     return ExchangeMatrix(tuple(rows), m.frozen)
+
+
+def _grlex_key(exps):
+    return (sum(exps), exps)
+
+
+class TupleLaurent:
+    """Laurent polynomial as a map from exponent tuples to nonzero ints,
+    with term-by-term tuple arithmetic."""
+
+    def __init__(self, arity, terms=None):
+        self.arity = arity
+        self.terms = {tuple(e): c for e, c in (terms or {}).items() if c}
+
+    @staticmethod
+    def of(p):
+        """The oracle copy of a ``LaurentPoly``, read through its public
+        tuple view."""
+        return TupleLaurent(p.arity, dict(p.sorted_terms()))
+
+    @staticmethod
+    def one(arity):
+        return TupleLaurent(arity, {(0,) * arity: 1})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for exps, coeff in other.terms.items():
+            terms[exps] = terms.get(exps, 0) + coeff
+        return TupleLaurent(self.arity, terms)
+
+    def __neg__(self):
+        return TupleLaurent(self.arity, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        terms = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2
+        return TupleLaurent(self.arity, terms)
+
+    def __pow__(self, k):
+        if k < 0:
+            return tuple_exact_div(TupleLaurent.one(self.arity), self ** (-k))
+        result = TupleLaurent.one(self.arity)
+        for _ in range(k):
+            result = result * self
+        return result
+
+    def leading(self):
+        exps = max(self.terms, key=_grlex_key)
+        return exps, self.terms[exps]
+
+    def min_exponents(self):
+        return tuple(min(col) for col in zip(*self.terms))
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+
+
+def _tuple_shift(p, offsets):
+    return TupleLaurent(
+        p.arity,
+        {tuple(a + b for a, b in zip(e, offsets)): c for e, c in p.terms.items()},
+    )
+
+
+def _heap_key(exps):
+    return (-sum(exps), tuple(-x for x in exps), exps)
+
+
+def _tuple_poly_divide(num, den):
+    """Long division of genuine polynomials with a lazy max-heap over the
+    remainder; exact or NotDivisibleError."""
+    den_lead_exps, den_lead_coeff = den.leading()
+    den_items = list(den.terms.items())
+    rem = dict(num.terms)
+    quot = {}
+    heap = [_heap_key(e) for e in rem]
+    heapq.heapify(heap)
+    while heap:
+        e = heapq.heappop(heap)[2]
+        c = rem.get(e, 0)
+        if not c:
+            continue
+        q_exps = tuple(a - b for a, b in zip(e, den_lead_exps))
+        if any(x < 0 for x in q_exps) or c % den_lead_coeff != 0:
+            raise NotDivisibleError("nonzero remainder in exact division")
+        q_c = c // den_lead_coeff
+        quot[q_exps] = q_c
+        for de, dc in den_items:
+            te = tuple(a + b for a, b in zip(q_exps, de))
+            nv = rem.get(te, 0) - q_c * dc
+            if nv:
+                if te not in rem:
+                    heapq.heappush(heap, _heap_key(te))
+                rem[te] = nv
+            else:
+                rem.pop(te, None)
+    return TupleLaurent(num.arity, quot)
+
+
+def tuple_exact_div(num, den):
+    """q with q * den == num in the Laurent ring, or NotDivisibleError:
+    strip the monomial content of both sides and divide the rest as
+    polynomials."""
+    if den.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    if num.is_zero():
+        return TupleLaurent(num.arity)
+    num_min = num.min_exponents()
+    den_min = den.min_exponents()
+    quot = _tuple_poly_divide(
+        _tuple_shift(num, tuple(-m for m in num_min)),
+        _tuple_shift(den, tuple(-m for m in den_min)),
+    )
+    return _tuple_shift(quot, tuple(n - d for n, d in zip(num_min, den_min)))
+
+
+def tuple_mutate_vars(m: ExchangeMatrix, variables, k: int):
+    """The variables after mutation at k: y_k' = (prod_out + prod_in) / y_k."""
+    out, inc = arrows_at(m, k)
+
+    def product(side):
+        p = TupleLaurent.one(variables[0].arity)
+        for i, mult in side.items():
+            p = p * variables[i - 1] ** mult
+        return p
+
+    new = tuple_exact_div(product(out) + product(inc), variables[k - 1])
+    return variables[: k - 1] + (new,) + variables[k:]

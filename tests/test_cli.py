@@ -110,6 +110,15 @@ def test_mutate_frozen_exit_code(tmp_path, kronecker3, capsys):
             {"r": 2, "matrix": {"b": [[0, 1], [-1, 0]], "frozen": []}, "vars": [{"1,0": "1"}]},
             "vars must be a list of 2 entries",
         ),
+        (
+            {"r": 2, "matrix": {"b": [[0, 1], [-1, 0]], "frozen": []}, "dim_trackers": [[1, "a"], [0, 1]]},
+            "a row of dim_trackers must hold integers",
+        ),
+        ({"r": 2, "matrix": {"b": 5}}, "matrix b must be a square list of integer rows"),
+        (
+            {"r": 2, "matrix": {"b": [[0, 1], [-1, 0]], "frozen": [3]}},
+            "frozen must be a list of indices in 1..2",
+        ),
     ],
 )
 def test_mutate_rejects_an_inconsistent_seed(tmp_path, capsys, seed, detail):
@@ -118,6 +127,23 @@ def test_mutate_rejects_an_inconsistent_seed(tmp_path, capsys, seed, detail):
     assert cli.main(["mutate", str(spath), "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: SeedFormatError: ") and detail in err
+
+
+def test_mutate_widens_past_the_first_slot_width(tmp_path, capsys):
+    """An exponent of 40,000 does not fit a 16-bit slot: the kernel re-packs
+    wider and prints what the tuple kernel printed."""
+    pins = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
+    seed = json.loads(pins.read_text())["seeds"]["fan-a3"]
+    seed["vars"][3] = {"0,0,0,40000,0,0": "1"}
+    spath = tmp_path / "seed.json"
+    spath.write_text(json.dumps(seed))
+    assert cli.main(["mutate", str(spath), "4"]) == 0
+    assert capsys.readouterr().out == (
+        "mu_4  T_{2,[1,1]}' * T_{2,[1,1]} = T_{1,[0,1]}*T_{3,[0,1]} + "
+        "T_{2,[0,1]}*T_{1,[1,1]}*T_{3,[1,1]}  "
+        "var = y1*y4^-40000*y5*y6 + y2*y3*y4^-40000  "
+        "d = [1, 1, 1, 2, 1, 1]  dDelta = [1, 0, 0, 0, 1, 1]\n"
+    )
 
 
 def test_path_five_vertex(five_file, capsys):

@@ -270,6 +270,20 @@ def test_from_json_checks_sizes(kronecker3):
         spoiled(delta_trackers=[v[:-1] for v in good["delta_trackers"]]),
         spoiled(d_delta=good["d_delta"] + [0]),
         spoiled(d_delta=None),
+        # entry types and frozen indices
+        spoiled(matrix={"b": 5}),
+        spoiled(matrix=[[0]]),
+        spoiled(matrix={"b": [[0.5] + good["matrix"]["b"][0][1:]] + good["matrix"]["b"][1:]}),
+        spoiled(matrix={**good["matrix"], "frozen": [good["r"] + 1]}),
+        spoiled(matrix={**good["matrix"], "frozen": [0]}),
+        spoiled(matrix={**good["matrix"], "frozen": 1}),
+        spoiled(dim_trackers=[[1, "a"] + row[2:] for row in good["dim_trackers"]]),
+        spoiled(delta_trackers=[[True] + row[1:] for row in good["delta_trackers"]]),
+        spoiled(d_delta=["1"] + good["d_delta"][1:]),
+        spoiled(labels=[[1, 0, "2"]] + good["labels"][1:]),
+        spoiled(vars=[5] + good["vars"][1:]),
+        spoiled(vars=[{"1,0,0,0,0,0,0": 1.5}] + good["vars"][1:]),
+        spoiled(vars=[{"1,0,0,0,0,0,0": "0"}] + good["vars"][1:]),
     ]
     for data in bad:
         with pytest.raises(SeedFormatError):

@@ -2,8 +2,9 @@ import json
 import random
 
 import pytest
+from oracles import TupleLaurent, tuple_exact_div, tuple_mutate_vars
 
-from clusterknit import reference
+from clusterknit import cluster, reference
 from clusterknit.errors import (
     ArityMismatchError,
     NegativeExponentSubstitutionError,
@@ -51,6 +52,8 @@ def test_inverse_monomial():
 def test_arity_mismatch():
     with pytest.raises(ArityMismatchError):
         y(0, 2) + y(0, 3)
+    with pytest.raises(ArityMismatchError):
+        LaurentPoly(2, {(1,): 1})
 
 
 def test_exact_div_monomial_denominator():
@@ -153,5 +156,96 @@ def test_json_round_trip_random():
 
 def test_canonicalization_drops_zeros():
     p = LaurentPoly(2, {(1, 0): 0, (0, 1): 2})
-    assert p.terms == {(0, 1): 2}
+    assert p.sorted_terms() == [((0, 1), 2)]
     assert p - p == LaurentPoly.zero(2)
+
+
+# Exponents are drawn around these centres, so that products and quotients
+# land on both sides of the first slot width's limit 2**14 and far past it.
+CENTRES = (0, 0, 0, 1 << 13, (1 << 14) - 2, 1 << 14, 3 << 14, 1 << 40)
+
+
+def wide_poly(rng, arity, nterms=4):
+    terms = {}
+    for _ in range(rng.randint(1, nterms)):
+        exps = tuple(
+            rng.choice((1, -1)) * rng.choice(CENTRES) + rng.randint(-2, 2)
+            for _ in range(arity)
+        )
+        terms[exps] = rng.randint(-9, 9)
+    return LaurentPoly(arity, terms)
+
+
+def test_packed_kernel_matches_the_tuple_oracle():
+    rng = random.Random(41)
+    wide = refused = 0
+    for _ in range(600):
+        arity = rng.randint(1, 14)
+        p, q = wide_poly(rng, arity), wide_poly(rng, arity)
+        op, oq = TupleLaurent.of(p), TupleLaurent.of(q)
+        assert p.sorted_terms() == op.sorted_terms()
+        got = [(p * q).sorted_terms(), (p + q).sorted_terms(), (p - q).sorted_terms()]
+        want = [(op * oq).sorted_terms(), (op + oq).sorted_terms(), (op - oq).sorted_terms()]
+        assert got == want
+        k = rng.randint(0, 3)
+        assert (p ** k).sorted_terms() == (op ** k).sorted_terms()
+        wide += any(abs(e) >= 1 << 14 for exps, _ in (p * q).sorted_terms() for e in exps)
+        if q.is_zero():
+            continue
+        assert exact_div(p * q, q).sorted_terms() == p.sorted_terms()
+        assert exact_div(p * q, q) == p
+        # a perturbed numerator: both kernels divide it or both refuse
+        num, onum = p * q + y(0, arity), op * oq + TupleLaurent.of(y(0, arity))
+        try:
+            want = tuple_exact_div(onum, oq).sorted_terms()
+        except NotDivisibleError:
+            refused += 1
+            with pytest.raises(NotDivisibleError):
+                exact_div(num, q)
+        else:
+            assert exact_div(num, q).sorted_terms() == want
+    assert wide > 100 and refused > 100, (wide, refused)
+
+
+def test_wide_results_compare_equal_to_narrow_ones():
+    """A result whose exponents fit the first slot width again equals, and
+    hashes like, the same polynomial built directly."""
+    big, small = LaurentPoly.monomial(2, (40000, 0)), y(0) + y(1)
+    assert big * LaurentPoly.monomial(2, (-40000, 1)) == y(1)
+    assert exact_div(big * small, big) == small
+    assert hash(exact_div(big * small, big)) == hash(small)
+    assert (big + small) - big == small
+    assert (big ** -1) * big == LaurentPoly.one(2)
+
+
+def widened_seed(cat, rng):
+    """The initial seed of ``cat`` with each variable y_i replaced by the
+    unit monomial y_i * prod_j y_j^(a_ij), a_ij in {0, +-20000}: a ring map
+    of Laurent rings, so every division along a walk stays exact while the
+    exponents cross the first slot width."""
+    s = cluster.initial_seed(cat)
+    r = s.r
+    images = []
+    for i in range(r):
+        exps = [rng.choice((0, 0, 20000, -20000)) for _ in range(r)]
+        exps[i] += 1
+        images.append(LaurentPoly.monomial(r, exps))
+    return cluster.Seed(matrix=s.matrix, vars=tuple(images))
+
+
+def test_mutation_walks_match_the_tuple_oracle():
+    rng = random.Random(43)
+    for name, steps in (("fan_a3", 60), ("linear_a4", 60), ("kronecker3", 5)):
+        cat = reference.category(name)
+        for start in (cluster.initial_seed(cat), widened_seed(cat, rng)):
+            s = start
+            oracle = tuple(TupleLaurent.of(v) for v in s.vars)
+            prev = None
+            for _ in range(steps):
+                k = rng.choice([m for m in s.matrix.mutable() if m != prev])
+                oracle = tuple_mutate_vars(s.matrix, oracle, k)
+                s = cluster.mutate_seed(s, k)
+                assert [v.sorted_terms() for v in s.vars] == [
+                    o.sorted_terms() for o in oracle
+                ], (name, k)
+                prev = k

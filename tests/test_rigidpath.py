@@ -210,7 +210,7 @@ def test_pbw_polynomiality(kronecker3, five_vertex, linear_a4):
                 for a in range(b + 1):
                     p = pbw_expand(cat, L(i, a, b))
                     assert all(
-                        e >= 0 for exps in p.terms for e in exps
+                        e >= 0 for exps, _ in p.sorted_terms() for e in exps
                     ), (i, a, b)
 
 
