@@ -32,7 +32,7 @@ def load_ordering(cat, spec: str):
     if spec.startswith("file:"):
         with open(spec[5:]) as fh:
             pairs = json.load(fh)
-        ordering = [MeshVertex(int(i), int(a)) for (i, a) in pairs]
+        ordering = [MeshVertex(i, a) for (i, a) in quiver.int_pairs(pairs, "an ordering")]
         mesh.validate_ordering(cat, ordering)
         return ordering
     raise ClusterKnitError(f"unknown ordering spec {spec!r}")

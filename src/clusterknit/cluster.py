@@ -17,7 +17,6 @@ from .laurent import (
     LaurentPoly,
     exact_div,
     from_json_terms,
-    substitute,
     to_json_terms,
     to_text,
 )
@@ -48,15 +47,6 @@ class Seed:
                 for k, l in enumerate(self.labels)
             ]
         return [f"y{k + 1}" for k in range(self.r)]
-
-    def core_equal(self, other: "Seed") -> bool:
-        """Equality of variables, matrix and trackers; labels excluded."""
-        return (
-            self.matrix == other.matrix
-            and self.vars == other.vars
-            and self.dim_trackers == other.dim_trackers
-            and self.delta_trackers == other.delta_trackers
-        )
 
 
 def initial_seed(cat: mesh.CategoryModel, ordering=None, with_vars: bool = True) -> Seed:
@@ -115,8 +105,6 @@ def _dim_rule(s: Seed, k: int, out, inc):
     """d_k* = -d_k + max(out-sum, in-sum), componentwise, and whether one
     arrow-sum dominates the other componentwise, i.e. whether Max could
     replace max."""
-    if s.dim_trackers is None:
-        raise ValueError("seed carries no dimension trackers")
     out_sum, in_sum = _side_sum(s.dim_trackers, out), _side_sum(s.dim_trackers, inc)
     if sum(out_sum) == sum(in_sum) and out_sum != in_sum:
         raise AmbiguityError(f"tied arrow-sums at vertex {k} disagree")
@@ -128,8 +116,6 @@ def _dim_rule(s: Seed, k: int, out, inc):
 def _delta_rule(s: Seed, k: int, out, inc):
     """Delta*_k = -Delta_k + the arrow-sum whose dot product with d_Delta
     is larger (equivalently, the branch keeping every entry nonnegative)."""
-    if s.delta_trackers is None:
-        raise ValueError("seed carries no Delta trackers")
     if s.d_delta is None:
         raise ValueError("no d_Delta vector available")
     out_sum, in_sum = _side_sum(s.delta_trackers, out), _side_sum(s.delta_trackers, inc)
@@ -145,16 +131,6 @@ def _delta_rule(s: Seed, k: int, out, inc):
         raise AmbiguityError(f"tied Delta arrow-sums at vertex {k} disagree")
     d = s.delta_trackers[k - 1]
     return tuple(m - x for m, x in zip(branch, d))
-
-
-def mutate_dimvec(s: Seed, k: int):
-    """New dimension vector at k and its dominance flag (see ``_dim_rule``)."""
-    return _dim_rule(s, k, *ex.arrows_at(s.matrix, k))
-
-
-def mutate_delta_dimvec(s: Seed, k: int):
-    """New Delta-dimension vector at k (see ``_delta_rule``)."""
-    return _delta_rule(s, k, *ex.arrows_at(s.matrix, k))
 
 
 def mutate_seed(s: Seed, k: int, new_label=None) -> Seed:
@@ -186,17 +162,6 @@ def mutate_seed(s: Seed, k: int, new_label=None) -> Seed:
     if s.labels is not None:
         new["labels"] = _replace_at(s.labels, k, new_label)
     return replace(s, **new)
-
-
-def specialize_frozen(p: LaurentPoly, frozen, arity: int) -> LaurentPoly:
-    """Send the frozen variables to 1 (coefficient specialization)."""
-    images = []
-    for idx in range(arity):
-        if idx + 1 in frozen:
-            images.append(LaurentPoly.one(arity))
-        else:
-            images.append(LaurentPoly.variable(idx, arity))
-    return substitute(p, images)
 
 
 def to_json(s: Seed) -> dict:

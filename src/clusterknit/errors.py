@@ -31,6 +31,11 @@ class NotReducedError(ClusterKnitError):
     pass
 
 
+class InputFormatError(ClusterKnitError):
+    """Quiver or ordering JSON whose entries are not integers where
+    integers belong."""
+
+
 # -- mesh --------------------------------------------------------------
 
 class TerminalConstraintError(ClusterKnitError):

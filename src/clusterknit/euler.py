@@ -8,12 +8,13 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from . import mesh
 from .errors import NonIntegralError, NotThinError
 from .quiver import (
     CartanMatrix,
+    _topological_order,
     ReducedWord,
     Weight,
     cartan,
@@ -37,16 +38,8 @@ class ShuffleSeries:
         self.terms = clean
 
     @staticmethod
-    def zero() -> "ShuffleSeries":
-        return ShuffleSeries()
-
-    @staticmethod
     def unit() -> "ShuffleSeries":
         return ShuffleSeries({(): 1})
-
-    @staticmethod
-    def word(*letters) -> "ShuffleSeries":
-        return ShuffleSeries({tuple(letters): 1})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ShuffleSeries) and self.terms == other.terms
@@ -68,21 +61,6 @@ class ShuffleSeries:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def content(self, n: int = 0):
-        """Letter-count vector, or None if the series is not homogeneous."""
-        vecs = set()
-        top = n
-        for w in self.terms:
-            top = max(top, max(w, default=0))
-        for w in self.terms:
-            vec = [0] * top
-            for letter in w:
-                vec[letter - 1] += 1
-            vecs.add(tuple(vec))
-        if len(vecs) != 1:
-            return None
-        return vecs.pop()
 
     def __repr__(self) -> str:
         return f"ShuffleSeries({to_text(self)})"
@@ -138,16 +116,6 @@ def f_action(s: ShuffleSeries, i: int, lam: Weight, c: CartanMatrix) -> ShuffleS
                 acc = 0
             if r < length:
                 pairing -= col[word[r]]
-    return ShuffleSeries(terms)
-
-
-def e_action(s: ShuffleSeries, i: int) -> ShuffleSeries:
-    """Drop the last letter when it equals i, else kill the word."""
-    terms: dict = {}
-    for word, coeff in s.terms.items():
-        if word and word[-1] == i:
-            key = word[:-1]
-            terms[key] = terms.get(key, 0) + coeff
     return ShuffleSeries(terms)
 
 
@@ -213,7 +181,8 @@ def g_module(cat: mesh.CategoryModel, ordering, k: int) -> ShuffleSeries:
 def evaluate_phi(s: ShuffleSeries, seq):
     """Evaluate on x_{i_1}(t_1) ... x_{i_m}(t_m): the polynomial
     sum_a coeff(i^a) t^a / a!, returned as a map from exponent tuples to
-    exact rationals."""
+    exact rationals.  The leaves add integer coefficients per exponent key,
+    and each key is divided by its a! once, at the end."""
     seq = tuple(seq)
     m = len(seq)
     poly: dict = {}
@@ -221,11 +190,8 @@ def evaluate_phi(s: ShuffleSeries, seq):
     def walk(word, l, exps):
         if l == m:
             if not word:
-                contribution = Fraction(1)
-                for e in exps:
-                    contribution /= factorial(e)
                 key = tuple(exps)
-                poly[key] = poly.get(key, 0) + coeff * contribution
+                poly[key] = poly.get(key, 0) + coeff
             return
         letter = seq[l]
         run = 0
@@ -236,7 +202,7 @@ def evaluate_phi(s: ShuffleSeries, seq):
 
     for word, coeff in s.terms.items():
         walk(word, 0, [])
-    return {k: v for k, v in poly.items() if v}
+    return {k: Fraction(v, prod(map(factorial, k))) for k, v in poly.items() if v}
 
 
 @dataclass(frozen=True)
@@ -252,42 +218,14 @@ class ThinModule:
     arrows: tuple = ()
 
     def __post_init__(self):
-        names = [s for (s, _) in self.slots]
-        if len(set(names)) != len(names):
+        index = {name: pos for pos, (name, _) in enumerate(self.slots, 1)}
+        if len(index) != len(self.slots):
             raise NotThinError("duplicate slot names")
-        nameset = set(names)
         for (u, v) in self.arrows:
-            if u not in nameset or v not in nameset:
+            if u not in index or v not in index:
                 raise NotThinError(f"arrow ({u},{v}) references unknown slot")
-        # cycle check
-        out = {s: [] for s in nameset}
-        for (u, v) in self.arrows:
-            out[u].append(v)
-        seen: dict = {}
-
-        def visit(x):
-            if seen.get(x) == 1:
-                raise NotThinError("arrow relation has a cycle")
-            if seen.get(x) == 2:
-                return
-            seen[x] = 1
-            for y in out[x]:
-                visit(y)
-            seen[x] = 2
-
-        for sname in nameset:
-            visit(sname)
-
-
-def direct_sum(a: ThinModule, b: ThinModule, tags=("L", "R")) -> ThinModule:
-    slots = tuple(((tags[0], s), v) for (s, v) in a.slots) + tuple(
-        ((tags[1], s), v) for (s, v) in b.slots
-    )
-    arrows = tuple(((tags[0], u), (tags[0], v)) for (u, v) in a.arrows) + tuple(
-        ((tags[1], u), (tags[1], v)) for (u, v) in b.arrows
-    )
-    return ThinModule(slots, arrows)
-
+        if _topological_order(len(index), [(index[u], index[v]) for (u, v) in self.arrows]) is None:
+            raise NotThinError("arrow relation has a cycle")
 
 def flag_oracle(m: ThinModule) -> ShuffleSeries:
     """Enumerate all maximal chains of arrow-closed slot subsets, ascending,
@@ -343,11 +281,3 @@ def to_json(s: ShuffleSeries) -> dict:
         ",".join(str(x) for x in word): str(coeff)
         for word, coeff in sorted(s.terms.items())
     }
-
-
-def from_json(data: dict) -> ShuffleSeries:
-    terms = {}
-    for key, val in data.items():
-        word = tuple(int(x) for x in key.split(",")) if key else ()
-        terms[word] = int(val)
-    return ShuffleSeries(terms)

@@ -23,9 +23,6 @@ class ExchangeMatrix:
     def r(self) -> int:
         return len(self.b)
 
-    def mutable(self):
-        return [k for k in range(1, self.r + 1) if k not in self.frozen]
-
     def entry(self, i: int, j: int) -> int:
         return self.b[i - 1][j - 1]
 
@@ -44,9 +41,6 @@ class ExchangeMatrix:
 
     def __hash__(self):
         return hash((self.r, self.frozen))
-
-    def strictly_equal(self, other: "ExchangeMatrix") -> bool:
-        return self.b == other.b and self.frozen == other.frozen
 
 
 def _check_skew_principal(b, frozen) -> None:
@@ -94,18 +88,6 @@ def b_matrix(g: Quiver, frozen=()) -> ExchangeMatrix:
         for i in range(1, r + 1)
     )
     return ExchangeMatrix(rows, frozen)
-
-
-def matrix_to_quiver(m: ExchangeMatrix) -> Quiver:
-    """Quiver with b_ij arrows j -> i for b_ij > 0.  Inverse of b_matrix up
-    to arrows between frozen vertices (where net counts lose information)."""
-    arrows = []
-    for i in range(1, m.r + 1):
-        for j in range(1, m.r + 1):
-            v = m.entry(i, j)
-            if v > 0:
-                arrows.extend([(j, i)] * v)
-    return Quiver(m.r, tuple(sorted(arrows)))
 
 
 def _check_mutable(m: ExchangeMatrix, k: int) -> None:

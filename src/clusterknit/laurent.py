@@ -198,9 +198,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_one(self) -> bool:
-        return self.terms == {self._lay.bias: 1}
-
     def is_unit_monomial(self) -> bool:
         """A single term with coefficient +-1 (invertible over Z)."""
         return len(self.terms) == 1 and next(iter(self.terms.values())) in (1, -1)

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ShapeError
-from .laurent import LaurentPoly, exact_div
+from .laurent import LaurentPoly
 
 
 @dataclass(frozen=True)
@@ -73,33 +73,9 @@ def _det_cofactor(rows) -> LaurentPoly:
     return total
 
 
-def _det_bareiss(rows) -> LaurentPoly:
-    m = len(rows)
-    arity = rows[0][0].arity
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = LaurentPoly.one(arity)
-    for k in range(m - 1):
-        if a[k][k].is_zero():
-            pivot_row = next(
-                (i for i in range(k + 1, m) if not a[i][k].is_zero()), None
-            )
-            if pivot_row is None:
-                return LaurentPoly.zero(arity)
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, m):
-            for j in range(k + 1, m):
-                a[i][j] = exact_div(
-                    a[i][j] * a[k][k] - a[i][k] * a[k][j], prev
-                )
-        prev = a[k][k]
-    det = a[m - 1][m - 1]
-    return det if sign == 1 else -det
-
-
 def minor(mtx: SymbolicMatrix, key: MinorKey) -> LaurentPoly:
-    """Exact determinant of the submatrix on the given rows and columns."""
+    """Exact determinant of the submatrix on the given rows and columns, by
+    cofactor expansion along the first row."""
     for x in key.rows + key.cols:
         if not (1 <= x <= mtx.size):
             raise ShapeError(f"index {x} out of range 1..{mtx.size}")
@@ -108,9 +84,7 @@ def minor(mtx: SymbolicMatrix, key: MinorKey) -> LaurentPoly:
     ]
     if not rows:
         return LaurentPoly.one(mtx.arity)
-    if len(rows) < 6:
-        return _det_cofactor(rows)
-    return _det_bareiss(rows)
+    return _det_cofactor(rows)
 
 
 def interval_minor_key(i: int, a: int, b: int, n: int) -> MinorKey:
@@ -124,47 +98,25 @@ def interval_minor_key(i: int, a: int, b: int, n: int) -> MinorKey:
     return MinorKey(rows, cols)
 
 
-def _matmul(a, b, arity):
-    size = len(a)
-    out = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            acc = LaurentPoly.zero(arity)
-            for k in range(size):
-                if not a[i][k].is_zero() and not b[k][j].is_zero():
-                    acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def one_param_product(word, size: int) -> SymbolicMatrix:
     """Exact product of elementary unitriangular factors: the l-th factor
-    is the identity plus t_l in entry (i_l, i_l + 1)."""
+    is the identity plus t_l in entry (i_l, i_l + 1).  Multiplying by it on
+    the right adds t_l times column i_l to column i_l + 1."""
     word = tuple(word)
     arity = len(word)
     for letter in word:
         if not (1 <= letter < size):
             raise IndexError(f"letter {letter} needs 1 <= letter < {size}")
     prod = [
-        tuple(
-            LaurentPoly.one(arity) if i == j else LaurentPoly.zero(arity)
-            for j in range(size)
-        )
+        [LaurentPoly.one(arity) if i == j else LaurentPoly.zero(arity) for j in range(size)]
         for i in range(size)
     ]
     for l, letter in enumerate(word):
-        factor = [
-            [
-                LaurentPoly.one(arity) if i == j else LaurentPoly.zero(arity)
-                for j in range(size)
-            ]
-            for i in range(size)
-        ]
-        factor[letter - 1][letter] = LaurentPoly.variable(l, arity)
-        prod = _matmul(prod, factor, arity)
-    return SymbolicMatrix(size, arity, tuple(prod))
+        t = LaurentPoly.variable(l, arity)
+        for row in prod:
+            if not row[letter - 1].is_zero():
+                row[letter] = row[letter] + row[letter - 1] * t
+    return SymbolicMatrix(size, arity, tuple(map(tuple, prod)))
 
 
 def w_minor(prefix, j: int, size: int) -> MinorKey:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from .errors import (
     CycleError,
     DisconnectedError,
+    InputFormatError,
     LoopError,
     NotAdaptedError,
     NotReducedError,
@@ -30,9 +31,6 @@ class Quiver:
     def arrows_in(self, v: int) -> list[int]:
         """Sources of arrows ending at v, with multiplicity."""
         return [s for (s, t) in self.arrows if t == v]
-
-    def arrow_count(self, s: int, t: int) -> int:
-        return sum(1 for a in self.arrows if a == (s, t))
 
     def is_sink(self, v: int) -> bool:
         return not self.arrows_out(v)
@@ -158,8 +156,23 @@ def to_json(q: Quiver) -> dict:
     return {"n": q.n, "arrows": [[s, t] for (s, t) in q.arrows]}
 
 
+def int_pairs(value, what: str) -> list[tuple[int, int]]:
+    """``value`` as a list of integer pairs (JSON true and false are not
+    integers, and a float is never truncated)."""
+    if not isinstance(value, list) or any(
+        not isinstance(p, list) or len(p) != 2 or any(type(x) is not int for x in p)
+        for p in value
+    ):
+        raise InputFormatError(f"{what} must be a list of integer pairs")
+    return [tuple(p) for p in value]
+
+
 def from_json(data: dict) -> Quiver:
-    return validate_quiver(int(data["n"]), [tuple(a) for a in data["arrows"]])
+    """The quiver of ``to_json``, checked: ``n`` and both ends of every
+    arrow are JSON integers."""
+    if not isinstance(data, dict) or type(data.get("n")) is not int:
+        raise InputFormatError("n must be an integer")
+    return validate_quiver(data["n"], int_pairs(data.get("arrows"), "arrows"))
 
 
 def cartan(q: Quiver) -> CartanMatrix:

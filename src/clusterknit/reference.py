@@ -248,18 +248,18 @@ def check_dim_triangles() -> bool:
 
 def check_dim_mutation() -> bool:
     cat = category("kronecker3")
-    s = cluster.initial_seed(cat)
-    vec, dom = cluster.mutate_dimvec(s, cat.pos(MUTATION_VERTEX) + 1)
-    return dom and mesh.triangle_display(cat, vec) == MUTATED_DIM_TRIANGLE
+    k = cat.pos(MUTATION_VERTEX) + 1
+    s = cluster.mutate_seed(cluster.initial_seed(cat, with_vars=False), k)
+    return s.dominated and mesh.triangle_display(cat, s.dim_trackers[k - 1]) == MUTATED_DIM_TRIANGLE
 
 
 def check_delta_vectors() -> bool:
     cat = category("kronecker3")
     if mesh.triangle_display(cat, mesh.delta_dims(cat)) != D_DELTA:
         return False
-    s = cluster.initial_seed(cat)
-    vec = cluster.mutate_delta_dimvec(s, cat.pos(MUTATION_VERTEX) + 1)
-    return mesh.triangle_display(cat, vec) == MUTATED_DELTA_TRIANGLE
+    k = cat.pos(MUTATION_VERTEX) + 1
+    s = cluster.mutate_seed(cluster.initial_seed(cat, with_vars=False), k)
+    return mesh.triangle_display(cat, s.delta_trackers[k - 1]) == MUTATED_DELTA_TRIANGLE
 
 
 def check_schedule_lengths() -> bool:

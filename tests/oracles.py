@@ -4,13 +4,20 @@ These never touch the code paths they check: hom dimensions come from
 solving intertwiner equations on explicit interval representations, over
 the rationals, matrix mutation is the dense entry-by-entry rule, and
 Laurent arithmetic is the tuple-keyed kernel the packed one replaced.
+The Bareiss determinant, the matrix-product form of the one-parameter
+product and the per-leaf ``evaluate_phi`` are the kernels that ``minors``
+and ``euler`` replaced; they live on here as differential oracles, beside
+small helpers that only the tests call.
 """
 
 import heapq
 from fractions import Fraction
+from math import factorial
 
 from clusterknit.errors import NotDivisibleError
+from clusterknit.euler import ShuffleSeries, ThinModule
 from clusterknit.exchange import ExchangeMatrix, arrows_at
+from clusterknit.laurent import LaurentPoly, exact_div, substitute
 from clusterknit.mesh import TerminalData, _knit_dims
 from clusterknit.quiver import Quiver
 
@@ -224,3 +231,156 @@ def tuple_mutate_vars(m: ExchangeMatrix, variables, k: int):
 
     new = tuple_exact_div(product(out) + product(inc), variables[k - 1])
     return variables[: k - 1] + (new,) + variables[k:]
+
+
+# -- helpers only the tests need --------------------------------------------
+
+
+def mutable(m: ExchangeMatrix):
+    """The mutable indices of m, ascending."""
+    return [k for k in range(1, m.r + 1) if k not in m.frozen]
+
+
+def strictly_equal(a: ExchangeMatrix, b: ExchangeMatrix) -> bool:
+    """Equality including the frozen-frozen entries that ``==`` ignores."""
+    return a.b == b.b and a.frozen == b.frozen
+
+
+def matrix_to_quiver(m: ExchangeMatrix) -> Quiver:
+    """Quiver with b_ij arrows j -> i for b_ij > 0.  Inverse of b_matrix up
+    to arrows between frozen vertices (where net counts lose information)."""
+    arrows = []
+    for i in range(1, m.r + 1):
+        for j in range(1, m.r + 1):
+            arrows.extend([(j, i)] * max(m.entry(i, j), 0))
+    return Quiver(m.r, tuple(sorted(arrows)))
+
+
+def core_equal(a, b) -> bool:
+    """Equality of two seeds' variables, matrices and trackers; labels
+    excluded."""
+    return (
+        a.matrix == b.matrix
+        and a.vars == b.vars
+        and a.dim_trackers == b.dim_trackers
+        and a.delta_trackers == b.delta_trackers
+    )
+
+
+def dim_rule(s, k: int):
+    """The dimension vector at k after mutation and whether one arrow-sum
+    dominated the other, read entry by entry from column k of B:
+    d_k' = -d_k + max(sum over arrows k -> i, sum over arrows i -> k)."""
+    rows, b = s.dim_trackers, s.matrix
+    sums = [[0] * len(rows[0]), [0] * len(rows[0])]
+    for i in range(1, b.r + 1):
+        v = b.entry(i, k)
+        side = sums[0] if v > 0 else sums[1]
+        for c, x in enumerate(rows[i - 1]):
+            side[c] += abs(v) * x
+    cmax = [max(a, c) for a, c in zip(*sums)]
+    return tuple(m - x for m, x in zip(cmax, rows[k - 1])), cmax in sums
+
+
+def specialize_frozen(p: LaurentPoly, frozen) -> LaurentPoly:
+    """Send the frozen variables (1-based) to 1: the specialization of
+    coefficients."""
+    images = [
+        LaurentPoly.one(p.arity) if idx + 1 in frozen else LaurentPoly.variable(idx, p.arity)
+        for idx in range(p.arity)
+    ]
+    return substitute(p, images)
+
+
+def e_action(s: ShuffleSeries, i: int) -> ShuffleSeries:
+    """Drop the last letter when it equals i, else kill the word."""
+    terms: dict = {}
+    for word, coeff in s.terms.items():
+        if word and word[-1] == i:
+            terms[word[:-1]] = terms.get(word[:-1], 0) + coeff
+    return ShuffleSeries(terms)
+
+
+def direct_sum(a: ThinModule, b: ThinModule) -> ThinModule:
+    """The thin module a + b, slots tagged "L" and "R"."""
+    slots = tuple((("L", s), v) for (s, v) in a.slots)
+    slots += tuple((("R", s), v) for (s, v) in b.slots)
+    arrows = tuple((("L", u), ("L", v)) for (u, v) in a.arrows)
+    arrows += tuple((("R", u), ("R", v)) for (u, v) in b.arrows)
+    return ThinModule(slots, arrows)
+
+
+def series_from_json(data: dict) -> ShuffleSeries:
+    """The series of ``euler.to_json``."""
+    return ShuffleSeries(
+        {tuple(int(x) for x in key.split(",")) if key else (): int(v) for key, v in data.items()}
+    )
+
+
+def evaluate_phi_per_leaf(s: ShuffleSeries, seq) -> dict:
+    """``euler.evaluate_phi`` as it was first written: one division by a!
+    for every leaf of the expansion."""
+    seq = tuple(seq)
+    poly: dict = {}
+
+    def walk(word, l, exps, coeff):
+        if l == len(seq):
+            if not word:
+                contribution = Fraction(1)
+                for e in exps:
+                    contribution /= factorial(e)
+                poly[tuple(exps)] = poly.get(tuple(exps), 0) + coeff * contribution
+            return
+        run = 0
+        while run < len(word) and word[run] == seq[l]:
+            run += 1
+        for a in range(run + 1):
+            walk(word[a:], l + 1, exps + [a], coeff)
+
+    for word, coeff in s.terms.items():
+        walk(word, 0, [], coeff)
+    return {k: v for k, v in poly.items() if v}
+
+
+def bareiss_det(rows) -> LaurentPoly:
+    """Fraction-free Gaussian elimination with exact division by the
+    previous pivot."""
+    m = len(rows)
+    a = [list(r) for r in rows]
+    sign = 1
+    prev = LaurentPoly.one(rows[0][0].arity)
+    for k in range(m - 1):
+        if a[k][k].is_zero():
+            pivot = next((i for i in range(k + 1, m) if not a[i][k].is_zero()), None)
+            if pivot is None:
+                return LaurentPoly.zero(prev.arity)
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, m):
+            for j in range(k + 1, m):
+                a[i][j] = exact_div(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
+        prev = a[k][k]
+    return a[m - 1][m - 1] if sign == 1 else -a[m - 1][m - 1]
+
+
+def matmul_product(word, size: int):
+    """The rows of the one-parameter product, each factor I + t_l E_{i_l,i_l+1}
+    multiplied in as a full matrix product."""
+    arity = len(word)
+    one, zero = LaurentPoly.one(arity), LaurentPoly.zero(arity)
+    prod = [[one if i == j else zero for j in range(size)] for i in range(size)]
+    for l, letter in enumerate(word):
+        factor = [[one if i == j else zero for j in range(size)] for i in range(size)]
+        factor[letter - 1][letter] = LaurentPoly.variable(l, arity)
+        new = []
+        for i in range(size):
+            row = []
+            for j in range(size):
+                acc = zero
+                for k in range(size):
+                    if not prod[i][k].is_zero() and not factor[k][j].is_zero():
+                        acc = acc + prod[i][k] * factor[k][j]
+                row.append(acc)
+            new.append(row)
+        prod = new
+    return prod

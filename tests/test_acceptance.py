@@ -9,15 +9,10 @@ import time
 
 import pytest
 
-from oracles import interval_hom_dim, maximal_terminal
+from oracles import core_equal, interval_hom_dim, maximal_terminal, mutable, strictly_equal
 
 from clusterknit import euler, minors, reference
-from clusterknit.cluster import (
-    initial_seed,
-    mutate_delta_dimvec,
-    mutate_dimvec,
-    mutate_seed,
-)
+from clusterknit.cluster import initial_seed, mutate_seed
 from clusterknit.exchange import make_matrix, mutate_matrix
 from clusterknit.laurent import LaurentPoly, substitute
 from clusterknit.mesh import (
@@ -64,15 +59,15 @@ def test_criterion_01_mutation_involution(kronecker3, fan_a3):
                 rows[i][j], rows[j][i] = v, -v
         m = make_matrix(rows)
         k = rng.randint(1, r)
-        assert mutate_matrix(mutate_matrix(m, k), k).strictly_equal(m)
+        assert strictly_equal(mutate_matrix(mutate_matrix(m, k), k), m)
     for cat in (kronecker3, fan_a3):
         base = initial_seed(cat)
         for _ in range(100):
             s = base
             for _ in range(rng.randint(0, 3)):
-                s = mutate_seed(s, rng.choice(base.matrix.mutable()))
-            k = rng.choice(base.matrix.mutable())
-            assert mutate_seed(mutate_seed(s, k), k).core_equal(s)
+                s = mutate_seed(s, rng.choice(mutable(base.matrix)))
+            k = rng.choice(mutable(base.matrix))
+            assert core_equal(mutate_seed(mutate_seed(s, k), k), s)
     report(1, f"matrix and seed mutation involutions ({done():.1f}s)")
 
 
@@ -84,9 +79,9 @@ def test_criterion_02_dimension_vectors(kronecker3):
         assert triangle_display(cat, projected_dimvec(cat, lbl)) == tri
     s = initial_seed(cat)
     k = cat.pos(reference.MUTATION_VERTEX) + 1
-    vec, dominated = mutate_dimvec(s, k)
-    assert dominated
-    assert triangle_display(cat, vec) == reference.MUTATED_DIM_TRIANGLE
+    s2 = mutate_seed(s, k)
+    assert s2.dominated
+    assert triangle_display(cat, s2.dim_trackers[k - 1]) == reference.MUTATED_DIM_TRIANGLE
     report(2, f"all seven hom triangles and the mutated vector ({done():.2f}s)")
 
 
@@ -95,7 +90,7 @@ def test_criterion_03_delta_vectors(kronecker3):
     assert triangle_display(kronecker3, delta_dims(kronecker3)) == reference.D_DELTA
     s = initial_seed(kronecker3)
     k = kronecker3.pos(reference.MUTATION_VERTEX) + 1
-    vec = mutate_delta_dimvec(s, k)
+    vec = mutate_seed(s, k).delta_trackers[k - 1]
     assert triangle_display(kronecker3, vec) == reference.MUTATED_DELTA_TRIANGLE
     report(3, f"d_Delta and the mutated Delta-vector ({done():.2f}s)")
 
@@ -253,11 +248,11 @@ def test_criterion_11_laurent_smoke(kronecker3, fan_a3, linear_a4):
         (kronecker3, 10, 4),
     ):
         base = initial_seed(cat)
-        mutable = base.matrix.mutable()
+        ks = mutable(base.matrix)
         for _ in range(count):
             s = base
             for _ in range(rng.randint(1, depth)):
-                s = mutate_seed(s, rng.choice(mutable))  # NotDivisible = fail
+                s = mutate_seed(s, rng.choice(ks))  # NotDivisible = fail
             walks += 1
     assert walks == 200
     report(11, f"200 random mutation walks, every division exact ({done():.1f}s)")

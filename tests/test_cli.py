@@ -266,6 +266,35 @@ def test_bad_quiver_file(tmp_path, capsys):
     assert cli.main(["build", str(path), "--t", "0,0"]) == 2
 
 
+WORKED_PAIRS = [[v.i, v.a] for v in reference.WORKED_ORDERING]
+
+
+@pytest.mark.parametrize(
+    "quiver_data, pairs",
+    [
+        # an ordering pair 0.9 or true used to run as 0 or 1
+        (None, [WORKED_PAIRS[0][:1] + [0.9]] + WORKED_PAIRS[1:]),
+        (None, [[True, 0]] + WORKED_PAIRS[1:]),
+        # n = 3.7 used to build a 3-vertex quiver, an arrow end 1.0 to crash
+        ({"n": 3.7, "arrows": [[1, 2], [1, 2], [2, 3]]}, WORKED_PAIRS),
+        ({"n": 3, "arrows": [[1.0, 2], [1, 2], [2, 3]]}, WORKED_PAIRS),
+    ],
+    ids=["ordering-float", "ordering-bool", "quiver-n-float", "quiver-arrow-float"],
+)
+def test_non_integer_quiver_and_ordering_files_exit_2(tmp_path, kron_file, capsys, quiver_data, pairs):
+    qpath = kron_file
+    if quiver_data is not None:
+        qpath = tmp_path / "q.json"
+        qpath.write_text(json.dumps(quiver_data))
+    opath = tmp_path / "o.json"
+    opath.write_text(json.dumps(pairs))
+    argv = ["euler", str(qpath), "--t", "2,1,1", "--k", "1", "--ordering", f"file:{opath}"]
+    assert cli.main(argv) == 2
+    assert "InputFormatError" in capsys.readouterr().err
+    opath.write_text(json.dumps(WORKED_PAIRS))
+    assert cli.main(argv) == (0 if quiver_data is None else 2)
+
+
 def test_quiver_json_round_trip():
     q = reference.quiver("kronecker3")
     assert quiver.from_json(json.loads(json.dumps(quiver.to_json(q)))) == q

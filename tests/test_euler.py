@@ -1,21 +1,21 @@
 import random
+from fractions import Fraction
 from math import factorial
 
 import pytest
+from oracles import direct_sum, e_action, evaluate_phi_per_leaf, series_from_json
 
 from clusterknit import euler, reference
+from clusterknit.mesh import adapted_orderings
 from clusterknit.errors import NonIntegralError, NotThinError
 from clusterknit.euler import (
     ShuffleSeries,
     ThinModule,
     b_exponents,
-    direct_sum,
     divided_f,
-    e_action,
     evaluate_phi,
     f_action,
     flag_oracle,
-    from_json,
     g_module,
     shuffle,
     to_json,
@@ -25,12 +25,17 @@ from clusterknit.quiver import (
     ReducedWord,
     Weight,
     cartan,
+    adapted_word,
     fundamental_weight,
     validate_quiver,
 )
 
 S = ShuffleSeries
 T = ThinModule
+
+
+def word(*letters):
+    return S({letters: 1})
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +52,8 @@ def rand_series(rng, n=2, maxlen=3, terms=3):
 
 
 def test_shuffle_basic():
-    assert shuffle(S.word(1), S.word(2)) == S({(1, 2): 1, (2, 1): 1})
-    assert shuffle(S.word(1), S.word(1)) == S({(1, 1): 2})
+    assert shuffle(word(1), word(2)) == S({(1, 2): 1, (2, 1): 1})
+    assert shuffle(word(1), word(1)) == S({(1, 1): 2})
 
 
 def test_shuffle_unit_commutative_associative():
@@ -62,28 +67,28 @@ def test_shuffle_unit_commutative_associative():
 
 def test_f_action_examples(kron_cartan):
     w2 = fundamental_weight(2, 3)
-    assert f_action(S.unit(), 2, w2, kron_cartan) == S.word(2)
-    assert f_action(S.word(2), 1, w2, kron_cartan) == S({(2, 1): 2})
+    assert f_action(S.unit(), 2, w2, kron_cartan) == word(2)
+    assert f_action(word(2), 1, w2, kron_cartan) == S({(2, 1): 2})
     w1 = fundamental_weight(1, 3)
-    assert f_action(S.unit(), 1, w1, kron_cartan) == S.word(1)
+    assert f_action(S.unit(), 1, w1, kron_cartan) == word(1)
 
 
 def test_e_action(kron_cartan):
-    assert e_action(S.word(2, 1), 1) == S.word(2)
-    assert e_action(S.word(2, 1), 2) == S.zero()
+    assert e_action(word(2, 1), 1) == word(2)
+    assert e_action(word(2, 1), 2) == S()
     # e then f is not the identity
     w2 = fundamental_weight(2, 3)
-    s = S.word(2, 1)
+    s = word(2, 1)
     assert f_action(e_action(s, 1), 1, w2, kron_cartan) != s
 
 
 def test_divided_f(kron_cartan):
     w2 = fundamental_weight(2, 3)
-    two = divided_f(S.word(2), 1, 2, w2, kron_cartan)
+    two = divided_f(word(2), 1, 2, w2, kron_cartan)
     assert two == S(reference.G_SERIES[2])  # g_2 = f_1^(2) w[2]
-    assert divided_f(S.word(2), 1, 0, w2, kron_cartan) == S.word(2)
-    assert divided_f(S.word(2), 1, 1, w2, kron_cartan) == f_action(
-        S.word(2), 1, w2, kron_cartan
+    assert divided_f(word(2), 1, 0, w2, kron_cartan) == word(2)
+    assert divided_f(word(2), 1, 1, w2, kron_cartan) == f_action(
+        word(2), 1, w2, kron_cartan
     )
 
 
@@ -114,7 +119,7 @@ def test_divided_f_matches_repeated_f_action():
 def test_divided_f_raises_on_a_remainder(monkeypatch, kron_cartan):
     monkeypatch.setattr(euler, "f_action", lambda s, i, lam, c: S({(2, 1): 3}))
     with pytest.raises(NonIntegralError):
-        divided_f(S.word(2), 1, 2, fundamental_weight(2, 3), kron_cartan)
+        divided_f(word(2), 1, 2, fundamental_weight(2, 3), kron_cartan)
 
 
 def test_b_exponents(kron_cartan):
@@ -134,8 +139,9 @@ def test_g_module_homogeneous_content(kronecker3, kronecker3_ordering):
     cat = kronecker3
     for k in (1, 2, 3, 4, 5, 7):  # 6 is the very large series, covered once
         g = g_module(cat, kronecker3_ordering, k)
-        content = g.content(3)
-        assert content is not None
+        contents = {tuple(w.count(i) for i in (1, 2, 3)) for w in g.terms}
+        assert len(contents) == 1
+        content = contents.pop()
         v = kronecker3_ordering[k - 1]
         want = [0] * 3
         for l in range(v.a + 1):
@@ -146,7 +152,7 @@ def test_g_module_homogeneous_content(kronecker3, kronecker3_ordering):
 
 
 def test_evaluate_phi_examples():
-    assert evaluate_phi(S.word(1), (1,)) == {(1,): 1}
+    assert evaluate_phi(word(1), (1,)) == {(1,): 1}
     got = evaluate_phi(S(reference.G_SERIES[2]), (2, 1))
     assert got == {(1, 2): 1}
     # coefficient of prod t_l is the plain word coefficient
@@ -154,10 +160,37 @@ def test_evaluate_phi_examples():
     assert got[(1, 1)] == 5
 
 
+def test_evaluate_phi_matches_the_per_leaf_oracle():
+    """One division by a! per exponent key gives the exact rationals that
+    one division per leaf gave: on seeded random series whose words are
+    drawn from the evaluation word, and on the linear A_4 series of the
+    minor cross-checks."""
+    rng = random.Random(61)
+    cases = []
+    for _ in range(150):
+        seq = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 7)))
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            w = tuple(x for x in seq for _ in range(rng.randint(0, 2)))
+            terms[w] = rng.choice((-3, -1, 1, 2, 5))
+        cases.append((S(terms), seq))
+    cat = reference.linear_type_a(4)
+    ordering = adapted_orderings(cat)
+    seq = adapted_word(cat, ordering).letters * 2
+    cases += [(g_module(cat, ordering, k), seq) for k in range(1, cat.r + 1)]
+    fractional = 0
+    for s, seq in cases:
+        got = evaluate_phi(s, seq)
+        assert got and got == evaluate_phi_per_leaf(s, seq)
+        assert all(type(v) is Fraction for v in got.values())
+        fractional += any(v.denominator != 1 for v in got.values())
+    assert fractional > 50
+
+
 def test_flag_oracle_examples():
-    assert flag_oracle(T((("a", 1),))) == S.word(1)
+    assert flag_oracle(T((("a", 1),))) == word(1)
     m = T((("u", 1), ("v", 2)), (("u", "v"),))
-    assert flag_oracle(m) == S.word(2, 1)
+    assert flag_oracle(m) == word(2, 1)
 
 
 def _small_thin_modules():
@@ -198,10 +231,10 @@ def test_thin_module_validation():
 def test_series_text_and_json():
     s = S({(2, 1): 2, (1, 2): -1, (3,): 5})
     assert to_text(s) == "-w[1,2] + 2·w[2,1] + 5·w[3]"
-    assert from_json(to_json(s)) == s
-    assert to_text(S.zero()) == "0"
+    assert series_from_json(to_json(s)) == s
+    assert to_text(S()) == "0"
     with pytest.raises(ValueError):
-        from_json({"3": "1/2"})
+        series_from_json({"3": "1/2"})
 
 
 def test_g_module_rejects_bad_ordering(kronecker3):

@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from oracles import TupleLaurent, tuple_exact_div, tuple_mutate_vars
+from oracles import TupleLaurent, mutable, tuple_exact_div, tuple_mutate_vars
 
 from clusterknit import cluster, reference
 from clusterknit.errors import (
@@ -242,7 +242,7 @@ def test_mutation_walks_match_the_tuple_oracle():
             oracle = tuple(TupleLaurent.of(v) for v in s.vars)
             prev = None
             for _ in range(steps):
-                k = rng.choice([m for m in s.matrix.mutable() if m != prev])
+                k = rng.choice([m for m in mutable(s.matrix) if m != prev])
                 oracle = tuple_mutate_vars(s.matrix, oracle, k)
                 s = cluster.mutate_seed(s, k)
                 assert [v.sorted_terms() for v in s.vars] == [

@@ -47,7 +47,7 @@ def test_validate_smallest():
 
 def test_validate_kronecker_type():
     q = reference.quiver("kronecker3")
-    assert q.arrow_count(1, 2) == 2
+    assert q.arrows.count((1, 2)) == 2
 
 
 def test_validate_rejects_two_cycle():
