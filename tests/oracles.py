@@ -5,21 +5,30 @@ solving intertwiner equations on explicit interval representations, over
 the rationals, matrix mutation is the dense entry-by-entry rule, and
 Laurent arithmetic is the tuple-keyed kernel the packed one replaced.
 The Bareiss determinant, the matrix-product form of the one-parameter
-product and the per-leaf ``evaluate_phi`` are the kernels that ``minors``
-and ``euler`` replaced; they live on here as differential oracles, beside
-small helpers that only the tests call.
+product, the per-leaf ``evaluate_phi`` and the letter-insertion action with
+its divided powers are the kernels that ``minors`` and ``euler`` replaced;
+they live on here as differential oracles, beside small helpers that only
+the tests call.
 """
 
 import heapq
+from collections import defaultdict
 from fractions import Fraction
 from math import factorial
 
 from clusterknit.errors import NotDivisibleError
-from clusterknit.euler import ShuffleSeries, ThinModule
+from clusterknit.euler import ShuffleSeries, ThinModule, b_exponents
 from clusterknit.exchange import ExchangeMatrix, arrows_at
 from clusterknit.laurent import LaurentPoly, exact_div, substitute
 from clusterknit.mesh import TerminalData, _knit_dims
-from clusterknit.quiver import Quiver
+from clusterknit.quiver import (
+    CartanMatrix,
+    Quiver,
+    Weight,
+    adapted_word,
+    cartan,
+    fundamental_weight,
+)
 
 
 def rank(rows):
@@ -290,6 +299,69 @@ def specialize_frozen(p: LaurentPoly, frozen) -> LaurentPoly:
         for idx in range(p.arity)
     ]
     return substitute(p, images)
+
+
+def quiver_to_json(q: Quiver) -> dict:
+    """The quiver file that ``quiver.from_json`` reads."""
+    return {"n": q.n, "arrows": [[s, t] for (s, t) in q.arrows]}
+
+
+def f_action(s: ShuffleSeries, i: int, lam: Weight, c: CartanMatrix) -> ShuffleSeries:
+    """Letter insertion realizing the lowering operator: w[j_1..j_k] goes to
+    sum_r (lam - alpha_{j_1} - ... - alpha_{j_r})(alpha_i^vee)
+    w[j_1..j_r, i, j_{r+1}..j_k]."""
+    col = [0] + [c[l, i] for l in range(1, c.n + 1)]
+    lam_i = lam[i]
+    ins = (i,)
+    terms: dict = defaultdict(int)
+    for word, coeff in s.terms.items():
+        pairing = lam_i
+        length = len(word)
+        acc = 0
+        # slots inside a run of the letter i all produce the same word;
+        # accumulate their pairings and emit once per run boundary
+        for r in range(length + 1):
+            acc += pairing
+            if r == length or word[r] != i:
+                if acc:
+                    terms[word[:r] + ins + word[r:]] += coeff * acc
+                acc = 0
+            if r < length:
+                pairing -= col[word[r]]
+    return ShuffleSeries(terms)
+
+
+def divided_f(s: ShuffleSeries, i: int, b: int, lam: Weight, c: CartanMatrix) -> ShuffleSeries:
+    """Apply f_i b times and divide by b!: after the m-th application every
+    coefficient is divided by m, so each stage is the divided power f_i^(m)
+    of the input.  On an integer series each stage is integral, so a
+    remainder raises ``ArithmeticError``."""
+    if b < 0:
+        raise ValueError("divided power needs b >= 0")
+    out = s
+    for m in range(1, b + 1):
+        out = f_action(out, i, lam, c)
+        if m == 1:
+            continue
+        terms = out.terms
+        for w, v in terms.items():
+            if v % m:
+                raise ArithmeticError(f"divided power f_{i}^({b}) left a remainder at stage {m}")
+            terms[w] = v // m
+    return out
+
+
+def divided_f_chain(cat, ordering, k: int) -> ShuffleSeries:
+    """``euler.g_module`` as the chain f_{i_1}^(b_1) ... f_{i_k}^(b_k) of
+    divided powers applied to the empty word, rightmost factor first."""
+    word = adapted_word(cat, ordering)
+    c = cartan(cat.terminal.q)
+    bs = b_exponents(word, k, c)
+    lam = fundamental_weight(word.letters[k - 1], c.n)
+    series = ShuffleSeries.unit()
+    for j in range(k, 0, -1):
+        series = divided_f(series, word.letters[j - 1], bs[j - 1], lam, c)
+    return series
 
 
 def e_action(s: ShuffleSeries, i: int) -> ShuffleSeries:

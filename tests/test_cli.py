@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from oracles import quiver_to_json
 
 from clusterknit import cli, cluster, quiver, reference
 from clusterknit.mesh import MeshVertex
@@ -12,7 +13,7 @@ from clusterknit.mesh import MeshVertex
 
 def quiver_file(tmp_path, name):
     path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(quiver.to_json(reference.quiver(name))))
+    path.write_text(json.dumps(quiver_to_json(reference.quiver(name))))
     return str(path)
 
 
@@ -210,6 +211,12 @@ def test_euler_402_to_file(kron_file, ordering_file, tmp_path, capsys):
     assert text.count("w[") == reference.G5_WORDS
 
 
+@pytest.mark.parametrize("k", ["0", "99"])
+def test_euler_k_out_of_range_exits_2(kron_file, capsys, k):
+    assert cli.main(["euler", kron_file, "--t", "2,1,1", "--k", k]) == 2
+    assert "SummandIndexError" in capsys.readouterr().err
+
+
 def test_minors_n4(capsys):
     assert cli.main(["minors", "--n", "4", "--mode", "eta"]) == 0
     out = capsys.readouterr().out
@@ -297,7 +304,7 @@ def test_non_integer_quiver_and_ordering_files_exit_2(tmp_path, kron_file, capsy
 
 def test_quiver_json_round_trip():
     q = reference.quiver("kronecker3")
-    assert quiver.from_json(json.loads(json.dumps(quiver.to_json(q)))) == q
+    assert quiver.from_json(json.loads(json.dumps(quiver_to_json(q)))) == q
 
 
 def test_minors_failure_injection(monkeypatch, capsys):
