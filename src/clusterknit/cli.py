@@ -63,9 +63,10 @@ def cmd_build(args) -> int:
     if args.format == "dot":
         emit(mesh.to_dot(cat, star=True), args, "gamma_star.dot")
         return 0
+    d_delta = list(mesh.delta_dims(cat, mesh.validate_ordering(cat, ordering)))
     if args.format == "json":
         data = mesh.to_json(cat)
-        data["d_delta"] = list(mesh.delta_dims(cat, ordering))
+        data["d_delta"] = d_delta
         data["ordering"] = [[v.i, v.a] for v in ordering]
         emit(json.dumps(data, indent=1, sort_keys=True), args, "category.json")
         return 0
@@ -83,8 +84,7 @@ def cmd_build(args) -> int:
     for x in cat.vertices:
         row = [cat.hom_dim(x, z) for z in cat.vertices]
         lines.append(f"  {x!r}: {row}")
-    dd = mesh.delta_dims(cat, ordering)
-    lines.append(f"d_Delta (ordering): {list(dd)}")
+    lines.append(f"d_Delta (ordering): {d_delta}")
     emit("\n".join(lines), args, "category.txt")
     return 0
 

@@ -52,38 +52,26 @@ class Seed:
 def initial_seed(cat: mesh.CategoryModel, ordering=None, with_vars: bool = True) -> Seed:
     """Seed of T_M: fresh indeterminates labeled T_{i,[a,t_i]}, exchange
     matrix B(Gamma_M^*), frozen at the n vertices with a = 0, and both
-    trackers filled from the mesh data."""
-    if ordering is None:
-        ordering = mesh.adapted_orderings(cat)
-    else:
-        mesh.validate_ordering(cat, ordering)
+    trackers filled from the mesh data.  Seed position s holds the vertex
+    ``ordering[s]`` (canonical when omitted)."""
+    positions = mesh.validate_ordering(cat, cat.vertices if ordering is None else ordering)
     r = cat.r
-    pos = {v: k for k, v in enumerate(ordering)}
-    arrows = []
-    for (s, t) in cat.gammaMStar.arrows:
-        arrows.append((pos[cat.vertices[s - 1]] + 1, pos[cat.vertices[t - 1]] + 1))
-    gamma = Quiver(r, tuple(sorted(arrows)))
-    frozen = frozenset(k + 1 for k, v in enumerate(ordering) if v.a == 0)
-    matrix = ex.b_matrix(gamma, frozen)
-
+    seat = sorted(range(r), key=positions.__getitem__)  # canonical position -> seed position
+    arrows = tuple(sorted((seat[u - 1] + 1, seat[v - 1] + 1) for (u, v) in cat.gammaMStar.arrows))
+    ordered = [cat.vertices[p] for p in positions]
+    frozen = frozenset(s for s, v in enumerate(ordered, 1) if v.a == 0)
     t_of = cat.terminal.level
-    labels = tuple(mesh.IntervalLabel(v.i, v.a, t_of(v.i)) for v in ordering)
-    dim_trackers = tuple(
-        mesh.projected_dimvec(cat, lbl, ordering) for lbl in labels
-    )
-    delta_trackers = tuple(
-        mesh.delta_support(cat, lbl, ordering) for lbl in labels
-    )
+    labels = tuple(mesh.IntervalLabel(v.i, v.a, t_of(v.i)) for v in ordered)
     variables = (
         tuple(LaurentPoly.variable(k, r) for k in range(r)) if with_vars else None
     )
     return Seed(
-        matrix=matrix,
+        matrix=ex.b_matrix(Quiver(r, arrows), frozen),
         vars=variables,
         labels=labels,
-        dim_trackers=dim_trackers,
-        delta_trackers=delta_trackers,
-        d_delta=mesh.delta_dims(cat, ordering),
+        dim_trackers=tuple(mesh.projected_dimvec(cat, l, positions) for l in labels),
+        delta_trackers=tuple(mesh.delta_support(cat, l, positions) for l in labels),
+        d_delta=mesh.delta_dims(cat, positions),
     )
 
 

@@ -271,4 +271,5 @@ def to_text(s: ShuffleSeries) -> str:
 
 
 def to_json(s: ShuffleSeries) -> dict:
-    return {",".join(map(str, word)): str(coeff) for word, coeff in sorted(s.terms.items())}
+    """Words as comma-joined keys, unsorted: JSON writers sort the keys."""
+    return {",".join(map(str, word)): str(coeff) for word, coeff in s.terms.items()}

@@ -50,7 +50,7 @@ def _check_skew_principal(b, frozen) -> None:
             if (i + 1) in frozen or (j + 1) in frozen:
                 continue
             if b[i][j] != -b[j][i]:
-                raise ValueError("principal part is not skew-symmetric")
+                raise SeedFormatError("principal part is not skew-symmetric")
 
 
 def make_matrix(rows, frozen=()) -> ExchangeMatrix:

@@ -341,6 +341,11 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         raise ZeroDivisionError("division by zero polynomial")
     if num.is_zero():
         return LaurentPoly.zero(num.arity)
+    # At y = (1, ..., 1), q * den = num reads q(1) * den(1) = num(1): a cheap
+    # necessary test, so a hopeless division is refused before it runs.
+    num_1, den_1 = sum(num.terms.values()), sum(den.terms.values())
+    if (num_1 % den_1 if den_1 else num_1):
+        raise NotDivisibleError("nonzero remainder in exact division")
     return _redo_wider(_divide, num, den)
 
 

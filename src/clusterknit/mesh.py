@@ -254,69 +254,60 @@ def validate_label(cat: CategoryModel, lbl: IntervalLabel) -> None:
         raise IndexError(f"label {lbl} out of range for t={cat.terminal.t}")
 
 
-def projected_dimvec(cat: CategoryModel, lbl: IntervalLabel, ordering=None):
+def projected_dimvec(cat: CategoryModel, lbl: IntervalLabel, positions=None):
     """Dimension vector of Hom(T_{i,[a,b]}, T_M): the entry at x(s) is
-    sum_{l=a}^{b} dim Hom(tau^l I_i, M_{x(s)}).  Entries follow ``ordering``
-    (canonical when omitted)."""
+    sum_{l=a}^{b} dim Hom(tau^l I_i, M_{x(s)}).  Entry s belongs to the
+    vertex at canonical position ``positions[s]`` (every canonical position
+    when omitted), as ``validate_ordering`` returns them."""
     validate_label(cat, lbl)
-    if ordering is None:
-        ordering = cat.vertices
-    total = [0] * cat.r
-    if not lbl.is_unit():
-        for l in range(lbl.a, lbl.b + 1):
-            row = cat.hom_table[cat.pos(MeshVertex(lbl.i, l))]
-            for s, z in enumerate(ordering):
-                total[s] += row[cat.pos(z)]
-    return tuple(total)
+    if positions is None:
+        positions = range(cat.r)
+    rows = [cat.hom_table[cat.pos(MeshVertex(lbl.i, l))] for l in range(lbl.a, lbl.b + 1)]
+    return tuple(sum(row[p] for row in rows) for p in positions)
 
 
-def delta_support(cat: CategoryModel, lbl: IntervalLabel, ordering=None):
+def delta_support(cat: CategoryModel, lbl: IntervalLabel, positions=None):
     """Delta-dimension vector of Hom(T_{i,[a,b]}, T_M): the indicator of
-    {(i, l) : a <= l <= b} in ``ordering`` coordinates."""
+    {(i, l) : a <= l <= b}, entry s at canonical position ``positions[s]``."""
     validate_label(cat, lbl)
-    if ordering is None:
-        ordering = cat.vertices
-    return tuple(
-        1 if (z.i == lbl.i and lbl.a <= z.a <= lbl.b) else 0 for z in ordering
-    )
+    if positions is None:
+        positions = range(cat.r)
+    zs = (cat.vertices[p] for p in positions)
+    return tuple(1 if (z.i == lbl.i and lbl.a <= z.a <= lbl.b) else 0 for z in zs)
 
 
-def validate_ordering(cat: CategoryModel, ordering) -> None:
-    """A Gamma_M-adapted ordering has every arrow x(j) -> x(i) with j > i."""
-    ordering = list(ordering)
-    if sorted(ordering, key=lambda v: (v.i, v.a)) != sorted(
-        cat.vertices, key=lambda v: (v.i, v.a)
-    ):
+def validate_ordering(cat: CategoryModel, ordering) -> tuple[int, ...]:
+    """The canonical positions of a Gamma_M-adapted ordering, with
+    ``ordering[s] == cat.vertices[positions[s]]``.  Adapted means a
+    permutation of the vertices with every arrow x(j) -> x(i) at j > i."""
+    positions = tuple(cat.index.get(v, -1) for v in ordering)
+    if sorted(positions) != list(range(cat.r)):
         raise NotAdaptedError("ordering is not a permutation of the vertices")
-    position = {v: k for k, v in enumerate(ordering)}
-    for (s, t) in cat.gammaM.arrows:
-        src = cat.vertices[s - 1]
-        tgt = cat.vertices[t - 1]
-        if position[src] <= position[tgt]:
+    seat = sorted(range(cat.r), key=positions.__getitem__)  # the inverse permutation
+    for (u, v) in cat.gammaM.arrows:
+        if seat[u - 1] <= seat[v - 1]:
             raise NotAdaptedError(
-                f"arrow {src} -> {tgt} violates adaptedness at positions "
-                f"{position[src] + 1} <= {position[tgt] + 1}"
+                f"arrow {cat.vertices[u - 1]} -> {cat.vertices[v - 1]} violates "
+                f"adaptedness at positions {seat[u - 1] + 1} <= {seat[v - 1] + 1}"
             )
+    return positions
 
 
 def adapted_orderings(cat: CategoryModel):
     """The canonical Gamma_M-adapted ordering of the vertices."""
-    ordering = canonical_ordering_vertices(cat.terminal)
-    validate_ordering(cat, ordering)
-    return ordering
+    return list(cat.vertices)
 
 
-def delta_dims(cat: CategoryModel, ordering=None):
+def delta_dims(cat: CategoryModel, positions=None):
     """d_Delta: entry j is dim Delta_{x(j)} =
-    sum_{j' <= j} dim Hom(M_{x(j)}, M_{x(j')})."""
-    if ordering is None:
-        ordering = adapted_orderings(cat)
-    validate_ordering(cat, ordering)
-    out = []
-    for j, x in enumerate(ordering):
-        row = cat.hom_table[cat.pos(x)]
-        out.append(sum(row[cat.pos(ordering[jp])] for jp in range(j + 1)))
-    return tuple(out)
+    sum_{j' <= j} dim Hom(M_{x(j)}, M_{x(j')}), where x(j) is the vertex
+    at canonical position ``positions[j]`` (canonical order when omitted)."""
+    if positions is None:
+        positions = range(cat.r)
+    return tuple(
+        sum(cat.hom_table[p][q] for q in positions[: j + 1])
+        for j, p in enumerate(positions)
+    )
 
 
 def triangle_display(cat: CategoryModel, values):

@@ -20,7 +20,7 @@ from clusterknit.errors import NotDivisibleError
 from clusterknit.euler import ShuffleSeries, ThinModule, b_exponents
 from clusterknit.exchange import ExchangeMatrix, arrows_at
 from clusterknit.laurent import LaurentPoly, exact_div, substitute
-from clusterknit.mesh import TerminalData, _knit_dims
+from clusterknit.mesh import IntervalLabel, MeshVertex, TerminalData, _knit_dims
 from clusterknit.quiver import (
     CartanMatrix,
     Quiver,
@@ -83,6 +83,38 @@ def maximal_terminal(q: Quiver) -> TerminalData:
     raw = _knit_dims(probe)
     t = tuple(max(a for (i, a) in raw if i == v) for v in range(1, q.n + 1))
     return TerminalData(q, t)
+
+
+def seed_by_vertex(cat, ordering) -> dict:
+    """The initial seed of T_M along ``ordering``, keyed by vertex and read
+    entry by entry from ``cat.hom_dim`` and the arrows of Gamma_M^*: seed
+    position s holds ordering[s], labelled T_{i,[a,t_i]}."""
+    at = {v: s for s, v in enumerate(ordering)}
+    b = [[0] * len(ordering) for _ in ordering]
+    for (u, v) in cat.gammaMStar.arrows:
+        x, z = at[cat.vertices[u - 1]], at[cat.vertices[v - 1]]
+        b[z][x] += 1
+        b[x][z] -= 1
+    tops = [cat.terminal.level(x.i) for x in ordering]
+    return {
+        "b": tuple(map(tuple, b)),
+        "frozen": frozenset(s + 1 for s, x in enumerate(ordering) if x.a == 0),
+        "labels": tuple(IntervalLabel(x.i, x.a, top) for x, top in zip(ordering, tops)),
+        "dim_trackers": tuple(
+            tuple(
+                sum(cat.hom_dim(MeshVertex(x.i, l), z) for l in range(x.a, top + 1))
+                for z in ordering
+            )
+            for x, top in zip(ordering, tops)
+        ),
+        "delta_trackers": tuple(
+            tuple(int(z.i == x.i and x.a <= z.a) for z in ordering) for x in ordering
+        ),
+        "d_delta": tuple(
+            sum(cat.hom_dim(x, ordering[jp]) for jp in range(j + 1))
+            for j, x in enumerate(ordering)
+        ),
+    }
 
 
 def dense_mutate_matrix(m: ExchangeMatrix, k: int) -> ExchangeMatrix:

@@ -120,6 +120,7 @@ def test_mutate_frozen_exit_code(tmp_path, kronecker3, capsys):
             {"r": 2, "matrix": {"b": [[0, 1], [-1, 0]], "frozen": [3]}},
             "frozen must be a list of indices in 1..2",
         ),
+        ({"r": 2, "matrix": {"b": [[0, 1], [1, 0]], "frozen": []}}, "skew-symmetric"),
     ],
 )
 def test_mutate_rejects_an_inconsistent_seed(tmp_path, capsys, seed, detail):

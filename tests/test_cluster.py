@@ -1,11 +1,13 @@
 import json
 import random
+from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from oracles import core_equal, dim_rule, mutable, specialize_frozen, strictly_equal
+from oracles import core_equal, dim_rule, mutable, seed_by_vertex, specialize_frozen, strictly_equal
+from test_mesh import random_terminal
 
 from clusterknit import reference
 from clusterknit.cluster import (
@@ -31,6 +33,7 @@ from clusterknit.mesh import (
     delta_support,
     projected_dimvec,
     triangle_display,
+    validate_ordering,
     validate_terminal,
 )
 from clusterknit.quiver import validate_quiver
@@ -55,6 +58,49 @@ def test_initial_seed_kronecker(kronecker3):
     want = reference.HOM_TRIANGLES
     for k, v in enumerate(kronecker3.vertices):
         assert triangle_display(kronecker3, s.dim_trackers[k]) == want[(v.i, v.a)]
+
+
+def random_adapted_ordering(rng, cat):
+    """A seeded random Gamma_M-adapted ordering: a random linear extension
+    that places the target of every arrow before its source."""
+    waiting = [0] * cat.r  # arrows out of each vertex whose target is unplaced
+    sources = defaultdict(list)
+    for (u, v) in cat.gammaM.arrows:
+        waiting[u - 1] += 1
+        sources[v - 1].append(u - 1)
+    ready = [p for p in range(cat.r) if not waiting[p]]
+    ordering = []
+    while ready:
+        p = ready.pop(rng.randrange(len(ready)))
+        ordering.append(cat.vertices[p])
+        for u in sources[p]:
+            waiting[u] -= 1
+            if not waiting[u]:
+                ready.append(u)
+    assert len(ordering) == cat.r
+    return ordering
+
+
+def test_initial_seed_matches_the_vertex_oracle_along_random_orderings(kronecker3_ordering):
+    """Seed coordinates come from canonical positions; the oracle reads every
+    entry by vertex.  Orderings whose permutation is not its own inverse tell
+    the positions from their inverse, which canonical orderings cannot."""
+    rng = random.Random(29)
+    cats = [reference.category(name) for name in reference.CORPUS]
+    cats += [build_category(random_terminal(rng, nmax=6, tmax=5)) for _ in range(40)]
+    cases = [(reference.category("kronecker3"), kronecker3_ordering)]
+    cases += [(cat, random_adapted_ordering(rng, cat)) for cat in cats for _ in range(2)]
+    not_involutions = 0
+    for cat, ordering in cases:
+        positions = validate_ordering(cat, ordering)
+        assert [cat.vertices[p] for p in positions] == list(ordering)
+        not_involutions += any(positions[p] != s for s, p in enumerate(positions))
+        s = initial_seed(cat, ordering, with_vars=False)
+        want = seed_by_vertex(cat, ordering)
+        got = {key: getattr(s, key) for key in want if key not in ("b", "frozen")}
+        got.update(b=s.matrix.b, frozen=s.matrix.frozen)
+        assert got == want
+    assert not_involutions > 20, not_involutions
 
 
 def test_initial_seed_delta_trackers(kronecker3):

@@ -1,5 +1,6 @@
 import json
 import random
+import signal
 
 import pytest
 from oracles import TupleLaurent, mutable, tuple_exact_div, tuple_mutate_vars
@@ -70,6 +71,26 @@ def test_exact_div_polynomial():
 def test_exact_div_failure():
     with pytest.raises(NotDivisibleError):
         exact_div(y(0) + LaurentPoly.one(2), y(1) + LaurentPoly.one(2))
+
+
+def test_exact_div_refuses_by_the_value_at_one():
+    """q * den = num at y = 1 reads q(1) * den(1) = num(1).  Here num(1) = 3
+    and den(1) is 0 or 2, so both divisions are refused before any of the
+    10^9 quotient terms a long division would emit."""
+    def too_slow(signum, frame):
+        raise TimeoutError("exact_div ran for more than one second")
+
+    num = LaurentPoly(1, {(10**9,): 1, (0,): 2})
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    try:
+        for den in (y(0, 1) - LaurentPoly.one(1), y(0, 1) + LaurentPoly.one(1)):
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            with pytest.raises(NotDivisibleError):
+                exact_div(num, den)
+            signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_exact_div_round_trip_random():

@@ -313,7 +313,7 @@ def test_delta_dims_first_injective_is_one():
     q = validate_quiver(2, [(1, 2)])
     cat = build_category(validate_terminal(q, (1, 0)))
     ordering = adapted_orderings(cat)
-    dd = delta_dims(cat, ordering)
+    dd = delta_dims(cat, validate_ordering(cat, ordering))
     assert ordering[0].a == 0 and dd[0] == 1
 
 
