@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import cluster, euler, laurent, mesh, quiver, reference, rigidpath
-from .errors import ClusterKnitError
+from .errors import ClusterKnitError, InputFormatError
 from .mesh import MeshVertex
 
 BIG_OUTPUT_LINES = 2000
@@ -23,7 +23,11 @@ def load_terminal(args) -> mesh.TerminalData:
     """The terminal data (Q, t) given by the quiver file and ``--t``."""
     with open(args.quiver) as fh:
         q = quiver.from_json(json.load(fh))
-    return mesh.validate_terminal(q, tuple(int(x) for x in args.t.split(",")))
+    try:
+        t = tuple(int(x) for x in args.t.split(","))
+    except ValueError:
+        raise InputFormatError(f"--t must be comma-separated integers, got {args.t!r}") from None
+    return mesh.validate_terminal(q, t)
 
 
 def load_ordering(cat, spec: str):
@@ -81,9 +85,8 @@ def cmd_build(args) -> int:
     for v in cat.vertices:
         lines.append(f"  {v!r}: {list(cat.dims[v].coords)}")
     lines.append("hom table (rows = source, canonical order):")
-    for x in cat.vertices:
-        row = [cat.hom_dim(x, z) for z in cat.vertices]
-        lines.append(f"  {x!r}: {row}")
+    for x, row in zip(cat.vertices, cat.hom_table):
+        lines.append(f"  {x!r}: {list(row)}")
     lines.append(f"d_Delta (ordering): {d_delta}")
     emit("\n".join(lines), args, "category.txt")
     return 0

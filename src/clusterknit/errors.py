@@ -32,8 +32,8 @@ class NotReducedError(ClusterKnitError):
 
 
 class InputFormatError(ClusterKnitError):
-    """Quiver or ordering JSON whose entries are not integers where
-    integers belong."""
+    """Quiver or ordering JSON, or a ``--t`` vector, whose entries are not
+    integers where integers belong."""
 
 
 # -- mesh --------------------------------------------------------------

@@ -341,12 +341,22 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         raise ZeroDivisionError("division by zero polynomial")
     if num.is_zero():
         return LaurentPoly.zero(num.arity)
-    # At y = (1, ..., 1), q * den = num reads q(1) * den(1) = num(1): a cheap
-    # necessary test, so a hopeless division is refused before it runs.
-    num_1, den_1 = sum(num.terms.values()), sum(den.terms.values())
-    if (num_1 % den_1 if den_1 else num_1):
-        raise NotDivisibleError("nonzero remainder in exact division")
+    # At y = (1, ..., 1) and y = (-1, ..., -1), q * den = num reads
+    # q(y) * den(y) = num(y): cheap necessary tests, so a hopeless division
+    # is refused before it runs.
+    for num_y, den_y in zip(_values_at_pm_one(num), _values_at_pm_one(den)):
+        if (num_y % den_y if den_y else num_y):
+            raise NotDivisibleError("nonzero remainder in exact division")
     return _redo_wider(_divide, num, den)
+
+
+def _values_at_pm_one(p: LaurentPoly) -> tuple[int, int]:
+    """p(1, ..., 1) and p(-1, ..., -1).  A term's sign at -1 is the parity
+    of its total degree, the top of its packed key."""
+    shift = p.arity * p._lay.w
+    at_1 = sum(p.terms.values())
+    odd = sum([c for k, c in p.terms.items() if k >> shift & 1])
+    return at_1, at_1 - 2 * odd
 
 
 def substitute(p: LaurentPoly, images: list[LaurentPoly]) -> LaurentPoly:

@@ -1,8 +1,11 @@
 """Truncated translation quivers for terminal data and mesh-category knitting.
 
 For terminal data (Q, t) the model carries the vertices (i, a) with
-0 <= a <= t_i, the quivers Gamma_M and Gamma_M^* on them, the knitted
-dimension vectors and the full hom-dimension table.
+0 <= a <= t_i, the quivers Gamma_M and Gamma_M^* on them, the full
+hom-dimension table and the dimension vectors.  The mesh relation is knitted
+once, into the hom table; dim M_x is its row x read at the injectives
+I_j = (j, 0), and a tau-orbit that ends before t_i (Dynkin overflow) shows
+there as a vector that is not positive.
 
 Arrow bookkeeping: a Q-arrow i -> j contributes, for every slice z, an
 in-slice arrow (j,z) -> (i,z) and a cross arrow (i,z+1) -> (j,z).  The
@@ -91,71 +94,6 @@ class CategoryModel:
         except KeyError:
             raise IndexError(f"vertex {v} is not in the category") from None
 
-    def hom_dim(self, x: MeshVertex, z: MeshVertex) -> int:
-        return self.hom_table[self.pos(x)][self.pos(z)]
-
-
-def _path_counts_into(q: Quiver, i: int) -> list[int]:
-    """Number of directed paths j -> i in Q for every j (entry j-1)."""
-    counts = [0] * q.n
-    counts[i - 1] = 1
-    for v in reversed(topological_order(q)):
-        if v == i:
-            continue
-        counts[v - 1] = sum(counts[t - 1] for t in q.arrows_out(v))
-    return counts
-
-
-def _knit_dims(td: TerminalData):
-    """Knit dimension vectors on all slices up to max(t).
-
-    Returns a dict (i, z) -> tuple.  A tau-orbit ends at the first slice
-    whose mesh candidate fails to be nonnegative and nonzero; in Dynkin
-    type this truncation is what makes vertices disappear.
-    """
-    q = td.q
-    n = q.n
-    maxt = max(td.t) if td.t else 0
-    order = topological_order(q)
-    dims: dict = {}
-    for i in range(1, n + 1):
-        dims[(i, 0)] = tuple(_path_counts_into(q, i))
-    for z in range(1, maxt + 1):
-        for i in order:
-            if (i, z - 1) not in dims:
-                continue
-            vec = [-x for x in dims[(i, z - 1)]]
-            alive = True
-            for j in q.arrows_out(i):
-                prev = dims.get((j, z - 1))
-                if prev is None:
-                    alive = False
-                    break
-                vec = [a + b for a, b in zip(vec, prev)]
-            if not alive:
-                continue
-            for k in q.arrows_in(i):
-                cur = dims.get((k, z))
-                if cur is not None:
-                    vec = [a + b for a, b in zip(vec, cur)]
-            if all(x >= 0 for x in vec) and any(vec):
-                dims[(i, z)] = tuple(vec)
-    return dims
-
-
-def dim_vectors(td: TerminalData) -> dict:
-    """Knitted dimension vectors of the model vertices, as RootVec values."""
-    raw = _knit_dims(td)
-    out = {}
-    for i in range(1, td.q.n + 1):
-        for a in range(td.level(i) + 1):
-            if (i, a) not in raw:
-                raise DynkinOverflowError(
-                    f"tau^{a}(I_{i}) does not exist; t_{i}={td.level(i)} is too large"
-                )
-            out[MeshVertex(i, a)] = RootVec(raw[(i, a)])
-    return out
-
 
 def _model_arrows(td: TerminalData):
     """Gamma_M arrows as MeshVertex pairs, with multiplicity."""
@@ -183,57 +121,47 @@ def canonical_ordering_vertices(td: TerminalData) -> list[MeshVertex]:
     return verts
 
 
-def _knit_hom_row(td: TerminalData, model: set, x: MeshVertex) -> dict:
-    """dim Hom(M_x, -) on the model, by knitting the covariant hom functor
-    slice by slice toward slice 0:
-        h(Y) = sum_{mid -> Y} h(mid) - h(tau Y) + [Y == x],
-    with h = 0 above the slice of x and outside the model (successor
-    closure kills every hom landing off the model)."""
-    q = td.q
-    rev = list(reversed(topological_order(q)))
-    h: dict = {}
-    for z in range(x.a, -1, -1):
-        for i in rev:
-            y = MeshVertex(i, z)
-            if y not in model:
-                continue
-            val = 1 if y == x else 0
-            for j in q.arrows_out(i):
-                val += h.get(MeshVertex(j, z), 0)
-            for k in q.arrows_in(i):
-                val += h.get(MeshVertex(k, z + 1), 0)
-            val -= h.get(MeshVertex(i, z + 1), 0)
-            h[y] = val
-    return h
-
-
 def build_category(td: TerminalData) -> CategoryModel:
     """Populate vertices, Gamma_M, Gamma_M^*, dimension vectors and the
-    full hom table for valid terminal data."""
-    dims = dim_vectors(td)
+    full hom table for valid terminal data.
+
+    Every Gamma_M arrow goes from a larger canonical position to a smaller
+    one, and tau p = (i, a + 1) lies above p = (i, a), so row x of the hom
+    table is one downward sweep of the mesh relation from h[x] = 1:
+        h[p] = sum_{m -> p} h[m] - h[tau p]    (p < x),
+    and 0 above x.  Successor closure makes this exact on the model, and
+    dim M_x is the row read at the injectives I_j = (j, 0)."""
     vertices = tuple(canonical_ordering_vertices(td))
     index = {v: k for k, v in enumerate(vertices)}
-    model = set(vertices)
+    r = len(vertices)
+    arrows_m = sorted((index[s], index[t]) for (s, t) in _model_arrows(td))
+    # tau of each position, r (an entry that stays 0) where it leaves the model
+    tau = [index.get(MeshVertex(v.i, v.a + 1), r) for v in vertices]
+    arrows_star = sorted(arrows_m + [(p, u) for p, u in enumerate(tau) if u < r])
+    gamma_m = Quiver(r, tuple((s + 1, t + 1) for (s, t) in arrows_m))
+    gamma_star = Quiver(r, tuple((s + 1, t + 1) for (s, t) in arrows_star))
 
-    arrows_m = _model_arrows(td)
-    gamma_m = Quiver(
-        len(vertices),
-        tuple(sorted((index[s] + 1, index[t] + 1) for (s, t) in arrows_m)),
-    )
-    arrows_star = list(arrows_m)
-    for v in vertices:
-        up = MeshVertex(v.i, v.a + 1)
-        if up in model:
-            arrows_star.append((v, up))
-    gamma_star = Quiver(
-        len(vertices),
-        tuple(sorted((index[s] + 1, index[t] + 1) for (s, t) in arrows_star)),
-    )
-
-    table = []
-    for x in vertices:
-        row = _knit_hom_row(td, model, x)
-        table.append(tuple(row.get(z, 0) for z in vertices))
+    preds = [[] for _ in vertices]
+    for (s, t) in arrows_m:
+        preds[t].append(s)
+    injectives = [index[MeshVertex(j, 0)] for j in range(1, td.q.n + 1)]
+    table = [()] * r
+    dims = {}
+    for i in range(1, td.q.n + 1):
+        for a in range(td.level(i) + 1):
+            x = index[MeshVertex(i, a)]
+            h = [0] * (r + 1)
+            h[x] = 1
+            for p in range(x - 1, -1, -1):
+                h[p] = sum([h[m] for m in preds[p]]) - h[tau[p]]
+            table[x] = tuple(h[:r])
+            # A tau-orbit that ends before t_i leaves a vector that is not positive.
+            vec = tuple(h[p] for p in injectives)
+            if min(vec) < 0 or not any(vec):
+                raise DynkinOverflowError(
+                    f"tau^{a}(I_{i}) does not exist; t_{i}={td.level(i)} is too large"
+                )
+            dims[MeshVertex(i, a)] = RootVec(vec)
     return CategoryModel(
         terminal=td,
         vertices=vertices,
@@ -358,7 +286,7 @@ def to_json(cat: CategoryModel) -> dict:
         ],
         "dims": {key(v): list(cat.dims[v].coords) for v in cat.vertices},
         "hom": {
-            key(x): {key(z): cat.hom_dim(x, z) for z in cat.vertices}
-            for x in cat.vertices
+            key(x): dict(zip(map(key, cat.vertices), row))
+            for x, row in zip(cat.vertices, cat.hom_table)
         },
     }

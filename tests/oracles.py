@@ -5,10 +5,11 @@ solving intertwiner equations on explicit interval representations, over
 the rationals, matrix mutation is the dense entry-by-entry rule, and
 Laurent arithmetic is the tuple-keyed kernel the packed one replaced.
 The Bareiss determinant, the matrix-product form of the one-parameter
-product, the per-leaf ``evaluate_phi`` and the letter-insertion action with
-its divided powers are the kernels that ``minors`` and ``euler`` replaced;
-they live on here as differential oracles, beside small helpers that only
-the tests call.
+product, the per-leaf ``evaluate_phi``, the letter-insertion action with
+its divided powers, and the upward dimension-vector knitting and per-row
+hom knitting are the kernels that ``minors``, ``euler`` and ``mesh``
+replaced; they live on here as differential oracles, beside small helpers
+that only the tests call.
 """
 
 import heapq
@@ -20,7 +21,7 @@ from clusterknit.errors import NotDivisibleError
 from clusterknit.euler import ShuffleSeries, ThinModule, b_exponents
 from clusterknit.exchange import ExchangeMatrix, arrows_at
 from clusterknit.laurent import LaurentPoly, exact_div, substitute
-from clusterknit.mesh import IntervalLabel, MeshVertex, TerminalData, _knit_dims
+from clusterknit.mesh import IntervalLabel, MeshVertex, TerminalData
 from clusterknit.quiver import (
     CartanMatrix,
     Quiver,
@@ -28,6 +29,7 @@ from clusterknit.quiver import (
     adapted_word,
     cartan,
     fundamental_weight,
+    topological_order,
 )
 
 
@@ -76,18 +78,97 @@ def interval_hom_dim(q: Quiver, supp_m, supp_n) -> int:
     return len(unknowns) - rank(rows)
 
 
+def _path_counts_into(q: Quiver, i: int) -> list[int]:
+    """Number of directed paths j -> i in Q for every j (entry j-1)."""
+    counts = [0] * q.n
+    counts[i - 1] = 1
+    for v in reversed(topological_order(q)):
+        if v == i:
+            continue
+        counts[v - 1] = sum(counts[t - 1] for t in q.arrows_out(v))
+    return counts
+
+
+def knit_dims(td: TerminalData):
+    """Knit dimension vectors on all slices up to max(t), upward from the
+    injectives (the knitting ``build_category`` replaced).
+
+    Returns a dict (i, z) -> tuple.  A tau-orbit ends at the first slice
+    whose mesh candidate fails to be nonnegative and nonzero; in Dynkin
+    type this truncation is what makes vertices disappear.
+    """
+    q = td.q
+    n = q.n
+    maxt = max(td.t) if td.t else 0
+    order = topological_order(q)
+    dims: dict = {}
+    for i in range(1, n + 1):
+        dims[(i, 0)] = tuple(_path_counts_into(q, i))
+    for z in range(1, maxt + 1):
+        for i in order:
+            if (i, z - 1) not in dims:
+                continue
+            vec = [-x for x in dims[(i, z - 1)]]
+            alive = True
+            for j in q.arrows_out(i):
+                prev = dims.get((j, z - 1))
+                if prev is None:
+                    alive = False
+                    break
+                vec = [a + b for a, b in zip(vec, prev)]
+            if not alive:
+                continue
+            for k in q.arrows_in(i):
+                cur = dims.get((k, z))
+                if cur is not None:
+                    vec = [a + b for a, b in zip(vec, cur)]
+            if all(x >= 0 for x in vec) and any(vec):
+                dims[(i, z)] = tuple(vec)
+    return dims
+
+
+def knit_hom_row(td: TerminalData, model: set, x: MeshVertex) -> dict:
+    """dim Hom(M_x, -) on the model, by knitting the covariant hom functor
+    slice by slice toward slice 0, through vertex-keyed dicts (the
+    knitting ``build_category`` replaced):
+        h(Y) = sum_{mid -> Y} h(mid) - h(tau Y) + [Y == x],
+    with h = 0 above the slice of x and outside the model (successor
+    closure kills every hom landing off the model)."""
+    q = td.q
+    rev = list(reversed(topological_order(q)))
+    h: dict = {}
+    for z in range(x.a, -1, -1):
+        for i in rev:
+            y = MeshVertex(i, z)
+            if y not in model:
+                continue
+            val = 1 if y == x else 0
+            for j in q.arrows_out(i):
+                val += h.get(MeshVertex(j, z), 0)
+            for k in q.arrows_in(i):
+                val += h.get(MeshVertex(k, z + 1), 0)
+            val -= h.get(MeshVertex(i, z + 1), 0)
+            h[y] = val
+    return h
+
+
+def hom_dim(cat, x: MeshVertex, z: MeshVertex) -> int:
+    """dim Hom(M_x, M_z), looked up vertex by vertex in the hom table."""
+    return cat.hom_table[cat.pos(x)][cat.pos(z)]
+
+
 def maximal_terminal(q: Quiver) -> TerminalData:
     """The largest valid level vector: in Dynkin type every tau-orbit is
     followed to its end."""
     probe = TerminalData(q, (q.n * q.n + 2,) * q.n)
-    raw = _knit_dims(probe)
+    raw = knit_dims(probe)
     t = tuple(max(a for (i, a) in raw if i == v) for v in range(1, q.n + 1))
     return TerminalData(q, t)
 
 
 def seed_by_vertex(cat, ordering) -> dict:
     """The initial seed of T_M along ``ordering``, keyed by vertex and read
-    entry by entry from ``cat.hom_dim`` and the arrows of Gamma_M^*: seed
+    entry by entry from ``hom_dim`` and the arrows of Gamma_M^*: seed
     position s holds ordering[s], labelled T_{i,[a,t_i]}."""
     at = {v: s for s, v in enumerate(ordering)}
     b = [[0] * len(ordering) for _ in ordering]
@@ -102,7 +183,7 @@ def seed_by_vertex(cat, ordering) -> dict:
         "labels": tuple(IntervalLabel(x.i, x.a, top) for x, top in zip(ordering, tops)),
         "dim_trackers": tuple(
             tuple(
-                sum(cat.hom_dim(MeshVertex(x.i, l), z) for l in range(x.a, top + 1))
+                sum(hom_dim(cat, MeshVertex(x.i, l), z) for l in range(x.a, top + 1))
                 for z in ordering
             )
             for x, top in zip(ordering, tops)
@@ -111,7 +192,7 @@ def seed_by_vertex(cat, ordering) -> dict:
             tuple(int(z.i == x.i and x.a <= z.a) for z in ordering) for x in ordering
         ),
         "d_delta": tuple(
-            sum(cat.hom_dim(x, ordering[jp]) for jp in range(j + 1))
+            sum(hom_dim(cat, x, ordering[jp]) for jp in range(j + 1))
             for j, x in enumerate(ordering)
         ),
     }

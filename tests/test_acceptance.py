@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from oracles import core_equal, interval_hom_dim, maximal_terminal, mutable, strictly_equal
+from oracles import core_equal, hom_dim, interval_hom_dim, maximal_terminal, mutable, strictly_equal
 
 from clusterknit import euler, minors, reference
 from clusterknit.cluster import initial_seed, mutate_seed
@@ -210,7 +210,7 @@ def test_criterion_10_hom_oracle():
         }
         for x in cat.vertices:
             for z in cat.vertices:
-                assert cat.hom_dim(x, z) == interval_hom_dim(q, supp[x], supp[z])
+                assert hom_dim(cat, x, z) == interval_hom_dim(q, supp[x], supp[z])
                 pairs += 1
     report(10, f"hom knitting vs intertwiner oracle on {pairs} pairs ({done():.1f}s)")
 

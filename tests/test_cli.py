@@ -60,6 +60,13 @@ def test_build_bad_t(kron_file, capsys):
     assert "TerminalConstraintError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t", ["2,x,1", "2,1.0,1", "2,,1"])
+def test_build_non_integer_t_exits_2(kron_file, capsys, t):
+    assert cli.main(["build", kron_file, "--t", t]) == 2
+    err = capsys.readouterr().err
+    assert "InputFormatError" in err and "--t" in err
+
+
 def test_build_dot(kron_file, capsys):
     assert cli.main(["build", kron_file, "--t", "2,1,1", "--format", "dot"]) == 0
     assert "digraph" in capsys.readouterr().out

@@ -74,16 +74,23 @@ def test_exact_div_failure():
 
 
 def test_exact_div_refuses_by_the_value_at_one():
-    """q * den = num at y = 1 reads q(1) * den(1) = num(1).  Here num(1) = 3
-    and den(1) is 0 or 2, so both divisions are refused before any of the
-    10^9 quotient terms a long division would emit."""
+    """q * den = num at y = 1 reads q(1) * den(1) = num(1).  For
+    y^(10^9) + 2, num(1) = 3 and den(1) is 0 or 2, so both divisions are
+    refused before any of the 10^9 quotient terms a long division would
+    emit.  y^(10^9) + 1 over y + 1 passes at y = 1 (2 = 2) and is refused
+    at y = -1, where num(-1) = 2 and den(-1) = 0."""
     def too_slow(signum, frame):
         raise TimeoutError("exact_div ran for more than one second")
 
-    num = LaurentPoly(1, {(10**9,): 1, (0,): 2})
+    one, y0 = LaurentPoly.one(1), y(0, 1)
+    pairs = [
+        (LaurentPoly(1, {(10**9,): 1, (0,): 2}), y0 - one),
+        (LaurentPoly(1, {(10**9,): 1, (0,): 2}), y0 + one),
+        (LaurentPoly(1, {(10**9,): 1, (0,): 1}), y0 + one),
+    ]
     previous = signal.signal(signal.SIGALRM, too_slow)
     try:
-        for den in (y(0, 1) - LaurentPoly.one(1), y(0, 1) + LaurentPoly.one(1)):
+        for num, den in pairs:
             signal.setitimer(signal.ITIMER_REAL, 1.0)
             with pytest.raises(NotDivisibleError):
                 exact_div(num, den)

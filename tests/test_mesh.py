@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from oracles import interval_hom_dim, maximal_terminal
+from oracles import hom_dim, interval_hom_dim, knit_dims, knit_hom_row, maximal_terminal
+from test_quiver import random_quiver
 
 from clusterknit import reference
 from clusterknit.errors import (
@@ -25,42 +26,37 @@ from clusterknit.mesh import (
     validate_ordering,
     validate_terminal,
 )
-from clusterknit.quiver import validate_quiver
+from clusterknit.quiver import topological_order, validate_quiver
 
 V = MeshVertex
 
 
-def random_terminal(rng, nmax=5, tmax=3):
-    """Random acyclic quiver with a random valid level vector, built along
-    a topological order so the closure constraint can always be met."""
-    from test_quiver import random_quiver
-
+def random_levels(rng, nmax=5, tmax=3):
+    """Random acyclic quiver (parallel arrows allowed) with a random level
+    vector that meets the closure constraint, built along a topological
+    order; whether every tau-orbit reaches its level is not checked."""
     while True:
         q = random_quiver(rng, nmax)
-        order = []
-        from clusterknit.quiver import topological_order
-
-        order = topological_order(q)
         t = {}
-        ok = True
-        for v in order:
+        for v in topological_order(q):
             preds = q.arrows_in(v)
-            if not preds:
-                t[v] = rng.randint(0, tmax)
-                continue
-            lo = max(t[u] - 1 for u in preds)
-            hi = min(t[u] for u in preds)
+            lo = max((t[u] - 1 for u in preds), default=0)
+            hi = min((t[u] for u in preds), default=tmax)
             if lo > hi:
-                ok = False
                 break
             t[v] = rng.randint(max(lo, 0), hi)
-        if not ok:
-            continue
+        else:
+            return validate_terminal(q, tuple(t[v] for v in range(1, q.n + 1)))
+
+
+def random_terminal(rng, nmax=5, tmax=3):
+    """``random_levels`` drawn again until the category exists."""
+    while True:
+        td = random_levels(rng, nmax, tmax)
         try:
-            td = validate_terminal(q, tuple(t[v] for v in range(1, q.n + 1)))
-            build_category(td)  # Dynkin existence check
+            build_category(td)
             return td
-        except (TerminalConstraintError, DynkinOverflowError):
+        except DynkinOverflowError:
             continue
 
 
@@ -111,6 +107,47 @@ def test_gamma_star_arrows(kronecker3):
         ]
     )
     assert arrows == expected
+
+
+def test_build_category_matches_the_knitting_oracles():
+    """The one hom-table sweep against the two knittings it replaced, on
+    every corpus instance and on seeded random quivers (parallel arrows
+    included) with levels up to and past the end of their tau-orbits.
+    Each hom row equals the per-row vertex-keyed knitting, ``dims`` equals
+    the upward knitting from the injectives, and DynkinOverflowError is
+    raised exactly when that knitting lacks a model vertex, naming the first
+    one (i ascending, then a ascending)."""
+    rng = random.Random(9)
+    cases = [reference.terminal(name) for name in reference.CORPUS]
+    cases += [random_levels(rng, nmax=6, tmax=5) for _ in range(400)]
+    overflows = parallel = 0
+    for td in cases:
+        knit = knit_dims(td)
+        parallel += len(set(td.q.arrows)) < len(td.q.arrows)
+        missing = [
+            (i, a)
+            for i in range(1, td.q.n + 1)
+            for a in range(td.level(i) + 1)
+            if (i, a) not in knit
+        ]
+        if missing:
+            i, a = missing[0]
+            with pytest.raises(DynkinOverflowError) as exc:
+                build_category(td)
+            assert str(exc.value) == (
+                f"tau^{a}(I_{i}) does not exist; t_{i}={td.level(i)} is too large"
+            )
+            overflows += 1
+            continue
+        cat = build_category(td)
+        assert {(v.i, v.a): d.coords for v, d in cat.dims.items()} == {
+            (v.i, v.a): knit[v.i, v.a] for v in cat.vertices
+        }
+        model = set(cat.vertices)
+        for x, row in zip(cat.vertices, cat.hom_table):
+            oracle = knit_hom_row(td, model, x)
+            assert row == tuple(oracle.get(z, 0) for z in cat.vertices), (td, x)
+    assert overflows > 50 and len(cases) - overflows > 50 and parallel > 50
 
 
 def test_build_zero_levels():
@@ -215,7 +252,7 @@ def test_mesh_additivity(kronecker3, five_vertex):
 def test_hom_dim_identity(kronecker3, fan_a3, linear_a4):
     for cat in (kronecker3, fan_a3, linear_a4):
         for x in cat.vertices:
-            assert cat.hom_dim(x, x) == 1
+            assert hom_dim(cat, x, x) == 1
 
 
 def test_hom_dim_directedness(kronecker3, five_vertex):
@@ -223,7 +260,7 @@ def test_hom_dim_directedness(kronecker3, five_vertex):
         for x in cat.vertices:
             for z in cat.vertices:
                 if z.a > x.a:
-                    assert cat.hom_dim(x, z) == 0
+                    assert hom_dim(cat, x, z) == 0
 
 
 def test_hom_triangles_fan_a3(fan_a3):
@@ -263,7 +300,7 @@ def test_hom_against_intertwiner_oracle():
             supp[v] = {j + 1 for j, c in enumerate(coords) if c}
         for x in cat.vertices:
             for z in cat.vertices:
-                assert cat.hom_dim(x, z) == interval_hom_dim(
+                assert hom_dim(cat, x, z) == interval_hom_dim(
                     q, supp[x], supp[z]
                 ), (q.arrows, x, z)
 
@@ -279,8 +316,6 @@ def test_hom_oracle_on_partial_models():
         (reference.quiver("fan_a3"), (0, 1, 0)),
         (reference.quiver("fan_a3"), (1, 1, 0)),
     ]
-    from oracles import interval_hom_dim
-
     for q, t in cases:
         cat = build_category(validate_terminal(q, t))
         supp = {
@@ -289,7 +324,7 @@ def test_hom_oracle_on_partial_models():
         }
         for x in cat.vertices:
             for z in cat.vertices:
-                assert cat.hom_dim(x, z) == interval_hom_dim(
+                assert hom_dim(cat, x, z) == interval_hom_dim(
                     q, supp[x], supp[z]
                 ), (q.arrows, t, x, z)
 
@@ -351,8 +386,8 @@ def test_hom_table_triangular_in_adapted_order(kronecker3, five_vertex):
         ordering = adapted_orderings(cat)
         for j, x in enumerate(ordering):
             for jp in range(j + 1, len(ordering)):
-                assert cat.hom_dim(x, ordering[jp]) == 0
-            assert cat.hom_dim(x, x) == 1
+                assert hom_dim(cat, x, ordering[jp]) == 0
+            assert hom_dim(cat, x, x) == 1
 
 
 def test_gamma_star_no_loops_or_two_cycles(kronecker3, five_vertex, linear_a4):

@@ -42,21 +42,28 @@ def _mentions(node, module: str, aliases: dict) -> tuple[Counter, Counter]:
     return bare, qualified
 
 
-def _public_definitions(tree):
+def _is_public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _definitions(tree, wanted):
     """(node, is a method) for the module-level functions and classes and
-    the methods of those classes whose names do not start with an
-    underscore."""
+    the methods of those classes whose names ``wanted`` accepts."""
     nodes = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
     for node in nodes:
-        if not node.name.startswith("_"):
+        if wanted(node.name):
             yield node, False
         if isinstance(node, ast.ClassDef):
             for method in node.body:
-                if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                if isinstance(method, ast.FunctionDef) and wanted(method.name):
                     yield method, True
 
 
-def _unused(trees: dict) -> list:
+def _unused(trees: dict, wanted=_is_public) -> list:
     bare, qualified = Counter(), Counter()
     aliases = {module: _module_aliases(tree) for module, tree in trees.items()}
     for module, tree in trees.items():
@@ -65,7 +72,7 @@ def _unused(trees: dict) -> list:
         qualified += q
     unused = []
     for module, tree in trees.items():
-        for node, is_method in _public_definitions(tree):
+        for node, is_method in _definitions(tree, wanted):
             own_bare, own_qualified = _mentions(node, module, aliases[module])
             if is_method:
                 uses = bare[node.name] - own_bare[node.name]
@@ -90,12 +97,27 @@ def test_every_public_definition_is_named_in_src():
     assert len(trees) > 10 and not unused, unused
 
 
+def test_every_private_definition_is_named_in_src():
+    """The same guard over private definitions: a ``_`` function, class or
+    non-dunder method that nothing in ``src/`` names outside its own body
+    is dead, or kept only for the tests (an oracle belongs in
+    ``tests/oracles.py``)."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    unused = _unused(trees, _is_private)
+    assert len(trees) > 10 and not unused, unused
+
+
 def test_the_guard_resolves_module_names():
     """A definition named only through another module's namesake is
-    reported; one named through its own module is not."""
+    reported; one named through its own module is not.  Private
+    definitions resolve the same way."""
     trees = {
-        "a": ast.parse("def to_json(x):\n    return x\n"),
-        "b": ast.parse("def to_json(x):\n    return x\n\n\ndef main():\n    return to_json(1)\n"),
+        "a": ast.parse("def to_json(x):\n    return _knit(x)\n"),
+        "b": ast.parse(
+            "def to_json(x):\n    return x\n\n\ndef main():\n    return to_json(1)\n"
+            "\n\ndef _knit(x):\n    return x\n"
+        ),
         "c": ast.parse("from . import b as bee\nfrom .b import main\n\n\ndef run():\n    return bee.to_json(main())\n"),
     }
     assert _unused(trees) == ["a:1 to_json", "c:5 run"]
+    assert _unused(trees, _is_private) == ["b:9 _knit"]
