@@ -97,24 +97,20 @@ def cmd_build(args) -> int:
 
 def cmd_mutate(args) -> int:
     with open(args.seed) as fh:
-        seed = cluster.from_json(json.load(fh))
-    trace = []
-    cur = seed
+        cur = cluster.from_json(json.load(fh))
+    steps = []  # each step's output is made as the walk goes, so no old seed is kept
     for k in args.vertices:
         new = cluster.mutate_seed(cur, k)
-        trace.append((k, cur, new))
+        if args.format == "json":
+            steps.append({"vertex": k, "seed": cluster.to_json(new)})
+        else:
+            steps.append(cluster.trace_line(cur, k, new))
         cur = new
     if args.format == "json":
-        data = {
-            "steps": [
-                {"vertex": k, "seed": cluster.to_json(new)} for (k, _, new) in trace
-            ],
-            "final": cluster.to_json(cur),
-        }
+        data = {"steps": steps, "final": cluster.to_json(cur)}
         emit(json.dumps(data, indent=1, sort_keys=True), args, "mutation_trace.json")
         return 0
-    lines = [cluster.trace_line(old, k, new) for (k, old, new) in trace]
-    emit("\n".join(lines), args, "mutation_trace.txt")
+    emit("\n".join(steps), args, "mutation_trace.txt")
     return 0
 
 

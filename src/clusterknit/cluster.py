@@ -9,6 +9,7 @@ Delta-dimension vector.  Seeds are immutable; mutation returns a new seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import add, mul, sub
 
 from . import exchange as ex
 from . import mesh
@@ -82,33 +83,36 @@ def _replace_at(values: tuple, k: int, value) -> tuple:
 
 def _side_sum(tracker, side) -> tuple:
     """The tracker rows at the positions of an exchange side, summed with
-    their multiplicities."""
-    vec = [0] * len(tracker[0])
+    their multiplicities.  A lone row of multiplicity 1 is returned as it
+    is."""
+    vec = None
     for i, m in side.items():
-        vec = [a + m * b for a, b in zip(vec, tracker[i - 1])]
-    return tuple(vec)
+        row = tracker[i - 1] if m == 1 else tuple(map(m.__mul__, tracker[i - 1]))
+        vec = row if vec is None else tuple(map(add, vec, row))
+    return (0,) * len(tracker[0]) if vec is None else vec
 
 
 def _dim_rule(s: Seed, k: int, out, inc):
     """d_k* = -d_k + max(out-sum, in-sum), componentwise, and whether one
     arrow-sum dominates the other componentwise, i.e. whether Max could
-    replace max."""
+    replace max.  A dominating side that differs from the other has the
+    larger total, so only an undominated pair can tie."""
     out_sum, in_sum = _side_sum(s.dim_trackers, out), _side_sum(s.dim_trackers, inc)
-    if sum(out_sum) == sum(in_sum) and out_sum != in_sum:
+    cmax = tuple(map(max, out_sum, in_sum))
+    dominated = cmax == out_sum or cmax == in_sum
+    if not dominated and sum(out_sum) == sum(in_sum):
         raise AmbiguityError(f"tied arrow-sums at vertex {k} disagree")
-    cmax = tuple(max(a, b) for a, b in zip(out_sum, in_sum))
-    d = s.dim_trackers[k - 1]
-    return tuple(m - x for m, x in zip(cmax, d)), cmax in (out_sum, in_sum)
+    return tuple(map(sub, cmax, s.dim_trackers[k - 1])), dominated
 
 
 def _delta_rule(s: Seed, k: int, out, inc):
     """Delta*_k = -Delta_k + the arrow-sum whose dot product with d_Delta
     is larger (equivalently, the branch keeping every entry nonnegative)."""
     if s.d_delta is None:
-        raise ValueError("no d_Delta vector available")
+        raise SeedFormatError("no d_Delta vector available")
     out_sum, in_sum = _side_sum(s.delta_trackers, out), _side_sum(s.delta_trackers, inc)
-    dot_out = sum(a * b for a, b in zip(out_sum, s.d_delta))
-    dot_in = sum(a * b for a, b in zip(in_sum, s.d_delta))
+    dot_out = sum(map(mul, out_sum, s.d_delta))
+    dot_in = sum(map(mul, in_sum, s.d_delta))
     if dot_out > dot_in:
         branch = out_sum
     elif dot_in > dot_out:
@@ -117,8 +121,7 @@ def _delta_rule(s: Seed, k: int, out, inc):
         branch = out_sum
     else:
         raise AmbiguityError(f"tied Delta arrow-sums at vertex {k} disagree")
-    d = s.delta_trackers[k - 1]
-    return tuple(m - x for m, x in zip(branch, d))
+    return tuple(map(sub, branch, s.delta_trackers[k - 1]))
 
 
 def mutate_seed(s: Seed, k: int, new_label=None) -> Seed:

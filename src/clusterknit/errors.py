@@ -60,6 +60,10 @@ class AmbiguityError(ClusterKnitError):
     """Both mutation branches are total-tied but differ; refusing to guess."""
 
 
+class VertexIndexError(ClusterKnitError, IndexError):
+    """k outside 1..r: the seed has no vertex k to mutate at."""
+
+
 class SeedFormatError(ClusterKnitError):
     """Seed JSON whose parts disagree with its size r or with each other, or
     whose entries are not integers where integers belong."""

@@ -4,43 +4,63 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import FrozenMutationError, SeedFormatError, TwoCycleError
+from .errors import FrozenMutationError, SeedFormatError, TwoCycleError, VertexIndexError
 from .quiver import Quiver
 
 
 @dataclass(frozen=True)
 class ExchangeMatrix:
-    """Full r x r signed arrow-count matrix plus the frozen index set.
+    """The r x r signed arrow-count matrix B as mirrored sparse rows and
+    columns, ``rows[i - 1] = {j: b_ij}`` and ``cols[j - 1] = {i: b_ij}``
+    with no zeros stored, plus the frozen index set.  The dicts are shared
+    between matrices and never changed in place.
 
     Mutation does not control the entries between two frozen indices; they
     are carried along but equality ignores them.
     """
 
-    b: tuple[tuple[int, ...], ...]
+    rows: tuple
+    cols: tuple
     frozen: frozenset = field(default_factory=frozenset)
 
     @property
     def r(self) -> int:
-        return len(self.b)
+        return len(self.rows)
 
-    def entry(self, i: int, j: int) -> int:
-        return self.b[i - 1][j - 1]
+    @property
+    def b(self) -> tuple[tuple[int, ...], ...]:
+        """The dense matrix, as a tuple of rows."""
+        r, dense = self.r, []
+        for row in self.rows:
+            line = [0] * r
+            for j, v in row.items():
+                line[j - 1] = v
+            dense.append(tuple(line))
+        return tuple(dense)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExchangeMatrix):
             return NotImplemented
         if self.r != other.r or self.frozen != other.frozen:
             return False
-        for i in range(1, self.r + 1):
-            for j in range(1, self.r + 1):
-                if i in self.frozen and j in self.frozen:
-                    continue
-                if self.entry(i, j) != other.entry(i, j):
-                    return False
-        return True
+
+        def unfrozen(row):
+            return {j: v for j, v in row.items() if j not in self.frozen}
+
+        return all(
+            unfrozen(x) == unfrozen(y) if i in self.frozen else x == y
+            for i, (x, y) in enumerate(zip(self.rows, other.rows), 1)
+        )
 
     def __hash__(self):
         return hash((self.r, self.frozen))
+
+
+def _from_dense(b, frozen: frozenset) -> ExchangeMatrix:
+    def sparse(line):
+        return {j: v for j, v in enumerate(line, 1) if v}
+
+    return ExchangeMatrix(tuple(map(sparse, b)), tuple(map(sparse, zip(*b))), frozen)
 
 
 def _check_skew_principal(b, frozen) -> None:
@@ -53,15 +73,19 @@ def _check_skew_principal(b, frozen) -> None:
                 raise SeedFormatError("principal part is not skew-symmetric")
 
 
+def _check_frozen(frozen: frozenset, r: int) -> None:
+    if any(not (1 <= k <= r) for k in frozen):
+        raise SeedFormatError(f"frozen index out of range 1..{r}")
+
+
 def make_matrix(rows, frozen=()) -> ExchangeMatrix:
     b = tuple(tuple(int(x) for x in row) for row in rows)
     frozen = frozenset(frozen)
     if any(len(row) != len(b) for row in b):
-        raise ValueError("matrix must be square")
-    if any(not (1 <= k <= len(b)) for k in frozen):
-        raise IndexError("frozen index out of range")
+        raise SeedFormatError("matrix must be square")
+    _check_frozen(frozen, len(b))
     _check_skew_principal(b, frozen)
-    return ExchangeMatrix(b, frozen)
+    return _from_dense(b, frozen)
 
 
 def b_matrix(g: Quiver, frozen=()) -> ExchangeMatrix:
@@ -72,8 +96,7 @@ def b_matrix(g: Quiver, frozen=()) -> ExchangeMatrix:
     """
     frozen = frozenset(frozen)
     r = g.n
-    if any(not (1 <= k <= r) for k in frozen):
-        raise IndexError("frozen index out of range")
+    _check_frozen(frozen, r)
     counts = [[0] * (r + 1) for _ in range(r + 1)]
     for (s, t) in g.arrows:
         if s == t:
@@ -87,34 +110,41 @@ def b_matrix(g: Quiver, frozen=()) -> ExchangeMatrix:
         tuple(counts[j][i] - counts[i][j] for j in range(1, r + 1))
         for i in range(1, r + 1)
     )
-    return ExchangeMatrix(rows, frozen)
+    return _from_dense(rows, frozen)
 
 
 def _check_mutable(m: ExchangeMatrix, k: int) -> None:
     if k in m.frozen:
         raise FrozenMutationError(f"index {k} is frozen")
     if not (1 <= k <= m.r):
-        raise IndexError(f"index {k} out of range 1..{m.r}")
+        raise VertexIndexError(f"index {k} out of range 1..{m.r}")
 
 
 def mutate_matrix(m: ExchangeMatrix, k: int) -> ExchangeMatrix:
-    """mu_k: flip row/column k, and elsewhere
-    b'_ij = b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2.  A row with b_ik = 0 is
-    left as it is, so only the rows of k and its neighbours are rebuilt."""
+    """mu_k: flip row and column k, and b'_ij = b_ij + b_ik |b_kj| where
+    b_ik and b_kj have the same sign.  Only the rows i with b_ik != 0 and
+    the columns j with b_kj != 0 are rebuilt; every other row and column is
+    the parent's own dict."""
     _check_mutable(m, k)
-    kk = k - 1
-    row_k = m.b[kk]
-    rows = list(m.b)
-    for i, row in enumerate(m.b):
-        c = row[kk]
-        if i == kk:
-            rows[i] = tuple(-x for x in row)
-        elif c:
-            rows[i] = tuple(
-                -c if j == kk else x + (abs(c) * y + c * abs(y)) // 2
-                for j, (x, y) in enumerate(zip(row, row_k))
-            )
-    return ExchangeMatrix(tuple(rows), m.frozen)
+    col_k, row_k = m.cols[k - 1], m.rows[k - 1]
+    rows, cols = list(m.rows), list(m.cols)
+    rows[k - 1] = {j: -v for j, v in row_k.items()}
+    cols[k - 1] = {i: -v for i, v in col_k.items()}
+    for j, v in row_k.items():
+        cols[j - 1] = col = dict(cols[j - 1])
+        col[k] = -v
+    for i, c in col_k.items():
+        rows[i - 1] = row = dict(rows[i - 1])
+        row[k] = -c
+        for j, v in row_k.items():
+            if (c > 0) == (v > 0):
+                col = cols[j - 1]
+                x = row.get(j, 0) + c * abs(v)
+                if x:
+                    row[j] = col[i] = x
+                else:
+                    del row[j], col[i]
+    return ExchangeMatrix(tuple(rows), tuple(cols), m.frozen)
 
 
 def arrows_at(m: ExchangeMatrix, k: int):
@@ -124,11 +154,10 @@ def arrows_at(m: ExchangeMatrix, k: int):
     _check_mutable(m, k)
     out = {}
     inc = {}
-    for i, row in enumerate(m.b, 1):
-        v = row[k - 1]
+    for i, v in sorted(m.cols[k - 1].items()):
         if v > 0:
             out[i] = v
-        elif v < 0:
+        else:
             inc[i] = -v
     return out, inc
 

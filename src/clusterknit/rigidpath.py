@@ -172,13 +172,11 @@ def run_path(seed: cluster.Seed, sch: Schedule) -> PathResult:
         raise ScheduleMismatchError("seed has no interval labels to follow")
     records = []
     cur = seed
+    position_of = {l: k for k, l in enumerate(seed.labels, 1)}
     for idx, target in enumerate(sch.steps):
-        try:
-            k = cur.labels.index(target) + 1
-        except ValueError:
-            raise ScheduleMismatchError(
-                f"step {idx + 1}: no vertex is labeled {target!r}"
-            ) from None
+        k = position_of.pop(target, None)
+        if k is None:
+            raise ScheduleMismatchError(f"step {idx + 1}: no vertex is labeled {target!r}")
         ident = det_identity(sch.td, target.i, target.a, target.b)
         out_labels, in_labels = (
             _label_counts(cur.labels, side) for side in ex.arrows_at(cur.matrix, k)
@@ -195,6 +193,7 @@ def run_path(seed: cluster.Seed, sch: Schedule) -> PathResult:
             )
         new_label = IntervalLabel(target.i, target.a - 1, target.b - 1)
         cur = cluster.mutate_seed(cur, k, new_label=new_label)
+        position_of[new_label] = k
         records.append(
             PathStep(
                 index=idx + 1,

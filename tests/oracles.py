@@ -6,10 +6,11 @@ the rationals, matrix mutation is the dense entry-by-entry rule, and
 Laurent arithmetic is the tuple-keyed kernel the packed one replaced.
 The Bareiss determinant, the matrix-product form of the one-parameter
 product, the per-leaf ``evaluate_phi``, the letter-insertion action with
-its divided powers, and the upward dimension-vector knitting and per-row
-hom knitting are the kernels that ``minors``, ``euler`` and ``mesh``
-replaced; they live on here as differential oracles, beside small helpers
-that only the tests call.
+its divided powers, the upward dimension-vector knitting and per-row hom
+knitting, and the zero-started tracker side sums are the kernels that
+``minors``, ``euler``, ``mesh`` and ``cluster`` replaced; they live on
+here as differential oracles, beside small helpers that only the tests
+call.
 """
 
 import heapq
@@ -17,9 +18,9 @@ from collections import defaultdict
 from fractions import Fraction
 from math import factorial
 
-from clusterknit.errors import NotDivisibleError
+from clusterknit.errors import AmbiguityError, NotDivisibleError, SeedFormatError
 from clusterknit.euler import ShuffleSeries, ThinModule, b_exponents
-from clusterknit.exchange import ExchangeMatrix, arrows_at
+from clusterknit.exchange import ExchangeMatrix, arrows_at, make_matrix
 from clusterknit.laurent import LaurentPoly, exact_div, substitute
 from clusterknit.mesh import IntervalLabel, MeshVertex, TerminalData
 from clusterknit.quiver import (
@@ -214,8 +215,8 @@ def dense_mutate_matrix(m: ExchangeMatrix, k: int) -> ExchangeMatrix:
                     old[i][j]
                     + (abs(old[i][kk]) * old[kk][j] + old[i][kk] * abs(old[kk][j])) // 2
                 )
-        rows.append(tuple(row))
-    return ExchangeMatrix(tuple(rows), m.frozen)
+        rows.append(row)
+    return make_matrix(rows, m.frozen)
 
 
 def _grlex_key(exps):
@@ -372,9 +373,9 @@ def matrix_to_quiver(m: ExchangeMatrix) -> Quiver:
     """Quiver with b_ij arrows j -> i for b_ij > 0.  Inverse of b_matrix up
     to arrows between frozen vertices (where net counts lose information)."""
     arrows = []
-    for i in range(1, m.r + 1):
-        for j in range(1, m.r + 1):
-            arrows.extend([(j, i)] * max(m.entry(i, j), 0))
+    for i, row in enumerate(m.b, 1):
+        for j, v in enumerate(row, 1):
+            arrows.extend([(j, i)] * max(v, 0))
     return Quiver(m.r, tuple(sorted(arrows)))
 
 
@@ -389,19 +390,61 @@ def core_equal(a, b) -> bool:
     )
 
 
+def _column_sides(m: ExchangeMatrix, k: int):
+    """(outgoing, incoming) sides at k read entry by entry from column k."""
+    out, inc = {}, {}
+    for i, row in enumerate(m.b, 1):
+        v = row[k - 1]
+        if v:
+            (out if v > 0 else inc)[i] = abs(v)
+    return out, inc
+
+
+def side_sum(tracker, side) -> tuple:
+    """The tracker rows at the positions of a side, summed with their
+    multiplicities, one zero-started list at a time."""
+    vec = [0] * len(tracker[0])
+    for i, m in side.items():
+        vec = [a + m * b for a, b in zip(vec, tracker[i - 1])]
+    return tuple(vec)
+
+
 def dim_rule(s, k: int):
     """The dimension vector at k after mutation and whether one arrow-sum
     dominated the other, read entry by entry from column k of B:
-    d_k' = -d_k + max(sum over arrows k -> i, sum over arrows i -> k)."""
-    rows, b = s.dim_trackers, s.matrix
+    d_k' = -d_k + max(sum over arrows k -> i, sum over arrows i -> k).
+    Raises AmbiguityError when the two sums have equal totals but differ."""
+    rows = s.dim_trackers
     sums = [[0] * len(rows[0]), [0] * len(rows[0])]
-    for i in range(1, b.r + 1):
-        v = b.entry(i, k)
+    for i, b_row in enumerate(s.matrix.b, 1):
+        v = b_row[k - 1]
         side = sums[0] if v > 0 else sums[1]
         for c, x in enumerate(rows[i - 1]):
             side[c] += abs(v) * x
+    if sum(sums[0]) == sum(sums[1]) and sums[0] != sums[1]:
+        raise AmbiguityError(f"tied arrow-sums at vertex {k} disagree")
     cmax = [max(a, c) for a, c in zip(*sums)]
     return tuple(m - x for m, x in zip(cmax, rows[k - 1])), cmax in sums
+
+
+def delta_rule(s, k: int):
+    """Delta_k' = -Delta_k + the side sum with the larger dot product with
+    d_Delta; equal dot products are allowed only for equal sums."""
+    if s.d_delta is None:
+        raise SeedFormatError("no d_Delta vector available")
+    out_sum, in_sum = (side_sum(s.delta_trackers, side) for side in _column_sides(s.matrix, k))
+    dot_out = sum(a * b for a, b in zip(out_sum, s.d_delta))
+    dot_in = sum(a * b for a, b in zip(in_sum, s.d_delta))
+    if dot_out > dot_in:
+        branch = out_sum
+    elif dot_in > dot_out:
+        branch = in_sum
+    elif out_sum == in_sum:
+        branch = out_sum
+    else:
+        raise AmbiguityError(f"tied Delta arrow-sums at vertex {k} disagree")
+    d = s.delta_trackers[k - 1]
+    return tuple(m - x for m, x in zip(branch, d))
 
 
 def specialize_frozen(p: LaurentPoly, frozen) -> LaurentPoly:

@@ -110,6 +110,15 @@ def test_mutate_frozen_exit_code(tmp_path, kronecker3, capsys):
     assert cli.main(["mutate", str(spath), "1"]) == 2
 
 
+@pytest.mark.parametrize("vertex", ["0", "8"])
+def test_mutate_vertex_out_of_range_exits_2(tmp_path, kronecker3, capsys, vertex):
+    spath = tmp_path / "seed.json"
+    spath.write_text(json.dumps(cluster.to_json(cluster.initial_seed(kronecker3))))
+    assert kronecker3.r == 7
+    assert cli.main(["mutate", str(spath), vertex]) == 2
+    assert "VertexIndexError" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "seed, detail",
     [

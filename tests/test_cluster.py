@@ -1,15 +1,24 @@
 import json
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from oracles import core_equal, dim_rule, mutable, seed_by_vertex, specialize_frozen, strictly_equal
+from oracles import (
+    core_equal,
+    delta_rule,
+    dim_rule,
+    mutable,
+    seed_by_vertex,
+    side_sum,
+    specialize_frozen,
+    strictly_equal,
+)
 from test_mesh import random_terminal
 
-from clusterknit import reference
+from clusterknit import cluster, reference
 from clusterknit.cluster import (
     Seed,
     from_json,
@@ -24,7 +33,7 @@ from clusterknit.errors import (
     FrozenMutationError,
     SeedFormatError,
 )
-from clusterknit.exchange import make_matrix
+from clusterknit.exchange import arrows_at, make_matrix
 from clusterknit.laurent import LaurentPoly
 from clusterknit.mesh import (
     IntervalLabel,
@@ -198,7 +207,7 @@ def test_mutated_quiver_worked_example(kronecker3):
     p = {(v.i, v.a): cat.pos(v) + 1 for v in cat.vertices}
 
     def count(src, tgt):
-        return max(s.matrix.entry(p[tgt], p[src]), 0)
+        return max(s.matrix.b[p[tgt] - 1][p[src] - 1], 0)
 
     assert count((2, 1), (2, 0)) == 3
     assert count((1, 0), (1, 2)) == 1
@@ -279,8 +288,56 @@ def test_mutate_seed_needs_d_delta_for_delta_trackers(kronecker3):
     s = initial_seed(kronecker3)
     assert mutate_seed(s, 4).delta_trackers[3] == (1, 0, 0, 0, 2, 0, 0)
     stale = replace(s, d_delta=None)
-    with pytest.raises(ValueError, match="d_Delta"):
+    with pytest.raises(SeedFormatError, match="d_Delta"):
         mutate_seed(stale, 4)
+
+
+def outcome(rule, *args):
+    try:
+        return rule(*args)
+    except AmbiguityError:
+        return AmbiguityError
+
+
+def test_tracker_rules_match_the_zero_started_oracle():
+    """The map-based side sums of ``_dim_rule`` and ``_delta_rule`` agree
+    with the zero-started sums of the oracles on seeded random seeds
+    (negative entries, multiplicities up to 3, empty sides, ties) and
+    raise AmbiguityError in exactly the same cases."""
+    rng = random.Random(61)
+    seen = Counter()
+    for _ in range(4000):
+        r = rng.randint(2, 6)
+        b = [[0] * r for _ in range(r)]
+        for i in range(r):
+            for j in range(i + 1, r):
+                b[i][j] = rng.choice((0, 0, -1, 1, -2, 2, 3))
+                b[j][i] = -b[i][j]
+        m = make_matrix(b, rng.sample(range(1, r + 1), rng.randint(0, r - 1)))
+
+        def rows():  # drawn from a small pool, so that equal sums are common
+            pool = [tuple(rng.randint(-1, 1) for _ in range(r)) for _ in range(rng.randint(1, 3))]
+            return tuple(rng.choice(pool) for _ in range(r))
+
+        s = Seed(matrix=m, dim_trackers=rows(), delta_trackers=rows(),
+                 d_delta=tuple(rng.randint(-1, 2) for _ in range(r)))
+        k = rng.choice(mutable(m))
+        out, inc = arrows_at(m, k)
+        want = outcome(dim_rule, s, k)
+        assert outcome(cluster._dim_rule, s, k, out, inc) == want
+        want_delta = outcome(delta_rule, s, k)
+        assert outcome(cluster._delta_rule, s, k, out, inc) == want_delta
+        sums = [side_sum(s.dim_trackers, side) for side in (out, inc)]
+        seen["empty side"] += not out or not inc
+        seen["multiplicity > 1"] += any(x > 1 for x in (*out.values(), *inc.values()))
+        seen["undominated tie"] += want is AmbiguityError
+        seen["equal nonempty sums"] += bool(out and inc) and sums[0] == sums[1]
+        seen["dominated, unequal"] += want is not AmbiguityError and want[1] and sums[0] != sums[1]
+        seen["undominated"] += want is not AmbiguityError and not want[1]
+        seen["tied Delta sums"] += want_delta is AmbiguityError
+    assert min(seen.values()) >= 20 and len(seen) == 7, seen
+    tracker = ((1, -2), (3, 4))
+    assert cluster._side_sum(tracker, {2: 1}) is tracker[1]
 
 
 def test_mutate_seed_reports_dominance(kronecker3):
