@@ -119,15 +119,17 @@ def cmd_mutate(args) -> int:
 
 def cmd_path(args) -> int:
     td = load_terminal(args)
-    sch = rigidpath.make_schedule(td)
     cat = mesh.build_category(td)
     ordering = load_ordering(cat, args.ordering)
     if args.count_only:
+        # make_schedule checks that its length is this r(M)
+        length = rigidpath.schedule_length(td)
         if args.format == "json":
-            emit(json.dumps({"length": len(sch)}), args, "path_report.json")
+            emit(json.dumps({"length": length}), args, "path_report.json")
         else:
-            emit(f"schedule length r(M) = {len(sch)}", args, "path_report.txt")
+            emit(f"schedule length r(M) = {length}", args, "path_report.txt")
         return 0
+    sch = rigidpath.make_schedule(td)
     seed = cluster.initial_seed(cat, ordering, with_vars=not args.no_expand)
     res = rigidpath.run_path(seed, sch)
     if args.format == "json":
@@ -140,7 +142,7 @@ def cmd_path(args) -> int:
     lines = [f"schedule length r(M) = {len(sch)}"]
     for st in res.steps:
         lines.append(
-            f"step {st.index}: {st.old_label!r} -> {st.new_label!r}  "
+            f"step {st.index}: {st.identity.main[0]!r} -> {st.identity.main[1]!r}  "
             f"{rigidpath.relation_text(st)}  Max-dominated: {st.dominated}"
         )
     lines.append(

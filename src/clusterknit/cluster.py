@@ -186,12 +186,15 @@ def _ints(value, r: int, what: str) -> tuple:
 
 
 def from_json(data: dict) -> Seed:
-    """The seed of ``to_json``, checked: the matrix has square integer rows
-    and frozen indices in range, r is its size, ``vars``, ``labels`` and
-    both trackers have r entries, each variable is a nonzero term map with
+    """The seed of ``to_json``, checked: it is an object with ``matrix`` and
+    an integer ``r``, the matrix has square integer rows and frozen indices
+    in range, r is its size, ``vars``, ``labels`` and both trackers have r
+    entries, each variable is a nonzero term map with
     integer coefficients, each tracker row and ``d_delta`` are r integers,
     each label is three integers, and Delta trackers come with
     ``d_delta``."""
+    if not isinstance(data, dict) or "matrix" not in data or type(data.get("r")) is not int:
+        raise SeedFormatError("a seed must be an object with a matrix and an integer r")
     matrix = ex.from_json(data["matrix"])
     r = data["r"]
     if r != matrix.r:

@@ -31,6 +31,11 @@ class NotReducedError(ClusterKnitError):
     pass
 
 
+class VertexIndexError(ClusterKnitError, IndexError):
+    """A vertex index outside 1..n: an arrow end of a quiver, a vertex to
+    reflect or mutate at, or a letter of a sink sequence."""
+
+
 class InputFormatError(ClusterKnitError):
     """Quiver or ordering JSON, or a ``--t`` vector, whose entries are not
     integers where integers belong."""
@@ -46,6 +51,11 @@ class DynkinOverflowError(ClusterKnitError):
     pass
 
 
+class LabelRangeError(ClusterKnitError, IndexError):
+    """An interval label T_{i,[a,b]} outside the category: i is not a vertex
+    or [a,b] does not lie in the levels 0..t_i that the label may use."""
+
+
 # -- exchange / cluster ------------------------------------------------
 
 class TwoCycleError(ClusterKnitError):
@@ -58,10 +68,6 @@ class FrozenMutationError(ClusterKnitError):
 
 class AmbiguityError(ClusterKnitError):
     """Both mutation branches are total-tied but differ; refusing to guess."""
-
-
-class VertexIndexError(ClusterKnitError, IndexError):
-    """k outside 1..r: the seed has no vertex k to mutate at."""
 
 
 class SeedFormatError(ClusterKnitError):

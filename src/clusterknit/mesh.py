@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DynkinOverflowError, NotAdaptedError, TerminalConstraintError
+from .errors import DynkinOverflowError, LabelRangeError, NotAdaptedError, TerminalConstraintError
 from .quiver import Quiver, RootVec, topological_order
 
 
@@ -177,9 +177,9 @@ def validate_label(cat: CategoryModel, lbl: IntervalLabel) -> None:
     if lbl.is_unit():
         return
     if not (1 <= lbl.i <= cat.terminal.q.n):
-        raise IndexError(f"label vertex {lbl.i} out of range")
+        raise LabelRangeError(f"label vertex {lbl.i} out of range")
     if not (0 <= lbl.a <= lbl.b <= cat.terminal.level(lbl.i)):
-        raise IndexError(f"label {lbl} out of range for t={cat.terminal.t}")
+        raise LabelRangeError(f"label {lbl} out of range for t={cat.terminal.t}")
 
 
 def projected_dimvec(cat: CategoryModel, lbl: IntervalLabel, positions=None):

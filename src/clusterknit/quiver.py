@@ -16,6 +16,7 @@ from .errors import (
     NotAdaptedError,
     NotReducedError,
     TooSmallError,
+    VertexIndexError,
 )
 
 
@@ -129,7 +130,7 @@ def validate_quiver(n: int, arrows) -> Quiver:
     arrs = []
     for (s, t) in arrows:
         if not (1 <= s <= n and 1 <= t <= n):
-            raise IndexError(f"arrow ({s},{t}) out of range 1..{n}")
+            raise VertexIndexError(f"arrow ({s},{t}) out of range 1..{n}")
         if s == t:
             raise LoopError(f"loop at vertex {s}")
         arrs.append((s, t))
@@ -187,7 +188,7 @@ def cartan(q: Quiver) -> CartanMatrix:
 def reflect(q: Quiver, k: int) -> Quiver:
     """Reverse all arrows incident to vertex k (the operation sigma_k)."""
     if not (1 <= k <= q.n):
-        raise IndexError(f"vertex {k} out of range 1..{q.n}")
+        raise VertexIndexError(f"vertex {k} out of range 1..{q.n}")
     flipped = tuple(
         sorted((t, s) if k in (s, t) else (s, t) for (s, t) in q.arrows)
     )
@@ -216,7 +217,7 @@ def validate_sink_sequence(q: Quiver, letters) -> None:
     cur = q
     for pos, letter in enumerate(letters):
         if not (1 <= letter <= q.n):
-            raise IndexError(f"letter {letter} out of range 1..{q.n}")
+            raise VertexIndexError(f"letter {letter} out of range 1..{q.n}")
         if not cur.is_sink(letter):
             raise NotAdaptedError(
                 f"letter {letter} at position {pos + 1} is not a sink"

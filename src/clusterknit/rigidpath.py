@@ -4,12 +4,11 @@ variables into the single-interval generators."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from . import cluster, mesh
 from . import exchange as ex
-from .errors import ScheduleMismatchError, TerminalConstraintError
+from .errors import LabelRangeError, ScheduleMismatchError, TerminalConstraintError
 from .laurent import LaurentPoly, exact_div
 from .mesh import IntervalLabel, MeshVertex, TerminalData
 from .quiver import Quiver, topological_order, validate_sink_sequence
@@ -32,11 +31,10 @@ def qm_op(td: TerminalData) -> Quiver:
     return Quiver(td.q.n, tuple(sorted(arrows)))
 
 
-def qm_adapted_order(td: TerminalData) -> list[int]:
-    """A Q_M-adapted ordering of 1..n: each vertex is a sink of Q_M after
-    reflecting at all earlier ones.  The sources-first topological order of
-    Q_M^op always qualifies."""
-    op = qm_op(td)
+def qm_adapted_order(op: Quiver) -> list[int]:
+    """A Q_M-adapted ordering of 1..n, given op = Q_M^op: each vertex is a
+    sink of Q_M after reflecting at all earlier ones.  The sources-first
+    topological order of Q_M^op always qualifies."""
     order = topological_order(op)
     validate_sink_sequence(op.opposite(), order)
     return order
@@ -48,103 +46,82 @@ def schedule_length(td: TerminalData) -> int:
 
 
 @dataclass(frozen=True)
+class DetIdentity:
+    """T_{i,[a-1,b]} T_{i,[a,b-1]} = T_{i,[a,b]} T_{i,[a-1,b-1]}
+    - prod_{i->j} T_{j,[a+d_j, b+d_j]} prod_{k->i} T_{k,[a-1+d_k, b-1+d_k]}
+    with d_x = t_x - t_i over the arrows of Q_M^op.  ``main`` is
+    (T_{i,[a,b]}, T_{i,[a-1,b-1]}): mutating the first gives the second.
+    ``sides`` are the two sides of that exchange relation, the left pair and
+    the product, each as {label: multiplicity} with units (empty intervals)
+    left out.  The convention also drops negative-index symbols, but none
+    arises: d_j is 0 or -1 on arrows i -> j and d_k is 0 or 1 on arrows
+    k -> i, so every index stays at least a - 1 >= 0, and only
+    T_{i,[a,b-1]} with a = b is a unit."""
+
+    main: tuple[IntervalLabel, IntervalLabel]
+    sides: tuple[dict, dict]
+
+
+def _side(labels) -> dict:
+    """Labels as {label: multiplicity}, without units."""
+    side: dict = {}
+    for lbl in labels:
+        if not lbl.is_unit():
+            side[lbl] = side.get(lbl, 0) + 1
+    return side
+
+
+def det_identity(td: TerminalData, op: Quiver, i: int, a: int, b: int) -> DetIdentity:
+    """The identity at T_{i,[a,b]}, given op = Q_M^op."""
+    if not (1 <= a <= b <= td.level(i)):
+        raise LabelRangeError(f"need 1 <= a <= b <= t_{i}, got a={a}, b={b}")
+    ti = td.level(i)
+    factors = []
+    for j in op.arrows_out(i):
+        d = td.level(j) - ti
+        factors.append(IntervalLabel(j, a + d, b + d))
+    for k in op.arrows_in(i):
+        d = td.level(k) - ti
+        factors.append(IntervalLabel(k, a - 1 + d, b - 1 + d))
+    left = (IntervalLabel(i, a - 1, b), IntervalLabel(i, a, b - 1))
+    return DetIdentity(
+        main=(IntervalLabel(i, a, b), IntervalLabel(i, a - 1, b - 1)),
+        sides=(_side(left), _side(factors)),
+    )
+
+
+@dataclass(frozen=True)
 class Schedule:
-    td: TerminalData
     qm_order: tuple[int, ...]
-    steps: tuple[IntervalLabel, ...]
+    steps: tuple[DetIdentity, ...]
 
     def __len__(self) -> int:
         return len(self.steps)
 
 
 def make_schedule(td: TerminalData) -> Schedule:
-    """Step k mutates, for each i in Q_M-adapted order, the labels
-    T_{i,[b,b]}, T_{i,[b-1,b]}, ..., T_{i,[1,b]} with b = t_i - (k - 1),
-    skipping exhausted orbits."""
-    order = qm_adapted_order(td)
-    steps = []
-    k = 1
-    while True:
-        round_steps = []
-        for i in order:
-            b = td.level(i) - (k - 1)
-            if b >= 1:
-                for a in range(b, 0, -1):
-                    round_steps.append(IntervalLabel(i, a, b))
-        if not round_steps:
-            break
-        steps.extend(round_steps)
-        k += 1
-    sch = Schedule(td, tuple(order), tuple(steps))
+    """Round k = 0, 1, ... mutates, for each i in Q_M-adapted order, the
+    labels T_{i,[b,b]}, T_{i,[b-1,b]}, ..., T_{i,[1,b]} with b = t_i - k,
+    skipping exhausted orbits.  Each step is its determinantal identity,
+    whose ``main[0]`` is the label it mutates."""
+    op = qm_op(td)
+    order = qm_adapted_order(op)
+    steps = tuple(
+        det_identity(td, op, i, a, td.level(i) - k)
+        for k in range(max(td.t, default=0))
+        for i in order
+        for a in range(td.level(i) - k, 0, -1)
+    )
+    sch = Schedule(tuple(order), steps)
     if len(sch) != schedule_length(td):
         raise ScheduleMismatchError(f"{len(sch)} steps, r(M) = {schedule_length(td)}")
     return sch
 
 
 @dataclass(frozen=True)
-class DetIdentity:
-    """T_{i,[a-1,b]} T_{i,[a,b-1]} = T_{i,[a,b]} T_{i,[a-1,b-1]}
-    - prod_{i->j} T_{j,[a+d_j, b+d_j]} prod_{k->i} T_{k,[a-1+d_k, b-1+d_k]}
-    with d_x = t_x - t_i over the arrows of Q_M^op.  Empty intervals are
-    units; negative-index symbols are dropped entirely."""
-
-    i: int
-    a: int
-    b: int
-    left: tuple[IntervalLabel, IntervalLabel]
-    main: tuple[IntervalLabel, IntervalLabel]
-    factors: tuple[IntervalLabel, ...]
-
-    def exchange_sides(self):
-        """The two sides of the exchange relation for mutating T_{i,[a,b]}
-        into T_{i,[a-1,b-1]}, as label multisets (units dropped)."""
-        side1 = Counter(l for l in self.left if not l.is_unit())
-        side2 = Counter(self.factors)
-        return side1, side2
-
-
-def _keep(lbl: IntervalLabel):
-    """Apply the two conventions: negative indices drop the symbol, c > d
-    is the multiplicative unit (also dropped from products)."""
-    if lbl.a < 0 or lbl.b < 0:
-        return None
-    if lbl.is_unit():
-        return None
-    return lbl
-
-
-def det_identity(td: TerminalData, i: int, a: int, b: int) -> DetIdentity:
-    if not (1 <= a <= b <= td.level(i)):
-        raise IndexError(f"need 1 <= a <= b <= t_{i}, got a={a}, b={b}")
-    op = qm_op(td)
-    ti = td.level(i)
-    factors = []
-    for j in op.arrows_out(i):
-        d = td.level(j) - ti
-        f = _keep(IntervalLabel(j, a + d, b + d))
-        if f is not None:
-            factors.append(f)
-    for k in op.arrows_in(i):
-        d = td.level(k) - ti
-        f = _keep(IntervalLabel(k, a - 1 + d, b - 1 + d))
-        if f is not None:
-            factors.append(f)
-    return DetIdentity(
-        i=i,
-        a=a,
-        b=b,
-        left=(IntervalLabel(i, a - 1, b), IntervalLabel(i, a, b - 1)),
-        main=(IntervalLabel(i, a, b), IntervalLabel(i, a - 1, b - 1)),
-        factors=tuple(sorted(factors, key=lambda l: (l.i, l.a, l.b))),
-    )
-
-
-@dataclass(frozen=True)
 class PathStep:
     index: int
     position: int
-    old_label: IntervalLabel
-    new_label: IntervalLabel
     identity: DetIdentity
     dominated: bool
 
@@ -156,54 +133,39 @@ class PathResult:
     steps: tuple[PathStep, ...]
 
 
-def _label_counts(labels, side) -> Counter:
-    """An exchange side {position: multiplicity} as a multiset of labels."""
-    counts: Counter = Counter()
+def _label_side(labels, side) -> dict:
+    """An exchange side {position: multiplicity} as {label: multiplicity}."""
+    counts: dict = {}
     for i, m in side.items():
-        counts[labels[i - 1]] += m
+        counts[labels[i - 1]] = counts.get(labels[i - 1], 0) + m
     return counts
 
 
 def run_path(seed: cluster.Seed, sch: Schedule) -> PathResult:
     """Run the full schedule.  Every mutation must hit the vertex currently
-    carrying the scheduled label and its exchange relation must match the
-    predicted determinantal identity, else ScheduleMismatchError."""
+    carrying the scheduled label and its exchange sides must be the two
+    sides of the predicted determinantal identity, in either order, else
+    ScheduleMismatchError."""
     if seed.labels is None:
         raise ScheduleMismatchError("seed has no interval labels to follow")
     records = []
     cur = seed
     position_of = {l: k for k, l in enumerate(seed.labels, 1)}
-    for idx, target in enumerate(sch.steps):
+    for idx, ident in enumerate(sch.steps):
+        target, new_label = ident.main
         k = position_of.pop(target, None)
         if k is None:
             raise ScheduleMismatchError(f"step {idx + 1}: no vertex is labeled {target!r}")
-        ident = det_identity(sch.td, target.i, target.a, target.b)
-        out_labels, in_labels = (
-            _label_counts(cur.labels, side) for side in ex.arrows_at(cur.matrix, k)
-        )
-        side1, side2 = ident.exchange_sides()
-        if {
-            frozenset(out_labels.items()),
-            frozenset(in_labels.items()),
-        } != {frozenset(side1.items()), frozenset(side2.items())}:
+        emitted = tuple(_label_side(cur.labels, side) for side in ex.arrows_at(cur.matrix, k))
+        if ident.sides not in (emitted, emitted[::-1]):
             raise ScheduleMismatchError(
                 f"step {idx + 1}: exchange at {target!r} emitted "
-                f"{dict(out_labels)} / {dict(in_labels)}, predicted "
-                f"{dict(side1)} / {dict(side2)}"
+                f"{emitted[0]} / {emitted[1]}, predicted "
+                f"{ident.sides[0]} / {ident.sides[1]}"
             )
-        new_label = IntervalLabel(target.i, target.a - 1, target.b - 1)
         cur = cluster.mutate_seed(cur, k, new_label=new_label)
         position_of[new_label] = k
-        records.append(
-            PathStep(
-                index=idx + 1,
-                position=k,
-                old_label=target,
-                new_label=new_label,
-                identity=ident,
-                dominated=cur.dominated,
-            )
-        )
+        records.append(PathStep(idx + 1, k, ident, cur.dominated))
     return PathResult(schedule=sch, seed=cur, steps=tuple(records))
 
 
@@ -220,6 +182,7 @@ def pbw_expand(cat: mesh.CategoryModel, lbl: IntervalLabel) -> LaurentPoly:
     is fatal."""
     mesh.validate_label(cat, lbl)
     td = cat.terminal
+    op = qm_op(td)
     r = cat.r
     memo: dict = {}
 
@@ -232,11 +195,10 @@ def pbw_expand(cat: mesh.CategoryModel, lbl: IntervalLabel) -> LaurentPoly:
         if a == b:
             res = LaurentPoly.variable(cat.pos(MeshVertex(i, a)), r)
         else:
-            ident = det_identity(td, i, a + 1, b)
             num = expand(i, a + 1, b) * expand(i, a, b - 1)
             prod = LaurentPoly.one(r)
-            for f in ident.factors:
-                prod = prod * expand(f.i, f.a, f.b)
+            for f, m in det_identity(td, op, i, a + 1, b).sides[1].items():
+                prod = prod * expand(f.i, f.a, f.b) ** m
             res = exact_div(num - prod, expand(i, a + 1, b - 1))
         memo[key] = res
         return res
@@ -250,16 +212,17 @@ def pbw_expand(cat: mesh.CategoryModel, lbl: IntervalLabel) -> LaurentPoly:
 
 
 def relation_text(step: PathStep) -> str:
-    ident = step.identity
-    side1, side2 = ident.exchange_sides()
+    main, sides = step.identity.main, step.identity.sides
 
-    def fmt(counter):
+    def fmt(side):
         # label reprs are distinct, so the multiplicity never breaks a tie
-        return cluster.monomial_text(sorted((repr(l), m) for l, m in counter.items()))
+        return cluster.monomial_text(sorted((repr(l), m) for l, m in side.items()))
 
-    return (
-        f"{ident.main[0]!r}*{ident.main[1]!r} = {fmt(side1)} + {fmt(side2)}"
-    )
+    return f"{main[0]!r}*{main[1]!r} = {fmt(sides[0])} + {fmt(sides[1])}"
+
+
+def _label_json(lbl: IntervalLabel) -> list:
+    return [lbl.i, lbl.a, lbl.b]
 
 
 def result_to_json(res: PathResult) -> dict:
@@ -270,15 +233,13 @@ def result_to_json(res: PathResult) -> dict:
             {
                 "index": s.index,
                 "position": s.position,
-                "old": [s.old_label.i, s.old_label.a, s.old_label.b],
-                "new": [s.new_label.i, s.new_label.a, s.new_label.b],
+                "old": _label_json(s.identity.main[0]),
+                "new": _label_json(s.identity.main[1]),
                 "relation": relation_text(s),
                 "dominated": s.dominated,
             }
             for s in res.steps
         ],
-        "final_labels": [
-            [l.i, l.a, l.b] for l in res.seed.labels
-        ],
+        "final_labels": [_label_json(l) for l in res.seed.labels],
         "final_seed": cluster.to_json(res.seed),
     }

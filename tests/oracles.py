@@ -7,14 +7,16 @@ Laurent arithmetic is the tuple-keyed kernel the packed one replaced.
 The Bareiss determinant, the matrix-product form of the one-parameter
 product, the per-leaf ``evaluate_phi``, the letter-insertion action with
 its divided powers, the upward dimension-vector knitting and per-row hom
-knitting, and the zero-started tracker side sums are the kernels that
-``minors``, ``euler``, ``mesh`` and ``cluster`` replaced; they live on
-here as differential oracles, beside small helpers that only the tests
-call.
+knitting, the zero-started tracker side sums and the per-label
+determinantal identity with its ``Counter`` sides are the kernels that
+``minors``, ``euler``, ``mesh``, ``cluster`` and ``rigidpath`` replaced;
+they live on here as differential oracles, beside small helpers that only
+the tests call.
 """
 
 import heapq
-from collections import defaultdict
+from collections import Counter, defaultdict
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -32,6 +34,7 @@ from clusterknit.quiver import (
     fundamental_weight,
     topological_order,
 )
+from clusterknit.rigidpath import qm_op
 
 
 def rank(rows):
@@ -197,6 +200,64 @@ def seed_by_vertex(cat, ordering) -> dict:
             for j, x in enumerate(ordering)
         ),
     }
+
+
+@dataclass(frozen=True)
+class DetIdentity:
+    """T_{i,[a-1,b]} T_{i,[a,b-1]} = T_{i,[a,b]} T_{i,[a-1,b-1]}
+    - prod_{i->j} T_{j,[a+d_j, b+d_j]} prod_{k->i} T_{k,[a-1+d_k, b-1+d_k]}
+    with d_x = t_x - t_i over the arrows of Q_M^op, units kept in ``left``
+    and the product as a sorted tuple with repeats."""
+
+    i: int
+    a: int
+    b: int
+    left: tuple[IntervalLabel, IntervalLabel]
+    main: tuple[IntervalLabel, IntervalLabel]
+    factors: tuple[IntervalLabel, ...]
+
+    def exchange_sides(self):
+        """The two sides of the exchange relation for mutating T_{i,[a,b]}
+        into T_{i,[a-1,b-1]}, as label multisets (units dropped)."""
+        side1 = Counter(l for l in self.left if not l.is_unit())
+        side2 = Counter(self.factors)
+        return side1, side2
+
+
+def _keep(lbl: IntervalLabel):
+    """Negative indices drop the symbol; c > d is the unit, also dropped."""
+    if lbl.a < 0 or lbl.b < 0:
+        return None
+    if lbl.is_unit():
+        return None
+    return lbl
+
+
+def det_identity(td: TerminalData, i: int, a: int, b: int) -> DetIdentity:
+    """The identity at T_{i,[a,b]}, building Q_M^op afresh."""
+    if not (1 <= a <= b <= td.level(i)):
+        raise IndexError(f"need 1 <= a <= b <= t_{i}, got a={a}, b={b}")
+    op = qm_op(td)
+    ti = td.level(i)
+    factors = []
+    for j in op.arrows_out(i):
+        d = td.level(j) - ti
+        f = _keep(IntervalLabel(j, a + d, b + d))
+        if f is not None:
+            factors.append(f)
+    for k in op.arrows_in(i):
+        d = td.level(k) - ti
+        f = _keep(IntervalLabel(k, a - 1 + d, b - 1 + d))
+        if f is not None:
+            factors.append(f)
+    return DetIdentity(
+        i=i,
+        a=a,
+        b=b,
+        left=(IntervalLabel(i, a - 1, b), IntervalLabel(i, a, b - 1)),
+        main=(IntervalLabel(i, a, b), IntervalLabel(i, a - 1, b - 1)),
+        factors=tuple(sorted(factors, key=lambda l: (l.i, l.a, l.b))),
+    )
 
 
 def dense_mutate_matrix(m: ExchangeMatrix, k: int) -> ExchangeMatrix:

@@ -137,6 +137,11 @@ def test_mutate_vertex_out_of_range_exits_2(tmp_path, kronecker3, capsys, vertex
             "frozen must be a list of indices in 1..2",
         ),
         ({"r": 2, "matrix": {"b": [[0, 1], [1, 0]], "frozen": []}}, "skew-symmetric"),
+        ([1, 2], "a seed must be an object with a matrix and an integer r"),
+        ({"matrix": {"b": [[0, 1], [-1, 0]]}}, "a seed must be an object with a matrix and an integer r"),
+        ({"r": 2}, "a seed must be an object with a matrix and an integer r"),
+        ({"r": "2", "matrix": {"b": [[0, 1], [-1, 0]]}}, "a seed must be an object with a matrix and an integer r"),
+        ({"r": 2.0, "matrix": {"b": [[0, 1], [-1, 0]]}}, "a seed must be an object with a matrix and an integer r"),
     ],
 )
 def test_mutate_rejects_an_inconsistent_seed(tmp_path, capsys, seed, detail):
@@ -288,6 +293,13 @@ def test_bad_quiver_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 2, "arrows": [[1, 2], [2, 1]]}))
     assert cli.main(["build", str(path), "--t", "0,0"]) == 2
+
+
+def test_arrow_out_of_range_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 2, "arrows": [[1, 5]]}))
+    assert cli.main(["build", str(path), "--t", "1,1"]) == 2
+    assert capsys.readouterr().err == "error: VertexIndexError: arrow (1,5) out of range 1..2\n"
 
 
 WORKED_PAIRS = [[v.i, v.a] for v in reference.WORKED_ORDERING]

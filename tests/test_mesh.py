@@ -8,6 +8,7 @@ from test_quiver import random_quiver
 from clusterknit import reference
 from clusterknit.errors import (
     DynkinOverflowError,
+    LabelRangeError,
     NotAdaptedError,
     TerminalConstraintError,
 )
@@ -23,6 +24,7 @@ from clusterknit.mesh import (
     to_dot,
     to_json,
     triangle_display,
+    validate_label,
     validate_ordering,
     validate_terminal,
 )
@@ -411,3 +413,14 @@ def test_json_export(kronecker3):
     data = to_json(kronecker3)
     assert data["dims"]["(1,2)"] == [9, 6, 2]
     assert data["hom"]["(1,2)"]["(1,0)"] == 9
+
+
+def test_label_out_of_range_is_typed(kronecker3):
+    """A label on no vertex, or past its level, raises LabelRangeError,
+    which is still an IndexError; a unit label is always accepted."""
+    validate_label(kronecker3, IntervalLabel(9, 5, 0))
+    for lbl in (IntervalLabel(4, 0, 0), IntervalLabel(0, 0, 0), IntervalLabel(3, 0, 2), IntervalLabel(1, -1, 1)):
+        with pytest.raises(LabelRangeError):
+            validate_label(kronecker3, lbl)
+    with pytest.raises(IndexError):
+        projected_dimvec(kronecker3, IntervalLabel(2, 0, 2))

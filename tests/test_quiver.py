@@ -10,6 +10,7 @@ from clusterknit.errors import (
     NotAdaptedError,
     NotReducedError,
     TooSmallError,
+    VertexIndexError,
 )
 from clusterknit.quiver import (
     ReducedWord,
@@ -24,6 +25,7 @@ from clusterknit.quiver import (
     s_weight,
     simple_root,
     validate_quiver,
+    validate_sink_sequence,
 )
 from clusterknit.mesh import adapted_orderings
 
@@ -93,6 +95,20 @@ def test_reflect_examples():
     assert reflect(q3, 1).arrows == ((2, 1), (2, 1), (2, 3))
     with pytest.raises(IndexError):
         reflect(q, 5)
+
+
+def test_vertex_out_of_range_is_typed():
+    """An arrow end, a vertex to reflect at and a sink-sequence letter
+    outside 1..n raise VertexIndexError, which is still an IndexError."""
+    q = validate_quiver(2, [(1, 2)])
+    for call in (
+        lambda: validate_quiver(2, [(1, 5)]),
+        lambda: reflect(q, 0),
+        lambda: validate_sink_sequence(q, [2, 3]),
+    ):
+        with pytest.raises(VertexIndexError, match="out of range 1..2"):
+            call()
+    assert issubclass(VertexIndexError, IndexError)
 
 
 def test_reflect_involution_random():

@@ -1,14 +1,16 @@
 import random
 from collections import Counter
+from dataclasses import replace
 
+import oracles
 import pytest
-from oracles import core_equal, mutable
+from oracles import core_equal, mutable, strictly_equal
 
 from clusterknit import reference, rigidpath
 from clusterknit import cluster, exchange
 from clusterknit.cluster import initial_seed, mutate_seed
-from clusterknit.errors import ScheduleMismatchError
-from clusterknit.exchange import arrows_at, b_matrix
+from clusterknit.errors import LabelRangeError, ScheduleMismatchError
+from clusterknit.exchange import arrows_at, b_matrix, make_matrix, mutate_matrix
 from clusterknit.laurent import LaurentPoly, substitute
 from clusterknit.mesh import (
     IntervalLabel,
@@ -25,6 +27,7 @@ from clusterknit.rigidpath import (
     pbw_expand,
     qm_adapted_order,
     qm_op,
+    relation_text,
     result_to_json,
     run_path,
     schedule_length,
@@ -37,7 +40,7 @@ L = IntervalLabel
 def test_qm_op_five_vertex(five_vertex):
     op = qm_op(five_vertex.terminal)
     assert op.arrows == reference.FIVE_VERTEX_QM_OP
-    assert qm_adapted_order(five_vertex.terminal) == [1, 2, 3, 4, 5]
+    assert qm_adapted_order(op) == [1, 2, 3, 4, 5]
 
 
 def test_schedule_e8():
@@ -59,7 +62,7 @@ def test_schedule_five_vertex(five_vertex):
     sch = make_schedule(five_vertex.terminal)
     assert len(sch) == reference.SCHEDULE_LENGTHS["five_vertex"]
     # step 1 starts with the full top-to-bottom sweep of orbit 1
-    assert sch.steps[:3] == (L(1, 3, 3), L(1, 2, 3), L(1, 1, 3))
+    assert [s.main[0] for s in sch.steps[:3]] == [L(1, 3, 3), L(1, 2, 3), L(1, 1, 3)]
 
 
 def test_schedule_length_random():
@@ -78,23 +81,27 @@ def test_make_schedule_checks_its_length(monkeypatch, kronecker3):
         make_schedule(kronecker3.terminal)
 
 
+def _identity(td, i, a, b):
+    return det_identity(td, qm_op(td), i, a, b)
+
+
 def test_det_identity_kronecker(kronecker3):
     td = kronecker3.terminal
-    ident = det_identity(td, 1, 1, 1)
-    assert ident.left == (L(1, 0, 1), L(1, 1, 0))
+    ident = _identity(td, 1, 1, 1)
+    # the left pair T_{1,[0,1]} T_{1,[1,0]} keeps only its non-unit factor
+    assert L(1, 1, 0).is_unit()
+    assert ident.sides[0] == {L(1, 0, 1): 1}
     assert ident.main == (L(1, 1, 1), L(1, 0, 0))
-    assert ident.factors == (L(2, 0, 0), L(2, 0, 0))
-    ident3 = det_identity(td, 3, 1, 1)
-    assert ident3.factors == (L(2, 1, 1),)
-    ident2 = det_identity(td, 2, 1, 1)
-    assert sorted(ident2.factors, key=repr) == [L(1, 1, 1), L(1, 1, 1), L(3, 0, 0)]
+    assert ident.sides[1] == {L(2, 0, 0): 2}
+    assert _identity(td, 3, 1, 1).sides[1] == {L(2, 1, 1): 1}
+    assert _identity(td, 2, 1, 1).sides[1] == {L(1, 1, 1): 2, L(3, 0, 0): 1}
 
 
 def test_det_identity_fan(fan_a3):
     td = fan_a3.terminal
-    assert det_identity(td, 1, 1, 1).factors == (L(2, 1, 1),)
-    assert det_identity(td, 2, 1, 1).factors == (L(1, 0, 0), L(3, 0, 0))
-    assert det_identity(td, 3, 1, 1).factors == (L(2, 1, 1),)
+    assert _identity(td, 1, 1, 1).sides[1] == {L(2, 1, 1): 1}
+    assert _identity(td, 2, 1, 1).sides[1] == {L(1, 0, 0): 1, L(3, 0, 0): 1}
+    assert _identity(td, 3, 1, 1).sides[1] == {L(2, 1, 1): 1}
 
 
 def test_det_identity_a2():
@@ -102,10 +109,75 @@ def test_det_identity_a2():
     td = validate_terminal(q, (1, 1))
     # the Q-arrow 1->2 with equal levels lands in-slice, giving the single
     # Q_M^op arrow 2->1: T_{2,[0,1]} = T_{2,[1,1]} T_{2,[0,0]} - T_{1,[1,1]}
-    assert det_identity(td, 2, 1, 1).factors == (L(1, 1, 1),)
-    assert det_identity(td, 1, 1, 1).factors == (L(2, 0, 0),)
-    with pytest.raises(IndexError):
-        det_identity(td, 1, 0, 1)
+    assert _identity(td, 2, 1, 1).sides[1] == {L(1, 1, 1): 1}
+    assert _identity(td, 1, 1, 1).sides[1] == {L(2, 0, 0): 1}
+    with pytest.raises(LabelRangeError):
+        _identity(td, 1, 0, 1)
+
+
+def _oracle_terminals():
+    """Every corpus instance and 40 seeded random terminals."""
+    from test_mesh import random_terminal
+
+    rng = random.Random(1101)
+    return [reference.terminal(name) for name in reference.CORPUS] + [
+        random_terminal(rng) for _ in range(40)
+    ]
+
+
+def test_det_identity_matches_the_oracle():
+    """For every 1 <= a <= b <= t_i the identity built from one Q_M^op has
+    the main pair and the two sides, as label maps, that the per-label
+    oracle with its Counter sides gives; the schedule holds exactly these
+    identities, one per label."""
+    checked = 0
+    for td in _oracle_terminals():
+        op = qm_op(td)
+        by_label = {s.main[0]: s for s in make_schedule(td).steps}
+        for i in range(1, td.q.n + 1):
+            for b in range(1, td.level(i) + 1):
+                for a in range(1, b + 1):
+                    got = det_identity(td, op, i, a, b)
+                    want = oracles.det_identity(td, i, a, b)
+                    assert got.main == want.main, (i, a, b)
+                    assert got.sides == want.exchange_sides(), (i, a, b)
+                    assert by_label.pop(L(i, a, b)) == got
+                    checked += 1
+        assert not by_label
+    assert checked > 1000
+
+
+def _oracle_relation(td, label) -> str:
+    ident = oracles.det_identity(td, label.i, label.a, label.b)
+
+    def fmt(counts):
+        names = sorted((repr(l), m) for l, m in counts.items())
+        return "*".join(n if m == 1 else f"{n}^{m}" for n, m in names) or "1"
+
+    side1, side2 = ident.exchange_sides()
+    return f"{ident.main[0]!r}*{ident.main[1]!r} = {fmt(side1)} + {fmt(side2)}"
+
+
+def test_relation_text_matches_the_oracle(five_vertex):
+    for cat in (five_vertex, reference.category("e8")):
+        td = cat.terminal
+        res = run_path(initial_seed(cat, with_vars=False), make_schedule(td))
+        assert len(res.steps) == schedule_length(td)
+        for st in res.steps:
+            assert relation_text(st) == _oracle_relation(td, st.identity.main[0])
+
+
+def test_qm_op_is_built_once(monkeypatch, kronecker3):
+    """One Q_M^op per schedule and one per dual-PBW expansion; running the
+    path builds none."""
+    calls = []
+    monkeypatch.setattr(rigidpath, "qm_op", lambda td: calls.append(td) or qm_op(td))
+    sch = make_schedule(kronecker3.terminal)
+    assert len(calls) == 1
+    run_path(initial_seed(kronecker3, with_vars=False), sch)
+    assert len(calls) == 1
+    assert pbw_expand(kronecker3, L(1, 0, 2)) == reference.pbw_expansion(kronecker3)
+    assert len(calls) == 2
 
 
 def test_run_path_visits_all_singles(fan_a3):
@@ -113,7 +185,7 @@ def test_run_path_visits_all_singles(fan_a3):
     res = run_path(initial_seed(fan_a3), sch)
     seen = set(initial_seed(fan_a3).labels)
     for st in res.steps:
-        seen.add(st.new_label)
+        seen.add(st.identity.main[1])
     n = fan_a3.terminal.q.n
     for l in range(1, n + 1):
         for c in range(fan_a3.terminal.level(l) + 1):
@@ -173,9 +245,9 @@ def test_run_path_tracker_consistency(kronecker3):
     cat = kronecker3
     sch = make_schedule(cat.terminal)
     cur = initial_seed(cat)
-    for target in sch.steps:
+    for ident in sch.steps:
+        target, new_label = ident.main
         k = cur.labels.index(target) + 1
-        new_label = L(target.i, target.a - 1, target.b - 1)
         cur = mutate_seed(cur, k, new_label=new_label)
         assert cur.dim_trackers[k - 1] == projected_dimvec(cat, new_label)
         assert cur.delta_trackers[k - 1] == delta_support(cat, new_label)
@@ -185,6 +257,38 @@ def test_run_path_rejects_foreign_seed(kronecker3, fan_a3):
     sch = make_schedule(kronecker3.terminal)
     with pytest.raises(ScheduleMismatchError):
         run_path(initial_seed(fan_a3), sch)
+
+
+def _negated(m):
+    return make_matrix([[-x for x in row] for row in m.b], m.frozen)
+
+
+def test_run_path_accepts_the_sides_in_either_order(kronecker3, five_vertex, fan_a3, linear_a4):
+    """Negating B swaps the two exchange sides at every step, so the path
+    runs through the branch where the emitted (out, in) pair equals the
+    predicted sides as they stand.  Everything but B is the same, and B
+    ends negated."""
+    for cat in (kronecker3, five_vertex, fan_a3, linear_a4):
+        seed = initial_seed(cat, with_vars=cat is not five_vertex)
+        sch = make_schedule(cat.terminal)
+        res = run_path(seed, sch)
+        neg = run_path(replace(seed, matrix=_negated(seed.matrix)), sch)
+        assert neg.steps == res.steps
+        for field in ("labels", "vars", "dim_trackers", "delta_trackers", "d_delta"):
+            assert getattr(neg.seed, field) == getattr(res.seed, field), field
+        assert strictly_equal(neg.seed.matrix, _negated(res.seed.matrix))
+
+
+def test_run_path_reports_a_mismatched_exchange(kronecker3):
+    """B mutated at vertex 5 while the labels stay put: the first step
+    finds its label at vertex 7 but emits sides the identity does not
+    predict."""
+    seed = initial_seed(kronecker3, with_vars=False)
+    sch = make_schedule(kronecker3.terminal)
+    assert seed.labels[6] == sch.steps[0].main[0]
+    spoiled = replace(seed, matrix=mutate_matrix(seed.matrix, 5))
+    with pytest.raises(ScheduleMismatchError, match="step 1: .* emitted .* predicted "):
+        run_path(spoiled, sch)
 
 
 def test_pbw_single(kronecker3):
@@ -220,20 +324,22 @@ def test_pbw_satisfies_identity(kronecker3, five_vertex):
     polynomial identity."""
     for cat in (kronecker3, five_vertex):
         td = cat.terminal
+
+        def product(side):
+            prod = LaurentPoly.one(cat.r)
+            for f, m in side.items():
+                prod = prod * pbw_expand(cat, f) ** m
+            return prod
+
         for i in range(1, td.q.n + 1):
             for b in range(1, td.level(i) + 1):
                 for a in range(1, b + 1):
-                    ident = det_identity(td, i, a, b)
-                    lhs = pbw_expand(cat, ident.left[0]) * pbw_expand(
-                        cat, ident.left[1]
-                    )
+                    ident = _identity(td, i, a, b)
+                    lhs = product(ident.sides[0])
                     rhs = pbw_expand(cat, ident.main[0]) * pbw_expand(
                         cat, ident.main[1]
                     )
-                    prod = LaurentPoly.one(cat.r)
-                    for f in ident.factors:
-                        prod = prod * pbw_expand(cat, f)
-                    assert lhs == rhs - prod, (i, a, b)
+                    assert lhs == rhs - product(ident.sides[1]), (i, a, b)
 
 
 def test_mutation_reaches_four_term_identity(fan_a3):
@@ -260,7 +366,8 @@ def test_total_rule_agrees_with_max_on_schedule(kronecker3, fan_a3, linear_a4):
     the componentwise-Max selection at every schedule step."""
     for cat in (kronecker3, fan_a3, linear_a4):
         cur = initial_seed(cat, with_vars=False)
-        for target in make_schedule(cat.terminal).steps:
+        for ident in make_schedule(cat.terminal).steps:
+            target, new_label = ident.main
             k = cur.labels.index(target) + 1
             tr = cur.dim_trackers
             out_sum, in_sum = (
@@ -271,9 +378,7 @@ def test_total_rule_agrees_with_max_on_schedule(kronecker3, fan_a3, linear_a4):
             by_total = out_sum if sum(out_sum) > sum(in_sum) else in_sum
             cmax = [max(a, b) for a, b in zip(out_sum, in_sum)]
             assert by_total == cmax
-            cur = mutate_seed(
-                cur, k, new_label=L(target.i, target.a - 1, target.b - 1)
-            )
+            cur = mutate_seed(cur, k, new_label=new_label)
 
 
 def test_run_path_reads_each_step_once(kronecker3, five_vertex, monkeypatch):

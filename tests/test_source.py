@@ -107,6 +107,24 @@ def test_every_private_definition_is_named_in_src():
     assert len(trees) > 10 and not unused, unused
 
 
+def _asserts(trees: dict) -> list:
+    return [
+        f"{module}:{node.lineno}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+
+
+def test_no_assert_in_src():
+    """Invariants raise a typed error: ``python -O`` strips ``assert``
+    statements, so an invariant written as one would go unchecked there."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    found = _asserts(trees)
+    assert len(trees) > 10 and not found, found
+    assert _asserts({"a": ast.parse("def f(x):\n    if x:\n        assert x > 1\n")}) == ["a:3"]
+
+
 def test_the_guard_resolves_module_names():
     """A definition named only through another module's namesake is
     reported; one named through its own module is not.  Private
