@@ -1,8 +1,13 @@
 """Command-line entry point.
 
 Commands: build, mutate, path, euler, minors, check.  Exit codes: 0 ok,
-1 verification failure, 2 input error.  Large outputs (long series, long
-path traces) go to files, never to stdout by default.
+1 verification failure, 2 input error, 3 internal error (a bug, never bad
+input).  Large outputs (long series, long path traces) go to files, never
+to stdout by default.
+
+Each command imports the modules it uses when it runs, so ``--help``
+loads no library module and ``mutate`` none of the path, Euler-series or
+minors modules.
 """
 
 from __future__ import annotations
@@ -11,18 +16,30 @@ import argparse
 import json
 import sys
 
-from . import cluster, euler, laurent, mesh, quiver, reference, rigidpath
 from .errors import ClusterKnitError, InputFormatError
-from .mesh import MeshVertex
 
 BIG_OUTPUT_LINES = 2000
 BIG_OUTPUT_CHARS = 200_000
 
 
-def load_terminal(args) -> mesh.TerminalData:
+def read_json(path: str):
+    """The JSON value in the file at ``path``.  Text that is not UTF-8, or
+    nested too deeply for the parser, is an input error like any other
+    unreadable JSON."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(f"{path} is not UTF-8 text: {exc}") from None
+        except RecursionError:
+            raise InputFormatError(f"{path} nests JSON too deeply") from None
+
+
+def load_terminal(args):
     """The terminal data (Q, t) given by the quiver file and ``--t``."""
-    with open(args.quiver) as fh:
-        q = quiver.from_json(json.load(fh))
+    from . import mesh, quiver
+
+    q = quiver.from_json(read_json(args.quiver))
     try:
         t = tuple(int(x) for x in args.t.split(","))
     except ValueError:
@@ -31,12 +48,13 @@ def load_terminal(args) -> mesh.TerminalData:
 
 
 def load_ordering(cat, spec: str):
+    from . import mesh, quiver
+
     if spec == "canonical":
         return mesh.adapted_orderings(cat)
     if spec.startswith("file:"):
-        with open(spec[5:]) as fh:
-            pairs = json.load(fh)
-        ordering = [MeshVertex(i, a) for (i, a) in quiver.int_pairs(pairs, "an ordering")]
+        pairs = read_json(spec[5:])
+        ordering = [mesh.MeshVertex(i, a) for (i, a) in quiver.int_pairs(pairs, "an ordering")]
         mesh.validate_ordering(cat, ordering)
         return ordering
     raise ClusterKnitError(f"unknown ordering spec {spec!r}")
@@ -61,6 +79,8 @@ def emit(text: str, args, default_name: str) -> None:
 
 
 def cmd_build(args) -> int:
+    from . import mesh
+
     td = load_terminal(args)
     cat = mesh.build_category(td)
     ordering = load_ordering(cat, args.ordering)
@@ -96,8 +116,9 @@ def cmd_build(args) -> int:
 
 
 def cmd_mutate(args) -> int:
-    with open(args.seed) as fh:
-        cur = cluster.from_json(json.load(fh))
+    from . import cluster
+
+    cur = cluster.from_json(read_json(args.seed))
     steps = []  # each step's output is made as the walk goes, so no old seed is kept
     for k in args.vertices:
         new = cluster.mutate_seed(cur, k)
@@ -118,6 +139,8 @@ def cmd_mutate(args) -> int:
 
 
 def cmd_path(args) -> int:
+    from . import cluster, mesh, rigidpath
+
     td = load_terminal(args)
     cat = mesh.build_category(td)
     ordering = load_ordering(cat, args.ordering)
@@ -156,6 +179,8 @@ def cmd_path(args) -> int:
 
 
 def cmd_euler(args) -> int:
+    from . import euler, mesh
+
     td = load_terminal(args)
     cat = mesh.build_category(td)
     ordering = load_ordering(cat, args.ordering)
@@ -175,6 +200,8 @@ def cmd_euler(args) -> int:
 
 
 def cmd_minors(args) -> int:
+    from . import laurent, reference
+
     n = args.n
     report = {"n": n, "mode": args.mode, "checks": []}
     ok = True
@@ -232,6 +259,8 @@ def cmd_minors(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import reference
+
     manifest = {"checks": [], "status": "PASS"}
     for name, fn in reference.CHECKS + (reference.SLOW_CHECKS if args.slow else []):
         try:
@@ -324,9 +353,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ClusterKnitError, OSError, ValueError, KeyError, IndexError) as exc:
+    except (ClusterKnitError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug: report it as one, with its traceback
+        import traceback
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -41,13 +41,11 @@ class Seed:
     def r(self) -> int:
         return self.matrix.r
 
-    def var_names(self):
-        if self.labels is not None:
-            return [
-                repr(l) if l is not None else f"y{k + 1}"
-                for k, l in enumerate(self.labels)
-            ]
-        return [f"y{k + 1}" for k in range(self.r)]
+    def var_name(self, p: int) -> str:
+        """The name of the variable at position p (1-based): its label, or
+        ``y<p>`` where it has none."""
+        label = None if self.labels is None else self.labels[p - 1]
+        return f"y{p}" if label is None else repr(label)
 
 
 def initial_seed(cat: mesh.CategoryModel, ordering=None, with_vars: bool = True) -> Seed:
@@ -135,11 +133,12 @@ def mutate_seed(s: Seed, k: int, new_label=None) -> Seed:
     if s.vars is not None:
 
         def product(side):
-            p = LaurentPoly.one(s.r)
+            p = None
             for i, m in side.items():
                 # most multiplicities are 1, where ``**`` would cost one more product
-                p = p * (s.vars[i - 1] if m == 1 else s.vars[i - 1] ** m)
-            return p
+                f = s.vars[i - 1] if m == 1 else s.vars[i - 1] ** m
+                p = f if p is None else p * f
+            return LaurentPoly.one(s.r) if p is None else p
 
         new_var = exact_div(product(out) + product(inc), s.vars[k - 1])
         new["vars"] = _replace_at(s.vars, k, new_var)
@@ -236,13 +235,13 @@ def monomial_text(factors) -> str:
 
 def relation_monomials(s: Seed, k: int) -> str:
     """The exchange relation at k, written in the seed's variable names."""
-    names = s.var_names()
     out, inc = ex.arrows_at(s.matrix, k)
 
     def fmt(side):
-        return monomial_text((names[i - 1], m) for i, m in side.items())
+        return monomial_text((s.var_name(i), m) for i, m in side.items())
 
-    return f"{names[k - 1]}' * {names[k - 1]} = {fmt(out)} + {fmt(inc)}"
+    name = s.var_name(k)
+    return f"{name}' * {name} = {fmt(out)} + {fmt(inc)}"
 
 
 def trace_line(s: Seed, k: int, new_s: Seed) -> str:

@@ -31,6 +31,7 @@ from .errors import (
     ArityMismatchError,
     NegativeExponentSubstitutionError,
     NotDivisibleError,
+    SeedFormatError,
 )
 
 _BASE_WIDTH = 16
@@ -43,7 +44,7 @@ class _Overflow(Exception):
 class _Layout:
     """The packing of exponent vectors of one arity in slots of one width."""
 
-    __slots__ = ("r", "w", "half", "bias", "guard", "guards", "slots")
+    __slots__ = ("r", "w", "half", "bias", "guard", "guards", "low", "quarter", "slots")
 
     def __init__(self, r: int, w: int):
         self.r, self.w = r, w
@@ -53,6 +54,8 @@ class _Layout:
         # the top bit of every slot, and the top two bits of every slot
         self.guard = sum(1 << (s + w - 1) for s in shifts)
         self.guards = self.guard | (self.guard >> 1)
+        self.low = (1 << r * w) - 1  # every slot, without the degree on top
+        self.quarter = self.guard >> 1  # slot value of exponent -2**(w-2)
         self.slots = tuple((s, ((1 << w) - 1) << s) for s in shifts)
 
     def pack(self, exps) -> int:
@@ -93,6 +96,26 @@ def _fits(lay: _Layout, keys) -> bool:
 def _slot_bounds(lay: _Layout, keys, bound) -> list[int]:
     """Per-variable ``bound`` (min or max) exponent over nonempty keys."""
     return [(bound(map(m.__and__, keys)) >> s) - lay.half for s, m in lay.slots]
+
+
+def _min_key(lay: _Layout, keys) -> int:
+    """``lay.pack(_slot_bounds(lay, keys, min))`` for nonempty keys, in one
+    pass over them.
+
+    A stored slot value lies in [2**(w-2), 3 * 2**(w-2)), so less
+    ``quarter`` it lies in [0, 2**(w-1)) and its slot's top bit is free.
+    Then ``(m | guard) - u`` borrows across no slot, and its top bit in a
+    slot is set exactly where the slot of m is at least that of u."""
+    low, quarter, guard, top = lay.low, lay.quarter, lay.guard, lay.w - 1
+    keys = iter(keys)
+    m = (next(keys) & low) - quarter
+    for k in keys:
+        u = (k & low) - quarter
+        ge = ((m | guard) - u) & guard
+        m ^= (m ^ u) & ((ge << 1) - (ge >> top))
+    m += quarter
+    degree = sum([(m & mask) >> s for s, mask in lay.slots]) - lay.r * lay.half
+    return (degree << lay.r * lay.w) + m
 
 
 def _new(lay: _Layout, terms: dict) -> "LaurentPoly":
@@ -284,8 +307,8 @@ def _divide(lay: _Layout, num: dict, den: dict) -> dict:
     shifted divisor's and each quotient term's in [0, 2**(w-2)), so no sum
     or difference below leaves its slot."""
     bias, guard, guards = lay.bias, lay.guard, lay.guards
-    num_shift = bias - lay.pack(_slot_bounds(lay, num, min))
-    den_shift = bias - lay.pack(_slot_bounds(lay, den, min))
+    num_shift = bias - _min_key(lay, num)
+    den_shift = bias - _min_key(lay, den)
     den = {k + den_shift: c for k, c in den.items()}
     if not _fits(lay, den):
         raise _Overflow
@@ -330,6 +353,28 @@ def _divide(lay: _Layout, num: dict, den: dict) -> dict:
     return quot
 
 
+def _shift_div(lay: _Layout, num: dict, den: dict) -> dict:
+    """The quotient num / den for a single-term den = c * y**e: each key
+    moves down by e, and each coefficient must be a multiple of c.  A slot
+    of a difference of two stored keys cannot carry into its neighbour
+    (see the module docstring), so checking the guard bits of the result
+    is enough."""
+    ((dk, c),) = den.items()
+    back = lay.bias - dk
+    if c == 1:
+        quot = {k + back: a for k, a in num.items()}
+    else:
+        quot = {}
+        for k, a in num.items():
+            q, r = divmod(a, c)
+            if r:
+                raise NotDivisibleError("nonzero remainder in exact division")
+            quot[k + back] = q
+    if not _fits(lay, quot):
+        raise _Overflow
+    return quot
+
+
 def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     """Return q with q * den == num, allowing negative exponents.
 
@@ -341,22 +386,39 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         raise ZeroDivisionError("division by zero polynomial")
     if num.is_zero():
         return LaurentPoly.zero(num.arity)
-    # At y = (1, ..., 1) and y = (-1, ..., -1), q * den = num reads
-    # q(y) * den(y) = num(y): cheap necessary tests, so a hopeless division
-    # is refused before it runs.
-    for num_y, den_y in zip(_values_at_pm_one(num), _values_at_pm_one(den)):
-        if (num_y % den_y if den_y else num_y):
+    # At y = (1, ..., 1), (-1, ..., -1) and (i, ..., i), q * den = num reads
+    # q(y) * den(y) = num(y) in the Gaussian integers, since q has integer
+    # coefficients: cheap necessary tests, so a hopeless division is refused
+    # before it runs.
+    for num_y, den_y in zip(_values(num), _values(den)):
+        if not _gauss_divides(den_y, num_y):
             raise NotDivisibleError("nonzero remainder in exact division")
+    if len(den.terms) == 1:
+        return _redo_wider(_shift_div, num, den)
     return _redo_wider(_divide, num, den)
 
 
-def _values_at_pm_one(p: LaurentPoly) -> tuple[int, int]:
-    """p(1, ..., 1) and p(-1, ..., -1).  A term's sign at -1 is the parity
-    of its total degree, the top of its packed key."""
+def _values(p: LaurentPoly) -> tuple:
+    """p at y = (1, ..., 1), (-1, ..., -1) and (i, ..., i), as Gaussian
+    integers (re, im).  A term's value at each point is its coefficient
+    times 1, (-1)**d or i**d, where d is its total degree, the top of its
+    packed key: so summing the coefficients by d mod 4 gives all three."""
     shift = p.arity * p._lay.w
-    at_1 = sum(p.terms.values())
-    odd = sum([c for k, c in p.terms.items() if k >> shift & 1])
-    return at_1, at_1 - 2 * odd
+    s = [0, 0, 0, 0]
+    for k, c in p.terms.items():
+        s[k >> shift & 3] += c
+    s0, s1, s2, s3 = s
+    return (s0 + s1 + s2 + s3, 0), (s0 - s1 + s2 - s3, 0), (s0 - s2, s1 - s3)
+
+
+def _gauss_divides(d: tuple, n: tuple) -> bool:
+    """Whether d divides n in the Gaussian integers: n * conj(d) is a
+    multiple of the norm of d, or both are 0."""
+    (a, b), (x, y) = d, n
+    norm = a * a + b * b
+    if not norm:
+        return not (x or y)
+    return not ((x * a + y * b) % norm or (y * a - x * b) % norm)
 
 
 def substitute(p: LaurentPoly, images: list[LaurentPoly]) -> LaurentPoly:
@@ -440,10 +502,16 @@ def to_json_terms(p: LaurentPoly) -> dict:
 
 
 def from_json_terms(arity: int, data: dict) -> LaurentPoly:
+    """The polynomial of a ``to_json_terms`` map; SeedFormatError where a
+    key is not ','-joined integers or a coefficient is not an integer."""
     terms = {}
     for key, val in data.items():
-        exps = tuple(int(x) for x in key.split(",")) if key else ()
+        try:
+            exps = tuple(int(x) for x in key.split(",")) if key else ()
+            coeff = int(val)
+        except ValueError as exc:
+            raise SeedFormatError(f"a term is not integer exponents and coefficient: {exc}") from None
         if len(exps) != arity:
             raise ArityMismatchError(f"exponent vector {key!r} has wrong length")
-        terms[exps] = int(val)
+        terms[exps] = coeff
     return LaurentPoly(arity, terms)

@@ -142,6 +142,19 @@ def test_mutate_vertex_out_of_range_exits_2(tmp_path, kronecker3, capsys, vertex
         ({"r": 2}, "a seed must be an object with a matrix and an integer r"),
         ({"r": "2", "matrix": {"b": [[0, 1], [-1, 0]]}}, "a seed must be an object with a matrix and an integer r"),
         ({"r": 2.0, "matrix": {"b": [[0, 1], [-1, 0]]}}, "a seed must be an object with a matrix and an integer r"),
+        # these failed in int() and reached exit 2 only as a bare ValueError
+        (
+            {"r": 2, "matrix": {"b": [[0, 1], [-1, 0]]}, "vars": [{"a,b": "1"}, {"0,1": "1"}]},
+            "a term is not integer exponents and coefficient",
+        ),
+        (
+            {"r": 2, "matrix": {"b": [[0, 1], [-1, 0]]}, "vars": [{"1,0": "1.5"}, {"0,1": "1"}]},
+            "a term is not integer exponents and coefficient",
+        ),
+        (
+            {"r": 2, "matrix": {"b": [[0, 1], [-1, 0]]}, "vars": [{"1,0": "9" * 5000}, {"0,1": "1"}]},
+            "a term is not integer exponents and coefficient",
+        ),
     ],
 )
 def test_mutate_rejects_an_inconsistent_seed(tmp_path, capsys, seed, detail):
@@ -287,6 +300,39 @@ def test_check_under_optimize():
     assert proc.returncode == 0, proc.stderr
     names = [c["name"] for c in json.loads(proc.stdout)["checks"]]
     assert names == [name for (name, _) in reference.CHECKS]
+
+
+@pytest.mark.parametrize(
+    "raw, detail",
+    [(b"\xff\xfe{}", "is not UTF-8 text"), (b"[" * 100_000 + b"]" * 100_000, "nests JSON too deeply")],
+    ids=["not-utf8", "too-deep"],
+)
+def test_unreadable_json_files_exit_2(tmp_path, kron_file, capsys, raw, detail):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    for argv in (
+        ["mutate", str(path), "1"],
+        ["build", str(path), "--t", "0,0"],
+        ["build", kron_file, "--t", "2,1,1", "--ordering", f"file:{path}"],
+    ):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: InputFormatError: ") and detail in err
+
+
+def test_an_internal_error_exits_3(tmp_path, monkeypatch, capsys):
+    """A ValueError from inside the library is a bug, not bad input: it
+    exits 3 and says so, with its traceback."""
+    def broken(s, k, new_label=None):
+        raise ValueError("broken invariant")
+
+    monkeypatch.setattr(cluster, "mutate_seed", broken)
+    spath = tmp_path / "seed.json"
+    spath.write_text(json.dumps({"r": 2, "matrix": {"b": [[0, 1], [-1, 0]]}}))
+    assert cli.main(["mutate", str(spath), "1"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert err.endswith("internal error: ValueError: broken invariant\n")
 
 
 def test_bad_quiver_file(tmp_path, capsys):

@@ -5,7 +5,7 @@ import signal
 import pytest
 from oracles import TupleLaurent, mutable, tuple_exact_div, tuple_mutate_vars
 
-from clusterknit import cluster, reference
+from clusterknit import cluster, laurent, reference
 from clusterknit.errors import (
     ArityMismatchError,
     NegativeExponentSubstitutionError,
@@ -98,6 +98,103 @@ def test_exact_div_refuses_by_the_value_at_one():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_exact_div_refuses_by_the_value_at_i():
+    """(y^n + 1) / (y^2 + 1) with 4 | n passes at y = 1 (2 = 2 * 1) and at
+    y = -1 (the same), and is refused at y = i, where den(i) = 0 and
+    num(i) = 2; a long division would run n/2 steps first."""
+    def too_slow(signum, frame):
+        raise TimeoutError("exact_div ran for more than one second")
+
+    one, y0 = LaurentPoly.one(1), y(0, 1)
+    num = LaurentPoly(1, {(4 * 10**5,): 1, (0,): 1})
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        with pytest.raises(NotDivisibleError):
+            exact_div(num, y0 * y0 + one)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    # divisible numerators with den(i) = 0 still divide
+    assert exact_div(y0 ** 4 - one, y0 * y0 + one) == y0 * y0 - one
+
+
+def gauss_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def test_values_at_the_three_points_match_evaluation():
+    """``_values`` reads a term's value off its total degree; here each
+    term is evaluated factor by factor in the Gaussian integers."""
+    rng = random.Random(53)
+    unit = {1: (0, 1), -1: (0, -1)}  # i and 1/i = -i
+    for _ in range(300):
+        arity = rng.randint(1, 5)
+        p = rand_poly(rng, arity, nterms=6, deg=6, allow_neg=True)
+        want = [[0, 0], [0, 0], [0, 0]]
+        for exps, c in p.sorted_terms():
+            at_i = (c, 0)
+            for e in exps:
+                for _ in range(abs(e)):
+                    at_i = gauss_mul(at_i, unit[1 if e > 0 else -1])
+            for acc, (re, im) in zip(want, [(c, 0), (c * (-1) ** sum(exps), 0), at_i]):
+                acc[0] += re
+                acc[1] += im
+        assert list(map(list, laurent._values(p))) == want
+
+
+def test_single_term_division_matches_the_oracle(monkeypatch):
+    """Division by c * y^e is a key shift and a check of every coefficient,
+    without the long division: q * den == num, a coefficient that c does
+    not divide is refused, and a shift past the slot range widens."""
+    def no_long_division(*args):
+        raise AssertionError("a single-term divisor reached the long division")
+
+    monkeypatch.setattr(laurent, "_divide", no_long_division)
+    rng = random.Random(47)
+    widths, refused = set(), 0
+    for _ in range(800):
+        arity = rng.randint(1, 9)
+        num = wide_poly(rng, arity, nterms=6)
+        c = rng.choice((1, -1, 2, -3, 7))
+        den = LaurentPoly.monomial(arity, [rng.choice(CENTRES) * rng.choice((1, -1)) for _ in range(arity)], c)
+        if num.is_zero():
+            continue
+        widths.add(num._lay.w)
+        if all(v % c == 0 for v in num.terms.values()):
+            q = exact_div(num, den)
+            assert q * den == num
+            assert q.sorted_terms() == tuple_exact_div(TupleLaurent.of(num), TupleLaurent.of(den)).sorted_terms()
+        else:
+            refused += 1
+            with pytest.raises(NotDivisibleError):
+                exact_div(num, den)
+    assert {16, 32, 64} <= widths and refused > 100, (widths, refused)
+    # 2**13 - (-2**13) = 2**14 leaves the 16-bit slot range [-2**14, 2**14):
+    # the quotient is packed wider, never wrapped into a neighbouring slot
+    num = LaurentPoly.monomial(2, (1 << 13, 5), 6)
+    den = LaurentPoly.monomial(2, (-(1 << 13), 0), -3)
+    q = exact_div(num, den)
+    assert q.sorted_terms() == [((1 << 14, 5), -2)] and q._lay.w == 32
+    assert q * den == num
+
+
+def test_min_key_matches_slot_bounds():
+    """The one-pass componentwise-minimum key equals the packed per-slot
+    minima, at every width and across the whole stored exponent range."""
+    rng = random.Random(59)
+    for w in (16, 32, 64, 128):
+        edge = 1 << (w - 2)
+        for _ in range(300):
+            r = rng.randint(1, 12)
+            lay = laurent._layout(r, w)
+            keys = [
+                lay.pack([rng.choice((-edge, edge - 1, 0, rng.randrange(-edge, edge))) for _ in range(r)])
+                for _ in range(rng.randint(1, 8))
+            ]
+            assert laurent._min_key(lay, keys) == lay.pack(laurent._slot_bounds(lay, keys, min))
 
 
 def test_exact_div_round_trip_random():

@@ -1,0 +1,78 @@
+"""What a fresh process loads: each command imports only the modules it
+uses, and the package loads its submodules on first attribute access."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+HEAVY = {"euler", "reference", "rigidpath", "minors"}
+
+
+# Runs the CLI module as ``python -m`` does, then prints the clusterknit
+# submodules in sys.modules.  (``-X importtime`` cannot tell: it does not
+# log a submodule that ``from . import name`` loads.)
+CLI = """
+import json, runpy, sys
+sys.argv[0] = "clusterknit"
+try:
+    runpy.run_module("clusterknit.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("clusterknit."))]))
+"""
+
+
+def python_c(code: str, args, cwd) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=60,
+    )
+
+
+def run_cli(args, cwd) -> tuple[str, set]:
+    """Run the CLI on ``args`` in a fresh process: its standard output
+    before the report, and the clusterknit submodules it loaded."""
+    proc = python_c(CLI, args, cwd)
+    out, _, report = proc.stdout.rstrip("\n").rpartition("\n")
+    code, names = json.loads(report)
+    assert code == 0, proc.stderr
+    return out, {n.split(".", 1)[1] for n in names}
+
+
+def test_help_loads_only_the_cli_and_errors(tmp_path):
+    out, loaded = run_cli(["--help"], tmp_path)
+    assert "usage: clusterknit" in out
+    assert loaded == {"errors"}  # the cli itself runs as __main__
+
+
+def test_mutate_loads_no_path_euler_or_minors_module(tmp_path):
+    seed = tmp_path / "seed.json"
+    seed.write_text(json.dumps({
+        "r": 2,
+        "matrix": {"b": [[0, 1], [-1, 0]], "frozen": []},
+        "vars": [{"1,0": "1"}, {"0,1": "1"}],
+    }))
+    out, loaded = run_cli(["mutate", str(seed), "1", "2"], tmp_path)
+    assert "var = " in out
+    assert {"cluster", "laurent"} <= loaded and not loaded & HEAVY
+
+
+def test_the_package_loads_submodules_on_first_access(tmp_path):
+    code = (
+        "import sys, clusterknit\n"
+        "before = sorted(m for m in sys.modules if m.startswith('clusterknit.'))\n"
+        "g = clusterknit.euler.g_module\n"
+        "try:\n"
+        "    clusterknit.no_such_module\n"
+        "except AttributeError as exc:\n"
+        "    missing = str(exc)\n"
+        "print(before, g.__module__, 'clusterknit.reference' in sys.modules, missing)\n"
+    )
+    proc = python_c(code, [], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == (
+        "[] clusterknit.euler False module 'clusterknit' has no attribute 'no_such_module'"
+    )
