@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .errors import ClusterKnitError, InputFormatError
+from .errors import ClusterKnitError, InputFormatError, strict_int
 
 BIG_OUTPUT_LINES = 2000
 BIG_OUTPUT_CHARS = 200_000
@@ -41,7 +41,7 @@ def load_terminal(args):
 
     q = quiver.from_json(read_json(args.quiver))
     try:
-        t = tuple(int(x) for x in args.t.split(","))
+        t = tuple(map(strict_int, args.t.split(",")))
     except ValueError:
         raise InputFormatError(f"--t must be comma-separated integers, got {args.t!r}") from None
     return mesh.validate_terminal(q, t)
@@ -184,15 +184,10 @@ def cmd_euler(args) -> int:
     td = load_terminal(args)
     cat = mesh.build_category(td)
     ordering = load_ordering(cat, args.ordering)
-    series = euler.g_module(cat, ordering, args.k)
     if args.format == "json":
-        emit(
-            json.dumps(euler.to_json(series), indent=0, sort_keys=True),
-            args,
-            f"g_T{args.k}.json",
-        )
+        emit(euler.json_text(cat, ordering, args.k), args, f"g_T{args.k}.json")
     else:
-        emit(euler.to_text(series), args, f"g_T{args.k}.txt")
+        emit(euler.to_text(euler.g_module(cat, ordering, args.k)), args, f"g_T{args.k}.txt")
     return 0
 
 

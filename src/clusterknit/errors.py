@@ -1,4 +1,16 @@
-"""Exception hierarchy shared by all clusterknit modules."""
+"""Exception hierarchy shared by all clusterknit modules, and the strict
+integer reader that the text input boundaries share."""
+
+
+def strict_int(text: str) -> int:
+    """The integer spelled ``-?[0-9]+`` by ``text``, as JSON spells one.
+    Anything ``int()`` would also take (underscores, surrounding spaces, a
+    sign '+', non-ASCII digits) raises ValueError, as does a number past
+    ``int()``'s digit limit."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 class ClusterKnitError(Exception):

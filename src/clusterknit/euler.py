@@ -109,20 +109,21 @@ def b_exponents(word: ReducedWord, k: int, c: CartanMatrix):
     return tuple(bs)
 
 
-def g_module(cat: mesh.CategoryModel, ordering, k: int) -> ShuffleSeries:
-    """Generating function of flag Euler characteristics of the k-th
-    summand of T_M^vee along the ordering: the divided lowering operators
-    f_{i_1}^{(b_1)} ... f_{i_k}^{(b_k)} applied to the empty word, rightmost
-    factor first, in weight lam = w_{i_k}, read as a path sum.
+def stage_dag(cat: mesh.CategoryModel, ordering, k: int) -> tuple:
+    """The divided-power stage DAG of the k-th summand of T_M^vee along the
+    ordering, as ``(edges, length)``.
 
-    The stages (i_s, b_s) are the factors with b_s > 0 in the order they
-    act.  A state counts the letters x_s read so far from each stage, as one
-    mixed-radix int; reading the next letter of stage s weighs
-    lam(alpha_{i_s}^vee) - sum_{t<s} x_t c(i_t, i_s) - x_s, which is the
-    divided power's b_s! folded into its letters.  The coefficient of a word
-    is the sum over the paths that spell it from the empty state to the full
-    one, so nothing is divided.  Words are expanded depth first, carrying
-    the sparse vector of states that each prefix reaches."""
+    The stages (i_s, b_s) are the factors of f_{i_1}^{(b_1)} ... f_{i_k}^{(b_k)}
+    with b_s > 0, in the order they act on the empty word (rightmost factor
+    first), in weight lam = w_{i_k}.  A state counts the letters x_s read so
+    far from each stage, as one mixed-radix int; reading the next letter of
+    stage s weighs lam(alpha_{i_s}^vee) - sum_{t<s} x_t c(i_t, i_s) - x_s,
+    which is the divided power's b_s! folded into its letters.  ``edges``
+    maps each reachable state to its out-edges by letter, in descending
+    letter order (the order a depth-first stack pushes them), zero weights
+    dropped: ``(letter, next state, weight)`` for a letter with one edge,
+    ``(letter, None, ((next state, weight), ...))`` otherwise.  ``length``
+    is the number of letters of every word, b_1 + ... + b_k."""
     mesh.validate_ordering(cat, ordering)
     word = adapted_word(cat, ordering)
     c = cartan(cat.terminal.q)
@@ -130,7 +131,7 @@ def g_module(cat: mesh.CategoryModel, ordering, k: int) -> ShuffleSeries:
     lam = fundamental_weight(word.letters[k - 1], c.n)
     stages = [(word.letters[j - 1], bs[j - 1]) for j in range(k, 0, -1) if bs[j - 1]]
     radix = [prod(b + 1 for _, b in stages[:s]) for s in range(len(stages))]
-    edges: dict = {}  # state -> ((letter, ((next state, weight), ...)), ...)
+    edges: dict = {}
     todo = [0]
     while todo:
         state = todo.pop()
@@ -144,32 +145,82 @@ def g_module(cat: mesh.CategoryModel, ordering, k: int) -> ShuffleSeries:
                 if weight:
                     out[i].append((state + radix[s], weight))
                     todo.append(state + radix[s])
-        edges[state] = tuple((i, tuple(e)) for i, e in out.items())
-    length = sum(bs)
-    terms: dict = {}
-    path: list = []
+        edges[state] = tuple(
+            (i, *out[i][0]) if len(out[i]) == 1 else (i, None, tuple(out[i]))
+            for i in sorted(out, reverse=True)
+        )
+    return edges, sum(bs)
 
-    def expand(vector: dict) -> None:
+
+def expand(edges: dict, length: int, tokens, key):
+    """Yield ``(key(word), coefficient)`` for every word of nonzero
+    coefficient, in ascending letter order, where ``word`` is the list of
+    ``tokens[letter]`` and the coefficient is the sum over the paths that
+    spell it from the empty state to the full one.
+
+    One depth-first walk over the prefix trie, carrying what each prefix
+    reaches: a single state and its coefficient (almost every prefix: its
+    children scale that state's edges), or a sparse {state: coefficient}
+    vector whose zero entries are skipped as they are read.  Children are
+    pushed in descending letter order, so they pop in ascending order."""
+    last = length - 1
+    path = [None] * length
+    stack = [(0, None, 0, 1)]  # (depth, token, state, coefficient) or (depth, token, None, vector)
+    pop, push = stack.pop, stack.append
+    while stack:
+        depth, token, state, coeff = pop()
+        if depth:
+            path[depth - 1] = token
+        if state is not None:
+            if depth == last:  # each letter has one edge, into the full state
+                for i, _, weight in reversed(edges[state]):
+                    path[last] = tokens[i]
+                    yield key(path), coeff * weight
+                continue
+            depth += 1
+            for i, target, weight in edges[state]:
+                if target is None:
+                    push((depth, tokens[i], None, {t: coeff * w for t, w in weight}))
+                else:
+                    push((depth, tokens[i], target, coeff * weight))
+            continue
         split: dict = {}  # next letter -> {state: coefficient}
-        for state, coeff in vector.items():
-            if coeff:
-                for i, targets in edges[state]:
+        for state, c in coeff.items():
+            if c:
+                for i, target, weight in edges[state]:
                     row = split.get(i)
                     if row is None:
                         split[i] = row = {}
-                    for target, weight in targets:
-                        row[target] = row.get(target, 0) + coeff * weight
-        last = len(path) + 1 == length  # each row holds the full state alone
-        for i, row in split.items():
-            path.append(i)
-            if not last:
-                expand(row)
-            elif coeff := row.popitem()[1]:
-                terms[tuple(path)] = coeff
-            path.pop()
+                    if target is None:
+                        for target, w in weight:
+                            row[target] = row.get(target, 0) + c * w
+                    else:
+                        row[target] = row.get(target, 0) + c * weight
+        if depth == last:  # each row holds the full state alone
+            for i in sorted(split):
+                if c := split[i].popitem()[1]:
+                    path[last] = tokens[i]
+                    yield key(path), c
+            continue
+        for i in sorted(split, reverse=True):
+            row = split[i]
+            if len(row) > 1:
+                push((depth + 1, tokens[i], None, row))
+            else:
+                [(target, c)] = row.items()
+                if c:
+                    push((depth + 1, tokens[i], target, c))
 
-    expand({0: 1})
-    return ShuffleSeries(terms)
+
+def g_module(cat: mesh.CategoryModel, ordering, k: int) -> ShuffleSeries:
+    """Generating function of flag Euler characteristics of the k-th
+    summand of T_M^vee along the ordering: the divided lowering operators
+    f_{i_1}^{(b_1)} ... f_{i_k}^{(b_k)} applied to the empty word, read as
+    a path sum over the stage DAG.  Nothing is divided."""
+    edges, length = stage_dag(cat, ordering, k)
+    series = ShuffleSeries()  # the expansion yields tuple words, no zeros: nothing to clean
+    series.terms = dict(expand(edges, length, range(cat.terminal.q.n + 1), tuple))
+    return series
 
 
 def evaluate_phi(s: ShuffleSeries, seq):
@@ -273,3 +324,17 @@ def to_text(s: ShuffleSeries) -> str:
 def to_json(s: ShuffleSeries) -> dict:
     """Words as comma-joined keys, unsorted: JSON writers sort the keys."""
     return {",".join(map(str, word)): str(coeff) for word, coeff in s.terms.items()}
+
+
+def json_text(cat: mesh.CategoryModel, ordering, k: int) -> str:
+    """The text ``json.dumps(to_json(g_module(cat, ordering, k)), indent=0,
+    sort_keys=True)`` gives, written from one expansion: each word's key is
+    joined from per-letter strings, and the lines, already in letter order,
+    are sorted as strings (a nearly linear sort).  String order differs
+    from letter order past letter 9 ("1,10" < "1,2"); a line sorts as its
+    key does, since the '"' that closes a key sorts before ',' and every
+    digit."""
+    edges, length = stage_dag(cat, ordering, k)
+    tokens = [str(i) for i in range(cat.terminal.q.n + 1)]
+    lines = sorted([f'"{w}": "{c}"' for w, c in expand(edges, length, tokens, ",".join)])
+    return "{\n" + ",\n".join(lines) + "\n}" if lines else "{}"

@@ -32,6 +32,7 @@ from .errors import (
     NegativeExponentSubstitutionError,
     NotDivisibleError,
     SeedFormatError,
+    strict_int,
 )
 
 _BASE_WIDTH = 16
@@ -386,29 +387,40 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         raise ZeroDivisionError("division by zero polynomial")
     if num.is_zero():
         return LaurentPoly.zero(num.arity)
-    # At y = (1, ..., 1), (-1, ..., -1) and (i, ..., i), q * den = num reads
-    # q(y) * den(y) = num(y) in the Gaussian integers, since q has integer
-    # coefficients: cheap necessary tests, so a hopeless division is refused
-    # before it runs.
-    for num_y, den_y in zip(_values(num), _values(den)):
-        if not _gauss_divides(den_y, num_y):
-            raise NotDivisibleError("nonzero remainder in exact division")
-    if len(den.terms) == 1:
+    if len(den.terms) == 1:  # one pass, which checks every coefficient
         return _redo_wider(_shift_div, num, den)
+    # At y = (1, ..., 1), (-1, ..., -1), (i, ..., i) and (z, ..., z) with z a
+    # primitive 8th root of unity, q * den = num reads q(y) * den(y) = num(y)
+    # in Z[z], since q has integer coefficients: cheap necessary tests, so a
+    # hopeless long division is refused before it runs.
+    n1, n2, n3, n4 = _values(num)
+    d1, d2, d3, d4 = _values(den)
+    if not (
+        _gauss_divides(d1, n1) and _gauss_divides(d2, n2) and _gauss_divides(d3, n3) and _zeta8_divides(d4, n4)
+    ):
+        raise NotDivisibleError("nonzero remainder in exact division")
     return _redo_wider(_divide, num, den)
 
 
 def _values(p: LaurentPoly) -> tuple:
-    """p at y = (1, ..., 1), (-1, ..., -1) and (i, ..., i), as Gaussian
-    integers (re, im).  A term's value at each point is its coefficient
-    times 1, (-1)**d or i**d, where d is its total degree, the top of its
-    packed key: so summing the coefficients by d mod 4 gives all three."""
+    """p at y = (1, ..., 1), (-1, ..., -1), (i, ..., i) and (z, ..., z),
+    z = exp(2 pi i / 8).  A term's value at each point is its coefficient
+    times 1, (-1)**d, i**d or z**d, where d is its total degree, the top
+    of its packed key: so summing the coefficients by d mod 8 gives all
+    four.  The first three are Gaussian integers (re, im); the last is
+    A + B z as the Gaussian integers (A, B), since z**2 = i and z**4 = -1."""
     shift = p.arity * p._lay.w
-    s = [0, 0, 0, 0]
+    s = [0] * 8
     for k, c in p.terms.items():
-        s[k >> shift & 3] += c
-    s0, s1, s2, s3 = s
-    return (s0 + s1 + s2 + s3, 0), (s0 - s1 + s2 - s3, 0), (s0 - s2, s1 - s3)
+        s[k >> shift & 7] += c
+    s0, s1, s2, s3, s4, s5, s6, s7 = s
+    t0, t1, t2, t3 = s0 + s4, s1 + s5, s2 + s6, s3 + s7
+    return (
+        (t0 + t1 + t2 + t3, 0),
+        (t0 - t1 + t2 - t3, 0),
+        (t0 - t2, t1 - t3),
+        ((s0 - s4, s2 - s6), (s1 - s5, s3 - s7)),
+    )
 
 
 def _gauss_divides(d: tuple, n: tuple) -> bool:
@@ -419,6 +431,24 @@ def _gauss_divides(d: tuple, n: tuple) -> bool:
     if not norm:
         return not (x or y)
     return not ((x * a + y * b) % norm or (y * a - x * b) % norm)
+
+
+def _zeta8_divides(d: tuple, n: tuple) -> bool:
+    """Whether d = A + B z divides n = C + E z in Z[z], z**2 = i, all four
+    given as Gaussian integers (re, im).  The conjugate A - B z (z -> -z
+    fixes i) takes d to its norm over the Gaussian integers,
+    D = A**2 - i B**2, and n to (CA - i EB) + (EA - CB) z; since 1, z is a
+    basis of Z[z] over Z[i], d divides n exactly where D divides both parts
+    (or d and n are both 0)."""
+    ((a0, a1), (b0, b1)), ((c0, c1), (e0, e1)) = d, n
+    norm = (a0 * a0 - a1 * a1 + 2 * b0 * b1, 2 * a0 * a1 - b0 * b0 + b1 * b1)
+    if norm in ((1, 0), (-1, 0), (0, 1), (0, -1)):  # d is a unit
+        return True
+    if norm == (0, 0):
+        return not (c0 or c1 or e0 or e1)
+    part = (c0 * a0 - c1 * a1 + e0 * b1 + e1 * b0, c0 * a1 + c1 * a0 - e0 * b0 + e1 * b1)
+    other = (e0 * a0 - e1 * a1 - c0 * b0 + c1 * b1, e0 * a1 + e1 * a0 - c0 * b1 - c1 * b0)
+    return _gauss_divides(norm, part) and _gauss_divides(norm, other)
 
 
 def substitute(p: LaurentPoly, images: list[LaurentPoly]) -> LaurentPoly:
@@ -503,12 +533,13 @@ def to_json_terms(p: LaurentPoly) -> dict:
 
 def from_json_terms(arity: int, data: dict) -> LaurentPoly:
     """The polynomial of a ``to_json_terms`` map; SeedFormatError where a
-    key is not ','-joined integers or a coefficient is not an integer."""
+    key is not ','-joined integers or a coefficient is not an integer, each
+    spelled ``-?[0-9]+`` (a coefficient may also be a JSON integer)."""
     terms = {}
     for key, val in data.items():
         try:
-            exps = tuple(int(x) for x in key.split(",")) if key else ()
-            coeff = int(val)
+            exps = tuple(map(strict_int, key.split(","))) if key else ()
+            coeff = val if type(val) is int else strict_int(val)
         except ValueError as exc:
             raise SeedFormatError(f"a term is not integer exponents and coefficient: {exc}") from None
         if len(exps) != arity:

@@ -9,6 +9,7 @@ knits an instance on first use and keeps it.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from functools import cache
 
@@ -283,9 +284,13 @@ def check_pbw_expansion() -> bool:
 
 
 def check_euler_series() -> bool:
+    """g_module, and the JSON text ``euler --format json`` writes, against
+    the worked series."""
     cat, ordering = category("kronecker3"), WORKED_ORDERING
     return all(
         euler.g_module(cat, ordering, k) == euler.ShuffleSeries(terms)
+        and euler.json_text(cat, ordering, k)
+        == json.dumps(euler.to_json(euler.ShuffleSeries(terms)), indent=0, sort_keys=True)
         for k, terms in G_SERIES.items()
     ) and len(euler.g_module(cat, ordering, 5).terms) == G5_WORDS
 

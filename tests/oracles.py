@@ -6,12 +6,12 @@ the rationals, matrix mutation is the dense entry-by-entry rule, and
 Laurent arithmetic is the tuple-keyed kernel the packed one replaced.
 The Bareiss determinant, the matrix-product form of the one-parameter
 product, the per-leaf ``evaluate_phi``, the letter-insertion action with
-its divided powers, the upward dimension-vector knitting and per-row hom
-knitting, the zero-started tracker side sums and the per-label
-determinantal identity with its ``Counter`` sides are the kernels that
-``minors``, ``euler``, ``mesh``, ``cluster`` and ``rigidpath`` replaced;
-they live on here as differential oracles, beside small helpers that only
-the tests call.
+its divided powers, the split-dict Euler word expansion, the upward
+dimension-vector knitting and per-row hom knitting, the zero-started
+tracker side sums and the per-label determinantal identity with its
+``Counter`` sides are the kernels that ``minors``, ``euler``, ``mesh``,
+``cluster`` and ``rigidpath`` replaced; they live on here as differential
+oracles, beside small helpers that only the tests call.
 """
 
 import heapq
@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 
 from clusterknit.errors import AmbiguityError, NotDivisibleError, SeedFormatError
-from clusterknit.euler import ShuffleSeries, ThinModule, b_exponents
+from clusterknit.euler import ShuffleSeries, ThinModule, b_exponents, stage_dag
 from clusterknit.exchange import ExchangeMatrix, arrows_at, make_matrix
 from clusterknit.laurent import LaurentPoly, exact_div, substitute
 from clusterknit.mesh import IntervalLabel, MeshVertex, TerminalData
@@ -579,6 +579,35 @@ def divided_f_chain(cat, ordering, k: int) -> ShuffleSeries:
     for j in range(k, 0, -1):
         series = divided_f(series, word.letters[j - 1], bs[j - 1], lam, c)
     return series
+
+
+def split_g_module(cat, ordering, k: int) -> ShuffleSeries:
+    """``euler.g_module`` with the word expansion it first had: a
+    recursion over prefixes that splits every {state: coefficient} vector
+    into one dict per next letter, single states included."""
+    edges, length = stage_dag(cat, ordering, k)
+    terms: dict = {}
+    path: list = []
+
+    def expand(vector: dict) -> None:
+        split: dict = {}
+        for state, coeff in vector.items():
+            if coeff:
+                for i, target, weight in edges[state]:
+                    row = split.setdefault(i, {})
+                    for target, weight in weight if target is None else [(target, weight)]:
+                        row[target] = row.get(target, 0) + coeff * weight
+        last = len(path) + 1 == length
+        for i, row in split.items():
+            path.append(i)
+            if not last:
+                expand(row)
+            elif coeff := row.popitem()[1]:
+                terms[tuple(path)] = coeff
+            path.pop()
+
+    expand({0: 1})
+    return ShuffleSeries(terms)
 
 
 def e_action(s: ShuffleSeries, i: int) -> ShuffleSeries:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from oracles import quiver_to_json
 
-from clusterknit import cli, cluster, quiver, reference
+from clusterknit import cli, cluster, euler, quiver, reference
 from clusterknit.mesh import MeshVertex
 
 
@@ -60,7 +60,9 @@ def test_build_bad_t(kron_file, capsys):
     assert "TerminalConstraintError" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("t", ["2,x,1", "2,1.0,1", "2,,1"])
+# int() takes all but the first three too: "1_0" as 10, " 1" as 1 and
+# Arabic-Indic digits as their values.
+@pytest.mark.parametrize("t", ["2,x,1", "2,1.0,1", "2,,1", "1_0,0,0", "2, 1,1", "+2,1,1", "\u0662,1,1"])
 def test_build_non_integer_t_exits_2(kron_file, capsys, t):
     assert cli.main(["build", kron_file, "--t", t]) == 2
     err = capsys.readouterr().err
@@ -155,6 +157,19 @@ def test_mutate_vertex_out_of_range_exits_2(tmp_path, kronecker3, capsys, vertex
             {"r": 2, "matrix": {"b": [[0, 1], [-1, 0]]}, "vars": [{"1,0": "9" * 5000}, {"0,1": "1"}]},
             "a term is not integer exponents and coefficient",
         ),
+        # these loaded through int()'s wider spelling: (10, 0), (1, 0) and 10
+        (
+            {"r": 2, "matrix": {"b": [[0, 1], [-1, 0]]}, "vars": [{"1_0,0": "1"}, {"0,1": "1"}]},
+            "a term is not integer exponents and coefficient",
+        ),
+        (
+            {"r": 2, "matrix": {"b": [[0, 1], [-1, 0]]}, "vars": [{" 1, 0": "1"}, {"0,1": "1"}]},
+            "a term is not integer exponents and coefficient",
+        ),
+        (
+            {"r": 2, "matrix": {"b": [[0, 1], [-1, 0]]}, "vars": [{"1,0": "1_0"}, {"0,1": "\u0661"}]},
+            "a term is not integer exponents and coefficient",
+        ),
     ],
 )
 def test_mutate_rejects_an_inconsistent_seed(tmp_path, capsys, seed, detail):
@@ -229,6 +244,16 @@ def test_euler_worked_ordering(kron_file, ordering_file, capsys):
     argv = ["euler", kron_file, "--t", "2,1,1", "--k", "2", "--ordering", ordering_file]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out.strip() == "2·w[2,1,1]"
+
+
+def test_euler_json_to_file(kron_file, ordering_file, tmp_path):
+    """``euler --format json`` writes what json.dumps(..., indent=0,
+    sort_keys=True) wrote over the series' JSON object."""
+    out = tmp_path / "g5.json"
+    argv = ["euler", kron_file, "--t", "2,1,1", "--k", "5", "--ordering", ordering_file, "--format", "json"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    g5 = euler.g_module(reference.category("kronecker3"), reference.WORKED_ORDERING, 5)
+    assert out.read_text() == json.dumps(euler.to_json(g5), indent=0, sort_keys=True) + "\n"
 
 
 def test_euler_402_to_file(kron_file, ordering_file, tmp_path, capsys):

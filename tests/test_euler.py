@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import factorial
@@ -12,9 +13,10 @@ from oracles import (
     evaluate_phi_per_leaf,
     f_action,
     series_from_json,
+    split_g_module,
 )
 
-from clusterknit import reference
+from clusterknit import euler, reference
 from clusterknit.mesh import adapted_orderings, build_category, validate_terminal
 from clusterknit.errors import NotThinError
 from clusterknit.euler import (
@@ -24,6 +26,7 @@ from clusterknit.euler import (
     evaluate_phi,
     flag_oracle,
     g_module,
+    json_text,
     shuffle,
     to_json,
     to_text,
@@ -152,6 +155,53 @@ def test_g_module_matches_the_divided_f_chain():
     for cat, ordering, k in cases:
         want = divided_f_chain(cat, ordering, k)
         assert g_module(cat, ordering, k) == want and not want.is_zero(), (cat.terminal, k)
+
+
+def test_g_module_matches_the_split_expansion(kronecker3, kronecker3_ordering):
+    """The single-state fast path gives the series that splitting every
+    vector by letter gave, on every summand of the worked kronecker3
+    example (g_6 has 392,206 words) and on five_vertex's g_5."""
+    five = reference.category("five_vertex")
+    cases = [(kronecker3, kronecker3_ordering, k) for k in range(1, kronecker3.r + 1)]
+    cases.append((five, adapted_orderings(five), 5))
+    for cat, ordering, k in cases:
+        got = g_module(cat, ordering, k)
+        assert got == split_g_module(cat, ordering, k) and not got.is_zero(), k
+        assert list(got.terms) == sorted(got.terms)  # ascending letter order
+
+
+def linear_a11():
+    """Linear A_11 (i+1 -> i) at t = (0, 1, ..., 1): letters past 9, so
+    word order and key-string order differ ("1,10" < "1,2")."""
+    q = validate_quiver(11, [(i + 1, i) for i in range(1, 11)])
+    return build_category(validate_terminal(q, (0,) + (1,) * 10))
+
+
+def test_json_text_is_what_json_dumps_wrote():
+    """The JSON writer gives the text of json.dumps(..., indent=0,
+    sort_keys=True) over euler.to_json, on the instances of the
+    euler-series benchmark (five_vertex below its k = 8) and on linear
+    A_11, where a writer that kept letter order instead of sorting key
+    strings would fail."""
+    wild = build_category(validate_terminal(validate_quiver(2, [(1, 2)] * 2), (3, 2)))
+    a11 = linear_a11()
+    five = reference.category("five_vertex")
+    cases = [(five, 6), (five, 7), (wild, 6), (reference.category("triangle3"), 7), (a11, 16)]
+    for cat, k in cases:
+        ordering = adapted_orderings(cat)
+        want = json.dumps(to_json(g_module(cat, ordering, k)), indent=0, sort_keys=True)
+        assert json_text(cat, ordering, k) == want, (cat.terminal, k)
+    g16 = g_module(a11, adapted_orderings(a11), 16)
+    keys = [",".join(map(str, w)) for w in sorted(g16.terms)]
+    assert len(keys) == 42 and keys != sorted(keys)
+
+
+def test_json_text_of_the_zero_series(monkeypatch, kronecker3, kronecker3_ordering):
+    """A stage DAG with no path to the full state expands to no word:
+    the writer prints {} as json.dumps did."""
+    monkeypatch.setattr(euler, "stage_dag", lambda cat, ordering, k: ({0: ()}, 1))
+    assert g_module(kronecker3, kronecker3_ordering, 1).is_zero()
+    assert json_text(kronecker3, kronecker3_ordering, 1) == "{}" == json.dumps({}, indent=0, sort_keys=True)
 
 
 def test_g_module_homogeneous_content(kronecker3, kronecker3_ordering):

@@ -121,6 +121,93 @@ def test_exact_div_refuses_by_the_value_at_i():
     assert exact_div(y0 ** 4 - one, y0 * y0 + one) == y0 * y0 - one
 
 
+def test_exact_div_refuses_by_the_value_at_a_primitive_8th_root(monkeypatch):
+    """(y^n + 1) / (y^4 + 1) with 8 | n has the values 2 and 2 at y = 1,
+    -1 and i alike, and is refused at y = z, z**4 = -1, where den(z) = 0
+    and num(z) = 2; a long division would run n/4 steps first."""
+    def too_slow(signum, frame):
+        raise TimeoutError("exact_div ran for more than one second")
+
+    def no_long_division(*args):
+        raise AssertionError("the division was not refused before it ran")
+
+    one, y0 = LaurentPoly.one(1), y(0, 1)
+    num = LaurentPoly(1, {(8 * 10**5,): 1, (0,): 1})
+    den = y0 ** 4 + one
+    assert laurent._values(num)[:3] == laurent._values(den)[:3] == ((2, 0),) * 3
+    long_division = laurent._divide
+    monkeypatch.setattr(laurent, "_divide", no_long_division)
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        with pytest.raises(NotDivisibleError):
+            exact_div(num, den)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    monkeypatch.setattr(laurent, "_divide", long_division)
+    # divisible numerators with den(z) = 0 still divide
+    assert exact_div(y0 ** 8 - one, den) == y0 ** 4 - one
+
+
+def z8_mul(a, b):
+    """Product in Z[z], z**4 = -1, of coordinate lists on 1, z, z**2, z**3."""
+    out = [0] * 4
+    for i, x in enumerate(a):
+        for j, v in enumerate(b):
+            out[(i + j) % 4] += x * v if i + j < 4 else -x * v
+    return out
+
+
+def z8_conjugate(a, j):
+    """The image of a under z -> z**j."""
+    out = [0] * 4
+    for m, x in enumerate(a):
+        e = m * j % 8
+        out[e % 4] += x if e < 4 else -x
+    return out
+
+
+def test_zeta8_division_matches_the_norm_over_q():
+    """The test through the norm over Z[i] agrees with the one through the
+    norm over Q, the product of the four conjugates z -> z**j, j odd."""
+    rng = random.Random(71)
+
+    def pair(a):  # coordinates on 1, z, z**2, z**3 -> (A, B) with A + B z
+        return (a[0], a[2]), (a[1], a[3])
+
+    seen = {True: 0, False: 0}
+    for _ in range(2000):
+        d = [rng.randint(-3, 3) for _ in range(4)]
+        n = [rng.randint(-3, 3) for _ in range(4)]
+        if rng.random() < 0.5:
+            n = z8_mul(d, n)
+        others = z8_mul(z8_mul(z8_conjugate(d, 3), z8_conjugate(d, 5)), z8_conjugate(d, 7))
+        norm = z8_mul(d, others)
+        assert norm[1:] == [0, 0, 0]
+        want = not any(n) if not norm[0] else all(x % norm[0] == 0 for x in z8_mul(n, others))
+        assert laurent._zeta8_divides(pair(d), pair(n)) == want, (d, n)
+        seen[want] += 1
+    assert min(seen.values()) > 500
+
+
+def test_values_at_z_match_evaluation():
+    """The fourth value of ``_values`` is the polynomial at y = (z, ..., z),
+    evaluated term by term with z**-1 = -z**3."""
+    rng = random.Random(67)
+    for _ in range(300):
+        arity = rng.randint(1, 5)
+        p = rand_poly(rng, arity, nterms=6, deg=9, allow_neg=True)
+        want = [0] * 4
+        for exps, c in p.sorted_terms():
+            at_z = [c, 0, 0, 0]
+            for e in exps:
+                for _ in range(abs(e)):
+                    at_z = z8_mul(at_z, [0, 1, 0, 0] if e > 0 else [0, 0, 0, -1])
+            want = [a + b for a, b in zip(want, at_z)]
+        assert laurent._values(p)[3] == ((want[0], want[2]), (want[1], want[3]))
+
+
 def gauss_mul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
@@ -142,7 +229,7 @@ def test_values_at_the_three_points_match_evaluation():
             for acc, (re, im) in zip(want, [(c, 0), (c * (-1) ** sum(exps), 0), at_i]):
                 acc[0] += re
                 acc[1] += im
-        assert list(map(list, laurent._values(p))) == want
+        assert list(map(list, laurent._values(p)[:3])) == want
 
 
 def test_single_term_division_matches_the_oracle(monkeypatch):

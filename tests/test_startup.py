@@ -76,3 +76,13 @@ def test_the_package_loads_submodules_on_first_access(tmp_path):
     assert proc.stdout.strip() == (
         "[] clusterknit.euler False module 'clusterknit' has no attribute 'no_such_module'"
     )
+
+
+def test_euler_loads_no_laurent_cluster_path_or_minors_module(tmp_path):
+    quiver = tmp_path / "kronecker3.json"
+    quiver.write_text(json.dumps({"n": 3, "arrows": [[1, 2], [1, 2], [2, 3]]}))
+    for fmt in ("text", "json"):
+        out, loaded = run_cli(["euler", str(quiver), "--t", "2,1,1", "--k", "2", "--format", fmt], tmp_path)
+        assert out.startswith("{") if fmt == "json" else "w[" in out
+        assert "euler" in loaded
+        assert not loaded & {"laurent", "cluster", "exchange", "rigidpath", "minors", "reference"}, loaded
