@@ -116,16 +116,18 @@ def cmd_build(args) -> int:
 
 
 def cmd_mutate(args) -> int:
-    from . import cluster
+    from . import cluster, exchange
 
     cur = cluster.from_json(read_json(args.seed))
+    memo = cluster.ExchangeMemo()  # this walk's relations, dropped on return
     steps = []  # each step's output is made as the walk goes, so no old seed is kept
     for k in args.vertices:
-        new = cluster.mutate_seed(cur, k)
+        sides = exchange.arrows_at(cur.matrix, k)
+        new = cluster.mutate_seed(cur, k, sides=sides, memo=memo)
         if args.format == "json":
             steps.append({"vertex": k, "seed": cluster.to_json(new)})
         else:
-            steps.append(cluster.trace_line(cur, k, new))
+            steps.append(cluster.trace_line(cur, k, new, sides, memo))
         cur = new
     if args.format == "json":
         data = {"steps": steps, "final": cluster.to_json(cur)}
@@ -187,7 +189,7 @@ def cmd_euler(args) -> int:
     if args.format == "json":
         emit(euler.json_text(cat, ordering, args.k), args, f"g_T{args.k}.json")
     else:
-        emit(euler.to_text(euler.g_module(cat, ordering, args.k)), args, f"g_T{args.k}.txt")
+        emit(euler.text(cat, ordering, args.k), args, f"g_T{args.k}.txt")
     return 0
 
 

@@ -122,25 +122,72 @@ def _delta_rule(s: Seed, k: int, out, inc):
     return tuple(map(sub, branch, s.delta_trackers[k - 1]))
 
 
-def mutate_seed(s: Seed, k: int, new_label=None) -> Seed:
+def _exchange_quotient(s: Seed, k: int, out, inc) -> LaurentPoly:
+    """(prod_out + prod_in) / y_k, divided exactly."""
+
+    def product(side):
+        p = None
+        for i, m in side.items():
+            # most multiplicities are 1, where ``**`` would cost one more product
+            f = s.vars[i - 1] if m == 1 else s.vars[i - 1] ** m
+            p = f if p is None else p * f
+        return LaurentPoly.one(s.r) if p is None else p
+
+    return exact_div(product(out) + product(inc), s.vars[k - 1])
+
+
+class ExchangeMemo:
+    """The exchange relations one walk has divided out, and the text of
+    each variable it has printed, both keyed by value.
+
+    A relation's key is the old variable at k and both sides as
+    ``((variable, multiplicity), ...)`` in position order; its value is the
+    new variable, which the key determines.  Mutation is an involution, so
+    the quotient y_k' of (y_k, out, in) also gives the exact entry
+    (y_k', in, out) -> y_k, the relation that mutating back at k meets.
+    A memo lives as long as the walk that owns it."""
+
+    __slots__ = ("quotients", "variables", "texts")
+
+    def __init__(self):
+        self.quotients: dict = {}
+        self.variables: dict = {}
+        self.texts: dict = {}
+
+    def quotient(self, s: Seed, k: int, out, inc) -> LaurentPoly:
+        old = s.vars[k - 1]
+        out_key = tuple((s.vars[i - 1], m) for i, m in out.items())
+        in_key = tuple((s.vars[i - 1], m) for i, m in inc.items())
+        new = self.quotients.get((old, out_key, in_key))
+        if new is None:
+            # one object per value, so later keys mostly match by identity
+            new = _exchange_quotient(s, k, out, inc)
+            new = self.variables.setdefault(new, new)
+            self.quotients[old, out_key, in_key] = new
+            self.quotients[new, in_key, out_key] = old
+        return new
+
+    def text(self, p: LaurentPoly) -> str:
+        text = self.texts.get(p)
+        if text is None:
+            text = self.texts[p] = to_text(p)
+        return text
+
+
+def mutate_seed(s: Seed, k: int, new_label=None, sides=None, memo: ExchangeMemo | None = None) -> Seed:
     """Replace y_k by (prod_out + prod_in) / y_k, mutate the matrix and the
     trackers, and record in ``dominated`` whether the dimension rule was
     Max-dominated.  The label at k becomes ``new_label`` (callers walking
     the explicit schedule pass the shifted interval; off schedule the new
-    label is unknown)."""
-    out, inc = ex.arrows_at(s.matrix, k)
+    label is unknown).  ``sides`` are the exchange sides at k, where the
+    caller has read them already; a walk's ``memo`` supplies each relation
+    it has met before."""
+    out, inc = ex.arrows_at(s.matrix, k) if sides is None else sides
     new = {"matrix": ex.mutate_matrix(s.matrix, k), "dominated": True}
     if s.vars is not None:
-
-        def product(side):
-            p = None
-            for i, m in side.items():
-                # most multiplicities are 1, where ``**`` would cost one more product
-                f = s.vars[i - 1] if m == 1 else s.vars[i - 1] ** m
-                p = f if p is None else p * f
-            return LaurentPoly.one(s.r) if p is None else p
-
-        new_var = exact_div(product(out) + product(inc), s.vars[k - 1])
+        new_var = (
+            _exchange_quotient(s, k, out, inc) if memo is None else memo.quotient(s, k, out, inc)
+        )
         new["vars"] = _replace_at(s.vars, k, new_var)
     if s.dim_trackers is not None:
         vec, new["dominated"] = _dim_rule(s, k, out, inc)
@@ -233,9 +280,10 @@ def monomial_text(factors) -> str:
     return text or "1"
 
 
-def relation_monomials(s: Seed, k: int) -> str:
-    """The exchange relation at k, written in the seed's variable names."""
-    out, inc = ex.arrows_at(s.matrix, k)
+def relation_monomials(s: Seed, k: int, sides=None) -> str:
+    """The exchange relation at k, written in the seed's variable names;
+    ``sides`` as for ``mutate_seed``."""
+    out, inc = ex.arrows_at(s.matrix, k) if sides is None else sides
 
     def fmt(side):
         return monomial_text((s.var_name(i), m) for i, m in side.items())
@@ -244,11 +292,13 @@ def relation_monomials(s: Seed, k: int) -> str:
     return f"{name}' * {name} = {fmt(out)} + {fmt(inc)}"
 
 
-def trace_line(s: Seed, k: int, new_s: Seed) -> str:
-    """One mutation-trace line: vertex, relation, new trackers."""
-    parts = [f"mu_{k}", relation_monomials(s, k)]
+def trace_line(s: Seed, k: int, new_s: Seed, sides=None, memo: ExchangeMemo | None = None) -> str:
+    """One mutation-trace line: vertex, relation, new trackers; ``sides``
+    and ``memo`` as for ``mutate_seed``."""
+    parts = [f"mu_{k}", relation_monomials(s, k, sides)]
     if new_s.vars is not None:
-        parts.append(f"var = {to_text(new_s.vars[k - 1])}")
+        var = new_s.vars[k - 1]
+        parts.append(f"var = {to_text(var) if memo is None else memo.text(var)}")
     if new_s.dim_trackers is not None:
         parts.append(f"d = {list(new_s.dim_trackers[k - 1])}")
     if new_s.delta_trackers is not None:

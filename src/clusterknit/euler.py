@@ -304,21 +304,23 @@ def flag_oracle(m: ThinModule) -> ShuffleSeries:
 # -- text / json forms -------------------------------------------------------
 
 
+def _series_text(terms) -> str:
+    """(comma-joined word, coefficient) pairs, in order, as
+    ``c·w[...]`` terms joined by their signs; ``0`` if there are none."""
+    parts = []
+    for word, c in terms:
+        body = f"w[{word}]" if c in (1, -1) else f"{abs(c)}·w[{word}]"
+        parts.append(f"- {body}" if c < 0 else f"+ {body}")
+    if not parts:
+        return "0"
+    head = parts[0]
+    parts[0] = head[2:] if head[0] == "+" else "-" + head[2:]
+    return " ".join(parts)
+
+
 def to_text(s: ShuffleSeries) -> str:
     """Terms c·w[...] sorted lexicographically by word."""
-    if s.is_zero():
-        return "0"
-    parts = []
-    for word in sorted(s.terms):
-        c = s.terms[word]
-        body = f"w[{','.join(str(x) for x in word)}]"
-        if c == 1:
-            parts.append(body)
-        elif c == -1:
-            parts.append(f"-{body}")
-        else:
-            parts.append(f"{c}·{body}")
-    return " + ".join(parts).replace("+ -", "- ")
+    return _series_text((",".join(map(str, w)), s.terms[w]) for w in sorted(s.terms))
 
 
 def to_json(s: ShuffleSeries) -> dict:
@@ -338,3 +340,12 @@ def json_text(cat: mesh.CategoryModel, ordering, k: int) -> str:
     tokens = [str(i) for i in range(cat.terminal.q.n + 1)]
     lines = sorted([f'"{w}": "{c}"' for w, c in expand(edges, length, tokens, ",".join)])
     return "{\n" + ",\n".join(lines) + "\n}" if lines else "{}"
+
+
+def text(cat: mesh.CategoryModel, ordering, k: int) -> str:
+    """``to_text(g_module(cat, ordering, k))``, written from one expansion:
+    its words come in letter order, which is the sorted order of
+    ``to_text``, each joined once from per-letter strings."""
+    edges, length = stage_dag(cat, ordering, k)
+    tokens = [str(i) for i in range(cat.terminal.q.n + 1)]
+    return _series_text(expand(edges, length, tokens, ",".join))

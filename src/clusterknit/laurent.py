@@ -130,7 +130,7 @@ def _new(lay: _Layout, terms: dict) -> "LaurentPoly":
             terms = _repack(terms, lay, narrow)
             lay = narrow
     p = object.__new__(LaurentPoly)
-    p.arity, p._lay, p.terms = lay.r, lay, terms
+    p.arity, p._lay, p.terms, p._hash = lay.r, lay, terms, None
     return p
 
 
@@ -177,7 +177,7 @@ def _mul(lay: _Layout, a: dict, b: dict) -> dict:
 
 
 class LaurentPoly:
-    __slots__ = ("arity", "terms", "_lay")
+    __slots__ = ("arity", "terms", "_lay", "_hash")
 
     def __init__(self, arity: int, terms=None):
         """The polynomial sum coeff * y^exps over a map from exponent
@@ -187,7 +187,7 @@ class LaurentPoly:
             raise ArityMismatchError(f"an exponent vector does not have {arity} entries")
         flat = [x for e in clean for x in e]
         lay = _layout(arity, _width_for(min(flat, default=0), max(flat, default=0)))
-        self.arity, self._lay = arity, lay
+        self.arity, self._lay, self._hash = arity, lay, None
         self.terms = {lay.pack(e): c for e, c in clean.items()}
 
     # -- constructors ---------------------------------------------------
@@ -235,7 +235,12 @@ class LaurentPoly:
         )
 
     def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
+        # the terms are never changed after construction, so the hash of
+        # the first call holds for good
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.arity, frozenset(self.terms.items())))
+        return h
 
     def _check_arity(self, other: "LaurentPoly") -> None:
         if self.arity != other.arity:

@@ -348,7 +348,7 @@ def test_unreadable_json_files_exit_2(tmp_path, kron_file, capsys, raw, detail):
 def test_an_internal_error_exits_3(tmp_path, monkeypatch, capsys):
     """A ValueError from inside the library is a bug, not bad input: it
     exits 3 and says so, with its traceback."""
-    def broken(s, k, new_label=None):
+    def broken(*args, **kwargs):
         raise ValueError("broken invariant")
 
     monkeypatch.setattr(cluster, "mutate_seed", broken)

@@ -2,6 +2,7 @@ import json
 import random
 from collections import Counter, defaultdict
 from dataclasses import replace
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -34,7 +35,7 @@ from clusterknit.errors import (
     SeedFormatError,
 )
 from clusterknit.exchange import arrows_at, make_matrix
-from clusterknit.laurent import LaurentPoly
+from clusterknit.laurent import LaurentPoly, exact_div
 from clusterknit.mesh import (
     IntervalLabel,
     MeshVertex,
@@ -136,8 +137,6 @@ def test_mutate_rank2():
     s = rank2_seed()
     s2 = mutate_seed(s, 1)
     y1, y2 = LaurentPoly.variable(0, 2), LaurentPoly.variable(1, 2)
-    from clusterknit.laurent import exact_div
-
     assert s2.vars[0] == exact_div(y2 + LaurentPoly.one(2), y1)
 
 
@@ -152,6 +151,51 @@ def test_mutate_seed_involution_random_reachable(kronecker3, fan_a3):
                 s = mutate_seed(s, k)
             k = rng.choice(mutable(base.matrix))
             assert core_equal(mutate_seed(mutate_seed(s, k), k), s)
+
+
+def d4_category():
+    """The D_4 quiver with central source and every summand, the d4 walk
+    seed of the small-exact benchmark."""
+    q = validate_quiver(4, [(2, 1), (2, 3), (2, 4)])
+    return build_category(validate_terminal(q, (1, 1, 1, 1)))
+
+
+@pytest.mark.parametrize(
+    "name, length", [("fan_a3", 120), ("linear_a4", 120), ("d4", 120), ("kronecker3", 6)]
+)
+def test_memoised_walks_match_memo_free_mutation(monkeypatch, name, length):
+    """Seeded random walks, each followed by its reversal, sharing one
+    exchange memo: every trace line and every seed equals what memo-free
+    mutation gives, the reversed half divides nothing, and each stored
+    relation, reverse entries included, is its fresh exact division.
+    kronecker3 is of infinite type: its forward steps almost always miss."""
+    cat = d4_category() if name == "d4" else reference.category(name)
+    start = initial_seed(cat)
+    divisions = []
+    monkeypatch.setattr(
+        cluster, "exact_div", lambda num, den: divisions.append(1) or exact_div(num, den)
+    )
+    memo = cluster.ExchangeMemo()
+    rng = random.Random(31)
+    for _ in range(4):
+        walk = [rng.choice(mutable(start.matrix)) for _ in range(length)]
+        plain = memoised = start
+        for step, k in enumerate(walk + walk[::-1]):
+            new_plain = mutate_seed(plain, k)
+            done = len(divisions)
+            sides = arrows_at(memoised.matrix, k)
+            new = mutate_seed(memoised, k, sides=sides, memo=memo)
+            assert step < length or len(divisions) == done, "a backtrack missed"
+            assert trace_line(memoised, k, new, sides, memo) == trace_line(plain, k, new_plain)
+            assert to_json(new) == to_json(new_plain) and new.dominated == new_plain.dominated
+            plain, memoised = new_plain, new
+        assert memoised.vars == start.vars
+    for (old, out_side, in_side), new in memo.quotients.items():
+        out_p, in_p = (
+            prod((v**m for v, m in side), start=LaurentPoly.one(start.r))
+            for side in (out_side, in_side)
+        )
+        assert new == exact_div(out_p + in_p, old)
 
 
 def test_mutate_dimvec_worked_example(kronecker3):

@@ -202,6 +202,19 @@ def test_json_text_of_the_zero_series(monkeypatch, kronecker3, kronecker3_orderi
     monkeypatch.setattr(euler, "stage_dag", lambda cat, ordering, k: ({0: ()}, 1))
     assert g_module(kronecker3, kronecker3_ordering, 1).is_zero()
     assert json_text(kronecker3, kronecker3_ordering, 1) == "{}" == json.dumps({}, indent=0, sort_keys=True)
+    assert euler.text(kronecker3, kronecker3_ordering, 1) == "0"
+
+
+def test_text_is_what_to_text_wrote(kronecker3, kronecker3_ordering):
+    """The text writer gives ``to_text(g_module(...))`` on the worked
+    series, the euler-series instances below their largest k, and linear
+    A_11, whose letter 10 must sort after letter 2 as words do."""
+    wild = build_category(validate_terminal(validate_quiver(2, [(1, 2)] * 2), (3, 2)))
+    five = reference.category("five_vertex")
+    cases = [(kronecker3, kronecker3_ordering, k) for k in (1, 2, 5)]
+    cases += [(cat, adapted_orderings(cat), k) for cat, k in ((five, 6), (wild, 6), (linear_a11(), 16))]
+    for cat, ordering, k in cases:
+        assert euler.text(cat, ordering, k) == to_text(g_module(cat, ordering, k)), (cat.terminal, k)
 
 
 def test_g_module_homogeneous_content(kronecker3, kronecker3_ordering):
@@ -306,6 +319,8 @@ def test_series_text_and_json():
     assert to_text(s) == "-w[1,2] + 2·w[2,1] + 5·w[3]"
     assert series_from_json(to_json(s)) == s
     assert to_text(S()) == "0"
+    signs = S({(1,): -3, (2,): 1, (3,): -1, (4,): 4, (5,): -2})
+    assert to_text(signs) == "-3·w[1] + w[2] - w[3] + 4·w[4] - 2·w[5]"
     with pytest.raises(ValueError):
         series_from_json({"3": "1/2"})
 

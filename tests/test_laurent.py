@@ -430,6 +430,33 @@ def test_wide_results_compare_equal_to_narrow_ones():
     assert (big ** -1) * big == LaurentPoly.one(2)
 
 
+def test_hash_is_kept_and_follows_the_value():
+    """The hash is computed once and kept, and it is the hash of the value:
+    one polynomial built by the constructor, by ``*``, by ``exact_div``,
+    and by a product widened past the first slot width and divided back
+    hashes and compares alike, before and after it is first hashed."""
+    want = LaurentPoly(3, {(1, 0, -1): 2, (0, 2, 0): -1, (0, 0, 0): 5})
+    a, b = LaurentPoly(3, {(1, 0, -1): 2, (0, 0, 0): 5}), y(1, 3) ** 2
+    den = y(0, 3) + y(2, 3) ** -1
+    big = LaurentPoly.monomial(3, (40000, -1, 0))
+    widened = want * big
+    assert widened._lay.w > want._lay.w
+    builds = [
+        LaurentPoly(3, {(0, 0, 0): 5, (0, 2, 0): -1, (1, 0, -1): 2}),
+        a - b,
+        (a - b) * LaurentPoly.one(3),
+        exact_div(want * den, den),
+        exact_div(widened, big),
+    ]
+    first = hash(want)
+    assert want._hash == first
+    for p in builds:
+        assert p == want and p._lay is want._lay
+        assert hash(p) == first == hash(want) == hash(p)
+    assert len({want: None, **dict.fromkeys(builds)}) == 1
+    assert hash(want - y(0, 3)) != first
+
+
 def widened_seed(cat, rng):
     """The initial seed of ``cat`` with each variable y_i replaced by the
     unit monomial y_i * prod_j y_j^(a_ij), a_ij in {0, +-20000}: a ring map
