@@ -200,53 +200,39 @@ def cmd_minors(args) -> int:
     from . import laurent, reference
 
     n = args.n
-    report = {"n": n, "mode": args.mode, "checks": []}
+    checks, lines = [], []  # each check as a JSON entry and as a text line
     ok = True
     if args.mode in ("table", "all"):
         names = [f"x{i}" for i in range(1, n * (n + 1) // 2 + 1)]
         for (single, key, val) in reference.minors_table_checks(n):
-            report["checks"].append(
+            minor = laurent.to_text(val, names)
+            checks.append(
                 {
                     "kind": "table",
                     "interval": list(single),
                     "rows": list(key.rows),
                     "cols": list(key.cols),
-                    "minor": laurent.to_text(val, names),
+                    "minor": minor,
                 }
             )
+            lines.append(f"table ({list(single)}): rows={list(key.rows)} cols={list(key.cols)} minor={minor}")
     if args.mode in ("eta", "all"):
+        extra = " (extrapolated)" if n != 4 else ""
         for (iab, passed) in reference.eta_checks(n):
             ok = ok and passed
-            report["checks"].append(
-                {
-                    "kind": "eta",
-                    "interval": list(iab),
-                    "status": "PASS" if passed else "FAIL",
-                    "extrapolated": n != 4,
-                }
-            )
+            status = "PASS" if passed else "FAIL"
+            checks.append({"kind": "eta", "interval": list(iab), "status": status, "extrapolated": n != 4})
+            lines.append(f"eta {tuple(iab)}: {status}{extra}")
     if args.mode in ("cross", "all"):
         for (k, passed) in reference.cross_checks(reference.linear_type_a(n)):
             ok = ok and passed
-            report["checks"].append(
-                {"kind": "cross", "k": k, "status": "PASS" if passed else "FAIL"}
-            )
+            status = "PASS" if passed else "FAIL"
+            checks.append({"kind": "cross", "k": k, "status": status})
+            lines.append(f"cross k={k}: {status}")
     if args.format == "json":
-        report["status"] = "PASS" if ok else "FAIL"
+        report = {"n": n, "mode": args.mode, "checks": checks, "status": "PASS" if ok else "FAIL"}
         emit(json.dumps(report, indent=1, sort_keys=True), args, "minors_report.json")
     else:
-        lines = []
-        for c in report["checks"]:
-            if c["kind"] == "table":
-                lines.append(
-                    f"table ({c['interval']}): rows={c['rows']} cols={c['cols']} "
-                    f"minor={c['minor']}"
-                )
-            elif c["kind"] == "eta":
-                extra = " (extrapolated)" if c["extrapolated"] else ""
-                lines.append(f"eta {tuple(c['interval'])}: {c['status']}{extra}")
-            else:
-                lines.append(f"cross k={c['k']}: {c['status']}")
         lines.append("overall: " + ("PASS" if ok else "FAIL"))
         emit("\n".join(lines), args, "minors_report.txt")
     return 0 if ok else 1

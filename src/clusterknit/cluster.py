@@ -128,8 +128,7 @@ def _exchange_quotient(s: Seed, k: int, out, inc) -> LaurentPoly:
     def product(side):
         p = None
         for i, m in side.items():
-            # most multiplicities are 1, where ``**`` would cost one more product
-            f = s.vars[i - 1] if m == 1 else s.vars[i - 1] ** m
+            f = s.vars[i - 1] ** m
             p = f if p is None else p * f
         return LaurentPoly.one(s.r) if p is None else p
 

@@ -268,11 +268,12 @@ class LaurentPoly:
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
             return exact_div(LaurentPoly.one(self.arity), self ** (-k))
-        result = LaurentPoly.one(self.arity)
-        base = self
+        if not k:
+            return LaurentPoly.one(self.arity)
+        result, base = None, self  # the first factor is taken as it is, not times 1
         while True:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
             if not k:
                 return result
@@ -311,7 +312,8 @@ def _divide(lay: _Layout, num: dict, den: dict) -> dict:
     term just cancelled, so a popped key with a live coefficient is the
     true leading term.  Remainder exponents lie in [0, 2**(w-1)) and the
     shifted divisor's and each quotient term's in [0, 2**(w-2)), so no sum
-    or difference below leaves its slot."""
+    or difference below leaves its slot.  A single-term divisor needs no
+    special case: each popped term cancels itself and nothing else."""
     bias, guard, guards = lay.bias, lay.guard, lay.guards
     num_shift = bias - _min_key(lay, num)
     den_shift = bias - _min_key(lay, den)
@@ -359,28 +361,6 @@ def _divide(lay: _Layout, num: dict, den: dict) -> dict:
     return quot
 
 
-def _shift_div(lay: _Layout, num: dict, den: dict) -> dict:
-    """The quotient num / den for a single-term den = c * y**e: each key
-    moves down by e, and each coefficient must be a multiple of c.  A slot
-    of a difference of two stored keys cannot carry into its neighbour
-    (see the module docstring), so checking the guard bits of the result
-    is enough."""
-    ((dk, c),) = den.items()
-    back = lay.bias - dk
-    if c == 1:
-        quot = {k + back: a for k, a in num.items()}
-    else:
-        quot = {}
-        for k, a in num.items():
-            q, r = divmod(a, c)
-            if r:
-                raise NotDivisibleError("nonzero remainder in exact division")
-            quot[k + back] = q
-    if not _fits(lay, quot):
-        raise _Overflow
-    return quot
-
-
 def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     """Return q with q * den == num, allowing negative exponents.
 
@@ -392,8 +372,6 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         raise ZeroDivisionError("division by zero polynomial")
     if num.is_zero():
         return LaurentPoly.zero(num.arity)
-    if len(den.terms) == 1:  # one pass, which checks every coefficient
-        return _redo_wider(_shift_div, num, den)
     # At y = (1, ..., 1), (-1, ..., -1), (i, ..., i) and (z, ..., z) with z a
     # primitive 8th root of unity, q * den = num reads q(y) * den(y) = num(y)
     # in Z[z], since q has integer coefficients: cheap necessary tests, so a

@@ -156,14 +156,15 @@ def run_path(seed: cluster.Seed, sch: Schedule) -> PathResult:
         k = position_of.pop(target, None)
         if k is None:
             raise ScheduleMismatchError(f"step {idx + 1}: no vertex is labeled {target!r}")
-        emitted = tuple(_label_side(cur.labels, side) for side in ex.arrows_at(cur.matrix, k))
+        sides = ex.arrows_at(cur.matrix, k)
+        emitted = tuple(_label_side(cur.labels, side) for side in sides)
         if ident.sides not in (emitted, emitted[::-1]):
             raise ScheduleMismatchError(
                 f"step {idx + 1}: exchange at {target!r} emitted "
                 f"{emitted[0]} / {emitted[1]}, predicted "
                 f"{ident.sides[0]} / {ident.sides[1]}"
             )
-        cur = cluster.mutate_seed(cur, k, new_label=new_label)
+        cur = cluster.mutate_seed(cur, k, new_label=new_label, sides=sides)
         position_of[new_label] = k
         records.append(PathStep(idx + 1, k, ident, cur.dominated))
     return PathResult(schedule=sch, seed=cur, steps=tuple(records))

@@ -610,6 +610,23 @@ def split_g_module(cat, ordering, k: int) -> ShuffleSeries:
     return ShuffleSeries(terms)
 
 
+def dag_coefficient_sum(edges: dict, length: int) -> int:
+    """The sum of the coefficients of the series a ``stage_dag`` spells:
+    the weights of all paths of ``length`` letters from the empty state,
+    each the product of its edge weights, summed level by level without
+    expanding a word.  Every path of ``length`` letters ends at the full
+    state; a path that stops at a dead end earlier adds 0."""
+    level = {0: 1}
+    for _ in range(length):
+        following: dict = defaultdict(int)
+        for state, coeff in level.items():
+            for _, target, weight in edges[state]:
+                for target, weight in weight if target is None else [(target, weight)]:
+                    following[target] += coeff * weight
+        level = following
+    return sum(level.values())
+
+
 def e_action(s: ShuffleSeries, i: int) -> ShuffleSeries:
     """Drop the last letter when it equals i, else kill the word."""
     terms: dict = {}

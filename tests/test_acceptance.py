@@ -9,7 +9,15 @@ import time
 
 import pytest
 
-from oracles import core_equal, hom_dim, interval_hom_dim, maximal_terminal, mutable, strictly_equal
+from oracles import (
+    core_equal,
+    dag_coefficient_sum,
+    hom_dim,
+    interval_hom_dim,
+    maximal_terminal,
+    mutable,
+    strictly_equal,
+)
 
 from clusterknit import euler, minors, reference
 from clusterknit.cluster import initial_seed, mutate_seed
@@ -138,6 +146,23 @@ def test_criterion_06_euler_series(kronecker3, kronecker3_ordering):
     g6 = euler.g_module(cat, ordering, 6)
     assert not g6.is_zero()
     report(6, f"g-series including the 402-word and large cases ({done():.1f}s)")
+
+
+def test_euler_series_sum_to_their_stage_dag_path_sums(kronecker3, kronecker3_ordering, five_vertex, triangle3):
+    """Beside criterion 06: the coefficients of an expanded series add up to
+    the path sum over its stage DAG, which one pass over the states gives.
+    On g_6 of kronecker3 (1,652 states, 392,206 words) and on the benchmark's
+    three Euler series, each along its canonical ordering."""
+    edges, length = euler.stage_dag(kronecker3, kronecker3_ordering, 6)
+    assert len(edges) == 1652
+    total = dag_coefficient_sum(edges, length)
+    assert total == 8_619_907_645_440
+    assert sum(c for _, c in euler.expand(edges, length, range(4), len)) == total
+    kronecker2 = build_category(validate_terminal(validate_quiver(2, [(1, 2), (1, 2)]), (3, 2)))
+    for cat, k in ((five_vertex, 8), (kronecker2, 6), (triangle3, 7)):
+        ordering = adapted_orderings(cat)
+        total = dag_coefficient_sum(*euler.stage_dag(cat, ordering, k))
+        assert total and total == sum(euler.g_module(cat, ordering, k).terms.values()), k
 
 
 def test_criterion_07_minors(linear_a4):
