@@ -13,6 +13,7 @@ __all__ = [
     "errors",
     "euler",
     "exchange",
+    "jsontext",
     "laurent",
     "mesh",
     "minors",

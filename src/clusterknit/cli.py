@@ -79,7 +79,7 @@ def emit(text: str, args, default_name: str) -> None:
 
 
 def cmd_build(args) -> int:
-    from . import mesh
+    from . import jsontext, mesh
 
     td = load_terminal(args)
     cat = mesh.build_category(td)
@@ -92,7 +92,7 @@ def cmd_build(args) -> int:
         data = mesh.to_json(cat)
         data["d_delta"] = d_delta
         data["ordering"] = [[v.i, v.a] for v in ordering]
-        emit(json.dumps(data, indent=1, sort_keys=True), args, "category.json")
+        emit(jsontext.dumps(data), args, "category.json")
         return 0
     lines = [f"category on {cat.r} vertices, t = {','.join(map(str, td.t))}"]
     lines.append("vertices (canonical order): " + " ".join(map(repr, cat.vertices)))
@@ -116,7 +116,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_mutate(args) -> int:
-    from . import cluster, exchange
+    from . import cluster, exchange, jsontext
 
     cur = cluster.from_json(read_json(args.seed))
     memo = cluster.ExchangeMemo()  # this walk's relations, dropped on return
@@ -131,7 +131,7 @@ def cmd_mutate(args) -> int:
         cur = new
     if args.format == "json":
         data = {"steps": steps, "final": cluster.to_json(cur)}
-        emit(json.dumps(data, indent=1, sort_keys=True), args, "mutation_trace.json")
+        emit(jsontext.dumps(data), args, "mutation_trace.json")
         return 0
     emit("\n".join(steps), args, "mutation_trace.txt")
     return 0
@@ -141,7 +141,7 @@ def cmd_mutate(args) -> int:
 
 
 def cmd_path(args) -> int:
-    from . import cluster, mesh, rigidpath
+    from . import cluster, jsontext, mesh, rigidpath
 
     td = load_terminal(args)
     cat = mesh.build_category(td)
@@ -158,11 +158,7 @@ def cmd_path(args) -> int:
     seed = cluster.initial_seed(cat, ordering, with_vars=not args.no_expand)
     res = rigidpath.run_path(seed, sch)
     if args.format == "json":
-        emit(
-            json.dumps(rigidpath.result_to_json(res), indent=1, sort_keys=True),
-            args,
-            "path_report.json",
-        )
+        emit(jsontext.dumps(rigidpath.result_to_json(res)), args, "path_report.json")
         return 0
     lines = [f"schedule length r(M) = {len(sch)}"]
     for st in res.steps:
@@ -197,7 +193,7 @@ def cmd_euler(args) -> int:
 
 
 def cmd_minors(args) -> int:
-    from . import laurent, reference
+    from . import jsontext, laurent, reference
 
     n = args.n
     checks, lines = [], []  # each check as a JSON entry and as a text line
@@ -231,7 +227,7 @@ def cmd_minors(args) -> int:
             lines.append(f"cross k={k}: {status}")
     if args.format == "json":
         report = {"n": n, "mode": args.mode, "checks": checks, "status": "PASS" if ok else "FAIL"}
-        emit(json.dumps(report, indent=1, sort_keys=True), args, "minors_report.json")
+        emit(jsontext.dumps(report), args, "minors_report.json")
     else:
         lines.append("overall: " + ("PASS" if ok else "FAIL"))
         emit("\n".join(lines), args, "minors_report.txt")
@@ -242,7 +238,7 @@ def cmd_minors(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from . import reference
+    from . import jsontext, reference
 
     manifest = {"checks": [], "status": "PASS"}
     for name, fn in reference.CHECKS + (reference.SLOW_CHECKS if args.slow else []):
@@ -258,7 +254,7 @@ def cmd_check(args) -> int:
         if not passed:
             manifest["status"] = "FAIL"
     if args.format == "json":
-        emit(json.dumps(manifest, indent=1, sort_keys=True), args, "manifest.json")
+        emit(jsontext.dumps(manifest), args, "manifest.json")
     else:
         for c in manifest["checks"]:
             line = f"{c['status']}  {c['name']}"

@@ -2,10 +2,11 @@
 
 For terminal data (Q, t) the model carries the vertices (i, a) with
 0 <= a <= t_i, the quivers Gamma_M and Gamma_M^* on them, the full
-hom-dimension table and the dimension vectors.  The mesh relation is knitted
-once, into the hom table; dim M_x is its row x read at the injectives
-I_j = (j, 0), and a tau-orbit that ends before t_i (Dynkin overflow) shows
-there as a vector that is not positive.
+hom-dimension table and the dimension vectors.  The dimension vectors are
+knitted first, slice by slice upward from the injectives, so a tau-orbit
+that ends before t_i (Dynkin overflow) is refused before any vertex list or
+hom row exists; the mesh relation is then knitted once more, into the hom
+table.
 
 Arrow bookkeeping: a Q-arrow i -> j contributes, for every slice z, an
 in-slice arrow (j,z) -> (i,z) and a cross arrow (i,z+1) -> (j,z).  The
@@ -18,6 +19,7 @@ against the worked examples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .errors import DynkinOverflowError, LabelRangeError, NotAdaptedError, TerminalConstraintError
 from .quiver import Quiver, RootVec, topological_order
@@ -121,16 +123,65 @@ def canonical_ordering_vertices(td: TerminalData) -> list[MeshVertex]:
     return verts
 
 
+def _knit_dims(td: TerminalData) -> dict:
+    """dim M_(i,a) for every model vertex, knitted one slice at a time
+    upward from the injectives, whose vectors count the paths j -> i:
+        dim (i, z) = sum_{i -> j} dim (j, z - 1) + sum_{k -> i} dim (k, z)
+                     - dim (i, z - 1).
+    Successor closure keeps every term inside the model.  A tau-orbit ends
+    at its first vector that is not positive or that needs a vertex (j, z - 1)
+    past the end of its own orbit (a missing (k, z) counts as zero).  Only
+    orbits still alive and below their t_i are knitted, so a Dynkin overflow
+    costs a few slices however large t is; it is refused at the first
+    missing vertex, i ascending, then a ascending."""
+    q, t = td.q, td.t
+    order = topological_order(q)
+    paths = {}  # j -> the number of paths j -> i, for every i
+    for j in reversed(order):
+        counts = [0] * q.n
+        counts[j - 1] = 1
+        for m in q.arrows_out(j):
+            counts = list(map(add, counts, paths[m]))
+        paths[j] = counts
+    dims = {(i, 0): tuple(paths[j][i - 1] for j in range(1, q.n + 1)) for i in order}
+    zero = (0,) * q.n
+    ends = {}  # orbit -> its first missing level
+    for z in range(1, max(t, default=0) + 1):
+        live = [i for i in order if z <= t[i - 1] and i not in ends]
+        if not live:
+            break
+        for i in live:
+            vec = [-x for x in dims[i, z - 1]]
+            for j in q.arrows_out(i):
+                prev = dims.get((j, z - 1))
+                if prev is None:
+                    break
+                vec = list(map(add, vec, prev))
+            else:
+                for k in q.arrows_in(i):
+                    vec = list(map(add, vec, dims.get((k, z), zero)))
+                if min(vec) >= 0 and any(vec):
+                    dims[i, z] = tuple(vec)
+                    continue
+            ends[i] = z
+    if ends:
+        i = min(ends)
+        raise DynkinOverflowError(f"tau^{ends[i]}(I_{i}) does not exist; t_{i}={t[i - 1]} is too large")
+    return {MeshVertex(i, a): RootVec(vec) for (i, a), vec in dims.items()}
+
+
 def build_category(td: TerminalData) -> CategoryModel:
     """Populate vertices, Gamma_M, Gamma_M^*, dimension vectors and the
-    full hom table for valid terminal data.
+    full hom table for valid terminal data; a Dynkin overflow is refused
+    by ``_knit_dims`` first.
 
     Every Gamma_M arrow goes from a larger canonical position to a smaller
     one, and tau p = (i, a + 1) lies above p = (i, a), so row x of the hom
     table is one downward sweep of the mesh relation from h[x] = 1:
         h[p] = sum_{m -> p} h[m] - h[tau p]    (p < x),
-    and 0 above x.  Successor closure makes this exact on the model, and
-    dim M_x is the row read at the injectives I_j = (j, 0)."""
+    and 0 above x.  Successor closure makes this exact on the model; its
+    row x read at the injectives I_j = (j, 0) is dim M_x again."""
+    dims = _knit_dims(td)
     vertices = tuple(canonical_ordering_vertices(td))
     index = {v: k for k, v in enumerate(vertices)}
     r = len(vertices)
@@ -144,24 +195,13 @@ def build_category(td: TerminalData) -> CategoryModel:
     preds = [[] for _ in vertices]
     for (s, t) in arrows_m:
         preds[t].append(s)
-    injectives = [index[MeshVertex(j, 0)] for j in range(1, td.q.n + 1)]
-    table = [()] * r
-    dims = {}
-    for i in range(1, td.q.n + 1):
-        for a in range(td.level(i) + 1):
-            x = index[MeshVertex(i, a)]
-            h = [0] * (r + 1)
-            h[x] = 1
-            for p in range(x - 1, -1, -1):
-                h[p] = sum([h[m] for m in preds[p]]) - h[tau[p]]
-            table[x] = tuple(h[:r])
-            # A tau-orbit that ends before t_i leaves a vector that is not positive.
-            vec = tuple(h[p] for p in injectives)
-            if min(vec) < 0 or not any(vec):
-                raise DynkinOverflowError(
-                    f"tau^{a}(I_{i}) does not exist; t_{i}={td.level(i)} is too large"
-                )
-            dims[MeshVertex(i, a)] = RootVec(vec)
+    table = []
+    for x in range(r):
+        h = [0] * (r + 1)
+        h[x] = 1
+        for p in range(x - 1, -1, -1):
+            h[p] = sum([h[m] for m in preds[p]]) - h[tau[p]]
+        table.append(tuple(h[:r]))
     return CategoryModel(
         terminal=td,
         vertices=vertices,
@@ -192,6 +232,23 @@ def projected_dimvec(cat: CategoryModel, lbl: IntervalLabel, positions=None):
         positions = range(cat.r)
     rows = [cat.hom_table[cat.pos(MeshVertex(lbl.i, l))] for l in range(lbl.a, lbl.b + 1)]
     return tuple(sum(row[p] for row in rows) for p in positions)
+
+
+def top_dimvecs(cat: CategoryModel, positions=None) -> list:
+    """``projected_dimvec`` of T_{i,[a,t_i]} for the vertex (i, a) at each
+    canonical position, as one suffix sum per tau-orbit: the vector of
+    T_{i,[a,t_i]} is that of T_{i,[a+1,t_i]} plus hom row (i, a).  Entries
+    as for ``projected_dimvec``."""
+    if positions is None:
+        positions = range(cat.r)
+    sums: dict = {}  # orbit -> the suffix sum so far
+    vecs = [()] * cat.r
+    # canonical positions ascend with the level, so each orbit comes top down
+    for x in range(cat.r - 1, -1, -1):
+        i, row = cat.vertices[x].i, cat.hom_table[x]
+        vec = sums[i] = tuple(map(add, sums[i], row)) if i in sums else row
+        vecs[x] = tuple(map(vec.__getitem__, positions))
+    return vecs
 
 
 def delta_support(cat: CategoryModel, lbl: IntervalLabel, positions=None):

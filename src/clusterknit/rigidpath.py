@@ -178,9 +178,10 @@ def pbw_expand(cat: mesh.CategoryModel, lbl: IntervalLabel) -> LaurentPoly:
     z_{l,c}, one per mesh vertex in canonical position order.
 
     Recursion: solve the determinantal identity at (i, a+1, b) for the
-    longest interval and divide exactly by T_{i,[a+1,b-1]}.  A division
-    failure would contradict polynomiality of the dual PBW expansion and
-    is fatal."""
+    longest interval and divide exactly by T_{i,[a+1,b-1]}, a unit when
+    b = a + 1.  Each product starts from its first factor, so no product
+    has a unit operand.  A division failure would contradict polynomiality
+    of the dual PBW expansion and is fatal."""
     mesh.validate_label(cat, lbl)
     td = cat.terminal
     op = qm_op(td)
@@ -188,8 +189,7 @@ def pbw_expand(cat: mesh.CategoryModel, lbl: IntervalLabel) -> LaurentPoly:
     memo: dict = {}
 
     def expand(i: int, a: int, b: int) -> LaurentPoly:
-        if a > b:
-            return LaurentPoly.one(r)
+        """T_{i,[a,b]} for a <= b (``_side`` keeps units off the product side)."""
         key = (i, a, b)
         if key in memo:
             return memo[key]
@@ -197,10 +197,13 @@ def pbw_expand(cat: mesh.CategoryModel, lbl: IntervalLabel) -> LaurentPoly:
             res = LaurentPoly.variable(cat.pos(MeshVertex(i, a)), r)
         else:
             num = expand(i, a + 1, b) * expand(i, a, b - 1)
-            prod = LaurentPoly.one(r)
+            prod = None
             for f, m in det_identity(td, op, i, a + 1, b).sides[1].items():
-                prod = prod * expand(f.i, f.a, f.b) ** m
-            res = exact_div(num - prod, expand(i, a + 1, b - 1))
+                power = expand(f.i, f.a, f.b) ** m
+                prod = power if prod is None else prod * power
+            res = num - (LaurentPoly.one(r) if prod is None else prod)
+            if b > a + 1:
+                res = exact_div(res, expand(i, a + 1, b - 1))
         memo[key] = res
         return res
 

@@ -452,10 +452,11 @@ def core_equal(a, b) -> bool:
 
 
 def _column_sides(m: ExchangeMatrix, k: int):
-    """(outgoing, incoming) sides at k read entry by entry from column k."""
+    """(outgoing, incoming) sides at k read entry by entry from column k,
+    through the rows of B."""
     out, inc = {}, {}
-    for i, row in enumerate(m.b, 1):
-        v = row[k - 1]
+    for i, row in enumerate(m.rows, 1):
+        v = row.get(k, 0)
         if v:
             (out if v > 0 else inc)[i] = abs(v)
     return out, inc
@@ -477,8 +478,10 @@ def dim_rule(s, k: int):
     Raises AmbiguityError when the two sums have equal totals but differ."""
     rows = s.dim_trackers
     sums = [[0] * len(rows[0]), [0] * len(rows[0])]
-    for i, b_row in enumerate(s.matrix.b, 1):
-        v = b_row[k - 1]
+    for i, b_row in enumerate(s.matrix.rows, 1):
+        v = b_row.get(k, 0)
+        if not v:
+            continue
         side = sums[0] if v > 0 else sums[1]
         for c, x in enumerate(rows[i - 1]):
             side[c] += abs(v) * x

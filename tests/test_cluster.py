@@ -4,6 +4,7 @@ from collections import Counter, defaultdict
 from dataclasses import replace
 from math import prod
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -47,6 +48,7 @@ from clusterknit.mesh import (
     validate_terminal,
 )
 from clusterknit.quiver import validate_quiver
+from clusterknit.rigidpath import make_schedule
 
 V = MeshVertex
 
@@ -343,21 +345,47 @@ def outcome(rule, *args):
         return AmbiguityError
 
 
+def tracker_step(s, k: int):
+    """What ``mutate_seed`` makes of each tracker at k, from a seed that
+    carries that tracker alone: ((row, dominated) or AmbiguityError,
+    row or AmbiguityError), the shapes of ``dim_rule`` and ``delta_rule``.
+    Every other row comes back as it was."""
+    only = {
+        "dim_trackers": Seed(matrix=s.matrix, dim_trackers=s.dim_trackers),
+        "delta_trackers": Seed(matrix=s.matrix, delta_trackers=s.delta_trackers, d_delta=s.d_delta),
+    }
+    got = []
+    for name, seed in only.items():
+        try:
+            new = mutate_seed(seed, k)
+        except AmbiguityError:
+            got.append(AmbiguityError)
+            continue
+        rows, old = getattr(new, name), getattr(s, name)
+        assert rows[: k - 1] + rows[k:] == old[: k - 1] + old[k:]
+        got.append((rows[k - 1], new.dominated) if name == "dim_trackers" else rows[k - 1])
+    return tuple(got)
+
+
+def random_matrix(rng, r: int, entries):
+    b = [[0] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i + 1, r):
+            b[i][j] = rng.choice(entries)
+            b[j][i] = -b[i][j]
+    return make_matrix(b, rng.sample(range(1, r + 1), rng.randint(0, r - 1)))
+
+
 def test_tracker_rules_match_the_zero_started_oracle():
-    """The map-based side sums of ``_dim_rule`` and ``_delta_rule`` agree
-    with the zero-started sums of the oracles on seeded random seeds
+    """The packed dimension and Delta rules of ``mutate_seed`` agree with
+    the zero-started tuple sums of the oracles on seeded random seeds
     (negative entries, multiplicities up to 3, empty sides, ties) and
     raise AmbiguityError in exactly the same cases."""
     rng = random.Random(61)
     seen = Counter()
     for _ in range(4000):
         r = rng.randint(2, 6)
-        b = [[0] * r for _ in range(r)]
-        for i in range(r):
-            for j in range(i + 1, r):
-                b[i][j] = rng.choice((0, 0, -1, 1, -2, 2, 3))
-                b[j][i] = -b[i][j]
-        m = make_matrix(b, rng.sample(range(1, r + 1), rng.randint(0, r - 1)))
+        m = random_matrix(rng, r, (0, 0, -1, 1, -2, 2, 3))
 
         def rows():  # drawn from a small pool, so that equal sums are common
             pool = [tuple(rng.randint(-1, 1) for _ in range(r)) for _ in range(rng.randint(1, 3))]
@@ -368,9 +396,8 @@ def test_tracker_rules_match_the_zero_started_oracle():
         k = rng.choice(mutable(m))
         out, inc = arrows_at(m, k)
         want = outcome(dim_rule, s, k)
-        assert outcome(cluster._dim_rule, s, k, out, inc) == want
         want_delta = outcome(delta_rule, s, k)
-        assert outcome(cluster._delta_rule, s, k, out, inc) == want_delta
+        assert tracker_step(s, k) == (want, want_delta)
         sums = [side_sum(s.dim_trackers, side) for side in (out, inc)]
         seen["empty side"] += not out or not inc
         seen["multiplicity > 1"] += any(x > 1 for x in (*out.values(), *inc.values()))
@@ -380,8 +407,66 @@ def test_tracker_rules_match_the_zero_started_oracle():
         seen["undominated"] += want is not AmbiguityError and not want[1]
         seen["tied Delta sums"] += want_delta is AmbiguityError
     assert min(seen.values()) >= 20 and len(seen) == 7, seen
-    tracker = ((1, -2), (3, 4))
-    assert cluster._side_sum(tracker, {2: 1}) is tracker[1]
+    rows = Seed(matrix=make_matrix([[0, 1], [-1, 0]]), dim_trackers=((1, -2), (3, 4)))._dim_trackers
+    assert cluster._side_sum(rows.ints, {2: 1}) is rows.ints[1]
+
+
+def test_packed_rules_widen_at_the_slot_limits():
+    """Seeds whose entries sit at the limits of the narrowest packing
+    ([-256, 256) in 16-bit slots), walked a few steps with multiplicities
+    up to 100: the packed rules redo a step wider where a new row
+    overflows its slots, and take more guard bits where a side's total
+    multiplicity passes 64, and every step agrees with the oracles."""
+    rng = random.Random(16)
+    limits = (-256, -255, -1, 0, 1, 254, 255)
+    seen = Counter()
+    for _ in range(300):
+        r = rng.randint(2, 5)
+        m = random_matrix(rng, r, (0, -1, 1, 3, -7, 40, -70, 100))
+        s = Seed(
+            matrix=m,
+            dim_trackers=tuple(tuple(rng.choice(limits) for _ in range(r)) for _ in range(r)),
+            delta_trackers=tuple(tuple(rng.choice(limits) for _ in range(r)) for _ in range(r)),
+            d_delta=tuple(rng.choice(limits) for _ in range(r)),
+        )
+        for _ in range(rng.randint(1, 4)):
+            k = rng.choice(mutable(s.matrix))
+            want = outcome(dim_rule, s, k), outcome(delta_rule, s, k)
+            assert tracker_step(s, k) == want
+            if AmbiguityError in want:
+                break
+            new = mutate_seed(s, k)
+            for rows, was in ((new._dim_trackers, s._dim_trackers), (new._delta_trackers, s._delta_trackers)):
+                seen["more guard bits"] += rows.lay.g > was.lay.g
+                seen["redone wider"] += rows.lay.g == was.lay.g and rows.lay.w > was.lay.w
+            s = new
+            seen["steps"] += 1
+    assert min(seen.values()) >= 100 and seen["steps"] >= 300, seen
+
+
+@pytest.mark.parametrize("name", ["e8", "kronecker-3arrow"])
+def test_packed_rules_match_the_oracles_along_the_bench_paths(name):
+    """Every step of the tracker-path instances (E8 at t = 14 and the
+    3-arrow Kronecker quiver at t = (25,24)) against the tuple oracles
+    run on a twin that carries tuple rows."""
+    if name == "e8":
+        cat = reference.category("e8")
+    else:
+        cat = build_category(validate_terminal(validate_quiver(2, [(1, 2)] * 3), (25, 24)))
+    cur = initial_seed(cat, with_vars=False)
+    twin = SimpleNamespace(matrix=cur.matrix, dim_trackers=cur.dim_trackers,
+                           delta_trackers=cur.delta_trackers, d_delta=cur.d_delta)
+    for ident in make_schedule(cat.terminal).steps:
+        k = cur.labels.index(ident.main[0]) + 1
+        vec, dominated = dim_rule(twin, k)
+        cur = mutate_seed(cur, k, new_label=ident.main[1])
+        assert (cur._dim_trackers.row(k), cur.dominated) == (vec, dominated)
+        twin.dim_trackers = twin.dim_trackers[: k - 1] + (vec,) + twin.dim_trackers[k:]
+        vec = delta_rule(twin, k)
+        assert cur._delta_trackers.row(k) == vec
+        twin.delta_trackers = twin.delta_trackers[: k - 1] + (vec,) + twin.delta_trackers[k:]
+        twin.matrix = cur.matrix
+    assert (cur.dim_trackers, cur.delta_trackers) == (twin.dim_trackers, twin.delta_trackers)
 
 
 def test_mutate_seed_reports_dominance(kronecker3):

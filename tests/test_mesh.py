@@ -1,11 +1,12 @@
 import random
+import signal
 
 import pytest
 
 from oracles import hom_dim, interval_hom_dim, knit_dims, knit_hom_row, maximal_terminal
 from test_quiver import random_quiver
 
-from clusterknit import reference
+from clusterknit import mesh, reference
 from clusterknit.errors import (
     DynkinOverflowError,
     LabelRangeError,
@@ -115,8 +116,9 @@ def test_build_category_matches_the_knitting_oracles():
     """The one hom-table sweep against the two knittings it replaced, on
     every corpus instance and on seeded random quivers (parallel arrows
     included) with levels up to and past the end of their tau-orbits.
-    Each hom row equals the per-row vertex-keyed knitting, ``dims`` equals
-    the upward knitting from the injectives, and DynkinOverflowError is
+    Each hom row equals the per-row vertex-keyed knitting and, read at the
+    injectives, ``dims``; ``dims`` equals the upward knitting from the
+    injectives, and DynkinOverflowError is
     raised exactly when that knitting lacks a model vertex, naming the first
     one (i ascending, then a ascending)."""
     rng = random.Random(9)
@@ -146,9 +148,11 @@ def test_build_category_matches_the_knitting_oracles():
             (v.i, v.a): knit[v.i, v.a] for v in cat.vertices
         }
         model = set(cat.vertices)
+        injectives = [cat.pos(V(j, 0)) for j in range(1, td.q.n + 1)]
         for x, row in zip(cat.vertices, cat.hom_table):
             oracle = knit_hom_row(td, model, x)
             assert row == tuple(oracle.get(z, 0) for z in cat.vertices), (td, x)
+            assert tuple(row[p] for p in injectives) == cat.dims[x].coords
     assert overflows > 50 and len(cases) - overflows > 50 and parallel > 50
 
 
@@ -174,6 +178,29 @@ def test_dynkin_overflow():
     q4 = reference.quiver("linear_a4")
     with pytest.raises(DynkinOverflowError):
         build_category(validate_terminal(q4, (1, 2, 3, 4)))
+
+
+def test_dynkin_overflow_is_refused_before_the_model(monkeypatch):
+    """Linear A_3 at t = (30000,)*3: the tau-orbit of I_1 ends at level 3,
+    and the knitted dimension vectors say so before any vertex list or hom
+    row is built, however large t is."""
+    def too_slow(signum, frame):
+        raise TimeoutError("build_category ran for more than one second")
+
+    def no_model(*args):
+        raise AssertionError("the vertex list was built before the refusal")
+
+    td = validate_terminal(validate_quiver(3, [(1, 2), (2, 3)]), (30000,) * 3)
+    monkeypatch.setattr(mesh, "canonical_ordering_vertices", no_model)
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        with pytest.raises(DynkinOverflowError) as exc:
+            build_category(td)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert str(exc.value) == "tau^3(I_1) does not exist; t_1=30000 is too large"
 
 
 def test_dims_a2():

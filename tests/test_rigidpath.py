@@ -319,6 +319,24 @@ def test_pbw_polynomiality(kronecker3, five_vertex, linear_a4):
                     ), (i, a, b)
 
 
+def test_pbw_products_have_no_unit_operand(five_vertex, monkeypatch):
+    """Each product of the expansion starts from its first factor: on
+    five_vertex the four longest intervals expand with no product by 1
+    (33 of 107 products had a unit operand when they started from 1)."""
+    one = LaurentPoly.one(five_vertex.r)
+    operands = []
+    product = LaurentPoly.__mul__
+
+    def recorded(a, b):
+        operands.append((a, b))
+        return product(a, b)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", recorded)
+    for lbl in (L(1, 0, 3), L(3, 0, 3), L(5, 0, 2), L(2, 0, 2)):
+        pbw_expand(five_vertex, lbl)
+    assert operands and not [pair for pair in operands if one in pair]
+
+
 def test_pbw_satisfies_identity(kronecker3, five_vertex):
     """Substituting expansions back into the determinantal identity gives a
     polynomial identity."""
