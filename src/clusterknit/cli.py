@@ -91,7 +91,7 @@ def cmd_build(args) -> int:
     if args.format == "json":
         data = mesh.to_json(cat)
         data["d_delta"] = d_delta
-        data["ordering"] = [[v.i, v.a] for v in ordering]
+        data["ordering"] = [list(v) for v in ordering]
         emit(jsontext.dumps(data), args, "category.json")
         return 0
     lines = [f"category on {cat.r} vertices, t = {','.join(map(str, td.t))}"]

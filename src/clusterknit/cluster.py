@@ -202,9 +202,9 @@ def initial_seed(cat: mesh.CategoryModel, ordering=None, with_vars: bool = True)
     seat = sorted(range(r), key=positions.__getitem__)  # canonical position -> seed position
     arrows = tuple(sorted((seat[u - 1] + 1, seat[v - 1] + 1) for (u, v) in cat.gammaMStar.arrows))
     ordered = [cat.vertices[p] for p in positions]
-    frozen = frozenset(s for s, v in enumerate(ordered, 1) if v.a == 0)
+    frozen = frozenset(s for s, (_, a) in enumerate(ordered, 1) if a == 0)
     t_of = cat.terminal.level
-    labels = tuple(mesh.IntervalLabel(v.i, v.a, t_of(v.i)) for v in ordered)
+    labels = tuple(mesh.IntervalLabel(i, a, t_of(i)) for i, a in ordered)
     variables = (
         tuple(LaurentPoly.variable(k, r) for k in range(r)) if with_vars else None
     )
@@ -414,9 +414,7 @@ def to_json(s: Seed) -> dict:
     if s.vars is not None:
         data["vars"] = [to_json_terms(v) for v in s.vars]
     if s.labels is not None:
-        data["labels"] = [
-            [l.i, l.a, l.b] if l is not None else None for l in s.labels
-        ]
+        data["labels"] = [None if l is None else list(l) for l in s.labels]
     if s.dim_trackers is not None:
         data["dim_trackers"] = [list(v) for v in s.dim_trackers]
     if s.delta_trackers is not None:

@@ -63,7 +63,7 @@ class ShuffleSeries:
         return not self.terms
 
     def __repr__(self) -> str:
-        return f"ShuffleSeries({to_text(self)})"
+        return f"ShuffleSeries({self.terms})"
 
 
 @lru_cache(maxsize=None)
@@ -318,11 +318,6 @@ def _series_text(terms) -> str:
     return " ".join(parts)
 
 
-def to_text(s: ShuffleSeries) -> str:
-    """Terms c·w[...] sorted lexicographically by word."""
-    return _series_text((",".join(map(str, w)), s.terms[w]) for w in sorted(s.terms))
-
-
 def to_json(s: ShuffleSeries) -> dict:
     """Words as comma-joined keys, unsorted: JSON writers sort the keys."""
     return {",".join(map(str, word)): str(coeff) for word, coeff in s.terms.items()}
@@ -343,9 +338,9 @@ def json_text(cat: mesh.CategoryModel, ordering, k: int) -> str:
 
 
 def text(cat: mesh.CategoryModel, ordering, k: int) -> str:
-    """``to_text(g_module(cat, ordering, k))``, written from one expansion:
-    its words come in letter order, which is the sorted order of
-    ``to_text``, each joined once from per-letter strings."""
+    """The terms c·w[...] of ``g_module(cat, ordering, k)``, sorted
+    lexicographically by word, written from one expansion: its words come
+    in letter order, each joined once from per-letter strings."""
     edges, length = stage_dag(cat, ordering, k)
     tokens = [str(i) for i in range(cat.terminal.q.n + 1)]
     return _series_text(expand(edges, length, tokens, ",".join))

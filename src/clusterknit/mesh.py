@@ -20,13 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add
+from typing import NamedTuple
 
 from .errors import DynkinOverflowError, LabelRangeError, NotAdaptedError, TerminalConstraintError
 from .quiver import Quiver, RootVec, topological_order
 
 
-@dataclass(frozen=True)
-class MeshVertex:
+class MeshVertex(NamedTuple):
     i: int
     a: int
 
@@ -34,8 +34,7 @@ class MeshVertex:
         return f"({self.i},{self.a})"
 
 
-@dataclass(frozen=True)
-class IntervalLabel:
+class IntervalLabel(NamedTuple):
     """The label T_{i,[a,b]}; a > b encodes the unit by convention."""
 
     i: int
@@ -187,7 +186,7 @@ def build_category(td: TerminalData) -> CategoryModel:
     r = len(vertices)
     arrows_m = sorted((index[s], index[t]) for (s, t) in _model_arrows(td))
     # tau of each position, r (an entry that stays 0) where it leaves the model
-    tau = [index.get(MeshVertex(v.i, v.a + 1), r) for v in vertices]
+    tau = [index.get((i, a + 1), r) for i, a in vertices]
     arrows_star = sorted(arrows_m + [(p, u) for p, u in enumerate(tau) if u < r])
     gamma_m = Quiver(r, tuple((s + 1, t + 1) for (s, t) in arrows_m))
     gamma_star = Quiver(r, tuple((s + 1, t + 1) for (s, t) in arrows_star))
@@ -222,23 +221,14 @@ def validate_label(cat: CategoryModel, lbl: IntervalLabel) -> None:
         raise LabelRangeError(f"label {lbl} out of range for t={cat.terminal.t}")
 
 
-def projected_dimvec(cat: CategoryModel, lbl: IntervalLabel, positions=None):
-    """Dimension vector of Hom(T_{i,[a,b]}, T_M): the entry at x(s) is
-    sum_{l=a}^{b} dim Hom(tau^l I_i, M_{x(s)}).  Entry s belongs to the
-    vertex at canonical position ``positions[s]`` (every canonical position
-    when omitted), as ``validate_ordering`` returns them."""
-    validate_label(cat, lbl)
-    if positions is None:
-        positions = range(cat.r)
-    rows = [cat.hom_table[cat.pos(MeshVertex(lbl.i, l))] for l in range(lbl.a, lbl.b + 1)]
-    return tuple(sum(row[p] for row in rows) for p in positions)
-
-
 def top_dimvecs(cat: CategoryModel, positions=None) -> list:
-    """``projected_dimvec`` of T_{i,[a,t_i]} for the vertex (i, a) at each
-    canonical position, as one suffix sum per tau-orbit: the vector of
-    T_{i,[a,t_i]} is that of T_{i,[a+1,t_i]} plus hom row (i, a).  Entries
-    as for ``projected_dimvec``."""
+    """The dimension vector of Hom(T_{i,[a,t_i]}, T_M) for the vertex (i, a)
+    at each canonical position: its entry at x(s) is
+    sum_{l=a}^{t_i} dim Hom(tau^l I_i, M_{x(s)}), so it is that of
+    T_{i,[a+1,t_i]} plus hom row (i, a), one suffix sum per tau-orbit.
+    Entry s belongs to the vertex at canonical position ``positions[s]``
+    (every canonical position when omitted), as ``validate_ordering``
+    returns them."""
     if positions is None:
         positions = range(cat.r)
     sums: dict = {}  # orbit -> the suffix sum so far
@@ -314,7 +304,7 @@ def to_dot(cat: CategoryModel, star: bool = True) -> str:
     """DOT text of Gamma_M (star=False) or Gamma_M^*; tau-arrows dashed."""
     lines = ["digraph gamma {", "  rankdir=RL;"]
     for v in cat.vertices:
-        lines.append(f'  "{v.i},{v.a}" [label="({v.i},{v.a})"];')
+        lines.append(f'  "{v.i},{v.a}" [label="{v!r}"];')
     g = cat.gammaMStar if star else cat.gammaM
     for (s, t) in g.arrows:
         src = cat.vertices[s - 1]
@@ -329,21 +319,17 @@ def to_dot(cat: CategoryModel, star: bool = True) -> str:
 
 def to_json(cat: CategoryModel) -> dict:
     """Dims and hom table keyed by "(i,a)" strings, plus the Gamma^* arrows."""
-
-    def key(v):
-        return f"({v.i},{v.a})"
-
     return {
         "n": cat.terminal.q.n,
         "t": list(cat.terminal.t),
-        "vertices": [key(v) for v in cat.vertices],
+        "vertices": [repr(v) for v in cat.vertices],
         "gamma_star": [
-            [key(cat.vertices[s - 1]), key(cat.vertices[t - 1])]
+            [repr(cat.vertices[s - 1]), repr(cat.vertices[t - 1])]
             for (s, t) in cat.gammaMStar.arrows
         ],
-        "dims": {key(v): list(cat.dims[v].coords) for v in cat.vertices},
+        "dims": {repr(v): list(cat.dims[v].coords) for v in cat.vertices},
         "hom": {
-            key(x): dict(zip(map(key, cat.vertices), row))
+            repr(x): dict(zip(map(repr, cat.vertices), row))
             for x, row in zip(cat.vertices, cat.hom_table)
         },
     }

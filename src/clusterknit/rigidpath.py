@@ -62,31 +62,26 @@ class DetIdentity:
     sides: tuple[dict, dict]
 
 
-def _side(labels) -> dict:
-    """Labels as {label: multiplicity}, without units."""
-    side: dict = {}
-    for lbl in labels:
-        if not lbl.is_unit():
-            side[lbl] = side.get(lbl, 0) + 1
-    return side
-
-
 def det_identity(td: TerminalData, op: Quiver, i: int, a: int, b: int) -> DetIdentity:
     """The identity at T_{i,[a,b]}, given op = Q_M^op."""
     if not (1 <= a <= b <= td.level(i)):
         raise LabelRangeError(f"need 1 <= a <= b <= t_{i}, got a={a}, b={b}")
     ti = td.level(i)
-    factors = []
+    product: dict = {}
     for j in op.arrows_out(i):
         d = td.level(j) - ti
-        factors.append(IntervalLabel(j, a + d, b + d))
+        lbl = IntervalLabel(j, a + d, b + d)
+        product[lbl] = product.get(lbl, 0) + 1
     for k in op.arrows_in(i):
         d = td.level(k) - ti
-        factors.append(IntervalLabel(k, a - 1 + d, b - 1 + d))
-    left = (IntervalLabel(i, a - 1, b), IntervalLabel(i, a, b - 1))
+        lbl = IntervalLabel(k, a - 1 + d, b - 1 + d)
+        product[lbl] = product.get(lbl, 0) + 1
+    left = {IntervalLabel(i, a - 1, b): 1}
+    if a < b:
+        left[IntervalLabel(i, a, b - 1)] = 1
     return DetIdentity(
         main=(IntervalLabel(i, a, b), IntervalLabel(i, a - 1, b - 1)),
-        sides=(_side(left), _side(factors)),
+        sides=(left, product),
     )
 
 
@@ -189,7 +184,7 @@ def pbw_expand(cat: mesh.CategoryModel, lbl: IntervalLabel) -> LaurentPoly:
     memo: dict = {}
 
     def expand(i: int, a: int, b: int) -> LaurentPoly:
-        """T_{i,[a,b]} for a <= b (``_side`` keeps units off the product side)."""
+        """T_{i,[a,b]} for a <= b (no product factor is a unit)."""
         key = (i, a, b)
         if key in memo:
             return memo[key]
@@ -199,7 +194,7 @@ def pbw_expand(cat: mesh.CategoryModel, lbl: IntervalLabel) -> LaurentPoly:
             num = expand(i, a + 1, b) * expand(i, a, b - 1)
             prod = None
             for f, m in det_identity(td, op, i, a + 1, b).sides[1].items():
-                power = expand(f.i, f.a, f.b) ** m
+                power = expand(*f) ** m
                 prod = power if prod is None else prod * power
             res = num - (LaurentPoly.one(r) if prod is None else prod)
             if b > a + 1:
@@ -209,7 +204,7 @@ def pbw_expand(cat: mesh.CategoryModel, lbl: IntervalLabel) -> LaurentPoly:
 
     if lbl.is_unit():
         return LaurentPoly.one(r)
-    return expand(lbl.i, lbl.a, lbl.b)
+    return expand(*lbl)
 
 
 # -- reporting ---------------------------------------------------------------
@@ -225,10 +220,6 @@ def relation_text(step: PathStep) -> str:
     return f"{main[0]!r}*{main[1]!r} = {fmt(sides[0])} + {fmt(sides[1])}"
 
 
-def _label_json(lbl: IntervalLabel) -> list:
-    return [lbl.i, lbl.a, lbl.b]
-
-
 def result_to_json(res: PathResult) -> dict:
     return {
         "length": len(res.schedule),
@@ -237,13 +228,13 @@ def result_to_json(res: PathResult) -> dict:
             {
                 "index": s.index,
                 "position": s.position,
-                "old": _label_json(s.identity.main[0]),
-                "new": _label_json(s.identity.main[1]),
+                "old": list(s.identity.main[0]),
+                "new": list(s.identity.main[1]),
                 "relation": relation_text(s),
                 "dominated": s.dominated,
             }
             for s in res.steps
         ],
-        "final_labels": [_label_json(l) for l in res.seed.labels],
+        "final_labels": [list(l) for l in res.seed.labels],
         "final_seed": cluster.to_json(res.seed),
     }

@@ -8,8 +8,9 @@ The Bareiss determinant, the matrix-product form of the one-parameter
 product, the per-leaf ``evaluate_phi``, the letter-insertion action with
 its divided powers, the split-dict Euler word expansion, the upward
 dimension-vector knitting and per-row hom knitting, the zero-started
-tracker side sums and the per-label determinantal identity with its
-``Counter`` sides are the kernels that ``minors``, ``euler``, ``mesh``,
+tracker side sums, the per-label determinantal identity with its
+``Counter`` sides, the per-label projected dimension vector and the
+sorted series text are the kernels that ``minors``, ``euler``, ``mesh``,
 ``cluster`` and ``rigidpath`` replaced; they live on here as differential
 oracles, beside small helpers that only the tests call.
 """
@@ -24,7 +25,7 @@ from clusterknit.errors import AmbiguityError, NotDivisibleError, SeedFormatErro
 from clusterknit.euler import ShuffleSeries, ThinModule, b_exponents, stage_dag
 from clusterknit.exchange import ExchangeMatrix, arrows_at, make_matrix
 from clusterknit.laurent import LaurentPoly, exact_div, substitute
-from clusterknit.mesh import IntervalLabel, MeshVertex, TerminalData
+from clusterknit.mesh import IntervalLabel, MeshVertex, TerminalData, validate_label
 from clusterknit.quiver import (
     CartanMatrix,
     Quiver,
@@ -159,6 +160,15 @@ def knit_hom_row(td: TerminalData, model: set, x: MeshVertex) -> dict:
 def hom_dim(cat, x: MeshVertex, z: MeshVertex) -> int:
     """dim Hom(M_x, M_z), looked up vertex by vertex in the hom table."""
     return cat.hom_table[cat.pos(x)][cat.pos(z)]
+
+
+def projected_dimvec(cat, lbl: IntervalLabel):
+    """Dimension vector of Hom(T_{i,[a,b]}, T_M) in canonical coordinates:
+    entry p is sum_{l=a}^{b} dim Hom(tau^l I_i, M_p), read label by label
+    from the hom table."""
+    validate_label(cat, lbl)
+    rows = [cat.hom_table[cat.pos(MeshVertex(lbl.i, l))] for l in range(lbl.a, lbl.b + 1)]
+    return tuple(sum(row[p] for row in rows) for p in range(cat.r))
 
 
 def maximal_terminal(q: Quiver) -> TerminalData:
@@ -630,6 +640,23 @@ def dag_coefficient_sum(edges: dict, length: int) -> int:
     return sum(level.values())
 
 
+def dag_words(edges: dict, length: int) -> dict:
+    """{word: coefficient} of the nonzero words a ``stage_dag`` spells, by
+    enumerating every path of ``length`` letters from the empty state."""
+    words: dict = defaultdict(int)
+
+    def walk(state, word, coeff):
+        if len(word) == length:
+            words[word] += coeff
+            return
+        for i, target, weight in edges[state]:
+            for target, w in weight if target is None else [(target, weight)]:
+                walk(target, word + (i,), coeff * w)
+
+    walk(0, (), 1)
+    return {w: c for w, c in words.items() if c}
+
+
 def e_action(s: ShuffleSeries, i: int) -> ShuffleSeries:
     """Drop the last letter when it equals i, else kill the word."""
     terms: dict = {}
@@ -646,6 +673,20 @@ def direct_sum(a: ThinModule, b: ThinModule) -> ThinModule:
     arrows = tuple((("L", u), ("L", v)) for (u, v) in a.arrows)
     arrows += tuple((("R", u), ("R", v)) for (u, v) in b.arrows)
     return ThinModule(slots, arrows)
+
+
+def series_to_text(s: ShuffleSeries) -> str:
+    """Terms c·w[...] sorted lexicographically by word, joined by their
+    signs; ``0`` if there are none."""
+    terms = []
+    for w in sorted(s.terms):
+        c = s.terms[w]
+        coeff = "" if c in (1, -1) else f"{abs(c)}·"
+        terms.append(f"{'-' if c < 0 else '+'} {coeff}w[{','.join(map(str, w))}]")
+    if not terms:
+        return "0"
+    text = " ".join(terms)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def series_from_json(data: dict) -> ShuffleSeries:

@@ -16,6 +16,7 @@ from oracles import (
     interval_hom_dim,
     maximal_terminal,
     mutable,
+    projected_dimvec,
     strictly_equal,
 )
 
@@ -29,7 +30,6 @@ from clusterknit.mesh import (
     adapted_orderings,
     build_category,
     delta_dims,
-    projected_dimvec,
     triangle_display,
     validate_terminal,
 )

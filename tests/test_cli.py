@@ -303,6 +303,31 @@ def test_check_manifest(capsys):
     assert "euler_series" in names and "minor_dictionary" in names
 
 
+def test_check_text(capsys):
+    assert cli.main(["check"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "overall: PASS"
+    assert lines[:-1] == [f"PASS  {name}" for (name, _) in reference.CHECKS]
+
+
+def test_large_output_goes_to_the_default_file(tmp_path, monkeypatch, capsys):
+    """Output past BIG_OUTPUT_LINES lines is written to the command's
+    default file, not to stdout, with the bytes an ``--out`` run writes."""
+    pins = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
+    seed = tmp_path / "seed.json"
+    seed.write_text(json.dumps(json.loads(pins.read_text())["seeds"]["fan-a3"]))
+    walk = [str(k) for k in (4, 5, 6) * 400]
+    walk += walk[::-1]  # 2,400 steps, one trace line each
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["mutate", str(seed), *walk]) == 0
+    assert capsys.readouterr().out == "output too large for stdout; wrote mutation_trace.txt\n"
+    out = tmp_path / "given.txt"
+    assert cli.main(["mutate", str(seed), *walk, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    text = (tmp_path / "mutation_trace.txt").read_text()
+    assert text == out.read_text() and text.count("\n") == len(walk) > cli.BIG_OUTPUT_LINES
+
+
 def test_check_fails_on_a_wrong_expected_value(monkeypatch, capsys):
     """Corrupting one expected value fails exactly the check that reads it."""
     (top, *rows) = reference.D_DELTA

@@ -13,6 +13,7 @@ from oracles import (
     delta_rule,
     dim_rule,
     mutable,
+    projected_dimvec,
     seed_by_vertex,
     side_sum,
     specialize_frozen,
@@ -42,7 +43,6 @@ from clusterknit.mesh import (
     MeshVertex,
     build_category,
     delta_support,
-    projected_dimvec,
     triangle_display,
     validate_ordering,
     validate_terminal,

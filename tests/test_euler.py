@@ -8,11 +8,13 @@ import oracles
 from oracles import (
     direct_sum,
     divided_f,
+    dag_words,
     divided_f_chain,
     e_action,
     evaluate_phi_per_leaf,
     f_action,
     series_from_json,
+    series_to_text,
     split_g_module,
 )
 
@@ -29,7 +31,6 @@ from clusterknit.euler import (
     json_text,
     shuffle,
     to_json,
-    to_text,
 )
 from clusterknit.quiver import (
     ReducedWord,
@@ -206,7 +207,7 @@ def test_json_text_of_the_zero_series(monkeypatch, kronecker3, kronecker3_orderi
 
 
 def test_text_is_what_to_text_wrote(kronecker3, kronecker3_ordering):
-    """The text writer gives ``to_text(g_module(...))`` on the worked
+    """The text writer gives ``series_to_text(g_module(...))`` on the worked
     series, the euler-series instances below their largest k, and linear
     A_11, whose letter 10 must sort after letter 2 as words do."""
     wild = build_category(validate_terminal(validate_quiver(2, [(1, 2)] * 2), (3, 2)))
@@ -214,7 +215,7 @@ def test_text_is_what_to_text_wrote(kronecker3, kronecker3_ordering):
     cases = [(kronecker3, kronecker3_ordering, k) for k in (1, 2, 5)]
     cases += [(cat, adapted_orderings(cat), k) for cat, k in ((five, 6), (wild, 6), (linear_a11(), 16))]
     for cat, ordering, k in cases:
-        assert euler.text(cat, ordering, k) == to_text(g_module(cat, ordering, k)), (cat.terminal, k)
+        assert euler.text(cat, ordering, k) == series_to_text(g_module(cat, ordering, k)), (cat.terminal, k)
 
 
 def test_g_module_homogeneous_content(kronecker3, kronecker3_ordering):
@@ -316,11 +317,11 @@ def test_thin_module_validation():
 
 def test_series_text_and_json():
     s = S({(2, 1): 2, (1, 2): -1, (3,): 5})
-    assert to_text(s) == "-w[1,2] + 2·w[2,1] + 5·w[3]"
+    assert series_to_text(s) == "-w[1,2] + 2·w[2,1] + 5·w[3]"
     assert series_from_json(to_json(s)) == s
-    assert to_text(S()) == "0"
+    assert series_to_text(S()) == "0"
     signs = S({(1,): -3, (2,): 1, (3,): -1, (4,): 4, (5,): -2})
-    assert to_text(signs) == "-3·w[1] + w[2] - w[3] + 4·w[4] - 2·w[5]"
+    assert series_to_text(signs) == "-3·w[1] + w[2] - w[3] + 4·w[4] - 2·w[5]"
     with pytest.raises(ValueError):
         series_from_json({"3": "1/2"})
 
@@ -331,3 +332,42 @@ def test_g_module_rejects_bad_ordering(kronecker3):
     bad = list(reversed(kronecker3.vertices))
     with pytest.raises(NotAdaptedError):
         g_module(kronecker3, bad, 1)
+
+
+# Hand-built stage DAGs (state 9 is full): in the first, the prefix (1,)
+# reaches states 1 and 2, which both read letters 2 and 3 into the full
+# state, and letter 3 cancels (2*3 + 3*(-2)); in the second, the prefix
+# (1,) carries two states into a second letter before they merge.
+HAND_DAGS = [
+    (
+        {
+            0: ((2, 3, 2), (1, None, ((1, 2), (2, 3)))),
+            1: ((3, 9, 3), (2, 9, 5)),
+            2: ((3, 9, -2), (2, 9, 7), (1, 9, 4)),
+            3: ((1, 9, 6),),
+        },
+        2,
+        [((1, 1), 12), ((1, 2), 31), ((2, 1), 12)],
+    ),
+    (
+        {
+            0: ((1, None, ((1, 1), (2, 1))),),
+            1: ((2, 3, 1),),
+            2: ((2, 4, 1),),
+            3: ((1, 9, 2),),
+            4: ((1, 9, 5),),
+        },
+        3,
+        [((1, 2, 1), 7)],
+    ),
+]
+
+
+@pytest.mark.parametrize("edges,length,want", HAND_DAGS)
+def test_expand_merges_states_at_the_last_letter(edges, length, want):
+    """A prefix one letter short of the end that reaches several states
+    sums their paths into the full state per last letter and drops a sum
+    that cancels.  ``expand`` takes its edges as given, so the DAGs are
+    built by hand and checked against enumerating every path."""
+    got = list(euler.expand(edges, length, range(4), tuple))
+    assert got == sorted(dag_words(edges, length).items()) == want

@@ -3,7 +3,7 @@ import signal
 
 import pytest
 
-from oracles import hom_dim, interval_hom_dim, knit_dims, knit_hom_row, maximal_terminal
+from oracles import hom_dim, interval_hom_dim, knit_dims, knit_hom_row, maximal_terminal, projected_dimvec
 from test_quiver import random_quiver
 
 from clusterknit import mesh, reference
@@ -21,7 +21,6 @@ from clusterknit.mesh import (
     canonical_ordering_vertices,
     delta_dims,
     delta_support,
-    projected_dimvec,
     to_dot,
     to_json,
     triangle_display,

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import oracles
 import pytest
-from oracles import core_equal, mutable, strictly_equal
+from oracles import core_equal, mutable, projected_dimvec, strictly_equal
 
 from clusterknit import reference, rigidpath
 from clusterknit import cluster, exchange
@@ -17,7 +17,6 @@ from clusterknit.mesh import (
     MeshVertex,
     build_category,
     delta_support,
-    projected_dimvec,
     validate_terminal,
 )
 from clusterknit.quiver import Quiver, validate_quiver
