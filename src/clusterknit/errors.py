@@ -45,7 +45,8 @@ class NotReducedError(ClusterKnitError):
 
 class VertexIndexError(ClusterKnitError, IndexError):
     """A vertex index outside 1..n: an arrow end of a quiver, a vertex to
-    reflect or mutate at, or a letter of a sink sequence."""
+    reflect or mutate at, a letter of a sink sequence, or a letter or row
+    count of a type-A flag minor (n = size - 1)."""
 
 
 class InputFormatError(ClusterKnitError):

@@ -226,27 +226,34 @@ def g_module(cat: mesh.CategoryModel, ordering, k: int) -> ShuffleSeries:
 def evaluate_phi(s: ShuffleSeries, seq):
     """Evaluate on x_{i_1}(t_1) ... x_{i_m}(t_m): the polynomial
     sum_a coeff(i^a) t^a / a!, returned as a map from exponent tuples to
-    exact rationals.  The leaves add integer coefficients per exponent key,
-    and each key is divided by its a! once, at the end."""
+    exact rationals.  A walk reads each word as runs of seq, entering a
+    branch only if ``ok[l][j]``: word[j:] reads as runs of seq[l:].  Leaves
+    add integer coefficients per exponent key, divided by a! once at the end."""
     seq = tuple(seq)
     m = len(seq)
     poly: dict = {}
 
-    def walk(word, l, exps):
+    def walk(j, l, exps):
         if l == m:
-            if not word:
-                key = tuple(exps)
-                poly[key] = poly.get(key, 0) + coeff
+            key = tuple(exps)
+            poly[key] = poly.get(key, 0) + coeff
             return
-        letter = seq[l]
-        run = 0
-        while run < len(word) and word[run] == letter:
-            run += 1
-        for a in range(run + 1):
-            walk(word[a:], l + 1, exps + [a])
+        a = 0
+        while True:
+            if ok[l + 1][j + a]:
+                walk(j + a, l + 1, exps + [a])
+            if j + a == len(word) or word[j + a] != seq[l]:
+                break
+            a += 1
 
     for word, coeff in s.terms.items():
-        walk(word, 0, [])
+        ok = [[False] * len(word) + [True] for _ in range(m + 1)]
+        for l in range(m - 1, -1, -1):
+            row, later, letter = ok[l], ok[l + 1], seq[l]
+            for j in range(len(word) - 1, -1, -1):
+                row[j] = later[j] or (word[j] == letter and row[j + 1])
+        if ok[0][0]:
+            walk(0, 0, [])
     return {k: Fraction(v, prod(map(factorial, k))) for k, v in poly.items() if v}
 
 

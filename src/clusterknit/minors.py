@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ShapeError
+from .errors import LabelRangeError, ShapeError, VertexIndexError
 from .laurent import LaurentPoly
 
 
@@ -92,31 +92,32 @@ def interval_minor_key(i: int, a: int, b: int, n: int) -> MinorKey:
     minor realizes the interval variable T_{i,[a,b]} on the linearly
     ordered type A_n quiver (t_i = i - 1).  [1,0] is empty."""
     if not (1 <= i <= n and 0 <= a <= b <= i - 1):
-        raise IndexError(f"need 1 <= i <= {n} and 0 <= a <= b <= i-1")
+        raise LabelRangeError(f"need 1 <= i <= {n} and 0 <= a <= b <= i-1")
     rows = tuple(range(1, i - a + 1))
     cols = tuple(range(1, i - b)) + tuple(range(n - b + 1, n - a + 2))
     return MinorKey(rows, cols)
 
 
-def one_param_product(word, size: int) -> SymbolicMatrix:
-    """Exact product of elementary unitriangular factors: the l-th factor
-    is the identity plus t_l in entry (i_l, i_l + 1).  Multiplying by it on
-    the right adds t_l times column i_l to column i_l + 1."""
+def flag_minors(word, size: int) -> dict:
+    """The nonzero minors on rows [1, j], 1 <= j < size, of the product of
+    elementary unitriangular factors: the l-th factor is the identity plus
+    t_l in entry (i_l, i_l + 1).  Multiplying by it on the right adds t_l
+    times column i_l to column i_l + 1, so only a minor whose columns hold
+    i_l + 1 but not i_l changes: it gains t_l times the minor with i_l in
+    place of i_l + 1.  Keys are ``MinorKey``s; an absent key is zero."""
     word = tuple(word)
+    if not all(1 <= letter < size for letter in word):
+        raise VertexIndexError(f"word {word} needs letters in 1..{size - 1}")
     arity = len(word)
-    for letter in word:
-        if not (1 <= letter < size):
-            raise IndexError(f"letter {letter} needs 1 <= letter < {size}")
-    prod = [
-        [LaurentPoly.one(arity) if i == j else LaurentPoly.zero(arity) for j in range(size)]
-        for i in range(size)
-    ]
+    deltas = {tuple(range(1, j + 1)): LaurentPoly.one(arity) for j in range(1, size)}
     for l, letter in enumerate(word):
         t = LaurentPoly.variable(l, arity)
-        for row in prod:
-            if not row[letter - 1].is_zero():
-                row[letter] = row[letter] + row[letter - 1] * t
-    return SymbolicMatrix(size, arity, tuple(map(tuple, prod)))
+        for cols, value in list(deltas.items()):
+            if letter in cols and letter + 1 not in cols:
+                moved = tuple(c + (c == letter) for c in cols)
+                old = deltas.get(moved)
+                deltas[moved] = value * t if old is None else old + value * t
+    return {MinorKey(tuple(range(1, len(cols) + 1)), cols): v for cols, v in deltas.items()}
 
 
 def w_minor(prefix, j: int, size: int) -> MinorKey:
@@ -124,11 +125,8 @@ def w_minor(prefix, j: int, size: int) -> MinorKey:
     image of [1, j] under s_{i_1} ... s_{i_k} acting as adjacent
     transpositions of [1, size]."""
     prefix = tuple(prefix)
-    if not (1 <= j < size):
-        raise IndexError(f"need 1 <= j < {size}")
-    for letter in prefix:
-        if not (1 <= letter < size):
-            raise IndexError(f"letter {letter} needs 1 <= letter < {size}")
+    if not (1 <= j < size and all(1 <= letter < size for letter in prefix)):
+        raise VertexIndexError(f"need 1 <= j < {size} and prefix {prefix} in 1..{size - 1}")
 
     def act(x: int) -> int:
         for letter in reversed(prefix):

@@ -211,14 +211,14 @@ def eta_checks(n: int):
 
 
 def cross_checks(cat):
-    """evaluate_phi(g_module(k)) against the minor of the one-parameter
+    """evaluate_phi(g_module(k)) against the flag minor of the one-parameter
     product, over the adapted word of a type-A category (such as
     ``linear_type_a(n)``) repeated twice."""
     n = cat.terminal.q.n
     ordering = mesh.adapted_orderings(cat)
     word = adapted_word(cat, ordering)
     seq = word.letters * 2
-    prod = minors.one_param_product(seq, n + 1)
+    flag = minors.flag_minors(seq, n + 1)
     results = []
     for k in range(1, cat.r + 1):
         phi = euler.evaluate_phi(euler.g_module(cat, ordering, k), seq)
@@ -227,7 +227,7 @@ def cross_checks(cat):
             continue
         lhs = LaurentPoly(len(seq), {e: int(v) for e, v in phi.items()})
         key = minors.w_minor(word.letters[:k], word.letters[k - 1], n + 1)
-        results.append((k, lhs == minors.minor(prod, key)))
+        results.append((k, lhs == flag.get(key, LaurentPoly.zero(len(seq)))))
     return results
 
 

@@ -4,15 +4,15 @@ These never touch the code paths they check: hom dimensions come from
 solving intertwiner equations on explicit interval representations, over
 the rationals, matrix mutation is the dense entry-by-entry rule, and
 Laurent arithmetic is the tuple-keyed kernel the packed one replaced.
-The Bareiss determinant, the matrix-product form of the one-parameter
-product, the per-leaf ``evaluate_phi``, the letter-insertion action with
-its divided powers, the split-dict Euler word expansion, the upward
-dimension-vector knitting and per-row hom knitting, the zero-started
-tracker side sums, the per-label determinantal identity with its
-``Counter`` sides, the per-label projected dimension vector and the
-sorted series text are the kernels that ``minors``, ``euler``, ``mesh``,
-``cluster`` and ``rigidpath`` replaced; they live on here as differential
-oracles, beside small helpers that only the tests call.
+The Bareiss determinant, the column-update and the matrix-product forms of
+the one-parameter product, the per-leaf ``evaluate_phi``, the
+letter-insertion action with its divided powers, the split-dict Euler word
+expansion, the upward dimension-vector knitting and per-row hom knitting,
+the zero-started tracker side sums, the per-label determinantal identity
+with its ``Counter`` sides, the per-label projected dimension vector and
+the sorted series text are the kernels that ``minors``, ``euler``,
+``mesh``, ``cluster`` and ``rigidpath`` replaced; they live on here as
+differential oracles, beside small helpers that only the tests call.
 """
 
 import heapq
@@ -26,6 +26,7 @@ from clusterknit.euler import ShuffleSeries, ThinModule, b_exponents, stage_dag
 from clusterknit.exchange import ExchangeMatrix, arrows_at, make_matrix
 from clusterknit.laurent import LaurentPoly, exact_div, substitute
 from clusterknit.mesh import IntervalLabel, MeshVertex, TerminalData, validate_label
+from clusterknit.minors import SymbolicMatrix
 from clusterknit.quiver import (
     CartanMatrix,
     Quiver,
@@ -697,7 +698,8 @@ def series_from_json(data: dict) -> ShuffleSeries:
 
 
 def evaluate_phi_per_leaf(s: ShuffleSeries, seq) -> dict:
-    """``euler.evaluate_phi`` as it was first written: one division by a!
+    """``euler.evaluate_phi`` as it was first written: a walk into every
+    branch, whether or not it can finish the word, and one division by a!
     for every leaf of the expansion."""
     seq = tuple(seq)
     poly: dict = {}
@@ -740,6 +742,27 @@ def bareiss_det(rows) -> LaurentPoly:
                 a[i][j] = exact_div(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
         prev = a[k][k]
     return a[m - 1][m - 1] if sign == 1 else -a[m - 1][m - 1]
+
+
+def one_param_product(word, size: int) -> SymbolicMatrix:
+    """Exact product of elementary unitriangular factors: the l-th factor
+    is the identity plus t_l in entry (i_l, i_l + 1).  Multiplying by it on
+    the right adds t_l times column i_l to column i_l + 1."""
+    word = tuple(word)
+    arity = len(word)
+    for letter in word:
+        if not (1 <= letter < size):
+            raise IndexError(f"letter {letter} needs 1 <= letter < {size}")
+    prod = [
+        [LaurentPoly.one(arity) if i == j else LaurentPoly.zero(arity) for j in range(size)]
+        for i in range(size)
+    ]
+    for l, letter in enumerate(word):
+        t = LaurentPoly.variable(l, arity)
+        for row in prod:
+            if not row[letter - 1].is_zero():
+                row[letter] = row[letter] + row[letter - 1] * t
+    return SymbolicMatrix(size, arity, tuple(map(tuple, prod)))
 
 
 def matmul_product(word, size: int):

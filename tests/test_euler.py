@@ -274,6 +274,37 @@ def test_evaluate_phi_matches_the_per_leaf_oracle():
     assert fractional > 50
 
 
+def test_evaluate_phi_skips_words_seq_cannot_read():
+    """Words that are not runs of the evaluation word add nothing: on seeded
+    random series mixing words drawn from seq with free words over the same
+    letters, the pruned walk agrees with the per-leaf oracle, and a series
+    none of whose words can be read evaluates to {}."""
+    rng = random.Random(67)
+    unread = 0
+    for _ in range(200):
+        seq = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 7)))
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            if rng.random() < 0.5:
+                w = tuple(x for x in seq for _ in range(rng.randint(0, 2)))
+            else:
+                w = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 8)))
+            terms[w] = rng.choice((-3, -1, 1, 2, 5))
+        s = S(terms)
+        got = evaluate_phi(s, seq)
+        assert got == evaluate_phi_per_leaf(s, seq)
+        readable = {w: c for w, c in s.terms.items() if evaluate_phi_per_leaf(S({w: c}), seq)}
+        unread += len(s.terms) - len(readable)
+        assert got == evaluate_phi(S(readable), seq)
+    assert unread > 100
+    for s, seq in (
+        (S({(2, 1, 2): 3, (1, 2, 1, 2): -2, (3,): 1}), (1, 2, 1)),
+        (S({(1,): 1}), ()),
+        (S({(1, 2): 4}), (2, 1)),
+    ):
+        assert evaluate_phi(s, seq) == evaluate_phi_per_leaf(s, seq) == {}
+
+
 def test_flag_oracle_examples():
     assert flag_oracle(T((("a", 1),))) == word(1)
     m = T((("u", 1), ("v", 2)), (("u", "v"),))

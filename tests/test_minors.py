@@ -1,17 +1,18 @@
 import random
+from itertools import combinations
 
 import pytest
-from oracles import bareiss_det, matmul_product
+from oracles import bareiss_det, matmul_product, one_param_product
 
 from clusterknit import reference
-from clusterknit.errors import ShapeError
+from clusterknit.errors import LabelRangeError, ShapeError, VertexIndexError
 from clusterknit.laurent import LaurentPoly, substitute
 from clusterknit.mesh import IntervalLabel, adapted_orderings
 from clusterknit.minors import (
     MinorKey,
+    flag_minors,
     interval_minor_key,
     minor,
-    one_param_product,
     unitriangular,
     w_minor,
 )
@@ -76,8 +77,10 @@ def test_interval_minor_key_examples():
     assert interval_minor_key(2, 0, 0, 4) == MinorKey((1, 2), (1, 5))
     assert interval_minor_key(1, 0, 0, 4) == MinorKey((1,), (5,))
     assert interval_minor_key(4, 3, 3, 4) == MinorKey((1,), (2,))
-    with pytest.raises(IndexError):
+    with pytest.raises(LabelRangeError):
         interval_minor_key(2, 0, 2, 4)
+    with pytest.raises(IndexError):
+        interval_minor_key(5, 0, 0, 4)
 
 
 def test_prefix_stripping_random():
@@ -224,3 +227,43 @@ def test_one_param_product_matches_the_matrix_product():
             got = one_param_product(word, size)
             want = matmul_product(word, size)
             assert [[got[i, j] for j in range(1, size + 1)] for i in range(1, size + 1)] == want
+
+
+def test_flag_minors_match_the_cofactor_minors():
+    """The column recurrence gives every minor on rows [1, j], 1 <= j < size,
+    of the one-parameter product that cofactor expansion gives, on seeded
+    random words for matrices of size 2 to 7; the zero minors are exactly
+    the absent keys."""
+    rng = random.Random(73)
+    absent = 0
+    for size in range(2, 8):
+        for _ in range(3):
+            word = tuple(rng.randint(1, size - 1) for _ in range(rng.randint(0, 2 * size)))
+            got = flag_minors(word, size)
+            prod = one_param_product(word, size)
+            keys = [
+                MinorKey(tuple(range(1, j + 1)), cols)
+                for j in range(1, size)
+                for cols in combinations(range(1, size + 1), j)
+            ]
+            assert set(got) <= set(keys)
+            for key in keys:
+                want = minor(prod, key)
+                assert got.get(key, LaurentPoly.zero(len(word))) == want, (word, key)
+                absent += want.is_zero()
+                assert not (key in got and want.is_zero())
+    assert absent > 100
+
+
+def test_minors_refuse_out_of_range_letters_and_rows():
+    """A letter outside 1..size-1 or a row count j outside it is a
+    VertexIndexError, which is still an IndexError."""
+    for bad in (0, 4, -1):
+        with pytest.raises(VertexIndexError):
+            flag_minors((1, bad, 2), 4)
+        with pytest.raises(VertexIndexError):
+            w_minor((bad,), 1, 4)
+        with pytest.raises(IndexError):
+            w_minor((1,), bad, 4)
+    with pytest.raises(VertexIndexError):
+        w_minor((), 4, 4)
