@@ -62,17 +62,12 @@ def load_ordering(cat, spec: str):
 
 def emit(text: str, args, default_name: str) -> None:
     out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-        print(f"wrote {out}")
+    if not out and text.count("\n") <= BIG_OUTPUT_LINES and len(text) <= BIG_OUTPUT_CHARS:
+        print(text)
         return
-    if text.count("\n") > BIG_OUTPUT_LINES or len(text) > BIG_OUTPUT_CHARS:
-        with open(default_name, "w") as fh:
-            fh.write(text + "\n")
-        print(f"output too large for stdout; wrote {default_name}")
-        return
-    print(text)
+    with open(out or default_name, "w") as fh:
+        fh.write(text + "\n")
+    print(f"wrote {out}" if out else f"output too large for stdout; wrote {default_name}")
 
 
 # -- build ------------------------------------------------------------------
@@ -192,46 +187,26 @@ def cmd_euler(args) -> int:
 # -- minors -----------------------------------------------------------------
 
 
-def cmd_minors(args) -> int:
-    from . import jsontext, laurent, reference
+def minors_line(check: dict) -> str:
+    """The text line of one entry of the ``minors`` report."""
+    if check["kind"] == "table":
+        return f"table ({check['interval']}): rows={check['rows']} cols={check['cols']} minor={check['minor']}"
+    if check["kind"] == "eta":
+        extra = " (extrapolated)" if check["extrapolated"] else ""
+        return f"eta {tuple(check['interval'])}: {check['status']}{extra}"
+    return f"cross k={check['k']}: {check['status']}"
 
-    n = args.n
-    checks, lines = [], []  # each check as a JSON entry and as a text line
-    ok = True
-    if args.mode in ("table", "all"):
-        names = [f"x{i}" for i in range(1, n * (n + 1) // 2 + 1)]
-        for (single, key, val) in reference.minors_table_checks(n):
-            minor = laurent.to_text(val, names)
-            checks.append(
-                {
-                    "kind": "table",
-                    "interval": list(single),
-                    "rows": list(key.rows),
-                    "cols": list(key.cols),
-                    "minor": minor,
-                }
-            )
-            lines.append(f"table ({list(single)}): rows={list(key.rows)} cols={list(key.cols)} minor={minor}")
-    if args.mode in ("eta", "all"):
-        extra = " (extrapolated)" if n != 4 else ""
-        for (iab, passed) in reference.eta_checks(n):
-            ok = ok and passed
-            status = "PASS" if passed else "FAIL"
-            checks.append({"kind": "eta", "interval": list(iab), "status": status, "extrapolated": n != 4})
-            lines.append(f"eta {tuple(iab)}: {status}{extra}")
-    if args.mode in ("cross", "all"):
-        for (k, passed) in reference.cross_checks(reference.linear_type_a(n)):
-            ok = ok and passed
-            status = "PASS" if passed else "FAIL"
-            checks.append({"kind": "cross", "k": k, "status": status})
-            lines.append(f"cross k={k}: {status}")
+
+def cmd_minors(args) -> int:
+    from . import jsontext, reference
+
+    report = reference.minors_report(args.n, args.mode)
     if args.format == "json":
-        report = {"n": n, "mode": args.mode, "checks": checks, "status": "PASS" if ok else "FAIL"}
         emit(jsontext.dumps(report), args, "minors_report.json")
     else:
-        lines.append("overall: " + ("PASS" if ok else "FAIL"))
+        lines = [*map(minors_line, report["checks"]), f"overall: {report['status']}"]
         emit("\n".join(lines), args, "minors_report.txt")
-    return 0 if ok else 1
+    return 0 if report["status"] == "PASS" else 1
 
 
 # -- check: verification manifest --------------------------------------------
@@ -256,12 +231,11 @@ def cmd_check(args) -> int:
     if args.format == "json":
         emit(jsontext.dumps(manifest), args, "manifest.json")
     else:
-        for c in manifest["checks"]:
-            line = f"{c['status']}  {c['name']}"
-            if c["detail"]:
-                line += f"  ({c['detail']})"
-            print(line)
-        print("overall:", manifest["status"])
+        lines = [
+            f"{c['status']}  {c['name']}" + (f"  ({c['detail']})" if c["detail"] else "")
+            for c in manifest["checks"]
+        ]
+        emit("\n".join(lines + [f"overall: {manifest['status']}"]), args, "manifest.txt")
     return 0 if manifest["status"] == "PASS" else 1
 
 

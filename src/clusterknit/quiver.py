@@ -7,6 +7,7 @@ are allowed and tracked with multiplicity, loops are not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .errors import (
     CycleError,
@@ -95,24 +96,22 @@ def simple_root(i: int, n: int) -> RootVec:
 
 
 def _topological_order(n: int, arrows) -> list[int] | None:
-    """Sources-first topological order, or None if there is a cycle.
-
-    Ties are broken by vertex number so the order is deterministic.
-    """
-    indeg = {v: 0 for v in range(1, n + 1)}
-    for (_, t) in arrows:
+    """Sources-first topological order, or None if there is a cycle: Kahn's
+    algorithm with a heap, so the smallest ready vertex goes first."""
+    indeg = [0] * (n + 1)
+    succ: list[list[int]] = [[] for _ in range(n + 1)]
+    for (s, t) in arrows:
         indeg[t] += 1
+        succ[s].append(t)
+    ready = [v for v in range(1, n + 1) if not indeg[v]]  # ascending, so a heap
     order: list[int] = []
-    ready = sorted(v for v in indeg if indeg[v] == 0)
     while ready:
-        v = ready.pop(0)
+        v = heappop(ready)
         order.append(v)
-        for (s, t) in arrows:
-            if s == v:
-                indeg[t] -= 1
-                if indeg[t] == 0 and t not in ready:
-                    ready.append(t)
-        ready.sort()
+        for t in succ[v]:
+            indeg[t] -= 1
+            if not indeg[t]:
+                heappush(ready, t)
     return order if len(order) == n else None
 
 
@@ -134,6 +133,8 @@ def validate_quiver(n: int, arrows) -> Quiver:
         if s == t:
             raise LoopError(f"loop at vertex {s}")
         arrs.append((s, t))
+    if len(arrs) < n - 1:  # refused before any table of n entries is built
+        raise DisconnectedError(f"{len(arrs)} arrows cannot connect {n} vertices")
     if _topological_order(n, arrs) is None:
         raise CycleError("quiver has a directed cycle")
     # undirected connectivity

@@ -3,14 +3,16 @@
 ``CORPUS`` names the worked instances; the constants after it hold the
 worked values for them.  ``CHECKS`` turns those values into the
 named assertions of ``clusterknit check``, and the test suite reads the same
-instances and values.  Importing this module builds nothing: ``category``
-knits an instance on first use and keeps it.
+instances and values.  ``minors_report`` is ``clusterknit minors``: its
+table and eta checks read one table that computes each interval minor
+once, and its cross checks compare exponent maps.  Importing this module
+builds nothing: ``category``, ``linear_type_a`` and ``interval_minors``
+build on first use and keep what they built.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from functools import cache
 
 from . import cluster, euler, laurent, mesh, minors, rigidpath
@@ -170,18 +172,7 @@ def final_labels(cat) -> list:
     )
 
 
-def minors_table_checks(n: int):
-    """The x <-> minor dictionary through single-interval keys."""
-    x = minors.unitriangular(n + 1)
-    checks = []
-    for i in range(1, n + 1):
-        for a in range(0, i):
-            key = minors.interval_minor_key(i, a, a, n)
-            val = minors.minor(x, key)
-            checks.append(((i, a), key, val))
-    return checks
-
-
+@cache
 def linear_type_a(n: int):
     """The linearly ordered A_n quiver n -> n-1 -> ... -> 1 with t_i = i-1."""
     q = validate_quiver(n, [(i + 1, i) for i in range(1, n)])
@@ -189,31 +180,38 @@ def linear_type_a(n: int):
     return mesh.build_category(td)
 
 
+@cache
+def interval_minors(n: int) -> dict:
+    """{(i, a, b): (key, minor)}: the minor of the (n+1)x(n+1) unitriangular
+    matrix that realizes T_{i,[a,b]} on ``linear_type_a(n)``, for every
+    interval in range, in eta order."""
+    x = minors.unitriangular(n + 1)
+    keys = [
+        ((i, a, b), minors.interval_minor_key(i, a, b, n))
+        for i in range(1, n + 1)
+        for b in range(i)
+        for a in range(b + 1)
+    ]
+    return {iab: (key, minors.minor(x, key)) for iab, key in keys}
+
+
 def eta_checks(n: int):
     """Compare substituted PBW expansions against the symbolic minors for
     every interval (i, a, b) in range."""
-    cat = linear_type_a(n)
-    x = minors.unitriangular(n + 1)
+    cat, table = linear_type_a(n), interval_minors(n)
     # the single-interval variable at canonical position p maps to its minor
-    images = [
-        minors.minor(x, minors.interval_minor_key(v.i, v.a, v.a, n))
-        for v in cat.vertices
+    images = [table[v.i, v.a, v.a][1] for v in cat.vertices]
+    return [
+        (iab, laurent.substitute(rigidpath.pbw_expand(cat, IntervalLabel(*iab)), images) == rhs)
+        for iab, (_, rhs) in table.items()
     ]
-    results = []
-    for i in range(1, n + 1):
-        for b in range(0, i):
-            for a in range(0, b + 1):
-                pbw = rigidpath.pbw_expand(cat, IntervalLabel(i, a, b))
-                lhs = laurent.substitute(pbw, images)
-                rhs = minors.minor(x, minors.interval_minor_key(i, a, b, n))
-                results.append(((i, a, b), lhs == rhs))
-    return results
 
 
 def cross_checks(cat):
     """evaluate_phi(g_module(k)) against the flag minor of the one-parameter
     product, over the adapted word of a type-A category (such as
-    ``linear_type_a(n)``) repeated twice."""
+    ``linear_type_a(n)``) repeated twice, compared as maps from exponent
+    tuples to coefficients (a fractional coefficient equals no minor's)."""
     n = cat.terminal.q.n
     ordering = mesh.adapted_orderings(cat)
     word = adapted_word(cat, ordering)
@@ -222,13 +220,37 @@ def cross_checks(cat):
     results = []
     for k in range(1, cat.r + 1):
         phi = euler.evaluate_phi(euler.g_module(cat, ordering, k), seq)
-        if any(Fraction(v).denominator != 1 for v in phi.values()):
-            results.append((k, False))
-            continue
-        lhs = LaurentPoly(len(seq), {e: int(v) for e, v in phi.items()})
         key = minors.w_minor(word.letters[:k], word.letters[k - 1], n + 1)
-        results.append((k, lhs == flag.get(key, LaurentPoly.zero(len(seq)))))
+        results.append((k, phi == (dict(flag[key].sorted_terms()) if key in flag else {})))
     return results
+
+
+def minors_report(n: int, mode: str) -> dict:
+    """The report of ``clusterknit minors``: the checks of the given kind
+    (``table``, ``eta``, ``cross`` or ``all``) on ``linear_type_a(n)`` and
+    the overall status.  Table entries carry no status."""
+    status = lambda passed: "PASS" if passed else "FAIL"
+    checks = []
+    if mode in ("table", "all"):
+        names = [f"x{i}" for i in range(1, n * (n + 1) // 2 + 1)]
+        checks += [
+            {"kind": "table", "interval": [i, a], "rows": list(key.rows),
+             "cols": list(key.cols), "minor": laurent.to_text(val, names)}
+            for (i, a, b), (key, val) in interval_minors(n).items()
+            if a == b
+        ]
+    if mode in ("eta", "all"):
+        checks += [
+            {"kind": "eta", "interval": list(iab), "status": status(passed), "extrapolated": n != 4}
+            for iab, passed in eta_checks(n)
+        ]
+    if mode in ("cross", "all"):
+        checks += [
+            {"kind": "cross", "k": k, "status": status(passed)}
+            for k, passed in cross_checks(linear_type_a(n))
+        ]
+    ok = all(c.get("status") != "FAIL" for c in checks)
+    return {"n": n, "mode": mode, "checks": checks, "status": status(ok)}
 
 
 # -- the checks of ``clusterknit check`` ------------------------------------------

@@ -9,10 +9,11 @@ the one-parameter product, the per-leaf ``evaluate_phi``, the
 letter-insertion action with its divided powers, the split-dict Euler word
 expansion, the upward dimension-vector knitting and per-row hom knitting,
 the zero-started tracker side sums, the per-label determinantal identity
-with its ``Counter`` sides, the per-label projected dimension vector and
-the sorted series text are the kernels that ``minors``, ``euler``,
-``mesh``, ``cluster`` and ``rigidpath`` replaced; they live on here as
-differential oracles, beside small helpers that only the tests call.
+with its ``Counter`` sides, the per-label projected dimension vector, the
+sorted series text and the rescanning topological order are the kernels
+that ``minors``, ``euler``, ``mesh``, ``cluster``, ``rigidpath`` and
+``quiver`` replaced; they live on here as differential oracles, beside
+small helpers that only the tests call.
 """
 
 import heapq
@@ -786,3 +787,24 @@ def matmul_product(word, size: int):
             new.append(row)
         prod = new
     return prod
+
+
+def rescan_topological_order(n: int, arrows) -> list[int] | None:
+    """Sources-first topological order, or None if there is a cycle: pop
+    the smallest ready vertex, scan every arrow for its successors and sort
+    the ready list again."""
+    indeg = {v: 0 for v in range(1, n + 1)}
+    for (_, t) in arrows:
+        indeg[t] += 1
+    order: list[int] = []
+    ready = sorted(v for v in indeg if indeg[v] == 0)
+    while ready:
+        v = ready.pop(0)
+        order.append(v)
+        for (s, t) in arrows:
+            if s == v:
+                indeg[t] -= 1
+                if indeg[t] == 0 and t not in ready:
+                    ready.append(t)
+        ready.sort()
+    return order if len(order) == n else None

@@ -303,11 +303,20 @@ def test_check_manifest(capsys):
     assert "euler_series" in names and "minor_dictionary" in names
 
 
+CHECK_LINES = [f"PASS  {name}" for (name, _) in reference.CHECKS] + ["overall: PASS"]
+
+
 def test_check_text(capsys):
     assert cli.main(["check"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "overall: PASS"
-    assert lines[:-1] == [f"PASS  {name}" for (name, _) in reference.CHECKS]
+    assert capsys.readouterr().out.splitlines() == CHECK_LINES
+
+
+def test_check_text_to_file(tmp_path, capsys):
+    """``check --out`` writes the text manifest to the file, not to stdout."""
+    out = tmp_path / "manifest.txt"
+    assert cli.main(["check", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert out.read_text() == "\n".join(CHECK_LINES) + "\n"
 
 
 def test_large_output_goes_to_the_default_file(tmp_path, monkeypatch, capsys):
@@ -430,6 +439,81 @@ def test_non_integer_quiver_and_ordering_files_exit_2(tmp_path, kron_file, capsy
 def test_quiver_json_round_trip():
     q = reference.quiver("kronecker3")
     assert quiver.from_json(json.loads(json.dumps(quiver_to_json(q)))) == q
+
+
+def minors_output(argv, capsys) -> str:
+    cli.main(["minors", "--n", "4", *argv])
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", ["table", "eta", "cross"])
+def test_minors_modes_are_the_filtered_full_report(mode, capsys):
+    """Each ``--mode`` gives the entries of its kind from ``--mode all``, in
+    both formats, with the overall status recomputed over them."""
+    full = json.loads(minors_output(["--format", "json"], capsys))
+    checks = [c for c in full["checks"] if c["kind"] == mode]
+    status = "FAIL" if any(c.get("status") == "FAIL" for c in checks) else "PASS"
+    got = json.loads(minors_output(["--mode", mode, "--format", "json"], capsys))
+    assert got == {"n": 4, "mode": mode, "checks": checks, "status": status}
+    lines = [line for line in minors_output([], capsys).splitlines() if line.startswith(mode + " ")]
+    assert len(lines) == len(checks) > 0
+    assert lines == [cli.minors_line(c) for c in checks]
+    assert minors_output(["--mode", mode], capsys).splitlines() == lines + [f"overall: {status}"]
+
+
+def test_minors_builds_each_minor_once(monkeypatch, capsys):
+    """One ``minors --n 5`` run builds one unitriangular matrix and one
+    linear A_5 category and computes each of the 35 interval minors once."""
+    from clusterknit import mesh, minors
+
+    calls = {"unitriangular": 0, "build_category": 0, "minor": 0}
+    for module, name in ((minors, "unitriangular"), (mesh, "build_category"), (minors, "minor")):
+        real = getattr(module, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    reference.linear_type_a.cache_clear()
+    reference.interval_minors.cache_clear()
+    assert cli.main(["minors", "--n", "5"]) == 0
+    assert capsys.readouterr().out.endswith("overall: PASS\n")
+    assert calls == {"unitriangular": 1, "build_category": 1, "minor": 35}
+    reference.linear_type_a.cache_clear()
+    reference.interval_minors.cache_clear()
+
+
+def test_cross_checks_compare_exponent_maps(monkeypatch):
+    """``cross_checks`` compares the map ``evaluate_phi`` returns with the
+    flag minor's terms as they are: with its inputs computed beforehand, it
+    constructs no Fraction and no LaurentPoly."""
+    from fractions import Fraction
+
+    from clusterknit import euler, laurent, minors
+
+    cat = reference.linear_type_a(3)
+    inputs = ((euler, "g_module"), (euler, "evaluate_phi"), (minors, "flag_minors"))
+    recorded = {name: [] for _, name in inputs}
+    for module, name in inputs:
+
+        def record(*args, real=getattr(module, name), results=recorded[name]):
+            results.append(real(*args))
+            return results[-1]
+
+        monkeypatch.setattr(module, name, record)
+    want = reference.cross_checks(cat)
+    assert [k for k, passed in want if passed] == list(range(1, cat.r + 1))
+    for module, name in inputs:  # replay them in call order
+        monkeypatch.setattr(module, name, lambda *a, it=iter(recorded[name]): next(it))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("constructed")
+
+    monkeypatch.setattr(Fraction, "__new__", refused)
+    monkeypatch.setattr(laurent.LaurentPoly, "__init__", refused)
+    monkeypatch.setattr(laurent, "_new", refused)
+    assert reference.cross_checks(cat) == want
 
 
 def test_minors_failure_injection(monkeypatch, capsys):

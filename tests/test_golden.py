@@ -64,6 +64,7 @@ DIGESTS = {
     ("build kronecker3", "json"): "5abc99eff64074eedc5f169fbf49ee196b6cf81ea8414cb340f35e9f4ca4e7cd",
     ("build kronecker3", "dot"): "51de8eb12825c227bb974b8fdedf7d1bc7d2336163a323f3611f6c6281c0f676",
     ("check", "json"): "859a77491088a3b179501b20784e155307dc42f0ba9a4b67d24b2530b5d0a589",
+    ("check", "text"): "510d5f4e2464fe9cb3ddd4fd785f5357bab693f020f05f805d7d214846959d92",
 }
 
 

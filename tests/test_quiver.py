@@ -1,8 +1,11 @@
+import json
 import random
+import time
 
 import pytest
+from oracles import rescan_topological_order
 
-from clusterknit import reference
+from clusterknit import cli, reference
 from clusterknit.errors import (
     CycleError,
     DisconnectedError,
@@ -16,6 +19,7 @@ from clusterknit.quiver import (
     ReducedWord,
     RootVec,
     Weight,
+    _topological_order,
     adapted_word,
     cartan,
     fundamental_weight,
@@ -64,6 +68,57 @@ def test_validate_rejects_loop_disconnected_small():
         validate_quiver(4, [(1, 2), (3, 4)])
     with pytest.raises(TooSmallError):
         validate_quiver(1, [])
+
+
+def test_too_few_arrows_are_disconnected_before_anything_else():
+    """Fewer than n - 1 arrows cannot connect n vertices: that is refused
+    before the cycle test, so a short cycle among many vertices is a
+    DisconnectedError, and before any table of n entries is built."""
+    with pytest.raises(DisconnectedError):
+        validate_quiver(4, [(1, 2), (2, 1)])
+    with pytest.raises(DisconnectedError):
+        validate_quiver(2**70, [(1, 2)])
+    with pytest.raises(CycleError):
+        validate_quiver(3, [(1, 2), (2, 3), (3, 1)])
+
+
+def test_topological_order_matches_the_rescanning_order():
+    """The heap order is the rescanning oracle's, smallest ready vertex
+    first, on seeded random DAGs with parallel arrows, and both give None
+    on the same graphs with a back arrow added."""
+    rng = random.Random(79)
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        arrows = []
+        for _ in range(rng.randint(0, 3 * n)):
+            i, j = sorted(rng.sample(range(n), 2))
+            arrows += [(perm[i], perm[j])] * rng.randint(1, 3)
+        rng.shuffle(arrows)
+        order = _topological_order(n, arrows)
+        assert order is not None and order == rescan_topological_order(n, arrows)
+        if arrows:
+            s, t = rng.choice(arrows)
+            cyclic = arrows + [(t, s)]
+            assert _topological_order(n, cyclic) is None is rescan_topological_order(n, cyclic)
+
+
+def test_large_quivers_validate_in_linear_time(tmp_path, capsys):
+    """A 320,000-vertex quiver without arrows is refused at once through
+    the CLI, and a 20,000-vertex path quiver validates in well under a
+    second."""
+    path = tmp_path / "arrowless.json"
+    path.write_text(json.dumps({"n": 320_000, "arrows": []}))
+    start = time.perf_counter()
+    assert cli.main(["build", str(path), "--t", "0"]) == 2
+    assert time.perf_counter() - start < 1
+    assert "DisconnectedError" in capsys.readouterr().err
+    n = 20_000
+    start = time.perf_counter()
+    q = validate_quiver(n, [(i + 1, i) for i in range(1, n)])
+    assert time.perf_counter() - start < 1
+    assert len(q.arrows) == n - 1
 
 
 def test_cartan_a2():
