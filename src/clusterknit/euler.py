@@ -212,6 +212,21 @@ def expand(edges: dict, length: int, tokens, key):
                     push((depth + 1, tokens[i], target, c))
 
 
+def dag_coefficient_sum(edges: dict, length: int) -> int:
+    """The sum of the coefficients of the series a ``stage_dag`` spells: the
+    weights of all paths of ``length`` letters from the empty state, summed
+    level by level without expanding a word (a dead end adds 0)."""
+    level = {0: 1}
+    for _ in range(length):
+        following: dict = defaultdict(int)
+        for state, coeff in level.items():
+            for _, target, weight in edges[state]:
+                for target, weight in weight if target is None else [(target, weight)]:
+                    following[target] += coeff * weight
+        level = following
+    return sum(level.values())
+
+
 def g_module(cat: mesh.CategoryModel, ordering, k: int) -> ShuffleSeries:
     """Generating function of flag Euler characteristics of the k-th
     summand of T_M^vee along the ordering: the divided lowering operators

@@ -1,23 +1,17 @@
-"""Symbolic minors of unitriangular matrices and the interval-to-minor
-dictionary for linearly ordered type A."""
+"""Row-initial minors of products of elementary unipotent factors, by one
+column recurrence, and the interval-to-minor dictionary for linearly
+ordered type A.  The generic unitriangular matrix and the one-parameter
+products x_{i_1}(t_1) ... x_{i_m}(t_m) are both products of factors
+I + t E_{r,c} with r < c: their minors on rows [1, j] are the chamber
+minors of Berenstein-Fomin-Zelevinsky."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import LabelRangeError, ShapeError, VertexIndexError
 from .laurent import LaurentPoly
-
-
-@dataclass(frozen=True)
-class SymbolicMatrix:
-    size: int
-    arity: int
-    entries: tuple
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i - 1][j - 1]
 
 
 @dataclass(frozen=True)
@@ -34,57 +28,48 @@ class MinorKey:
             )
 
 
-def unitriangular(size: int) -> SymbolicMatrix:
-    """Unitriangular matrix with fresh variables x_1, x_2, ... filling the
-    strictly-upper entries row-major (row 1 first)."""
-    if size < 2:
-        raise ShapeError("need size >= 2")
+def product_minors(factors, size: int, arity: int) -> dict:
+    """The nonzero minors on rows [1, j], 1 <= j < size, of the product of
+    the factors I + t E_{r,c} (r < c, t of the given arity) taken left to
+    right.  Multiplying by a factor on the right adds t times column r to
+    column c, so only a minor whose columns hold c but not r changes: it
+    gains t times the minor with r in place of c, negated when an odd
+    number of its columns lie strictly between r and c.  Keys are
+    ``MinorKey``s; a sum that cancels is dropped, so absent means zero."""
+    deltas = {tuple(range(1, j + 1)): LaurentPoly.one(arity) for j in range(1, size)}
+    for r, c, t in factors:
+        for cols, value in list(deltas.items()):
+            if r in cols and c not in cols:
+                moved = tuple(sorted(c if x == r else x for x in cols))
+                gain = -(value * t) if sum(r < x < c for x in cols) % 2 else value * t
+                old = deltas.get(moved)
+                total = gain if old is None else old + gain
+                if total.is_zero():
+                    del deltas[moved]
+                else:
+                    deltas[moved] = total
+    return {MinorKey(tuple(range(1, len(cols) + 1)), cols): v for cols, v in deltas.items()}
+
+
+def flag_minors(word, size: int) -> dict:
+    """``product_minors`` of the one-parameter product whose l-th factor is
+    the identity plus t_l in entry (i_l, i_l + 1)."""
+    word = tuple(word)
+    if not all(1 <= letter < size for letter in word):
+        raise VertexIndexError(f"word {word} needs letters in 1..{size - 1}")
+    arity = len(word)
+    factors = ((i, i + 1, LaurentPoly.variable(l, arity)) for l, i in enumerate(word))
+    return product_minors(factors, size, arity)
+
+
+def unitriangular_minors(size: int) -> dict:
+    """``product_minors`` of the unitriangular matrix whose strictly-upper
+    entries are fresh variables x_1, x_2, ... row-major (row 1 first): the
+    product over c = size, ..., 2 of the factors I + x_{rc} E_{r,c}, r < c,
+    since every column r < c is still e_r when column c is filled."""
     arity = size * (size - 1) // 2
-    idx = 0
-    rows = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            if i == j:
-                row.append(LaurentPoly.one(arity))
-            elif i < j:
-                row.append(LaurentPoly.variable(idx, arity))
-                idx += 1
-            else:
-                row.append(LaurentPoly.zero(arity))
-        rows.append(tuple(row))
-    return SymbolicMatrix(size, arity, tuple(rows))
-
-
-def _det_cofactor(rows) -> LaurentPoly:
-    m = len(rows)
-    arity = rows[0][0].arity
-    if m == 1:
-        return rows[0][0]
-    total = LaurentPoly.zero(arity)
-    for j in range(m):
-        if rows[0][j].is_zero():
-            continue
-        sub = [
-            [row[jj] for jj in range(m) if jj != j] for row in rows[1:]
-        ]
-        term = rows[0][j] * _det_cofactor(sub)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
-def minor(mtx: SymbolicMatrix, key: MinorKey) -> LaurentPoly:
-    """Exact determinant of the submatrix on the given rows and columns, by
-    cofactor expansion along the first row."""
-    for x in key.rows + key.cols:
-        if not (1 <= x <= mtx.size):
-            raise ShapeError(f"index {x} out of range 1..{mtx.size}")
-    rows = [
-        [mtx[i, j] for j in key.cols] for i in key.rows
-    ]
-    if not rows:
-        return LaurentPoly.one(mtx.arity)
-    return _det_cofactor(rows)
+    x = {rc: LaurentPoly.variable(k, arity) for k, rc in enumerate(combinations(range(1, size + 1), 2))}
+    return product_minors(((r, c, x[r, c]) for c in range(size, 1, -1) for r in range(1, c)), size, arity)
 
 
 def interval_minor_key(i: int, a: int, b: int, n: int) -> MinorKey:
@@ -96,28 +81,6 @@ def interval_minor_key(i: int, a: int, b: int, n: int) -> MinorKey:
     rows = tuple(range(1, i - a + 1))
     cols = tuple(range(1, i - b)) + tuple(range(n - b + 1, n - a + 2))
     return MinorKey(rows, cols)
-
-
-def flag_minors(word, size: int) -> dict:
-    """The nonzero minors on rows [1, j], 1 <= j < size, of the product of
-    elementary unitriangular factors: the l-th factor is the identity plus
-    t_l in entry (i_l, i_l + 1).  Multiplying by it on the right adds t_l
-    times column i_l to column i_l + 1, so only a minor whose columns hold
-    i_l + 1 but not i_l changes: it gains t_l times the minor with i_l in
-    place of i_l + 1.  Keys are ``MinorKey``s; an absent key is zero."""
-    word = tuple(word)
-    if not all(1 <= letter < size for letter in word):
-        raise VertexIndexError(f"word {word} needs letters in 1..{size - 1}")
-    arity = len(word)
-    deltas = {tuple(range(1, j + 1)): LaurentPoly.one(arity) for j in range(1, size)}
-    for l, letter in enumerate(word):
-        t = LaurentPoly.variable(l, arity)
-        for cols, value in list(deltas.items()):
-            if letter in cols and letter + 1 not in cols:
-                moved = tuple(c + (c == letter) for c in cols)
-                old = deltas.get(moved)
-                deltas[moved] = value * t if old is None else old + value * t
-    return {MinorKey(tuple(range(1, len(cols) + 1)), cols): v for cols, v in deltas.items()}
 
 
 def w_minor(prefix, j: int, size: int) -> MinorKey:

@@ -4,8 +4,8 @@
 worked values for them.  ``CHECKS`` turns those values into the
 named assertions of ``clusterknit check``, and the test suite reads the same
 instances and values.  ``minors_report`` is ``clusterknit minors``: its
-table and eta checks read one table that computes each interval minor
-once, and its cross checks compare exponent maps.  Importing this module
+table and eta checks read each interval minor off one table of row-initial
+minors, and its cross checks compare exponent maps.  Importing this module
 builds nothing: ``category``, ``linear_type_a`` and ``interval_minors``
 build on first use and keep what they built.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from functools import cache
 
-from . import cluster, euler, laurent, mesh, minors, rigidpath
+from . import cluster, errors, euler, laurent, mesh, minors, rigidpath
 from .laurent import LaurentPoly
 from .mesh import IntervalLabel, MeshVertex
 from .quiver import Quiver, adapted_word, cartan, inversion_roots, validate_quiver
@@ -184,15 +184,15 @@ def linear_type_a(n: int):
 def interval_minors(n: int) -> dict:
     """{(i, a, b): (key, minor)}: the minor of the (n+1)x(n+1) unitriangular
     matrix that realizes T_{i,[a,b]} on ``linear_type_a(n)``, for every
-    interval in range, in eta order."""
-    x = minors.unitriangular(n + 1)
+    interval in range, in eta order, read off its row-initial minors."""
+    table = minors.unitriangular_minors(n + 1)
     keys = [
         ((i, a, b), minors.interval_minor_key(i, a, b, n))
         for i in range(1, n + 1)
         for b in range(i)
         for a in range(b + 1)
     ]
-    return {iab: (key, minors.minor(x, key)) for iab, key in keys}
+    return {iab: (key, table[key]) for iab, key in keys}
 
 
 def eta_checks(n: int):
@@ -228,7 +228,9 @@ def cross_checks(cat):
 def minors_report(n: int, mode: str) -> dict:
     """The report of ``clusterknit minors``: the checks of the given kind
     (``table``, ``eta``, ``cross`` or ``all``) on ``linear_type_a(n)`` and
-    the overall status.  Table entries carry no status."""
+    the overall status.  Table entries carry no status; n < 2 is refused."""
+    if n < 2:
+        raise errors.TooSmallError(f"need at least 2 vertices, got {n}")
     status = lambda passed: "PASS" if passed else "FAIL"
     checks = []
     if mode in ("table", "all"):
@@ -326,9 +328,10 @@ def check_inversion_roots() -> bool:
 
 def check_minor_dictionary() -> bool:
     key, value = minor_example()
-    if minors.minor(minors.unitriangular(5), key) != value:
-        return False
-    return all(passed for (_, passed) in eta_checks(4))
+    # Column 1 of a unitriangular matrix is e_1, so adding row 1 and column 1
+    # leaves a minor unchanged: Delta_{23,35} is the row-initial Delta_{123,135}.
+    lifted = minors.MinorKey((1, *key.rows), (1, *key.cols))
+    return minors.unitriangular_minors(5).get(lifted) == value and all(p for _, p in eta_checks(4))
 
 
 def check_flag_identities() -> bool:
@@ -336,9 +339,12 @@ def check_flag_identities() -> bool:
 
 
 def check_euler_g6_integral() -> bool:
-    """g_6 (392,206 words) expands and is nonzero; its coefficients are
-    sums of integer path weights, so no divided power can leave a remainder."""
-    return not euler.g_module(category("kronecker3"), WORKED_ORDERING, 6).is_zero()
+    """g_6 (392,206 words) expands, is nonzero, and its coefficients (sums of
+    integer path weights) add up to the path sum over its stage DAG."""
+    cat = category("kronecker3")
+    g6 = euler.g_module(cat, WORKED_ORDERING, 6)
+    paths = euler.dag_coefficient_sum(*euler.stage_dag(cat, WORKED_ORDERING, 6))
+    return not g6.is_zero() and sum(g6.terms.values()) == paths
 
 
 CHECKS = [

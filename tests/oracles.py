@@ -4,8 +4,10 @@ These never touch the code paths they check: hom dimensions come from
 solving intertwiner equations on explicit interval representations, over
 the rationals, matrix mutation is the dense entry-by-entry rule, and
 Laurent arithmetic is the tuple-keyed kernel the packed one replaced.
-The Bareiss determinant, the column-update and the matrix-product forms of
-the one-parameter product, the per-leaf ``evaluate_phi``, the
+The Bareiss determinant, the cofactor minor of a matrix given by its rows
+with the unitriangular matrix it was taken of, the column-update and the
+matrix-product forms of the one-parameter product, the per-leaf
+``evaluate_phi``, the
 letter-insertion action with its divided powers, the split-dict Euler word
 expansion, the upward dimension-vector knitting and per-row hom knitting,
 the zero-started tracker side sums, the per-label determinantal identity
@@ -22,12 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from clusterknit.errors import AmbiguityError, NotDivisibleError, SeedFormatError
+from clusterknit.errors import AmbiguityError, NotDivisibleError, SeedFormatError, ShapeError
 from clusterknit.euler import ShuffleSeries, ThinModule, b_exponents, stage_dag
 from clusterknit.exchange import ExchangeMatrix, arrows_at, make_matrix
 from clusterknit.laurent import LaurentPoly, exact_div, substitute
 from clusterknit.mesh import IntervalLabel, MeshVertex, TerminalData, validate_label
-from clusterknit.minors import SymbolicMatrix
 from clusterknit.quiver import (
     CartanMatrix,
     Quiver,
@@ -625,23 +626,6 @@ def split_g_module(cat, ordering, k: int) -> ShuffleSeries:
     return ShuffleSeries(terms)
 
 
-def dag_coefficient_sum(edges: dict, length: int) -> int:
-    """The sum of the coefficients of the series a ``stage_dag`` spells:
-    the weights of all paths of ``length`` letters from the empty state,
-    each the product of its edge weights, summed level by level without
-    expanding a word.  Every path of ``length`` letters ends at the full
-    state; a path that stops at a dead end earlier adds 0."""
-    level = {0: 1}
-    for _ in range(length):
-        following: dict = defaultdict(int)
-        for state, coeff in level.items():
-            for _, target, weight in edges[state]:
-                for target, weight in weight if target is None else [(target, weight)]:
-                    following[target] += coeff * weight
-        level = following
-    return sum(level.values())
-
-
 def dag_words(edges: dict, length: int) -> dict:
     """{word: coefficient} of the nonzero words a ``stage_dag`` spells, by
     enumerating every path of ``length`` letters from the empty state."""
@@ -745,10 +729,58 @@ def bareiss_det(rows) -> LaurentPoly:
     return a[m - 1][m - 1] if sign == 1 else -a[m - 1][m - 1]
 
 
-def one_param_product(word, size: int) -> SymbolicMatrix:
-    """Exact product of elementary unitriangular factors: the l-th factor
-    is the identity plus t_l in entry (i_l, i_l + 1).  Multiplying by it on
-    the right adds t_l times column i_l to column i_l + 1."""
+def unitriangular(size: int) -> list:
+    """The rows of the unitriangular matrix with fresh variables x_1, x_2,
+    ... filling the strictly-upper entries row-major (row 1 first)."""
+    arity = size * (size - 1) // 2
+    idx = 0
+    rows = []
+    for i in range(size):
+        row = []
+        for j in range(size):
+            if i == j:
+                row.append(LaurentPoly.one(arity))
+            elif i < j:
+                row.append(LaurentPoly.variable(idx, arity))
+                idx += 1
+            else:
+                row.append(LaurentPoly.zero(arity))
+        rows.append(row)
+    return rows
+
+
+def _det_cofactor(rows) -> LaurentPoly:
+    m = len(rows)
+    arity = rows[0][0].arity
+    if m == 1:
+        return rows[0][0]
+    total = LaurentPoly.zero(arity)
+    for j in range(m):
+        if rows[0][j].is_zero():
+            continue
+        sub = [[row[jj] for jj in range(m) if jj != j] for row in rows[1:]]
+        term = rows[0][j] * _det_cofactor(sub)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def minor(rows, key) -> LaurentPoly:
+    """Exact determinant of the submatrix of a square matrix, given by its
+    rows, on the key's rows and columns (1-based), by cofactor expansion
+    along the first row, with no memo."""
+    for x in key.rows + key.cols:
+        if not (1 <= x <= len(rows)):
+            raise ShapeError(f"index {x} out of range 1..{len(rows)}")
+    if not key.rows:
+        return LaurentPoly.one(rows[0][0].arity)
+    return _det_cofactor([[rows[i - 1][j - 1] for j in key.cols] for i in key.rows])
+
+
+def one_param_product(word, size: int) -> list:
+    """The rows of the exact product of elementary unitriangular factors:
+    the l-th factor is the identity plus t_l in entry (i_l, i_l + 1).
+    Multiplying by it on the right adds t_l times column i_l to column
+    i_l + 1."""
     word = tuple(word)
     arity = len(word)
     for letter in word:
@@ -763,7 +795,7 @@ def one_param_product(word, size: int) -> SymbolicMatrix:
         for row in prod:
             if not row[letter - 1].is_zero():
                 row[letter] = row[letter] + row[letter - 1] * t
-    return SymbolicMatrix(size, arity, tuple(map(tuple, prod)))
+    return prod
 
 
 def matmul_product(word, size: int):

@@ -11,7 +11,6 @@ import pytest
 
 from oracles import (
     core_equal,
-    dag_coefficient_sum,
     hom_dim,
     interval_hom_dim,
     maximal_terminal,
@@ -155,36 +154,43 @@ def test_euler_series_sum_to_their_stage_dag_path_sums(kronecker3, kronecker3_or
     three Euler series, each along its canonical ordering."""
     edges, length = euler.stage_dag(kronecker3, kronecker3_ordering, 6)
     assert len(edges) == 1652
-    total = dag_coefficient_sum(edges, length)
+    total = euler.dag_coefficient_sum(edges, length)
     assert total == 8_619_907_645_440
     assert sum(c for _, c in euler.expand(edges, length, range(4), len)) == total
     kronecker2 = build_category(validate_terminal(validate_quiver(2, [(1, 2), (1, 2)]), (3, 2)))
     for cat, k in ((five_vertex, 8), (kronecker2, 6), (triangle3, 7)):
         ordering = adapted_orderings(cat)
-        total = dag_coefficient_sum(*euler.stage_dag(cat, ordering, k))
+        total = euler.dag_coefficient_sum(*euler.stage_dag(cat, ordering, k))
         assert total and total == sum(euler.g_module(cat, ordering, k).terms.values()), k
+
+
+def test_slow_check_holds_g6_to_its_path_sum(monkeypatch):
+    """``check --slow`` passes g_6 only if its coefficients add up to the
+    path sum above; a one-word series of the right or wrong sum stands in
+    for the 392,206-word expansion."""
+    for total, passed in ((8_619_907_645_440, True), (8_619_907_645_441, False)):
+        series = euler.ShuffleSeries({(1,): total})
+        monkeypatch.setattr(euler, "g_module", lambda cat, ordering, k, s=series: s)
+        assert reference.check_euler_g6_integral() is passed
 
 
 def test_criterion_07_minors(linear_a4):
     done = timed(10)
-    x = minors.unitriangular(5)
+    x = minors.unitriangular_minors(5)
     xv = lambda i: LaurentPoly.variable(i - 1, 10)
     key, value = reference.minor_example()
-    assert minors.minor(x, key) == value
+    assert x[minors.MinorKey((1, *key.rows), (1, *key.cols))] == value
     for (i, a), xi in reference.MINOR_TABLE.items():
         key = minors.interval_minor_key(i, a, a, 4)
-        assert minors.minor(x, key) == xv(xi), (i, a)
+        assert x[key] == xv(xi), (i, a)
     cat = linear_a4
-    images = [
-        minors.minor(x, minors.interval_minor_key(v.i, v.a, v.a, 4))
-        for v in cat.vertices
-    ]
+    images = [x[minors.interval_minor_key(v.i, v.a, v.a, 4)] for v in cat.vertices]
     count = 0
     for i in range(1, 5):
         for b in range(0, i):
             for a in range(b + 1):
                 lhs = substitute(pbw_expand(cat, L(i, a, b)), images)
-                rhs = minors.minor(x, minors.interval_minor_key(i, a, b, 4))
+                rhs = x[minors.interval_minor_key(i, a, b, 4)]
                 assert lhs == rhs, (i, a, b)
                 count += 1
     assert count == 20

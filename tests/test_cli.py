@@ -288,6 +288,18 @@ def test_minors_n2_trivial(capsys):
     assert "overall: PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_minors_below_two_exits_2_in_every_mode(n, capsys):
+    """Every mode refuses n < 2 with one message, before building anything."""
+    errs = set()
+    for mode in ("table", "eta", "cross", "all"):
+        assert cli.main(["minors", "--n", str(n), "--mode", mode]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        errs.add(err)
+    assert errs == {f"error: TooSmallError: need at least 2 vertices, got {n}\n"}
+
+
 def test_minors_table_json(capsys):
     assert cli.main(["minors", "--n", "4", "--mode", "table", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -462,12 +474,12 @@ def test_minors_modes_are_the_filtered_full_report(mode, capsys):
 
 
 def test_minors_builds_each_minor_once(monkeypatch, capsys):
-    """One ``minors --n 5`` run builds one unitriangular matrix and one
-    linear A_5 category and computes each of the 35 interval minors once."""
+    """One ``minors --n 5`` run builds one table of the unitriangular
+    matrix's row-initial minors and one linear A_5 category."""
     from clusterknit import mesh, minors
 
-    calls = {"unitriangular": 0, "build_category": 0, "minor": 0}
-    for module, name in ((minors, "unitriangular"), (mesh, "build_category"), (minors, "minor")):
+    calls = {"unitriangular_minors": 0, "build_category": 0}
+    for module, name in ((minors, "unitriangular_minors"), (mesh, "build_category")):
         real = getattr(module, name)
 
         def counted(*args, real=real, name=name):
@@ -479,7 +491,7 @@ def test_minors_builds_each_minor_once(monkeypatch, capsys):
     reference.interval_minors.cache_clear()
     assert cli.main(["minors", "--n", "5"]) == 0
     assert capsys.readouterr().out.endswith("overall: PASS\n")
-    assert calls == {"unitriangular": 1, "build_category": 1, "minor": 35}
+    assert calls == {"unitriangular_minors": 1, "build_category": 1}
     reference.linear_type_a.cache_clear()
     reference.interval_minors.cache_clear()
 
