@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .errors import ClusterKnitError, InputFormatError, strict_int
 
@@ -242,6 +243,7 @@ def cmd_check(args) -> int:
 # -- driver -------------------------------------------------------------------
 
 
+@cache  # one parser per process, however often main runs
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="clusterknit",

@@ -14,20 +14,12 @@ back as tuples of tuples.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 from functools import cache
 from operator import mul
 
 from . import exchange as ex
 from . import mesh
 from .errors import AmbiguityError, SeedFormatError
-from .laurent import (
-    LaurentPoly,
-    exact_div,
-    from_json_terms,
-    to_json_terms,
-    to_text,
-)
 from .quiver import Quiver
 
 
@@ -148,38 +140,48 @@ class _Rows:
         return _Rows(self.lay, ints, dots)
 
 
+def _packed(rows):
+    """Tracker rows given as ``_Rows`` or as a tuple of tuples, as ``_Rows``."""
+    return rows if rows is None or isinstance(rows, _Rows) else _Rows.of(rows)
+
+
 class _Trackers:
     """A ``Seed`` field of tracker rows: held as ``_Rows`` in the attribute
-    named with a leading underscore, set from ``_Rows`` or from a tuple of
-    tuples, and read as a tuple of tuples."""
+    named with a leading underscore, and read as a tuple of tuples."""
 
     def __set_name__(self, owner, name):
         self.packed = "_" + name
 
     def __get__(self, s, owner=None):
-        if s is None:
-            return None  # the field's default
         rows = getattr(s, self.packed)
         return None if rows is None else rows.view()
 
-    def __set__(self, s, value):
-        if value is not None and not isinstance(value, _Rows):
-            value = _Rows.of(value)
-        object.__setattr__(s, self.packed, value)
 
-
-@dataclass(frozen=True)
 class Seed:
-    matrix: ex.ExchangeMatrix
-    vars: tuple | None = None
-    labels: tuple | None = None
-    dim_trackers: tuple | None = _Trackers()
-    delta_trackers: tuple | None = _Trackers()
-    d_delta: tuple | None = None
-    # Whether the mutation that made this seed was Max-dominated: one
-    # dimension arrow-sum dominated the other componentwise.  True for a
-    # seed that no mutation made and for a seed without dimension trackers.
-    dominated: bool = field(default=True, compare=False)
+    """``dominated`` records whether the mutation that made this seed was
+    Max-dominated: one dimension arrow-sum dominated the other
+    componentwise.  It is True for a seed that no mutation made and for a
+    seed without dimension trackers, and equality ignores it."""
+
+    __slots__ = ("matrix", "vars", "labels", "_dim_trackers", "_delta_trackers", "d_delta", "dominated")
+    dim_trackers = _Trackers()
+    delta_trackers = _Trackers()
+
+    def __init__(self, matrix: ex.ExchangeMatrix, vars=None, labels=None, dim_trackers=None,
+                 delta_trackers=None, d_delta=None, dominated: bool = True):
+        self.matrix, self.vars, self.labels, self.d_delta = matrix, vars, labels, d_delta
+        self._dim_trackers, self._delta_trackers = _packed(dim_trackers), _packed(delta_trackers)
+        self.dominated = dominated
+
+    def _key(self) -> tuple:
+        return (self.matrix, self.vars, self.labels, self.dim_trackers, self.delta_trackers,
+                self.d_delta)
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if isinstance(other, Seed) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def r(self) -> int:
@@ -205,9 +207,11 @@ def initial_seed(cat: mesh.CategoryModel, ordering=None, with_vars: bool = True)
     frozen = frozenset(s for s, (_, a) in enumerate(ordered, 1) if a == 0)
     t_of = cat.terminal.level
     labels = tuple(mesh.IntervalLabel(i, a, t_of(i)) for i, a in ordered)
-    variables = (
-        tuple(LaurentPoly.variable(k, r) for k in range(r)) if with_vars else None
-    )
+    variables = None
+    if with_vars:
+        from .laurent import LaurentPoly
+
+        variables = tuple(LaurentPoly.variable(k, r) for k in range(r))
     dims = mesh.top_dimvecs(cat, positions)
     return Seed(
         matrix=ex.b_matrix(Quiver(r, arrows), frozen),
@@ -320,6 +324,7 @@ def _delta_rule(rows: _Rows, d_delta, k: int, out, inc) -> _Rows:
 
 def _exchange_quotient(s: Seed, k: int, out, inc) -> LaurentPoly:
     """(prod_out + prod_in) / y_k, divided exactly."""
+    from .laurent import LaurentPoly, exact_div
 
     def product(side):
         p = None
@@ -366,6 +371,8 @@ class ExchangeMemo:
     def text(self, p: LaurentPoly) -> str:
         text = self.texts.get(p)
         if text is None:
+            from .laurent import to_text
+
             text = self.texts[p] = to_text(p)
         return text
 
@@ -412,6 +419,8 @@ def mutate_seed(s: Seed, k: int, new_label=None, sides=None, memo: ExchangeMemo 
 def to_json(s: Seed) -> dict:
     data: dict = {"r": s.r, "matrix": ex.to_json(s.matrix)}
     if s.vars is not None:
+        from .laurent import to_json_terms
+
         data["vars"] = [to_json_terms(v) for v in s.vars]
     if s.labels is not None:
         data["labels"] = [None if l is None else list(l) for l in s.labels]
@@ -455,6 +464,8 @@ def from_json(data: dict) -> Seed:
         raise SeedFormatError("delta_trackers given without d_delta")
     variables = None
     if "vars" in data:
+        from .laurent import from_json_terms
+
         term_maps = _sized(data["vars"], r, "vars")
         # int() would truncate a float coefficient
         if any(
@@ -500,12 +511,12 @@ def relation_monomials(s: Seed, k: int, sides=None) -> str:
 
 def trace_line(s: Seed, k: int, new_s: Seed, sides=None, memo: ExchangeMemo | None = None) -> str:
     """One mutation-trace line: vertex, relation, new trackers; ``sides``
-    and ``memo`` as for ``mutate_seed``."""
+    and ``memo`` as for ``mutate_seed``, a fresh one where it is omitted."""
+    memo = ExchangeMemo() if memo is None else memo
     parts = [f"mu_{k}", relation_monomials(s, k, sides)]
     if new_s.vars is not None:
-        var = new_s.vars[k - 1]
-        parts.append(f"var = {to_text(var) if memo is None else memo.text(var)}")
+        parts.append(f"var = {memo.text(new_s.vars[k - 1])}")
     for name, rows in (("d", new_s._dim_trackers), ("dDelta", new_s._delta_trackers)):
         if rows is not None:
-            parts.append(f"{name} = {list(rows.row(k)) if memo is None else memo.row_text(rows, k)}")
+            parts.append(f"{name} = {memo.row_text(rows, k)}")
     return "  ".join(parts)

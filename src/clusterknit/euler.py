@@ -5,8 +5,6 @@ flag-counting oracle on thin modules."""
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
@@ -244,6 +242,8 @@ def evaluate_phi(s: ShuffleSeries, seq):
     exact rationals.  A walk reads each word as runs of seq, entering a
     branch only if ``ok[l][j]``: word[j:] reads as runs of seq[l:].  Leaves
     add integer coefficients per exponent key, divided by a! once at the end."""
+    from fractions import Fraction
+
     seq = tuple(seq)
     m = len(seq)
     poly: dict = {}
@@ -272,7 +272,6 @@ def evaluate_phi(s: ShuffleSeries, seq):
     return {k: Fraction(v, prod(map(factorial, k))) for k, v in poly.items() if v}
 
 
-@dataclass(frozen=True)
 class ThinModule:
     """Slots carrying a vertex label each, with an acyclic arrow relation:
     an arrow u -> v means every submodule containing slot u contains slot v.
@@ -281,17 +280,17 @@ class ThinModule:
     scalar assignment satisfies the defining relation of the algebra is the
     caller's responsibility."""
 
-    slots: tuple
-    arrows: tuple = ()
+    __slots__ = ("slots", "arrows")
 
-    def __post_init__(self):
-        index = {name: pos for pos, (name, _) in enumerate(self.slots, 1)}
-        if len(index) != len(self.slots):
+    def __init__(self, slots: tuple, arrows: tuple = ()):
+        self.slots, self.arrows = slots, arrows
+        index = {name: pos for pos, (name, _) in enumerate(slots, 1)}
+        if len(index) != len(slots):
             raise NotThinError("duplicate slot names")
-        for (u, v) in self.arrows:
+        for (u, v) in arrows:
             if u not in index or v not in index:
                 raise NotThinError(f"arrow ({u},{v}) references unknown slot")
-        if _topological_order(len(index), [(index[u], index[v]) for (u, v) in self.arrows]) is None:
+        if _topological_order(len(index), [(index[u], index[v]) for (u, v) in arrows]) is None:
             raise NotThinError("arrow relation has a cycle")
 
 def flag_oracle(m: ThinModule) -> ShuffleSeries:

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import FrozenMutationError, SeedFormatError, TwoCycleError, VertexIndexError
 from .quiver import Quiver
 
 
-@dataclass(frozen=True)
 class ExchangeMatrix:
     """The r x r signed arrow-count matrix B as mirrored sparse rows and
     columns, ``rows[i - 1] = {j: b_ij}`` and ``cols[j - 1] = {i: b_ij}``
@@ -19,9 +16,10 @@ class ExchangeMatrix:
     are carried along but equality ignores them.
     """
 
-    rows: tuple
-    cols: tuple
-    frozen: frozenset = field(default_factory=frozenset)
+    __slots__ = ("rows", "cols", "frozen")
+
+    def __init__(self, rows: tuple, cols: tuple, frozen: frozenset = frozenset()):
+        self.rows, self.cols, self.frozen = rows, cols, frozen
 
     @property
     def r(self) -> int:
@@ -75,7 +73,7 @@ def _check_skew_principal(b, frozen) -> None:
 
 def _check_frozen(frozen: frozenset, r: int) -> None:
     if any(not (1 <= k <= r) for k in frozen):
-        raise SeedFormatError(f"frozen index out of range 1..{r}")
+        raise SeedFormatError(f"frozen must be a list of indices in 1..{r}")
 
 
 def make_matrix(rows, frozen=()) -> ExchangeMatrix:
@@ -176,8 +174,6 @@ def from_json(data: dict) -> ExchangeMatrix:
     ):
         raise SeedFormatError("matrix b must be a square list of integer rows")
     frozen = data.get("frozen", [])
-    if not isinstance(frozen, list) or any(
-        type(k) is not int or not 1 <= k <= len(rows) for k in frozen
-    ):
+    if not isinstance(frozen, list) or any(type(k) is not int for k in frozen):
         raise SeedFormatError(f"frozen must be a list of indices in 1..{len(rows)}")
-    return make_matrix(rows, frozen)
+    return make_matrix(rows, frozen)  # which checks the range

@@ -18,7 +18,6 @@ against the worked examples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
 from typing import NamedTuple
 
@@ -48,8 +47,7 @@ class IntervalLabel(NamedTuple):
         return f"T_{{{self.i},[{self.a},{self.b}]}}"
 
 
-@dataclass(frozen=True)
-class TerminalData:
+class TerminalData(NamedTuple):
     q: Quiver
     t: tuple[int, ...]
 
@@ -74,8 +72,7 @@ def validate_terminal(q: Quiver, t) -> TerminalData:
     return TerminalData(q, t)
 
 
-@dataclass(frozen=True)
-class CategoryModel:
+class CategoryModel(NamedTuple):
     terminal: TerminalData
     vertices: tuple[MeshVertex, ...]
     gammaM: Quiver

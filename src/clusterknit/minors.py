@@ -7,25 +7,34 @@ minors of Berenstein-Fomin-Zelevinsky."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import LabelRangeError, ShapeError, VertexIndexError
 from .laurent import LaurentPoly
 
 
-@dataclass(frozen=True)
 class MinorKey:
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
+    """A minor's row and column sets, each held sorted."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(sorted(self.rows)))
-        object.__setattr__(self, "cols", tuple(sorted(self.cols)))
+    __slots__ = ("rows", "cols")
+
+    def __init__(self, rows, cols):
+        self.rows, self.cols = tuple(sorted(rows)), tuple(sorted(cols))
         if len(self.rows) != len(self.cols):
             raise ShapeError(
                 f"row set {self.rows} and column set {self.cols} differ in size"
             )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MinorKey):
+            return NotImplemented
+        return self.rows == other.rows and self.cols == other.cols
+
+    def __hash__(self):
+        return hash((self.rows, self.cols))
+
+    def __repr__(self) -> str:
+        return f"MinorKey(rows={self.rows!r}, cols={self.cols!r})"
 
 
 def product_minors(factors, size: int, arity: int) -> dict:

@@ -6,8 +6,8 @@ are allowed and tracked with multiplicity, loops are not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from .errors import (
     CycleError,
@@ -21,8 +21,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(NamedTuple):
     n: int
     arrows: tuple[tuple[int, int], ...]
 
@@ -41,8 +40,7 @@ class Quiver:
         return Quiver(self.n, tuple(sorted((t, s) for (s, t) in self.arrows)))
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
+class CartanMatrix(NamedTuple):
     entries: tuple[tuple[int, ...], ...]
 
     @property
@@ -54,8 +52,7 @@ class CartanMatrix:
         return self.entries[i - 1][j - 1]
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(NamedTuple):
     """A weight stored purely through its pairings lambda(alpha_j^vee)."""
 
     pairings: tuple[int, ...]
@@ -64,8 +61,7 @@ class Weight:
         return self.pairings[j - 1]
 
 
-@dataclass(frozen=True)
-class RootVec:
+class RootVec(NamedTuple):
     """Element of the root lattice in simple-root coordinates."""
 
     coords: tuple[int, ...]
@@ -77,8 +73,7 @@ class RootVec:
         return any(self.coords) and all(c >= 0 for c in self.coords)
 
 
-@dataclass(frozen=True)
-class ReducedWord:
+class ReducedWord(NamedTuple):
     """Letters (i_1, ..., i_r), read right-to-left as w = s_{i_r} ... s_{i_1}."""
 
     letters: tuple[int, ...]

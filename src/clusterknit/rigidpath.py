@@ -4,12 +4,11 @@ variables into the single-interval generators."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import cluster, mesh
 from . import exchange as ex
 from .errors import LabelRangeError, ScheduleMismatchError, TerminalConstraintError
-from .laurent import LaurentPoly, exact_div
 from .mesh import IntervalLabel, MeshVertex, TerminalData
 from .quiver import Quiver, topological_order, validate_sink_sequence
 
@@ -45,8 +44,7 @@ def schedule_length(td: TerminalData) -> int:
     return sum(t * (t + 1) // 2 for t in td.t)
 
 
-@dataclass(frozen=True)
-class DetIdentity:
+class DetIdentity(NamedTuple):
     """T_{i,[a-1,b]} T_{i,[a,b-1]} = T_{i,[a,b]} T_{i,[a-1,b-1]}
     - prod_{i->j} T_{j,[a+d_j, b+d_j]} prod_{k->i} T_{k,[a-1+d_k, b-1+d_k]}
     with d_x = t_x - t_i over the arrows of Q_M^op.  ``main`` is
@@ -85,8 +83,7 @@ def det_identity(td: TerminalData, op: Quiver, i: int, a: int, b: int) -> DetIde
     )
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     qm_order: tuple[int, ...]
     steps: tuple[DetIdentity, ...]
 
@@ -113,16 +110,14 @@ def make_schedule(td: TerminalData) -> Schedule:
     return sch
 
 
-@dataclass(frozen=True)
-class PathStep:
+class PathStep(NamedTuple):
     index: int
     position: int
     identity: DetIdentity
     dominated: bool
 
 
-@dataclass(frozen=True)
-class PathResult:
+class PathResult(NamedTuple):
     schedule: Schedule
     seed: cluster.Seed
     steps: tuple[PathStep, ...]
@@ -177,6 +172,8 @@ def pbw_expand(cat: mesh.CategoryModel, lbl: IntervalLabel) -> LaurentPoly:
     b = a + 1.  Each product starts from its first factor, so no product
     has a unit operand.  A division failure would contradict polynomiality
     of the dual PBW expansion and is fatal."""
+    from .laurent import LaurentPoly, exact_div
+
     mesh.validate_label(cat, lbl)
     td = cat.terminal
     op = qm_op(td)

@@ -1,7 +1,6 @@
 import json
 import random
 from collections import Counter, defaultdict
-from dataclasses import replace
 from math import prod
 from pathlib import Path
 from types import SimpleNamespace
@@ -21,7 +20,7 @@ from oracles import (
 )
 from test_mesh import random_terminal
 
-from clusterknit import cluster, reference
+from clusterknit import cluster, laurent, reference
 from clusterknit.cluster import (
     Seed,
     from_json,
@@ -175,7 +174,7 @@ def test_memoised_walks_match_memo_free_mutation(monkeypatch, name, length):
     start = initial_seed(cat)
     divisions = []
     monkeypatch.setattr(
-        cluster, "exact_div", lambda num, den: divisions.append(1) or exact_div(num, den)
+        laurent, "exact_div", lambda num, den: divisions.append(1) or exact_div(num, den)
     )
     memo = cluster.ExchangeMemo()
     rng = random.Random(31)
@@ -333,9 +332,34 @@ def test_mutate_seed_needs_d_delta_for_delta_trackers(kronecker3):
     instead of keeping the old vector at k."""
     s = initial_seed(kronecker3)
     assert mutate_seed(s, 4).delta_trackers[3] == (1, 0, 0, 0, 2, 0, 0)
-    stale = replace(s, d_delta=None)
+    stale = Seed(s.matrix, s.vars, s.labels, s.dim_trackers, s.delta_trackers, d_delta=None)
     with pytest.raises(SeedFormatError, match="d_Delta"):
         mutate_seed(stale, 4)
+
+
+def test_seed_equality_ignores_dominated_and_frozen_pairs(kronecker3):
+    """Seed equality reads the matrix, variables, labels, both tracker
+    views and d_Delta, never ``dominated``; ``!=`` is always ``not ==``,
+    also for matrices that differ only between two frozen indices."""
+    s = initial_seed(kronecker3)
+    b = [list(row) for row in s.matrix.b]
+    i, j = sorted(s.matrix.frozen)[:2]
+    b[i - 1][j - 1] += 1
+    fields = (s.vars, s.labels, s.dim_trackers, s.delta_trackers, s.d_delta)
+    same = [
+        Seed(s.matrix, *fields, dominated=False),
+        Seed(make_matrix(b, s.matrix.frozen), *fields),
+    ]
+    for t in same:
+        assert t == s and not t != s and hash(t) == hash(s)
+    k = mutable(s.matrix)[0]
+    other = [
+        mutate_seed(s, k),
+        Seed(s.matrix, *fields[:-1], d_delta=None),
+        Seed(s.matrix, s.vars, s.labels, s.dim_trackers),
+    ]
+    for t in other:
+        assert t != s and not t == s
 
 
 def outcome(rule, *args):

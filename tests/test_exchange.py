@@ -170,12 +170,14 @@ def test_mutation_preserves_skew_symmetry():
 
 
 def test_equality_ignores_frozen_frozen():
+    """``!=`` is always ``not ==``: a pair that differs only between two
+    frozen indices is equal and not unequal, and hashes alike."""
     a = make_matrix([[0, 1], [-1, 0]], frozen=(1, 2))
     b = make_matrix([[0, 5], [-5, 0]], frozen=(1, 2))
-    assert a == b
+    assert a == b and not a != b and hash(a) == hash(b)
     assert not strictly_equal(a, b)
     c = make_matrix([[0, 1], [-1, 0]], frozen=(2,))
-    assert a != c
+    assert a != c and not a == c
     # a changed frozen-mutable entry is seen, a changed frozen-frozen one is not
     rng = random.Random(29)
     for _ in range(300):
@@ -188,7 +190,7 @@ def test_equality_ignores_frozen_frozen():
         b[i - 1][j - 1] += 1
         other = make_matrix(b, m.frozen)
         assert not strictly_equal(other, m)
-        assert (other == m) == (j in m.frozen)
+        assert (other == m) == (j in m.frozen) == (not other != m)
 
 
 def test_arrows_at():

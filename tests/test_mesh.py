@@ -450,3 +450,8 @@ def test_label_out_of_range_is_typed(kronecker3):
             validate_label(kronecker3, lbl)
     with pytest.raises(IndexError):
         projected_dimvec(kronecker3, IntervalLabel(2, 0, 2))
+
+
+def test_terminal_data_repr():
+    td = validate_terminal(validate_quiver(2, [(1, 2)]), (1, 1))
+    assert repr(td) == "TerminalData(q=Quiver(n=2, arrows=((1, 2),)), t=(1, 1))"

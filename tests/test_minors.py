@@ -88,6 +88,16 @@ def test_minor_shape_errors():
         minor(x, MinorKey((1,), (9,)))
 
 
+def test_minor_key_sorts_and_compares_as_a_value():
+    key = MinorKey((3, 1), (5, 2))
+    assert (key.rows, key.cols) == ((1, 3), (2, 5))
+    assert repr(key) == "MinorKey(rows=(1, 3), cols=(2, 5))"
+    assert key == MinorKey([1, 3], range(2, 6, 3)) and not key != MinorKey((1, 3), (2, 5))
+    assert hash(key) == hash(MinorKey((1, 3), (5, 2)))
+    assert key != MinorKey((1, 3), (2, 4)) and not key == MinorKey((1, 3), (2, 4))
+    assert key != ((1, 3), (2, 5))
+
+
 def test_minor_table_n4():
     """The ten single-interval minors: x_i = Delta_... as printed."""
     table = reference.interval_minors(4)

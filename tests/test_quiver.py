@@ -268,3 +268,7 @@ def test_inversion_roots_match_knitting(kronecker3, fan_a3, five_vertex):
         assert sorted(r.coords for r in roots) == sorted(
             cat.dims[v].coords for v in cat.vertices
         )
+
+
+def test_quiver_repr():
+    assert repr(validate_quiver(2, [(1, 2)])) == "Quiver(n=2, arrows=((1, 2),))"

@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from dataclasses import replace
 
 import oracles
 import pytest
@@ -262,6 +261,11 @@ def _negated(m):
     return make_matrix([[-x for x in row] for row in m.b], m.frozen)
 
 
+def _with_matrix(seed, matrix):
+    """``seed`` with its exchange matrix replaced."""
+    return cluster.Seed(matrix, seed.vars, seed.labels, seed.dim_trackers, seed.delta_trackers, seed.d_delta)
+
+
 def test_run_path_accepts_the_sides_in_either_order(kronecker3, five_vertex, fan_a3, linear_a4):
     """Negating B swaps the two exchange sides at every step, so the path
     runs through the branch where the emitted (out, in) pair equals the
@@ -271,7 +275,7 @@ def test_run_path_accepts_the_sides_in_either_order(kronecker3, five_vertex, fan
         seed = initial_seed(cat, with_vars=cat is not five_vertex)
         sch = make_schedule(cat.terminal)
         res = run_path(seed, sch)
-        neg = run_path(replace(seed, matrix=_negated(seed.matrix)), sch)
+        neg = run_path(_with_matrix(seed, _negated(seed.matrix)), sch)
         assert neg.steps == res.steps
         for field in ("labels", "vars", "dim_trackers", "delta_trackers", "d_delta"):
             assert getattr(neg.seed, field) == getattr(res.seed, field), field
@@ -285,7 +289,7 @@ def test_run_path_reports_a_mismatched_exchange(kronecker3):
     seed = initial_seed(kronecker3, with_vars=False)
     sch = make_schedule(kronecker3.terminal)
     assert seed.labels[6] == sch.steps[0].main[0]
-    spoiled = replace(seed, matrix=mutate_matrix(seed.matrix, 5))
+    spoiled = _with_matrix(seed, mutate_matrix(seed.matrix, 5))
     with pytest.raises(ScheduleMismatchError, match="step 1: .* emitted .* predicted "):
         run_path(spoiled, sch)
 
@@ -444,4 +448,12 @@ def test_result_json(kronecker3):
     assert len(data["steps"]) == 5
     assert sorted(data["final_labels"]) == sorted(
         [[1, 0, 0], [1, 0, 1], [1, 0, 2], [2, 0, 0], [2, 0, 1], [3, 0, 0], [3, 0, 1]]
+    )
+
+
+def test_path_step_repr(kronecker3):
+    step = rigidpath.PathStep(1, 7, make_schedule(kronecker3.terminal).steps[0], True)
+    assert repr(step) == (
+        "PathStep(index=1, position=7, identity=DetIdentity(main=(T_{1,[2,2]}, T_{1,[1,1]}), "
+        "sides=({T_{1,[1,2]}: 1}, {T_{2,[1,1]}: 2})), dominated=True)"
     )

@@ -125,6 +125,27 @@ def test_no_assert_in_src():
     assert _asserts({"a": ast.parse("def f(x):\n    if x:\n        assert x > 1\n")}) == ["a:3"]
 
 
+def _imports(trees: dict, name: str) -> list:
+    return [
+        f"{module}:{node.lineno}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == name for a in node.names)
+        or isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] == name
+    ]
+
+
+def test_no_dataclasses_in_src():
+    """Records are ``NamedTuple``s or ``__slots__`` classes: importing
+    ``dataclasses`` (and the ``inspect`` it loads) and building each class
+    by ``exec`` is a cost every process would pay before it computes."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    found = _imports(trees, "dataclasses")
+    assert len(trees) > 10 and not found, found
+    sample = ast.parse("import dataclasses\nif 1:\n    from dataclasses import field\nfrom . import x\n")
+    assert _imports({"a": sample}, "dataclasses") == ["a:1", "a:3"]
+
+
 def test_the_guard_resolves_module_names():
     """A definition named only through another module's namesake is
     reported; one named through its own module is not.  Private

@@ -9,19 +9,21 @@ from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 HEAVY = {"euler", "reference", "rigidpath", "minors"}
+STDLIB = ("dataclasses", "inspect", "fractions")  # costly to import, and unneeded
 
 
 # Runs the CLI module as ``python -m`` does, then prints the clusterknit
-# submodules in sys.modules.  (``-X importtime`` cannot tell: it does not
-# log a submodule that ``from . import name`` loads.)
-CLI = """
+# submodules in sys.modules and which of STDLIB are there.  (``-X
+# importtime`` cannot tell: it does not log a submodule that ``from .
+# import name`` loads.)
+CLI = f"""
 import json, runpy, sys
 sys.argv[0] = "clusterknit"
 try:
     runpy.run_module("clusterknit.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("clusterknit."))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("clusterknit.") or m in {STDLIB})]))
 """
 
 
@@ -34,12 +36,13 @@ def python_c(code: str, args, cwd) -> subprocess.CompletedProcess:
 
 def run_cli(args, cwd) -> tuple[str, set]:
     """Run the CLI on ``args`` in a fresh process: its standard output
-    before the report, and the clusterknit submodules it loaded."""
+    before the report, and the clusterknit submodules (without the package
+    prefix) and STDLIB modules it loaded."""
     proc = python_c(CLI, args, cwd)
     out, _, report = proc.stdout.rstrip("\n").rpartition("\n")
     code, names = json.loads(report)
     assert code == 0, proc.stderr
-    return out, {n.split(".", 1)[1] for n in names}
+    return out, {n.removeprefix("clusterknit.") for n in names}
 
 
 def test_help_loads_only_the_cli_and_errors(tmp_path):
@@ -58,6 +61,7 @@ def test_mutate_loads_no_path_euler_or_minors_module(tmp_path):
     out, loaded = run_cli(["mutate", str(seed), "1", "2"], tmp_path)
     assert "var = " in out
     assert {"cluster", "laurent"} <= loaded and not loaded & HEAVY
+    assert "dataclasses" not in loaded
 
 
 def test_the_package_loads_submodules_on_first_access(tmp_path):
@@ -86,3 +90,15 @@ def test_euler_loads_no_laurent_cluster_path_or_minors_module(tmp_path):
         assert out.startswith("{") if fmt == "json" else "w[" in out
         assert "euler" in loaded
         assert not loaded & {"laurent", "cluster", "exchange", "rigidpath", "minors", "reference"}, loaded
+        assert not loaded & {"dataclasses", "fractions"}, loaded
+
+
+def test_path_without_expansion_loads_no_laurent_or_dataclasses(tmp_path):
+    """A tracker-only path follows labels, matrices and trackers: the
+    Laurent kernel is never called, so it is never loaded."""
+    quiver = tmp_path / "kronecker3.json"
+    quiver.write_text(json.dumps({"n": 3, "arrows": [[1, 2], [1, 2], [2, 3]]}))
+    out, loaded = run_cli(["path", str(quiver), "--t", "3,3,2", "--no-expand", "--format", "json"], tmp_path)
+    assert json.loads(out)["length"] == 15
+    assert {"cluster", "exchange", "rigidpath"} <= loaded
+    assert not loaded & {"laurent", "dataclasses", "inspect"}, loaded
