@@ -137,19 +137,19 @@ def cmd_mutate(args) -> int:
 
 
 def cmd_path(args) -> int:
-    from . import cluster, jsontext, mesh, rigidpath
+    from . import mesh
 
     td = load_terminal(args)
     cat = mesh.build_category(td)
     ordering = load_ordering(cat, args.ordering)
     if args.count_only:
-        # make_schedule checks that its length is this r(M)
-        length = rigidpath.schedule_length(td)
+        length = mesh.schedule_length(td)
         if args.format == "json":
             emit(json.dumps({"length": length}), args, "path_report.json")
         else:
             emit(f"schedule length r(M) = {length}", args, "path_report.txt")
         return 0
+    from . import cluster, jsontext, rigidpath
     sch = rigidpath.make_schedule(td)
     seed = cluster.initial_seed(cat, ordering, with_vars=not args.no_expand)
     res = rigidpath.run_path(seed, sch)

@@ -7,6 +7,7 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import lru_cache
 from math import factorial, prod
+from operator import sub
 
 from . import mesh
 from .errors import NotThinError, SummandIndexError
@@ -121,33 +122,61 @@ def stage_dag(cat: mesh.CategoryModel, ordering, k: int) -> tuple:
     letter order (the order a depth-first stack pushes them), zero weights
     dropped: ``(letter, next state, weight)`` for a letter with one edge,
     ``(letter, None, ((next state, weight), ...))`` otherwise.  ``length``
-    is the number of letters of every word, b_1 + ... + b_k."""
+    is the number of letters of every word, b_1 + ... + b_k.
+
+    Each state carries its counts and its stage weights: a letter of stage
+    s lowers stage s's weight by 1 and each later stage t's by c(i_s, i_t),
+    one drop vector per stage.  A state is pushed once, when first seen,
+    and maps to None in ``edges`` until it is built."""
     mesh.validate_ordering(cat, ordering)
     word = adapted_word(cat, ordering)
     c = cartan(cat.terminal.q)
     bs = b_exponents(word, k, c)
     lam = fundamental_weight(word.letters[k - 1], c.n)
     stages = [(word.letters[j - 1], bs[j - 1]) for j in range(k, 0, -1) if bs[j - 1]]
-    radix = [prod(b + 1 for _, b in stages[:s]) for s in range(len(stages))]
-    edges: dict = {}
-    todo = [0]
+    drops = [
+        tuple(0 if t < s else 1 if t == s else c[i, j] for t, (j, _) in enumerate(stages))
+        for s, (i, _) in enumerate(stages)
+    ]
+    # (stage, letter, radix, b_s), letters descending, stages ascending within a letter
+    order = [
+        (s, i, prod(b + 1 for _, b in stages[:s]), b)
+        for s, (i, b) in sorted(enumerate(stages), key=lambda e: (-e[1][0], e[0]))
+    ]
+    edges: dict = {0: None}
+    todo = [(0, (0,) * len(stages), tuple(lam[i] for i, _ in stages))]
     while todo:
-        state = todo.pop()
-        if state in edges:
-            continue
-        xs = [state // r % (b + 1) for r, (_, b) in zip(radix, stages)]
-        out: dict = defaultdict(list)
-        for s, (i, b) in enumerate(stages):
-            if xs[s] < b:
-                weight = lam[i] - xs[s] - sum(x * c[j, i] for (j, _), x in zip(stages[:s], xs))
-                if weight:
-                    out[i].append((state + radix[s], weight))
-                    todo.append(state + radix[s])
-        edges[state] = tuple(
-            (i, *out[i][0]) if len(out[i]) == 1 else (i, None, tuple(out[i]))
-            for i in sorted(out, reverse=True)
-        )
+        state, xs, weights = todo.pop()
+        out = []
+        for s, i, radix, b in order:
+            x = xs[s]
+            if x < b and (weight := weights[s]):
+                target = state + radix
+                if target not in edges:
+                    edges[target] = None
+                    todo.append((target, xs[:s] + (x + 1,) + xs[s + 1:], tuple(map(sub, weights, drops[s]))))
+                if out and out[-1][0] == i:  # a second stage of this letter
+                    _, single, w = out[-1]
+                    out[-1] = (i, None, (w if single is None else ((single, w),)) + ((target, weight),))
+                else:
+                    out.append((i, target, weight))
+        edges[state] = tuple(out)
     return edges, sum(bs)
+
+
+def _forced_run(edges: dict, state, tokens) -> tuple:
+    """The forced run from ``state`` as ``(its letters' tokens, their count,
+    end state, the end's edges, product of weights)``: followed while a
+    state has one out-letter into one state, in a loop, since a run can be
+    a whole word.  A state missing from ``edges`` has no out-edges."""
+    run, weight = [], 1
+    out = edges.get(state, ())
+    while len(out) == 1 and out[0][1] is not None:
+        i, state, w = out[0]
+        run.append(tokens[i])
+        weight *= w
+        out = edges.get(state, ())
+    return run, len(run), state, out, weight
 
 
 def expand(edges: dict, length: int, tokens, key):
@@ -160,9 +189,14 @@ def expand(edges: dict, length: int, tokens, key):
     reaches: a single state and its coefficient (almost every prefix: its
     children scale that state's edges), or a sparse {state: coefficient}
     vector whose zero entries are skipped as they are read.  Children are
-    pushed in descending letter order, so they pop in ascending order."""
+    pushed in descending letter order, so they pop in ascending order.  A
+    single state jumps its forced run (found on its first pop) in one step:
+    the run's letters go into the word by one slice assignment and its
+    weight into the coefficient, so the walk only stops where a word
+    branches."""
     last = length - 1
     path = [None] * length
+    runs: dict = {}
     stack = [(0, None, 0, 1)]  # (depth, token, state, coefficient) or (depth, token, None, vector)
     pop, push = stack.pop, stack.append
     while stack:
@@ -170,13 +204,24 @@ def expand(edges: dict, length: int, tokens, key):
         if depth:
             path[depth - 1] = token
         if state is not None:
+            run = runs.get(state)
+            if run is None:
+                run = runs[state] = _forced_run(edges, state, tokens)
+            letters, forced, state, out, weight = run
+            if forced:
+                path[depth:depth + forced] = letters
+                depth += forced
+                coeff *= weight
+                if depth == length:
+                    yield key(path), coeff
+                    continue
             if depth == last:  # each letter has one edge, into the full state
-                for i, _, weight in reversed(edges[state]):
+                for i, _, weight in reversed(out):
                     path[last] = tokens[i]
                     yield key(path), coeff * weight
                 continue
             depth += 1
-            for i, target, weight in edges[state]:
+            for i, target, weight in out:
                 if target is None:
                     push((depth, tokens[i], None, {t: coeff * w for t, w in weight}))
                 else:

@@ -72,6 +72,11 @@ def validate_terminal(q: Quiver, t) -> TerminalData:
     return TerminalData(q, t)
 
 
+def schedule_length(td: TerminalData) -> int:
+    """r(M) = sum of t_i (t_i + 1) / 2, the number of steps of the rigid path."""
+    return sum(t * (t + 1) // 2 for t in td.t)
+
+
 class CategoryModel(NamedTuple):
     terminal: TerminalData
     vertices: tuple[MeshVertex, ...]

@@ -9,7 +9,7 @@ from typing import NamedTuple
 from . import cluster, mesh
 from . import exchange as ex
 from .errors import LabelRangeError, ScheduleMismatchError, TerminalConstraintError
-from .mesh import IntervalLabel, MeshVertex, TerminalData
+from .mesh import IntervalLabel, MeshVertex, TerminalData, schedule_length
 from .quiver import Quiver, topological_order, validate_sink_sequence
 
 
@@ -37,11 +37,6 @@ def qm_adapted_order(op: Quiver) -> list[int]:
     order = topological_order(op)
     validate_sink_sequence(op.opposite(), order)
     return order
-
-
-def schedule_length(td: TerminalData) -> int:
-    """r(M) = sum of t_i (t_i + 1) / 2."""
-    return sum(t * (t + 1) // 2 for t in td.t)
 
 
 class DetIdentity(NamedTuple):

@@ -9,7 +9,8 @@ with the unitriangular matrix it was taken of, the column-update and the
 matrix-product forms of the one-parameter product, the per-leaf
 ``evaluate_phi``, the
 letter-insertion action with its divided powers, the split-dict Euler word
-expansion, the upward dimension-vector knitting and per-row hom knitting,
+expansion, the Euler trie walk that pops every prefix, the rescanning
+stage DAG, the upward dimension-vector knitting and per-row hom knitting,
 the zero-started tracker side sums, the per-label determinantal identity
 with its ``Counter`` sides, the per-label projected dimension vector, the
 sorted series text and the rescanning topological order are the kernels
@@ -22,13 +23,13 @@ import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from clusterknit.errors import AmbiguityError, NotDivisibleError, SeedFormatError, ShapeError
 from clusterknit.euler import ShuffleSeries, ThinModule, b_exponents, stage_dag
 from clusterknit.exchange import ExchangeMatrix, arrows_at, make_matrix
 from clusterknit.laurent import LaurentPoly, exact_div, substitute
-from clusterknit.mesh import IntervalLabel, MeshVertex, TerminalData, validate_label
+from clusterknit.mesh import IntervalLabel, MeshVertex, TerminalData, validate_label, validate_ordering
 from clusterknit.quiver import (
     CartanMatrix,
     Quiver,
@@ -624,6 +625,91 @@ def split_g_module(cat, ordering, k: int) -> ShuffleSeries:
 
     expand({0: 1})
     return ShuffleSeries(terms)
+
+
+def rescan_stage_dag(cat, ordering, k: int) -> tuple:
+    """``euler.stage_dag`` as it first was: each popped state re-derives its
+    counts from the mixed-radix int and sums each stage's weight from the
+    Cartan entries, and a state is pushed once per in-edge."""
+    validate_ordering(cat, ordering)
+    word = adapted_word(cat, ordering)
+    c = cartan(cat.terminal.q)
+    bs = b_exponents(word, k, c)
+    lam = fundamental_weight(word.letters[k - 1], c.n)
+    stages = [(word.letters[j - 1], bs[j - 1]) for j in range(k, 0, -1) if bs[j - 1]]
+    radix = [prod(b + 1 for _, b in stages[:s]) for s in range(len(stages))]
+    edges: dict = {}
+    todo = [0]
+    while todo:
+        state = todo.pop()
+        if state in edges:
+            continue
+        xs = [state // r % (b + 1) for r, (_, b) in zip(radix, stages)]
+        out: dict = defaultdict(list)
+        for s, (i, b) in enumerate(stages):
+            if xs[s] < b:
+                weight = lam[i] - xs[s] - sum(x * c[j, i] for (j, _), x in zip(stages[:s], xs))
+                if weight:
+                    out[i].append((state + radix[s], weight))
+                    todo.append(state + radix[s])
+        edges[state] = tuple(
+            (i, *out[i][0]) if len(out[i]) == 1 else (i, None, tuple(out[i]))
+            for i in sorted(out, reverse=True)
+        )
+    return edges, sum(bs)
+
+
+def trie_expand(edges: dict, length: int, tokens, key):
+    """``euler.expand`` before forced runs: one depth-first walk over the
+    prefix trie that pushes and pops every prefix, a forced letter too,
+    carrying a single state and its coefficient or a sparse vector."""
+    last = length - 1
+    path = [None] * length
+    stack = [(0, None, 0, 1)]  # (depth, token, state, coefficient) or (depth, token, None, vector)
+    pop, push = stack.pop, stack.append
+    while stack:
+        depth, token, state, coeff = pop()
+        if depth:
+            path[depth - 1] = token
+        if state is not None:
+            if depth == last:  # each letter has one edge, into the full state
+                for i, _, weight in reversed(edges[state]):
+                    path[last] = tokens[i]
+                    yield key(path), coeff * weight
+                continue
+            depth += 1
+            for i, target, weight in edges[state]:
+                if target is None:
+                    push((depth, tokens[i], None, {t: coeff * w for t, w in weight}))
+                else:
+                    push((depth, tokens[i], target, coeff * weight))
+            continue
+        split: dict = {}  # next letter -> {state: coefficient}
+        for state, c in coeff.items():
+            if c:
+                for i, target, weight in edges[state]:
+                    row = split.get(i)
+                    if row is None:
+                        split[i] = row = {}
+                    if target is None:
+                        for target, w in weight:
+                            row[target] = row.get(target, 0) + c * w
+                    else:
+                        row[target] = row.get(target, 0) + c * weight
+        if depth == last:  # each row holds the full state alone
+            for i in sorted(split):
+                if c := split[i].popitem()[1]:
+                    path[last] = tokens[i]
+                    yield key(path), c
+            continue
+        for i in sorted(split, reverse=True):
+            row = split[i]
+            if len(row) > 1:
+                push((depth + 1, tokens[i], None, row))
+            else:
+                [(target, c)] = row.items()
+                if c:
+                    push((depth + 1, tokens[i], target, c))
 
 
 def dag_words(edges: dict, length: int) -> dict:

@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 import oracles
@@ -402,3 +402,89 @@ def test_expand_merges_states_at_the_last_letter(edges, length, want):
     built by hand and checked against enumerating every path."""
     got = list(euler.expand(edges, length, range(4), tuple))
     assert got == sorted(dag_words(edges, length).items()) == want
+
+
+def small_stage_dags():
+    """(category, ordering, k) for the summands of the corpus instances and
+    of 40 seeded random terminal data whose stage DAG has at most 4,000
+    states (the product of the b_s + 1) and at most 20,000 paths, counted
+    as the path sum with every weight 1."""
+    from test_mesh import random_terminal
+
+    rng = random.Random(2201)
+    cats = [reference.category(name) for name in reference.CORPUS]
+    cats += [build_category(random_terminal(rng)) for _ in range(40)]
+    for cat in cats:
+        ordering = adapted_orderings(cat)
+        word, c = adapted_word(cat, ordering), cartan(cat.terminal.q)
+        for k in range(1, cat.r + 1):
+            if prod(b + 1 for b in b_exponents(word, k, c)) > 4000:
+                continue
+            edges, length = euler.stage_dag(cat, ordering, k)
+            ones = {
+                s: tuple((i, t, 1) if t is not None else (i, None, tuple((u, 1) for u, _ in w)) for i, t, w in out)
+                for s, out in edges.items()
+            }
+            if euler.dag_coefficient_sum(ones, length) <= 20000:
+                yield cat, ordering, k
+
+
+def test_stage_dag_and_expand_match_their_oracles():
+    """The carried-weight ``stage_dag`` builds the edges the rescanning one
+    built, and ``expand`` with its forced runs yields the trie walk's
+    words, coefficients and order, as strings and as tuples."""
+    cases = 0
+    for cat, ordering, k in small_stage_dags():
+        edges, length = euler.stage_dag(cat, ordering, k)
+        assert (edges, length) == oracles.rescan_stage_dag(cat, ordering, k), (cat.terminal, k)
+        tokens = [str(i) for i in range(cat.terminal.q.n + 1)]
+        for toks, key in ((tokens, ",".join), (range(cat.terminal.q.n + 1), tuple)):
+            got = list(euler.expand(edges, length, toks, key))
+            assert got == list(oracles.trie_expand(edges, length, toks, key)), (cat.terminal, k)
+        cases += 1
+    assert cases > 200
+    for edges, length, _ in HAND_DAGS:
+        assert list(euler.expand(edges, length, range(4), tuple)) == list(oracles.trie_expand(edges, length, range(4), tuple))
+
+
+# Hand-built stage DAGs with forced runs (state 9 is full, and left out of
+# the edges unless named): a run from state 1 ends at state 7, a dead end
+# missing from the edges, while state 2's run reaches the full state; the
+# full state given with no out-edges, each branch a run into it; a forced
+# letter into state 1, whose one letter has a vector edge that the run must
+# not enter.
+RUN_DAGS = {
+    "run into a missing dead end": (
+        {0: ((2, 1, 3), (1, 2, 5)), 1: ((1, 7, 2),), 2: ((3, 5, -2),), 5: ((1, 9, 4),)},
+        3,
+        [((1, 3, 1), -40)],
+    ),
+    "run ending at the full state": (
+        {0: ((2, 2, 7), (1, 1, 2)), 1: ((2, 3, 3),), 3: ((3, 9, 5),), 2: ((1, 4, -1),), 4: ((1, 9, 6),), 9: ()},
+        3,
+        [((1, 2, 3), 30), ((2, 1, 1), -42)],
+    ),
+    "run into a vector edge": (
+        {0: ((1, 1, 2),), 1: ((2, None, ((2, 3), (3, 5))),), 2: ((1, 9, 1), (3, 9, 4)), 3: ((1, 9, 2),)},
+        3,
+        [((1, 2, 1), 26), ((1, 2, 3), 24)],
+    ),
+}
+
+
+@pytest.mark.parametrize("edges,length,want", RUN_DAGS.values(), ids=RUN_DAGS)
+def test_expand_jumps_forced_runs(edges, length, want):
+    """Each run's letters and weight enter the word, a run stops at a
+    missing state, at the full state and before a vector edge."""
+    got = list(euler.expand(edges, length, range(4), tuple))
+    assert got == sorted(dag_words(dict.fromkeys(range(10), ()) | edges, length).items()) == want
+
+
+def test_expand_jumps_a_chain_longer_than_the_recursion_limit():
+    """A single chain of 5,000 forced letters yields its one word with the
+    product of its weights, and the run is followed without recursion."""
+    length = 5000
+    edges = {s: ((1 + s % 3, s + 1, -1 if s % 1000 == 999 else 2 if s % 500 == 0 else 1),) for s in range(length)}
+    want = (tuple(1 + s % 3 for s in range(length)), 2**10 * (-1) ** 5)
+    assert list(euler.expand(edges, length, range(4), tuple)) == [want]
+    assert list(oracles.trie_expand(edges, length, range(4), tuple)) == [want]

@@ -102,3 +102,15 @@ def test_path_without_expansion_loads_no_laurent_or_dataclasses(tmp_path):
     assert json.loads(out)["length"] == 15
     assert {"cluster", "exchange", "rigidpath"} <= loaded
     assert not loaded & {"laurent", "dataclasses", "inspect"}, loaded
+
+
+def test_path_count_only_loads_no_cluster_exchange_rigidpath_or_laurent(tmp_path):
+    """The schedule length is a sum over t: counting it builds the category
+    and checks the ordering, and loads none of the path modules."""
+    quiver = tmp_path / "kronecker3.json"
+    quiver.write_text(json.dumps({"n": 3, "arrows": [[1, 2], [1, 2], [2, 3]]}))
+    for fmt, want in (("json", '{"length": 15}'), ("text", "schedule length r(M) = 15")):
+        out, loaded = run_cli(["path", str(quiver), "--t", "3,3,2", "--count-only", "--format", fmt], tmp_path)
+        assert out == want
+        assert "mesh" in loaded
+        assert not loaded & {"cluster", "exchange", "rigidpath", "laurent"}, loaded
