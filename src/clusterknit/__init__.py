@@ -17,6 +17,7 @@ __all__ = [
     "laurent",
     "mesh",
     "minors",
+    "packing",
     "quiver",
     "rigidpath",
 ]

@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("mutate", help="mutate a seed at a vertex sequence")
     sp.add_argument("seed", help="seed JSON file")
-    sp.add_argument("vertices", nargs="+", type=int)
+    sp.add_argument("vertices", nargs="+", type=strict_int)
     common(sp, cmd_mutate, ordering=False)
 
     sp = sub.add_parser("path", help="run the T_M -> T_M^vee schedule")
@@ -290,11 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("euler", help="generating function g_{T_k}")
     sp.add_argument("quiver")
     sp.add_argument("--t", required=True)
-    sp.add_argument("--k", required=True, type=int)
+    sp.add_argument("--k", required=True, type=strict_int)
     common(sp, cmd_euler)
 
     sp = sub.add_parser("minors", help="type-A minor dictionary and checks")
-    sp.add_argument("--n", type=int, default=4)
+    sp.add_argument("--n", type=strict_int, default=4)
     sp.add_argument("--mode", choices=("table", "eta", "cross", "all"), default="all")
     common(sp, cmd_minors, ordering=False)
 

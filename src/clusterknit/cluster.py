@@ -5,92 +5,28 @@ initial variables), the exchange matrix, and optional per-vertex trackers:
 the interval label, the dimension vector of Hom(-, T_M) and the
 Delta-dimension vector.  Seeds are immutable; mutation returns a new seed.
 
-Tracker rows are held packed, one int per row (``_RowLayout``), so that a
-mutation step sums, compares and subtracts whole rows with a few int
+Tracker rows are held packed, one int per row (a ``packing.Layout``), so
+that a mutation step sums, compares and subtracts whole rows with a few int
 operations; ``Seed.dim_trackers`` and ``Seed.delta_trackers`` read them
-back as tuples of tuples.
+back as tuples of tuples.  A sum of rows of total multiplicity
+m <= 2**(g-2) holds each slot's sum in [0, 2mL), below the slot's top bit,
+so it is exact with no check, and two such sums, brought to the same
+offset, compare slot by slot.  A side of larger total multiplicity first
+takes more guard bits (``_Rows.spanning``).
 """
 
 from __future__ import annotations
 
-import struct
-from functools import cache
 from operator import mul
 
 from . import exchange as ex
 from . import mesh
 from .errors import AmbiguityError, SeedFormatError
+from .packing import Layout, fitting, layout
 from .quiver import Quiver
 
 
 _ROW_GUARD = 8  # guard bits per slot of a packed tracker row
-
-
-class _RowLayout:
-    """The packing of tracker rows of r entries into one int each, in w-bit
-    slots (w a multiple of 8), entry 0 highest.  With g guard bits and
-    L = 2**(w-g), an entry e in [-L, L) is stored as e + L: every stored
-    slot lies in [0, 2L), so its top g - 1 bits are clear.
-
-    A sum of rows of total multiplicity m <= 2**(g-2) (``span``) holds each
-    slot's sum in [0, 2mL), below the slot's top bit, so it is exact with
-    no check, and two such sums, brought to the same offset, compare slot by
-    slot in one subtraction (``_at_least``).  A result whose slots should
-    read e + L is exact when each lies in [0, 2L), which ``fits`` reads from
-    the bits above 2L: the lowest slot outside that range takes no borrow
-    from below, so its own bits show it there, a negative one wrapped to
-    just under 2**w."""
-
-    __slots__ = ("r", "w", "g", "low", "span", "lows", "top", "high", "size", "words")
-
-    def __init__(self, r: int, w: int, g: int):
-        self.r, self.w, self.g = r, w, g
-        self.low = 1 << (w - g)  # L
-        self.span = 1 << (g - 2)
-        ones = sum(1 << (i * w) for i in range(r))
-        self.lows = ones << (w - g)  # L in every slot: the packed zero row
-        self.top = ones << (w - 1)  # the top bit of every slot
-        self.high = ((1 << w) - (1 << (w - g + 1))) * ones  # the bits above 2L
-        self.size = w // 8  # bytes per slot
-        # slots of 2, 4 or 8 bytes are machine words that struct reads and writes
-        fmt = {2: "H", 4: "I", 8: "Q"}.get(self.size)
-        self.words = struct.Struct(f">{r}{fmt}") if fmt else None
-
-    def pack(self, row) -> int:
-        low = self.low
-        if self.words:
-            data = self.words.pack(*[e + low for e in row])
-        else:
-            data = b"".join([(e + low).to_bytes(self.size, "big") for e in row])
-        return int.from_bytes(data, "big")
-
-    def slots(self, p: int):
-        """The stored slot values of a packed row, entry 0 first."""
-        size, data = self.size, p.to_bytes(self.r * self.size, "big")
-        if self.words:
-            return self.words.unpack(data)
-        return [int.from_bytes(data[i : i + size], "big") for i in range(0, len(data), size)]
-
-    def unpack(self, p: int) -> tuple:
-        return tuple(map(self.low.__rsub__, self.slots(p)))
-
-    def fits(self, p: int) -> bool:
-        return not p & self.high
-
-    def wider(self) -> "_RowLayout":
-        """Half again as many bits per slot, for values that outgrew these."""
-        return _row_layout(self.r, -(-self.w * 3 // 16) * 8, self.g)
-
-    def spanning(self, m: int) -> "_RowLayout":
-        """Enough guard bits to sum sides of total multiplicity m, added to
-        the slots, so that the stored values still fit."""
-        g = 2 + (m - 1).bit_length()
-        return _row_layout(self.r, -(-(self.w + g - self.g) // 8) * 8, g)
-
-
-@cache
-def _row_layout(r: int, w: int, g: int) -> _RowLayout:
-    return _RowLayout(r, w, g)
 
 
 class _Rows:
@@ -100,7 +36,7 @@ class _Rows:
 
     __slots__ = ("lay", "ints", "dots", "_view")
 
-    def __init__(self, lay: _RowLayout, ints: tuple, dots=None, view=None):
+    def __init__(self, lay: Layout, ints: tuple, dots=None, view=None):
         self.lay, self.ints, self.dots, self._view = lay, ints, dots, view
 
     @staticmethod
@@ -109,9 +45,7 @@ class _Rows:
         r = len(rows[0]) if rows else 0
         if any(len(row) != r for row in rows):
             raise SeedFormatError("tracker rows must have equal lengths")
-        need = max(-min(map(min, rows), default=0), max(map(max, rows), default=0) + 1, 1)
-        w = max(16, -(-((need - 1).bit_length() + _ROW_GUARD) // 8) * 8)
-        lay = _row_layout(r, w, _ROW_GUARD)
+        lay = fitting(r, min(map(min, rows), default=0), max(map(max, rows), default=0), _ROW_GUARD)
         return _Rows(lay, tuple(map(lay.pack, rows)), view=rows)
 
     def view(self) -> tuple:
@@ -124,11 +58,16 @@ class _Rows:
         return self.lay.unpack(self.ints[k - 1]) if self._view is None else self._view[k - 1]
 
     def spanning(self, m: int) -> "_Rows":
-        """These rows, repacked if a side of total multiplicity m needs
-        more guard bits."""
-        return self if m <= self.lay.span else self.at(self.lay.spanning(m))
+        """These rows, repacked with more guard bits, added to the slots so
+        that the stored values still fit, if a side of total multiplicity m
+        needs them."""
+        lay = self.lay
+        if m <= 1 << lay.g - 2:
+            return self
+        g = 2 + (m - 1).bit_length()
+        return self.at(layout(lay.r, -(-(lay.w + g - lay.g) // 8) * 8, g))
 
-    def at(self, lay: _RowLayout) -> "_Rows":
+    def at(self, lay: Layout) -> "_Rows":
         """These rows repacked by a wider layout."""
         return _Rows(lay, tuple(lay.pack(row) for row in self.view()), self.dots, self._view)
 
@@ -240,7 +179,7 @@ def _side_sum(ints, side) -> int:
     return 0 if total is None else total
 
 
-def _side_sums(lay: _RowLayout, ints, out, inc, m_out: int, m_in: int):
+def _side_sums(lay: Layout, ints, out, inc, m_out: int, m_in: int):
     """Both side sums at the offset mL of the larger total multiplicity."""
     a, b = _side_sum(ints, out), _side_sum(ints, inc)
     if m_out < m_in:
@@ -248,19 +187,6 @@ def _side_sums(lay: _RowLayout, ints, out, inc, m_out: int, m_in: int):
     elif m_in < m_out:
         b += (m_out - m_in) * lay.lows
     return a, b
-
-
-def _at_least(lay: _RowLayout, a: int, b: int) -> bool:
-    """Whether every slot of a is at least that of b, for slots below their
-    top bit: then ``(a | top) - b`` borrows across no slot, and keeps a
-    slot's top bit exactly where a's slot is at least b's."""
-    return (a | lay.top) - b & lay.top == lay.top
-
-
-def _max(lay: _RowLayout, a: int, b: int) -> int:
-    """The slotwise maximum of a and b, for slots below their top bit."""
-    ge = (a | lay.top) - b & lay.top
-    return b ^ (a ^ b) & (ge << 1) - (ge >> lay.w - 1)
 
 
 def _dim_rule(rows: _Rows, k: int, out, inc):
@@ -276,14 +202,14 @@ def _dim_rule(rows: _Rows, k: int, out, inc):
         lay, ints = rows.lay, rows.ints
         a, b = _side_sums(lay, ints, out, inc, m_out, m_in)
         dominated = True
-        if _at_least(lay, a, b):
+        if lay.at_least(a, b):
             cmax = a
-        elif _at_least(lay, b, a):
+        elif lay.at_least(b, a):
             cmax = b
         elif sum(lay.slots(a)) == sum(lay.slots(b)):
             raise AmbiguityError(f"tied arrow-sums at vertex {k} disagree")
         else:
-            cmax, dominated = _max(lay, a, b), False
+            cmax, dominated = lay.max(a, b), False
         new = cmax - ints[k - 1] - (m - 2) * lay.lows
         if lay.fits(new):
             return rows.replaced(k, new), dominated

@@ -5,27 +5,24 @@ arbitrary-precision ints.  Zero coefficients are never stored and the
 monomial order is graded lexicographic, so structural equality is
 mathematical equality and printing is canonical.
 
-Packed monomials.  With r variables and w-bit slots, the exponent vector
-(e_0, ..., e_{r-1}) of total degree d is the int
+Packed monomials.  The exponents sit in the slots of a ``packing.Layout``
+with two guard bits, so each lies in [-2**(w-2), 2**(w-2)), and the total
+degree d sits above them, unbounded and possibly negative:
 
-    d * 2**(r*w) + sum_i (e_i + 2**(w-1)) * 2**((r-1-i)*w)
+    key = d * 2**(r*w) + layout.pack(exponents)
 
-The degree on top is unbounded (and may be negative) and e_0 sits in the
-highest slot, so int order is graded-lex order and a monomial product is
-``k1 + k2 - bias``, where ``bias`` is the key of the monomial 1.  A stored
-exponent lies in [-2**(w-2), 2**(w-2)), which is the case exactly when the
-two top bits of its slot (its guard bits) differ.  A sum or difference of
-two such slots stays inside its w bits, so a result is exact even when an
-exponent leaves that range; every result is checked, and when a check fails
-the operation is redone with its operands re-packed at twice the width.  A
-polynomial is held at the narrowest of 16, 32, 64, ... bits that holds its
-exponents, so equal polynomials have equal keys.
+With e_0 in the highest slot, int order is graded-lex order, the monomial
+1 is ``layout.lows`` and a monomial product is ``k1 + k2 - lows``.  A
+product's slots read e1 + e2 + L in [-L, 3L), inside their w bits, so it is
+exact even when an exponent leaves its range; every result is checked, and
+when a check fails the operation is redone at a wider layout.  A
+polynomial is held at the narrowest layout that holds its exponents, so
+equal polynomials have equal keys.
 """
 
 from __future__ import annotations
 
 import heapq
-from functools import cache
 
 from .errors import (
     ArityMismatchError,
@@ -34,7 +31,9 @@ from .errors import (
     SeedFormatError,
     strict_int,
 )
+from .packing import Layout, fitting, layout
 
+_GUARD = 2  # guard bits per exponent slot
 _BASE_WIDTH = 16
 
 
@@ -42,90 +41,35 @@ class _Overflow(Exception):
     """A result exponent does not fit its slot; redo the operation wider."""
 
 
-class _Layout:
-    """The packing of exponent vectors of one arity in slots of one width."""
-
-    __slots__ = ("r", "w", "half", "bias", "guard", "guards", "low", "quarter", "slots")
-
-    def __init__(self, r: int, w: int):
-        self.r, self.w = r, w
-        self.half = 1 << (w - 1)  # slot value of exponent 0
-        shifts = [(r - 1 - i) * w for i in range(r)]
-        self.bias = sum(self.half << s for s in shifts)
-        # the top bit of every slot, and the top two bits of every slot
-        self.guard = sum(1 << (s + w - 1) for s in shifts)
-        self.guards = self.guard | (self.guard >> 1)
-        self.low = (1 << r * w) - 1  # every slot, without the degree on top
-        self.quarter = self.guard >> 1  # slot value of exponent -2**(w-2)
-        self.slots = tuple((s, ((1 << w) - 1) << s) for s in shifts)
-
-    def pack(self, exps) -> int:
-        k = sum(exps)
-        for e in exps:
-            k = (k << self.w) + e + self.half
-        return k
-
-    def unpack(self, k: int) -> tuple[int, ...]:
-        half = self.half
-        return tuple([((k & m) >> s) - half for s, m in self.slots])
+def _key(lay: Layout, exps) -> int:
+    """The key of the monomial with these exponents."""
+    return (sum(exps) << lay.r * lay.w) + lay.pack(exps)
 
 
-@cache
-def _layout(r: int, w: int) -> _Layout:
-    return _Layout(r, w)
+def _fits(lay: Layout, keys) -> bool:
+    """Whether every slot of every key holds an exponent in range."""
+    return not any(map(lay.high.__and__, keys))
 
 
-def _width_for(lo: int, hi: int) -> int:
-    """The narrowest slot width holding every exponent in [lo, hi]."""
-    need = max(-lo, hi + 1, 1) - 1
-    w = _BASE_WIDTH
-    while need.bit_length() > w - 2:
-        w *= 2
-    return w
-
-
-def _fits(lay: _Layout, keys) -> bool:
-    """Whether every slot of every key holds an exponent in
-    [-2**(w-2), 2**(w-2)), i.e. its two guard bits differ."""
-    g = lay.guard
-    for k in keys:
-        if (k ^ (k << 1)) & g != g:
-            return False
-    return True
-
-
-def _slot_bounds(lay: _Layout, keys, bound) -> list[int]:
+def _slot_bounds(lay: Layout, keys, bound) -> list[int]:
     """Per-variable ``bound`` (min or max) exponent over nonempty keys."""
-    return [(bound(map(m.__and__, keys)) >> s) - lay.half for s, m in lay.slots]
+    return [bound(col) - lay.low for col in zip(*map(lay.slots, keys))]
 
 
-def _min_key(lay: _Layout, keys) -> int:
-    """``lay.pack(_slot_bounds(lay, keys, min))`` for nonempty keys, in one
-    pass over them.
-
-    A stored slot value lies in [2**(w-2), 3 * 2**(w-2)), so less
-    ``quarter`` it lies in [0, 2**(w-1)) and its slot's top bit is free.
-    Then ``(m | guard) - u`` borrows across no slot, and its top bit in a
-    slot is set exactly where the slot of m is at least that of u."""
-    low, quarter, guard, top = lay.low, lay.quarter, lay.guard, lay.w - 1
-    keys = iter(keys)
-    m = (next(keys) & low) - quarter
-    for k in keys:
-        u = (k & low) - quarter
-        ge = ((m | guard) - u) & guard
-        m ^= (m ^ u) & ((ge << 1) - (ge >> top))
-    m += quarter
-    degree = sum([(m & mask) >> s for s, mask in lay.slots]) - lay.r * lay.half
-    return (degree << lay.r * lay.w) + m
+def _min_key(lay: Layout, keys) -> int:
+    """``_key(lay, _slot_bounds(lay, keys, min))`` for nonempty keys, in
+    one pass over them."""
+    m = lay.min(keys)
+    return (sum(lay.unpack(m)) << lay.r * lay.w) + m
 
 
-def _new(lay: _Layout, terms: dict) -> "LaurentPoly":
+def _new(lay: Layout, terms: dict) -> "LaurentPoly":
     """The polynomial with these packed terms (no zero coefficients),
     re-packed at the narrowest width that holds them."""
     if lay.w > _BASE_WIDTH and terms:
         lo = min(_slot_bounds(lay, terms, min))
         hi = max(_slot_bounds(lay, terms, max))
-        narrow = _layout(lay.r, _width_for(lo, hi))
+        narrow = fitting(lay.r, lo, hi, _GUARD)
         if narrow is not lay:
             terms = _repack(terms, lay, narrow)
             lay = narrow
@@ -134,24 +78,24 @@ def _new(lay: _Layout, terms: dict) -> "LaurentPoly":
     return p
 
 
-def _repack(terms: dict, old: _Layout, lay: _Layout) -> dict:
+def _repack(terms: dict, old: Layout, lay: Layout) -> dict:
     if old is lay:
         return terms
-    return {lay.pack(old.unpack(k)): c for k, c in terms.items()}
+    return {_key(lay, old.unpack(k)): c for k, c in terms.items()}
 
 
 def _redo_wider(op, a: "LaurentPoly", b: "LaurentPoly") -> "LaurentPoly":
     """``op(layout, a_terms, b_terms)`` at the wider of the two widths,
-    doubled until no result exponent overflows its slot."""
+    widened until no result exponent overflows its slot."""
     lay = a._lay if a._lay.w >= b._lay.w else b._lay
     while True:
         try:
             return _new(lay, op(lay, _repack(a.terms, a._lay, lay), _repack(b.terms, b._lay, lay)))
         except _Overflow:
-            lay = _layout(lay.r, 2 * lay.w)
+            lay = lay.wider()
 
 
-def _add(lay: _Layout, a: dict, b: dict) -> dict:
+def _add(lay: Layout, a: dict, b: dict) -> dict:
     terms = dict(a)
     get = terms.get
     for k, c in b.items():
@@ -161,10 +105,10 @@ def _add(lay: _Layout, a: dict, b: dict) -> dict:
     return terms
 
 
-def _mul(lay: _Layout, a: dict, b: dict) -> dict:
+def _mul(lay: Layout, a: dict, b: dict) -> dict:
     terms: dict = {}
     get = terms.get
-    b_items = [(k - lay.bias, c) for k, c in b.items()]
+    b_items = [(k - lay.lows, c) for k, c in b.items()]
     for k1, c1 in a.items():
         for k2, c2 in b_items:
             k = k1 + k2
@@ -186,20 +130,20 @@ class LaurentPoly:
         if any(len(e) != arity for e in clean):
             raise ArityMismatchError(f"an exponent vector does not have {arity} entries")
         flat = [x for e in clean for x in e]
-        lay = _layout(arity, _width_for(min(flat, default=0), max(flat, default=0)))
+        lay = fitting(arity, min(flat, default=0), max(flat, default=0), _GUARD)
         self.arity, self._lay, self._hash = arity, lay, None
-        self.terms = {lay.pack(e): c for e, c in clean.items()}
+        self.terms = {_key(lay, e): c for e, c in clean.items()}
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def zero(arity: int) -> "LaurentPoly":
-        return _new(_layout(arity, _BASE_WIDTH), {})
+        return _new(layout(arity, _BASE_WIDTH, _GUARD), {})
 
     @staticmethod
     def const(arity: int, c: int) -> "LaurentPoly":
-        lay = _layout(arity, _BASE_WIDTH)
-        return _new(lay, {lay.bias: c} if c else {})
+        lay = layout(arity, _BASE_WIDTH, _GUARD)
+        return _new(lay, {lay.lows: c} if c else {})
 
     @staticmethod
     def one(arity: int) -> "LaurentPoly":
@@ -210,8 +154,8 @@ class LaurentPoly:
         """The variable y_{idx}, 0-based index."""
         if not (0 <= idx < arity):
             raise IndexError(f"variable index {idx} out of range 0..{arity - 1}")
-        lay = _layout(arity, _BASE_WIDTH)
-        return _new(lay, {lay.bias + (1 << arity * lay.w) + (1 << lay.slots[idx][0]): 1})
+        lay = layout(arity, _BASE_WIDTH, _GUARD)
+        return _new(lay, {lay.lows + (1 << arity * lay.w) + (1 << (arity - 1 - idx) * lay.w): 1})
 
     @staticmethod
     def monomial(arity: int, exps, coeff: int = 1) -> "LaurentPoly":
@@ -290,7 +234,7 @@ class LaurentPoly:
         """Componentwise minimum exponent over all terms (0 if empty)."""
         if not self.terms:
             return (0,) * self.arity
-        return tuple(_slot_bounds(self._lay, self.terms, min))
+        return self._lay.unpack(self._lay.min(self.terms))
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """(exponent tuple, coefficient) pairs in descending graded-lex order."""
@@ -301,7 +245,7 @@ class LaurentPoly:
         return f"LaurentPoly({to_text(self)})"
 
 
-def _divide(lay: _Layout, num: dict, den: dict) -> dict:
+def _divide(lay: Layout, num: dict, den: dict) -> dict:
     """The quotient num / den in the Laurent ring; NotDivisibleError if
     there is none.
 
@@ -310,19 +254,21 @@ def _divide(lay: _Layout, num: dict, den: dict) -> dict:
     a mutable dict with a lazy max-heap of negated keys over its monomials,
     and every term a subtraction creates is graded-lex smaller than the
     term just cancelled, so a popped key with a live coefficient is the
-    true leading term.  Remainder exponents lie in [0, 2**(w-1)) and the
-    shifted divisor's and each quotient term's in [0, 2**(w-2)), so no sum
-    or difference below leaves its slot.  A single-term divisor needs no
-    special case: each popped term cancels itself and nothing else."""
-    bias, guard, guards = lay.bias, lay.guard, lay.guards
-    num_shift = bias - _min_key(lay, num)
-    den_shift = bias - _min_key(lay, den)
+    true leading term.  Remainder exponents lie in [0, 2L) and the shifted
+    divisor's in [0, L), so a quotient term's slot reads its exponent + L
+    in [1, 3L) and borrows from no other: its top two bits read 00 for a
+    negative exponent, 01 for one in range and 10 for one that overflows.
+    A single-term divisor needs no special case: each popped term cancels
+    itself and nothing else."""
+    lows = lay.lows
+    num_shift = lows - _min_key(lay, num)
+    den_shift = lows - _min_key(lay, den)
     den = {k + den_shift: c for k, c in den.items()}
     if not _fits(lay, den):
         raise _Overflow
     lead = max(den)
     lead_c = den[lead]
-    den_items = [(k - bias, c) for k, c in den.items()]
+    den_items = [(k - lows, c) for k, c in den.items()]
     rem = {k + num_shift: c for k, c in num.items()}
     heap = [-k for k in rem]
     heapq.heapify(heap)
@@ -332,9 +278,9 @@ def _divide(lay: _Layout, num: dict, den: dict) -> dict:
         c = rem.get(k)
         if c is None:
             continue
-        q = k - lead + bias
-        if q & guards != guard:
-            if q & guard != guard:  # an exponent of the quotient term is negative
+        q = k - lead + lows
+        if q & lows != lows:  # a slot reads 00 or 10
+            if (q | q >> 1) & lows != lows:  # an exponent of the quotient term is negative
                 raise NotDivisibleError("nonzero remainder in exact division")
             raise _Overflow
         q_c, r = divmod(c, lead_c)
@@ -352,8 +298,8 @@ def _divide(lay: _Layout, num: dict, den: dict) -> dict:
             else:
                 heapq.heappush(heap, -t)
                 rem[t] = -q_c * dc
-    # Shifting back can push a slot past its range, even into its upper
-    # neighbour; such a slot then reads 00 or 11 in its guard bits.
+    # Shifting back can push a slot past its range, a negative one with a
+    # borrow from its upper neighbour; the lowest such slot shows it.
     back = den_shift - num_shift
     quot = {k + back: c for k, c in quot.items()}
     if not _fits(lay, quot):

@@ -69,6 +69,36 @@ def test_build_non_integer_t_exits_2(kron_file, capsys, t):
     assert "InputFormatError" in err and "--t" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["minors", "--n", " +3", "--mode", "table"],
+        ["minors", "--n", "2_0"],
+        ["euler", "QUIVER", "--t", "2,1,1", "--k", "0_1"],
+        ["euler", "QUIVER", "--t", "2,1,1", "--k", "+1"],
+        ["mutate", "seed.json", "1", " 2"],
+        ["mutate", "seed.json", "1_0"],
+        ["mutate", "seed.json", "٢"],
+    ],
+)
+def test_integer_arguments_are_read_strictly(kron_file, monkeypatch, capsys, argv):
+    """An integer argument is spelled as JSON spells one: argparse refuses
+    any other spelling that int() takes, so the command never runs (a
+    command returns its exit code; only the parser exits).  ``minors --n
+    2_0`` would otherwise start an n = 20 report."""
+
+    def refused(*args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(reference, "minors_report", refused)
+    argv = [kron_file if a == "QUIVER" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid strict_int value" in err
+
+
 def test_build_dot(kron_file, capsys):
     assert cli.main(["build", kron_file, "--t", "2,1,1", "--format", "dot"]) == 0
     assert "digraph" in capsys.readouterr().out

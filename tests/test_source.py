@@ -146,6 +146,13 @@ def test_no_dataclasses_in_src():
     assert _imports({"a": sample}, "dataclasses") == ["a:1", "a:3"]
 
 
+def test_only_packing_packs_slots():
+    """One slot layout serves every packed vector: only ``packing``
+    imports ``struct``."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert [site.split(":")[0] for site in _imports(trees, "struct")] == ["packing"]
+
+
 def test_the_guard_resolves_module_names():
     """A definition named only through another module's namesake is
     reported; one named through its own module is not.  Private

@@ -89,18 +89,19 @@ def test_euler_loads_no_laurent_cluster_path_or_minors_module(tmp_path):
         out, loaded = run_cli(["euler", str(quiver), "--t", "2,1,1", "--k", "2", "--format", fmt], tmp_path)
         assert out.startswith("{") if fmt == "json" else "w[" in out
         assert "euler" in loaded
-        assert not loaded & {"laurent", "cluster", "exchange", "rigidpath", "minors", "reference"}, loaded
+        assert not loaded & {"packing", "laurent", "cluster", "exchange", "rigidpath", "minors", "reference"}, loaded
         assert not loaded & {"dataclasses", "fractions"}, loaded
 
 
 def test_path_without_expansion_loads_no_laurent_or_dataclasses(tmp_path):
     """A tracker-only path follows labels, matrices and trackers: the
-    Laurent kernel is never called, so it is never loaded."""
+    Laurent kernel is never called, so it is never loaded, while the
+    packed tracker rows load the slot layout."""
     quiver = tmp_path / "kronecker3.json"
     quiver.write_text(json.dumps({"n": 3, "arrows": [[1, 2], [1, 2], [2, 3]]}))
     out, loaded = run_cli(["path", str(quiver), "--t", "3,3,2", "--no-expand", "--format", "json"], tmp_path)
     assert json.loads(out)["length"] == 15
-    assert {"cluster", "exchange", "rigidpath"} <= loaded
+    assert {"cluster", "exchange", "rigidpath", "packing"} <= loaded
     assert not loaded & {"laurent", "dataclasses", "inspect"}, loaded
 
 
@@ -113,4 +114,4 @@ def test_path_count_only_loads_no_cluster_exchange_rigidpath_or_laurent(tmp_path
         out, loaded = run_cli(["path", str(quiver), "--t", "3,3,2", "--count-only", "--format", fmt], tmp_path)
         assert out == want
         assert "mesh" in loaded
-        assert not loaded & {"cluster", "exchange", "rigidpath", "laurent"}, loaded
+        assert not loaded & {"cluster", "exchange", "rigidpath", "packing", "laurent"}, loaded
