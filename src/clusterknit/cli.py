@@ -157,10 +157,10 @@ def cmd_path(args) -> int:
         emit(jsontext.dumps(rigidpath.result_to_json(res)), args, "path_report.json")
         return 0
     lines = [f"schedule length r(M) = {len(sch)}"]
-    for st in res.steps:
+    for st, relation in zip(res.steps, rigidpath.relation_texts(res.steps)):
         lines.append(
             f"step {st.index}: {st.identity.main[0]!r} -> {st.identity.main[1]!r}  "
-            f"{rigidpath.relation_text(st)}  Max-dominated: {st.dominated}"
+            f"{relation}  Max-dominated: {st.dominated}"
         )
     lines.append(
         "final labels: " + " ".join(repr(l) for l in res.seed.labels)

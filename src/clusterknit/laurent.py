@@ -18,6 +18,13 @@ exact even when an exponent leaves its range; every result is checked, and
 when a check fails the operation is redone at a wider layout.  A
 polynomial is held at the narrowest layout that holds its exponents, so
 equal polynomials have equal keys.
+
+Kernels.  A product adds the keys of every pair of terms into one dict.
+A square (``__pow__``) takes only the pairs i <= j and doubles the cross
+terms, so it makes half the pairs; redone wider, it is still a square.
+Exact division is long division over a heap of the remainder's keys
+(``_divide``).  Term maps are kept in no order: text output sorts them,
+and a JSON report sorts its keys.
 """
 
 from __future__ import annotations
@@ -84,13 +91,16 @@ def _repack(terms: dict, old: Layout, lay: Layout) -> dict:
     return {_key(lay, old.unpack(k)): c for k, c in terms.items()}
 
 
-def _redo_wider(op, a: "LaurentPoly", b: "LaurentPoly") -> "LaurentPoly":
-    """``op(layout, a_terms, b_terms)`` at the wider of the two widths,
+def _redo_wider(op, *polys: "LaurentPoly") -> "LaurentPoly":
+    """``op(layout, *term maps)`` at the widest of the polynomials' widths,
     widened until no result exponent overflows its slot."""
-    lay = a._lay if a._lay.w >= b._lay.w else b._lay
+    lay = polys[0]._lay
+    for p in polys:
+        if p._lay.w > lay.w:
+            lay = p._lay
     while True:
         try:
-            return _new(lay, op(lay, _repack(a.terms, a._lay, lay), _repack(b.terms, b._lay, lay)))
+            return _new(lay, op(lay, *[_repack(p.terms, p._lay, lay) for p in polys]))
         except _Overflow:
             lay = lay.wider()
 
@@ -113,6 +123,30 @@ def _mul(lay: Layout, a: dict, b: dict) -> dict:
         for k2, c2 in b_items:
             k = k1 + k2
             terms[k] = get(k, 0) + c1 * c2
+    return _product(lay, terms)
+
+
+def _square(lay: Layout, a: dict) -> dict:
+    """``_mul(lay, a, a)`` from the pairs i <= j of a's terms: each term's
+    own square once and each cross term once, doubled, so half of
+    ``_mul``'s pairs."""
+    terms: dict = {}
+    get = terms.get
+    lows = lay.lows
+    items = [(k - lows, c) for k, c in a.items()]
+    for i, (k1, c1) in enumerate(a.items()):
+        k = k1 + k1 - lows
+        terms[k] = get(k, 0) + c1 * c1
+        c1 += c1
+        for k2, c2 in items[i + 1 :]:
+            k = k1 + k2
+            terms[k] = get(k, 0) + c1 * c2
+    return _product(lay, terms)
+
+
+def _product(lay: Layout, terms: dict) -> dict:
+    """A product's terms without its cancelled ones; _Overflow where an
+    exponent left its slot."""
     if 0 in terms.values():
         terms = {k: c for k, c in terms.items() if c}
     if not _fits(lay, terms):
@@ -210,18 +244,22 @@ class LaurentPoly:
         return _new(self._lay, {k: c * v for k, v in self.terms.items()} if c else {})
 
     def __pow__(self, k: int) -> "LaurentPoly":
+        """Binary powering: each squaring runs ``_square`` over the pairs
+        i <= j of the base's terms, and each product that takes in a set
+        bit of k is a ``*``; the first factor is taken as it is, not times
+        1."""
         if k < 0:
             return exact_div(LaurentPoly.one(self.arity), self ** (-k))
         if not k:
             return LaurentPoly.one(self.arity)
-        result, base = None, self  # the first factor is taken as it is, not times 1
+        result, base = None, self
         while True:
             if k & 1:
                 result = base if result is None else result * base
             k >>= 1
             if not k:
                 return result
-            base = base * base
+            base = _redo_wider(_square, base)
 
     # -- inspection --------------------------------------------------------
 
@@ -235,6 +273,11 @@ class LaurentPoly:
         if not self.terms:
             return (0,) * self.arity
         return self._lay.unpack(self._lay.min(self.terms))
+
+    def exponent_map(self) -> dict:
+        """exponent tuple -> coefficient, in the polynomial's own term order."""
+        terms = self.terms
+        return dict(zip(map(self._lay.unpack, terms), terms.values()))
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """(exponent tuple, coefficient) pairs in descending graded-lex order."""
@@ -251,15 +294,24 @@ def _divide(lay: Layout, num: dict, den: dict) -> dict:
 
     Both sides are shifted by their componentwise minimum exponents, so
     the question becomes polynomial long division: the remainder lives in
-    a mutable dict with a lazy max-heap of negated keys over its monomials,
-    and every term a subtraction creates is graded-lex smaller than the
-    term just cancelled, so a popped key with a live coefficient is the
-    true leading term.  Remainder exponents lie in [0, 2L) and the shifted
-    divisor's in [0, L), so a quotient term's slot reads its exponent + L
-    in [1, 3L) and borrows from no other: its top two bits read 00 for a
-    negative exponent, 01 for one in range and 10 for one that overflows.
-    A single-term divisor needs no special case: each popped term cancels
-    itself and nothing else."""
+    a mutable dict, and a heap of negated keys holds each of its keys
+    exactly once.  Every term an update creates is graded-lex smaller than
+    the term just popped, so the popped key is the leading term; a term
+    that cancels stays in the dict at 0 until it is popped and skipped.
+    The popped term is divided out whole, so the update for the divisor's
+    leading term is never made, and each other update probes the dict once.
+
+    Remainder exponents lie in [0, 2L) and the shifted divisor's in
+    [0, L), so a quotient term's slot reads its exponent + L in [1, 3L)
+    and borrows from no other: its top two bits read 00 for a negative
+    exponent, 01 for one in range and 10 for one that overflows.  So a
+    divisor that spans L or more in some variable is redone wider.  Kept
+    here, its quotient slots could wrap below 0, borrow from their
+    neighbour and read 11, which passes as in range: the keys stay exact as
+    integers, so the division would still end right, but only after
+    stepping down through negative exponents for about L pops.  A
+    single-term divisor needs no special case: each popped term is divided
+    out and nothing else changes."""
     lows = lay.lows
     num_shift = lows - _min_key(lay, num)
     den_shift = lows - _min_key(lay, den)
@@ -267,16 +319,17 @@ def _divide(lay: Layout, num: dict, den: dict) -> dict:
     if not _fits(lay, den):
         raise _Overflow
     lead = max(den)
-    lead_c = den[lead]
-    den_items = [(k - lows, c) for k, c in den.items()]
+    lead_c = den.pop(lead)
+    rest = [(k - lows, -c) for k, c in den.items()]
     rem = {k + num_shift: c for k, c in num.items()}
     heap = [-k for k in rem]
     heapq.heapify(heap)
+    heappop, heappush, get, pop = heapq.heappop, heapq.heappush, rem.get, rem.pop
     quot = {}
     while heap:
-        k = -heapq.heappop(heap)
-        c = rem.get(k)
-        if c is None:
+        k = -heappop(heap)
+        c = pop(k)
+        if not c:
             continue
         q = k - lead + lows
         if q & lows != lows:  # a slot reads 00 or 10
@@ -287,17 +340,14 @@ def _divide(lay: Layout, num: dict, den: dict) -> dict:
         if r:
             raise NotDivisibleError("nonzero remainder in exact division")
         quot[q] = q_c
-        for dk, dc in den_items:
+        for dk, dc in rest:
             t = q + dk
-            if t in rem:
-                v = rem[t] - q_c * dc
-                if v:
-                    rem[t] = v
-                else:
-                    del rem[t]
+            v = get(t)
+            if v is None:
+                heappush(heap, -t)
+                rem[t] = q_c * dc
             else:
-                heapq.heappush(heap, -t)
-                rem[t] = -q_c * dc
+                rem[t] = v + q_c * dc
     # Shifting back can push a slot past its range, a negative one with a
     # borrow from its upper neighbour; the lowest such slot shows it.
     back = den_shift - num_shift
@@ -453,11 +503,11 @@ def to_text(p: LaurentPoly, names=None) -> str:
 
 
 def to_json_terms(p: LaurentPoly) -> dict:
-    """JSON term map: ','-joined exponent vector -> coefficient string."""
-    return {
-        ",".join(map(str, exps)): str(coeff)
-        for exps, coeff in p.sorted_terms()
-    }
+    """JSON term map: ','-joined exponent vector -> coefficient string, in
+    the polynomial's own term order (a JSON report sorts its keys)."""
+    lay = p._lay
+    slots, exponent = lay.slots, lay.low.__rsub__
+    return {",".join(map(str, map(exponent, slots(k)))): str(c) for k, c in p.terms.items()}
 
 
 def from_json_terms(arity: int, data: dict) -> LaurentPoly:

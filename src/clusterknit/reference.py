@@ -221,7 +221,7 @@ def cross_checks(cat):
     for k in range(1, cat.r + 1):
         phi = euler.evaluate_phi(euler.g_module(cat, ordering, k), seq)
         key = minors.w_minor(word.letters[:k], word.letters[k - 1], n + 1)
-        results.append((k, phi == (dict(flag[key].sorted_terms()) if key in flag else {})))
+        results.append((k, phi == (flag[key].exponent_map() if key in flag else {})))
     return results
 
 

@@ -202,14 +202,29 @@ def pbw_expand(cat: mesh.CategoryModel, lbl: IntervalLabel) -> LaurentPoly:
 # -- reporting ---------------------------------------------------------------
 
 
-def relation_text(step: PathStep) -> str:
-    main, sides = step.identity.main, step.identity.sides
+class _LabelTexts(dict):
+    """Each label's text, formatted on its first lookup."""
+
+    def __missing__(self, label):
+        text = self[label] = repr(label)
+        return text
+
+
+def relation_texts(steps) -> list[str]:
+    """The exchange relation of each step as text, each side's labels sorted
+    by their text (not as tuples: the two orders differ once an index
+    reaches 10); every label is formatted once for all the steps."""
+    text = _LabelTexts()
 
     def fmt(side):
-        # label reprs are distinct, so the multiplicity never breaks a tie
-        return cluster.monomial_text(sorted((repr(l), m) for l, m in side.items()))
+        # label texts are distinct, so the multiplicity never breaks a tie
+        return cluster.monomial_text(sorted(zip(map(text.__getitem__, side), side.values())))
 
-    return f"{main[0]!r}*{main[1]!r} = {fmt(sides[0])} + {fmt(sides[1])}"
+    lines = []
+    for step in steps:
+        (old, new), (left, right) = step.identity.main, step.identity.sides
+        lines.append(f"{text[old]}*{text[new]} = {fmt(left)} + {fmt(right)}")
+    return lines
 
 
 def result_to_json(res: PathResult) -> dict:
@@ -222,10 +237,10 @@ def result_to_json(res: PathResult) -> dict:
                 "position": s.position,
                 "old": list(s.identity.main[0]),
                 "new": list(s.identity.main[1]),
-                "relation": relation_text(s),
+                "relation": relation,
                 "dominated": s.dominated,
             }
-            for s in res.steps
+            for s, relation in zip(res.steps, relation_texts(res.steps))
         ],
         "final_labels": [list(l) for l in res.seed.labels],
         "final_seed": cluster.to_json(res.seed),

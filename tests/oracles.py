@@ -13,10 +13,11 @@ expansion, the Euler trie walk that pops every prefix, the rescanning
 stage DAG, the upward dimension-vector knitting and per-row hom knitting,
 the zero-started tracker side sums, the per-label determinantal identity
 with its ``Counter`` sides, the per-label projected dimension vector, the
-sorted series text and the rescanning topological order are the kernels
-that ``minors``, ``euler``, ``mesh``, ``cluster``, ``rigidpath`` and
-``quiver`` replaced; they live on here as differential oracles, beside
-small helpers that only the tests call.
+sorted series text, the sorted Laurent JSON term map and the rescanning
+topological order are the kernels that ``minors``, ``euler``, ``mesh``,
+``cluster``, ``rigidpath``, ``laurent`` and ``quiver`` replaced; they live
+on here as differential oracles, beside small helpers that only the tests
+call.
 """
 
 import heapq
@@ -415,6 +416,15 @@ def tuple_exact_div(num, den):
         _tuple_shift(den, tuple(-m for m in den_min)),
     )
     return _tuple_shift(quot, tuple(n - d for n, d in zip(num_min, den_min)))
+
+
+def sorted_json_terms(p: LaurentPoly) -> dict:
+    """The JSON term map of p built from its terms in descending graded-lex
+    order, each exponent tuple unpacked and joined."""
+    return {
+        ",".join(map(str, exps)): str(coeff)
+        for exps, coeff in p.sorted_terms()
+    }
 
 
 def tuple_mutate_vars(m: ExchangeMatrix, variables, k: int):

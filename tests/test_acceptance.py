@@ -127,9 +127,9 @@ def test_criterion_05_exchange_pbw(kronecker3):
     done = timed(1)
     cat = kronecker3
     res = run_path(initial_seed(cat), make_schedule(cat.terminal))
-    from clusterknit.rigidpath import relation_text
+    from clusterknit.rigidpath import relation_texts
 
-    texts = [relation_text(s) for s in res.steps]
+    texts = relation_texts(res.steps)
     for relation in reference.EXCHANGE_RELATIONS:
         assert relation in texts
     assert pbw_expand(cat, L(1, 0, 2)) == reference.pbw_expansion(cat)

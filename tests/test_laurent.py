@@ -3,9 +3,9 @@ import random
 import signal
 
 import pytest
-from oracles import TupleLaurent, mutable, tuple_exact_div, tuple_mutate_vars
+from oracles import TupleLaurent, mutable, sorted_json_terms, tuple_exact_div, tuple_mutate_vars
 
-from clusterknit import cluster, laurent, packing, reference
+from clusterknit import cluster, jsontext, laurent, packing, reference
 from clusterknit.errors import (
     ArityMismatchError,
     NegativeExponentSubstitutionError,
@@ -292,19 +292,26 @@ def test_exact_div_round_trip_random():
 
 
 def test_pow_squares_only_while_bits_remain(monkeypatch):
+    """Binary powering: one square per bit of k below the top one, and one
+    product per set bit after the first."""
     calls = []
-    mul = LaurentPoly.__mul__
+    mul, square = LaurentPoly.__mul__, laurent._square
 
-    def counted(a, b):
-        calls.append(1)
+    def counted_mul(a, b):
+        calls.append("mul")
         return mul(a, b)
 
-    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    def counted_square(lay, a):
+        calls.append("square")
+        return square(lay, a)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted_mul)
+    monkeypatch.setattr(laurent, "_square", counted_square)
     p = LaurentPoly.variable(0, 2) + LaurentPoly.one(2)
-    for k, muls in ((1, 0), (2, 1), (3, 2), (4, 2)):
+    for k, squares, muls in ((1, 0, 0), (2, 1, 0), (3, 1, 1), (4, 2, 0), (7, 2, 2)):
         calls.clear()
         p ** k
-        assert len(calls) == muls, k
+        assert (calls.count("square"), calls.count("mul")) == (squares, muls), k
     assert p ** 1 is p  # the first factor is taken as it is
 
 
@@ -414,6 +421,108 @@ def test_packed_kernel_matches_the_tuple_oracle():
         else:
             assert exact_div(num, q).sorted_terms() == want
     assert wide > 100 and refused > 100, (wide, refused)
+
+
+def test_square_matches_the_product_of_a_distinct_copy():
+    """``p ** 2`` runs ``_square`` over the pairs i <= j of p's terms and
+    ``p * copy`` runs ``_mul`` over all pairs: the two agree term for term
+    and layout for layout, also where the square overflows 16-bit slots and
+    is redone wider, and where square and cross terms cancel."""
+    rng = random.Random(61)
+    redone = 0
+    for _ in range(600):
+        arity = rng.randint(1, 14)
+        p = wide_poly(rng, arity, nterms=rng.choice((1, 4, 12)))
+        copy = LaurentPoly(arity, dict(p.sorted_terms()))
+        assert copy is not p and copy.terms is not p.terms
+        square, product = p ** 2, p * copy
+        assert square.terms == product.terms and square._lay is product._lay
+        redone += p._lay.w == 16 and square._lay.w > 16
+    assert redone > 20, redone
+    # (y^2 + 2y - 2)^2: the y^2 term 2 * 1 * (-2) + 2^2 cancels
+    p = LaurentPoly(1, {(2,): 1, (1,): 2, (0,): -2})
+    assert (p ** 2).sorted_terms() == [((4,), 1), ((3,), 4), ((1,), -8), ((0,), 4)]
+    assert p ** 2 == p * LaurentPoly(1, dict(p.sorted_terms()))
+
+
+def test_long_division_matches_the_tuple_oracle():
+    """The long division alone, with no value test in front, against the
+    tuple oracle: both divide alike or both refuse.  Small dense factors make
+    remainder terms cancel and come back; unit monomials around the slot
+    limits move both sides across layouts."""
+    rng = random.Random(71)
+    exact = refused = 0
+    for _ in range(1500):
+        arity = rng.randint(1, 4)
+        den = rand_poly(rng, arity, nterms=6, allow_neg=True)
+        f = rand_poly(rng, arity, nterms=8, allow_neg=True)
+        num = f * den
+        if rng.random() < 0.5:
+            num = num + rand_poly(rng, arity, nterms=2, allow_neg=True)
+        for side in range(rng.randint(0, 2)):
+            unit = LaurentPoly.monomial(arity, [rng.choice((1, -1)) * rng.choice(CENTRES) for _ in range(arity)])
+            num, den = (num * unit, den) if side else (num, den * unit)
+        if num.is_zero() or den.is_zero():
+            continue
+        try:
+            want = tuple_exact_div(TupleLaurent.of(num), TupleLaurent.of(den)).sorted_terms()
+        except NotDivisibleError:
+            refused += 1
+            with pytest.raises(NotDivisibleError):
+                laurent._redo_wider(laurent._divide, num, den)
+        else:
+            exact += 1
+            assert laurent._redo_wider(laurent._divide, num, den).sorted_terms() == want
+    assert exact > 500 and refused > 300, (exact, refused)
+
+
+def test_a_divisor_spanning_its_slot_range_is_divided_wider():
+    """y^(-L) + y^(L-1) at 24 bits (L = 2**22) spans 2L - 1 in y, so shifted
+    by its minimum it does not fit its slots, and the division is redone
+    wider.  Run at 24 bits, (1 - y^8) / (y^(-L) + y^(L-1)), which passes
+    all four value tests, would read a wrapped negative quotient slot as in
+    range and step down through about L remainder terms before refusing."""
+    def too_slow(signum, frame):
+        raise TimeoutError("exact_div ran for more than one second")
+
+    big = 1 << 22
+    y0, one = y(0, 2), LaurentPoly.one(2)
+    den = LaurentPoly(2, {(-big, 0): 1, (big - 1, 0): 1})
+    num = one - y0 ** 8
+    assert den._lay.w == num._lay.w + 8 == 24
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        with pytest.raises(NotDivisibleError):
+            exact_div(num, den)
+        signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    f = y(1, 2) - LaurentPoly.const(2, 3)
+    assert exact_div(den * f, den) == f
+
+
+def test_json_terms_match_the_sorted_oracle_at_every_slot_width():
+    """The term map formatted straight from the packed slots, in the
+    polynomial's own term order, is the sorted oracle's map, and a report
+    writes both alike: 16- and 32-bit slots are read through struct, 24-
+    and 40-bit ones through bytes."""
+    rng = random.Random(67)
+    for w in (16, 24, 32, 40):
+        edge = 1 << (w - 2)
+        for _ in range(60):
+            arity = rng.randint(1, 9)
+            terms = {(-edge,) + (0,) * (arity - 1): rng.randint(1, 9)}
+            for _ in range(rng.randint(0, 12)):
+                exps = tuple(rng.choice((-edge, edge - 1, 0, 1, -1, rng.randrange(-edge, edge))) for _ in range(arity))
+                terms[exps] = rng.choice((1, -1)) * rng.randint(1, 10**30)
+            p = LaurentPoly(arity, terms)
+            assert p._lay.w == w
+            got, want = to_json_terms(p), sorted_json_terms(p)
+            assert got == want
+            assert jsontext.dumps({"vars": [got]}) == jsontext.dumps({"vars": [want]})
+            assert from_json_terms(arity, got) == p
 
 
 def test_wide_results_compare_equal_to_narrow_ones():

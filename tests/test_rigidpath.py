@@ -25,7 +25,7 @@ from clusterknit.rigidpath import (
     pbw_expand,
     qm_adapted_order,
     qm_op,
-    relation_text,
+    relation_texts,
     result_to_json,
     run_path,
     schedule_length,
@@ -161,8 +161,8 @@ def test_relation_text_matches_the_oracle(five_vertex):
         td = cat.terminal
         res = run_path(initial_seed(cat, with_vars=False), make_schedule(td))
         assert len(res.steps) == schedule_length(td)
-        for st in res.steps:
-            assert relation_text(st) == _oracle_relation(td, st.identity.main[0])
+        for st, text in zip(res.steps, relation_texts(res.steps), strict=True):
+            assert text == _oracle_relation(td, st.identity.main[0])
 
 
 def test_qm_op_is_built_once(monkeypatch, kronecker3):
