@@ -14,6 +14,7 @@ __all__ = [
     "euler",
     "exchange",
     "jsontext",
+    "labels",
     "laurent",
     "mesh",
     "minors",

@@ -112,7 +112,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_mutate(args) -> int:
-    from . import cluster, exchange, jsontext
+    from . import cluster, exchange
 
     cur = cluster.from_json(read_json(args.seed))
     memo = cluster.ExchangeMemo()  # this walk's relations, dropped on return
@@ -126,6 +126,8 @@ def cmd_mutate(args) -> int:
             steps.append(cluster.trace_line(cur, k, new, sides, memo))
         cur = new
     if args.format == "json":
+        from . import jsontext
+
         data = {"steps": steps, "final": cluster.to_json(cur)}
         emit(jsontext.dumps(data), args, "mutation_trace.json")
         return 0
@@ -157,14 +159,9 @@ def cmd_path(args) -> int:
         emit(jsontext.dumps(rigidpath.result_to_json(res)), args, "path_report.json")
         return 0
     lines = [f"schedule length r(M) = {len(sch)}"]
-    for st, relation in zip(res.steps, rigidpath.relation_texts(res.steps)):
-        lines.append(
-            f"step {st.index}: {st.identity.main[0]!r} -> {st.identity.main[1]!r}  "
-            f"{relation}  Max-dominated: {st.dominated}"
-        )
-    lines.append(
-        "final labels: " + " ".join(repr(l) for l in res.seed.labels)
-    )
+    for st, (old, new, relation) in zip(res.steps, rigidpath.relation_texts(res.steps)):
+        lines.append(f"step {st.index}: {old} -> {new}  {relation}  Max-dominated: {st.dominated}")
+    lines.append("final labels: " + " ".join(repr(l) for l in res.seed.labels))
     emit("\n".join(lines), args, "path_report.txt")
     return 0
 

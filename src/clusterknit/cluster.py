@@ -20,10 +20,9 @@ from __future__ import annotations
 from operator import mul
 
 from . import exchange as ex
-from . import mesh
 from .errors import AmbiguityError, SeedFormatError
+from .labels import IntervalLabel, LabelTexts
 from .packing import Layout, fitting, layout
-from .quiver import Quiver
 
 
 _ROW_GUARD = 8  # guard bits per slot of a packed tracker row
@@ -126,18 +125,15 @@ class Seed:
     def r(self) -> int:
         return self.matrix.r
 
-    def var_name(self, p: int) -> str:
-        """The name of the variable at position p (1-based): its label, or
-        ``y<p>`` where it has none."""
-        label = None if self.labels is None else self.labels[p - 1]
-        return f"y{p}" if label is None else repr(label)
-
 
 def initial_seed(cat: mesh.CategoryModel, ordering=None, with_vars: bool = True) -> Seed:
     """Seed of T_M: fresh indeterminates labeled T_{i,[a,t_i]}, exchange
     matrix B(Gamma_M^*), frozen at the n vertices with a = 0, and both
     trackers filled from the mesh data.  Seed position s holds the vertex
     ``ordering[s]`` (canonical when omitted)."""
+    from . import mesh
+    from .quiver import Quiver
+
     positions = mesh.validate_ordering(cat, cat.vertices if ordering is None else ordering)
     r = cat.r
     seat = sorted(range(r), key=positions.__getitem__)  # canonical position -> seed position
@@ -145,21 +141,17 @@ def initial_seed(cat: mesh.CategoryModel, ordering=None, with_vars: bool = True)
     ordered = [cat.vertices[p] for p in positions]
     frozen = frozenset(s for s, (_, a) in enumerate(ordered, 1) if a == 0)
     t_of = cat.terminal.level
-    labels = tuple(mesh.IntervalLabel(i, a, t_of(i)) for i, a in ordered)
+    labels = tuple(IntervalLabel(i, a, t_of(i)) for i, a in ordered)
     variables = None
     if with_vars:
         from .laurent import LaurentPoly
 
         variables = tuple(LaurentPoly.variable(k, r) for k in range(r))
     dims = mesh.top_dimvecs(cat, positions)
-    return Seed(
-        matrix=ex.b_matrix(Quiver(r, arrows), frozen),
-        vars=variables,
-        labels=labels,
-        dim_trackers=tuple(dims[p] for p in positions),
-        delta_trackers=tuple(mesh.delta_support(cat, l, positions) for l in labels),
-        d_delta=mesh.delta_dims(cat, positions),
-    )
+    return Seed(matrix=ex.b_matrix(Quiver(r, arrows), frozen), vars=variables, labels=labels,
+                dim_trackers=tuple(dims[p] for p in positions),
+                delta_trackers=tuple(mesh.delta_support(cat, l, positions) for l in labels),
+                d_delta=mesh.delta_dims(cat, positions))
 
 
 def _replace_at(values: tuple, k: int, value) -> tuple:
@@ -189,13 +181,12 @@ def _side_sums(lay: Layout, ints, out, inc, m_out: int, m_in: int):
     return a, b
 
 
-def _dim_rule(rows: _Rows, k: int, out, inc):
+def _dim_rule(rows: _Rows, k: int, out, inc, m_out: int, m_in: int):
     """d_k* = -d_k + max(out-sum, in-sum), componentwise, and whether one
     arrow-sum dominates the other componentwise, i.e. whether Max could
     replace max.  A dominating side that differs from the other has the
     larger total, so only an undominated pair can tie.  Redone at a wider
     layout while d_k* does not fit its slots."""
-    m_out, m_in = sum(out.values()), sum(inc.values())
     m = max(m_out, m_in)
     rows = rows.spanning(m)
     while True:
@@ -216,7 +207,7 @@ def _dim_rule(rows: _Rows, k: int, out, inc):
         rows = rows.at(lay.wider())
 
 
-def _delta_rule(rows: _Rows, d_delta, k: int, out, inc) -> _Rows:
+def _delta_rule(rows: _Rows, d_delta, k: int, out, inc, m_out: int, m_in: int) -> _Rows:
     """Delta*_k = -Delta_k + the arrow-sum whose dot product with d_Delta
     is larger (equivalently, the branch keeping every entry nonnegative).
     A side's dot product is the sum of its rows' own, which the rows keep;
@@ -229,7 +220,6 @@ def _delta_rule(rows: _Rows, d_delta, k: int, out, inc) -> _Rows:
     dots = rows.dots
     dot_out = sum([m * dots[i - 1] for i, m in out.items()])
     dot_in = sum([m * dots[i - 1] for i, m in inc.items()])
-    m_out, m_in = sum(out.values()), sum(inc.values())
     rows = rows.spanning(max(m_out, m_in))
     if dot_out > dot_in:
         side, dot, m = out, dot_out, m_out
@@ -262,29 +252,40 @@ def _exchange_quotient(s: Seed, k: int, out, inc) -> LaurentPoly:
     return exact_div(product(out) + product(inc), s.vars[k - 1])
 
 
+def _multiset(variables, side) -> frozenset:
+    """An exchange side as the multiset of its variables: (variable, total
+    multiplicity) pairs, equal variables at two positions added up."""
+    counts: dict = {}
+    for i, m in side.items():
+        v = variables[i - 1]
+        counts[v] = counts.get(v, 0) + m
+    return frozenset(counts.items())
+
+
 class ExchangeMemo:
     """The exchange relations one walk has divided out, and the text of
-    each variable and tracker row it has printed, all keyed by value (a
-    packed row with its layout).
+    each variable, tracker row and position name it has printed, all keyed
+    by value (a packed row with its layout).
 
-    A relation's key is the old variable at k and both sides as
-    ``((variable, multiplicity), ...)`` in position order; its value is the
-    new variable, which the key determines.  Mutation is an involution, so
-    the quotient y_k' of (y_k, out, in) also gives the exact entry
-    (y_k', in, out) -> y_k, the relation that mutating back at k meets.
-    A memo lives as long as the walk that owns it."""
+    A relation's key is the old variable at k and both sides as multisets
+    (``_multiset``), so a relation met again with its variables at other
+    positions is not divided again; its value is the new variable, which
+    the key determines.  Mutation is an involution, so the quotient y_k' of
+    (y_k, out, in) also gives the exact entry (y_k', in, out) -> y_k, the
+    relation that mutating back at k meets: each exchange pair is divided
+    once.  A memo lives as long as the walk that owns it."""
 
-    __slots__ = ("quotients", "variables", "texts")
+    __slots__ = ("quotients", "variables", "texts", "names")
 
     def __init__(self):
         self.quotients: dict = {}
         self.variables: dict = {}
         self.texts: dict = {}
+        self.names = LabelTexts()  # position names, keyed by label or by unlabelled position
 
     def quotient(self, s: Seed, k: int, out, inc) -> LaurentPoly:
         old = s.vars[k - 1]
-        out_key = tuple((s.vars[i - 1], m) for i, m in out.items())
-        in_key = tuple((s.vars[i - 1], m) for i, m in inc.items())
+        out_key, in_key = _multiset(s.vars, out), _multiset(s.vars, inc)
         new = self.quotients.get((old, out_key, in_key))
         if new is None:
             # one object per value, so later keys mostly match by identity
@@ -321,25 +322,19 @@ def mutate_seed(s: Seed, k: int, new_label=None, sides=None, memo: ExchangeMemo 
     out, inc = ex.arrows_at(s.matrix, k) if sides is None else sides
     matrix = ex.mutate_matrix(s.matrix, k)
     variables, dim, delta, dominated = s.vars, s._dim_trackers, s._delta_trackers, True
+    m_out, m_in = sum(out.values()), sum(inc.values())  # the sides' total multiplicities
     if variables is not None:
         new_var = (
             _exchange_quotient(s, k, out, inc) if memo is None else memo.quotient(s, k, out, inc)
         )
         variables = _replace_at(variables, k, new_var)
     if dim is not None:
-        dim, dominated = _dim_rule(dim, k, out, inc)
+        dim, dominated = _dim_rule(dim, k, out, inc, m_out, m_in)
     if delta is not None:
-        delta = _delta_rule(delta, s.d_delta, k, out, inc)
+        delta = _delta_rule(delta, s.d_delta, k, out, inc, m_out, m_in)
     labels = None if s.labels is None else _replace_at(s.labels, k, new_label)
-    return Seed(
-        matrix=matrix,
-        vars=variables,
-        labels=labels,
-        dim_trackers=dim,
-        delta_trackers=delta,
-        d_delta=s.d_delta,
-        dominated=dominated,
-    )
+    return Seed(matrix=matrix, vars=variables, labels=labels, dim_trackers=dim, delta_trackers=delta,
+                d_delta=s.d_delta, dominated=dominated)
 
 
 def to_json(s: Seed) -> dict:
@@ -405,7 +400,7 @@ def from_json(data: dict) -> Seed:
     labels = None
     if "labels" in data:
         labels = tuple(
-            mesh.IntervalLabel(*_ints(l, 3, "a label")) if l is not None else None
+            IntervalLabel(*_ints(l, 3, "a label")) if l is not None else None
             for l in _sized(data["labels"], r, "labels")
         )
     trackers = {
@@ -419,30 +414,23 @@ def from_json(data: dict) -> Seed:
 
 def monomial_text(factors) -> str:
     """(name, multiplicity) pairs, in order, as ``a*b^m``; ``1`` if none."""
-    text = "*".join(name if m == 1 else f"{name}^{m}" for name, m in factors)
-    return text or "1"
-
-
-def relation_monomials(s: Seed, k: int, sides=None) -> str:
-    """The exchange relation at k, written in the seed's variable names;
-    ``sides`` as for ``mutate_seed``."""
-    out, inc = ex.arrows_at(s.matrix, k) if sides is None else sides
-
-    def fmt(side):
-        return monomial_text((s.var_name(i), m) for i, m in side.items())
-
-    name = s.var_name(k)
-    return f"{name}' * {name} = {fmt(out)} + {fmt(inc)}"
+    return "*".join([name if m == 1 else f"{name}^{m}" for name, m in factors]) or "1"
 
 
 def trace_line(s: Seed, k: int, new_s: Seed, sides=None, memo: ExchangeMemo | None = None) -> str:
-    """One mutation-trace line: vertex, relation, new trackers; ``sides``
-    and ``memo`` as for ``mutate_seed``, a fresh one where it is omitted."""
+    """One mutation-trace line: vertex, the exchange relation at k in the
+    seed's position names, new trackers; ``sides`` and ``memo`` as for
+    ``mutate_seed``, a fresh memo where it is omitted."""
     memo = ExchangeMemo() if memo is None else memo
-    parts = [f"mu_{k}", relation_monomials(s, k, sides)]
+    out, inc = ex.arrows_at(s.matrix, k) if sides is None else sides
+    names, labels = memo.names, s.labels or (None,) * s.r
+    out_text, in_text = [monomial_text([(names[labels[i - 1] or i], m) for i, m in side.items()])
+                         for side in (out, inc)]
+    name = names[labels[k - 1] or k]
+    parts = [f"mu_{k}", f"{name}' * {name} = {out_text} + {in_text}"]
     if new_s.vars is not None:
         parts.append(f"var = {memo.text(new_s.vars[k - 1])}")
-    for name, rows in (("d", new_s._dim_trackers), ("dDelta", new_s._delta_trackers)):
+    for tag, rows in (("d", new_s._dim_trackers), ("dDelta", new_s._delta_trackers)):
         if rows is not None:
-            parts.append(f"{name} = {memo.row_text(rows, k)}")
+            parts.append(f"{tag} = {memo.row_text(rows, k)}")
     return "  ".join(parts)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from .errors import FrozenMutationError, SeedFormatError, TwoCycleError, VertexIndexError
-from .quiver import Quiver
 
 
 class ExchangeMatrix:
@@ -122,26 +121,27 @@ def mutate_matrix(m: ExchangeMatrix, k: int) -> ExchangeMatrix:
     """mu_k: flip row and column k, and b'_ij = b_ij + b_ik |b_kj| where
     b_ik and b_kj have the same sign.  Only the rows i with b_ik != 0 and
     the columns j with b_kj != 0 are rebuilt; every other row and column is
-    the parent's own dict."""
+    the parent's own dict.  Row k is split by sign first, so each b_ik
+    meets only the b_kj of its own sign."""
     _check_mutable(m, k)
     col_k, row_k = m.cols[k - 1], m.rows[k - 1]
     rows, cols = list(m.rows), list(m.cols)
     rows[k - 1] = {j: -v for j, v in row_k.items()}
     cols[k - 1] = {i: -v for i, v in col_k.items()}
+    pos, neg = [], []  # (j, |b_kj|, new column j) by the sign of b_kj
     for j, v in row_k.items():
-        cols[j - 1] = col = dict(cols[j - 1])
+        cols[j - 1] = col = cols[j - 1].copy()
         col[k] = -v
+        (pos if v > 0 else neg).append((j, abs(v), col))
     for i, c in col_k.items():
-        rows[i - 1] = row = dict(rows[i - 1])
+        rows[i - 1] = row = rows[i - 1].copy()
         row[k] = -c
-        for j, v in row_k.items():
-            if (c > 0) == (v > 0):
-                col = cols[j - 1]
-                x = row.get(j, 0) + c * abs(v)
-                if x:
-                    row[j] = col[i] = x
-                else:
-                    del row[j], col[i]
+        for j, v, col in pos if c > 0 else neg:
+            x = row.get(j, 0) + c * v
+            if x:
+                row[j] = col[i] = x
+            else:
+                del row[j], col[i]
     return ExchangeMatrix(tuple(rows), tuple(cols), m.frozen)
 
 

@@ -36,6 +36,7 @@ from .errors import (
     NegativeExponentSubstitutionError,
     NotDivisibleError,
     SeedFormatError,
+    VertexIndexError,
     strict_int,
 )
 from .packing import Layout, fitting, layout
@@ -187,7 +188,7 @@ class LaurentPoly:
     def variable(idx: int, arity: int) -> "LaurentPoly":
         """The variable y_{idx}, 0-based index."""
         if not (0 <= idx < arity):
-            raise IndexError(f"variable index {idx} out of range 0..{arity - 1}")
+            raise VertexIndexError(f"variable index {idx} out of range 0..{arity - 1}")
         lay = layout(arity, _BASE_WIDTH, _GUARD)
         return _new(lay, {lay.lows + (1 << arity * lay.w) + (1 << (arity - 1 - idx) * lay.w): 1})
 

@@ -21,30 +21,10 @@ from __future__ import annotations
 from operator import add
 from typing import NamedTuple
 
-from .errors import DynkinOverflowError, LabelRangeError, NotAdaptedError, TerminalConstraintError
+from .errors import (DynkinOverflowError, LabelRangeError, NotAdaptedError, TerminalConstraintError,
+                     VertexIndexError)
+from .labels import IntervalLabel, MeshVertex
 from .quiver import Quiver, RootVec, topological_order
-
-
-class MeshVertex(NamedTuple):
-    i: int
-    a: int
-
-    def __repr__(self) -> str:
-        return f"({self.i},{self.a})"
-
-
-class IntervalLabel(NamedTuple):
-    """The label T_{i,[a,b]}; a > b encodes the unit by convention."""
-
-    i: int
-    a: int
-    b: int
-
-    def is_unit(self) -> bool:
-        return self.a > self.b
-
-    def __repr__(self) -> str:
-        return f"T_{{{self.i},[{self.a},{self.b}]}}"
 
 
 class TerminalData(NamedTuple):
@@ -95,7 +75,7 @@ class CategoryModel(NamedTuple):
         try:
             return self.index[v]
         except KeyError:
-            raise IndexError(f"vertex {v} is not in the category") from None
+            raise VertexIndexError(f"vertex {v} is not in the category") from None
 
 
 def _model_arrows(td: TerminalData):

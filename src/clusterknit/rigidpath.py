@@ -9,7 +9,8 @@ from typing import NamedTuple
 from . import cluster, mesh
 from . import exchange as ex
 from .errors import LabelRangeError, ScheduleMismatchError, TerminalConstraintError
-from .mesh import IntervalLabel, MeshVertex, TerminalData, schedule_length
+from .labels import IntervalLabel, LabelTexts, MeshVertex
+from .mesh import TerminalData, schedule_length
 from .quiver import Quiver, topological_order, validate_sink_sequence
 
 
@@ -202,19 +203,12 @@ def pbw_expand(cat: mesh.CategoryModel, lbl: IntervalLabel) -> LaurentPoly:
 # -- reporting ---------------------------------------------------------------
 
 
-class _LabelTexts(dict):
-    """Each label's text, formatted on its first lookup."""
-
-    def __missing__(self, label):
-        text = self[label] = repr(label)
-        return text
-
-
-def relation_texts(steps) -> list[str]:
-    """The exchange relation of each step as text, each side's labels sorted
-    by their text (not as tuples: the two orders differ once an index
-    reaches 10); every label is formatted once for all the steps."""
-    text = _LabelTexts()
+def relation_texts(steps) -> list[tuple[str, str, str]]:
+    """Each step's old label, new label and exchange relation as text, each
+    side's labels sorted by their text (not as tuples: the two orders
+    differ once an index reaches 10); every label is formatted once for all
+    the steps."""
+    text = LabelTexts()
 
     def fmt(side):
         # label texts are distinct, so the multiplicity never breaks a tie
@@ -223,7 +217,7 @@ def relation_texts(steps) -> list[str]:
     lines = []
     for step in steps:
         (old, new), (left, right) = step.identity.main, step.identity.sides
-        lines.append(f"{text[old]}*{text[new]} = {fmt(left)} + {fmt(right)}")
+        lines.append((text[old], text[new], f"{text[old]}*{text[new]} = {fmt(left)} + {fmt(right)}"))
     return lines
 
 
@@ -240,7 +234,7 @@ def result_to_json(res: PathResult) -> dict:
                 "relation": relation,
                 "dominated": s.dominated,
             }
-            for s, relation in zip(res.steps, relation_texts(res.steps))
+            for s, (_, _, relation) in zip(res.steps, relation_texts(res.steps))
         ],
         "final_labels": [list(l) for l in res.seed.labels],
         "final_seed": cluster.to_json(res.seed),

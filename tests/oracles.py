@@ -13,11 +13,11 @@ expansion, the Euler trie walk that pops every prefix, the rescanning
 stage DAG, the upward dimension-vector knitting and per-row hom knitting,
 the zero-started tracker side sums, the per-label determinantal identity
 with its ``Counter`` sides, the per-label projected dimension vector, the
-sorted series text, the sorted Laurent JSON term map and the rescanning
-topological order are the kernels that ``minors``, ``euler``, ``mesh``,
-``cluster``, ``rigidpath``, ``laurent`` and ``quiver`` replaced; they live
-on here as differential oracles, beside small helpers that only the tests
-call.
+sorted series text, the sorted Laurent JSON term map, the per-factor
+relation text and trace line, and the rescanning topological order are the
+kernels that ``minors``, ``euler``, ``mesh``, ``cluster``, ``rigidpath``,
+``laurent`` and ``quiver`` replaced; they live on here as differential
+oracles, beside small helpers that only the tests call.
 """
 
 import heapq
@@ -29,7 +29,7 @@ from math import factorial, prod
 from clusterknit.errors import AmbiguityError, NotDivisibleError, SeedFormatError, ShapeError
 from clusterknit.euler import ShuffleSeries, ThinModule, b_exponents, stage_dag
 from clusterknit.exchange import ExchangeMatrix, arrows_at, make_matrix
-from clusterknit.laurent import LaurentPoly, exact_div, substitute
+from clusterknit.laurent import LaurentPoly, exact_div, substitute, to_text
 from clusterknit.mesh import IntervalLabel, MeshVertex, TerminalData, validate_label, validate_ordering
 from clusterknit.quiver import (
     CartanMatrix,
@@ -439,6 +439,38 @@ def tuple_mutate_vars(m: ExchangeMatrix, variables, k: int):
 
     new = tuple_exact_div(product(out) + product(inc), variables[k - 1])
     return variables[: k - 1] + (new,) + variables[k:]
+
+
+def var_name(s, p: int) -> str:
+    """The name of the variable at position p (1-based): its label, or
+    ``y<p>`` where it has none."""
+    label = None if s.labels is None else s.labels[p - 1]
+    return f"y{p}" if label is None else repr(label)
+
+
+def relation_monomials(s, k: int, sides=None) -> str:
+    """The exchange relation at k, written in the seed's variable names,
+    one name lookup per factor; ``sides`` as for ``mutate_seed``."""
+    out, inc = arrows_at(s.matrix, k) if sides is None else sides
+
+    def fmt(side):
+        factors = ((var_name(s, i), m) for i, m in side.items())
+        return "*".join(name if m == 1 else f"{name}^{m}" for name, m in factors) or "1"
+
+    name = var_name(s, k)
+    return f"{name}' * {name} = {fmt(out)} + {fmt(inc)}"
+
+
+def trace_line(s, k: int, new_s, sides=None) -> str:
+    """One mutation-trace line, with every text made afresh: vertex,
+    relation, new variable and trackers."""
+    parts = [f"mu_{k}", relation_monomials(s, k, sides)]
+    if new_s.vars is not None:
+        parts.append(f"var = {to_text(new_s.vars[k - 1])}")
+    for name, rows in (("d", new_s.dim_trackers), ("dDelta", new_s.delta_trackers)):
+        if rows is not None:
+            parts.append(f"{name} = {list(rows[k - 1])}")
+    return "  ".join(parts)
 
 
 # -- helpers only the tests need --------------------------------------------

@@ -17,6 +17,7 @@ from oracles import (
     side_sum,
     specialize_frozen,
     strictly_equal,
+    trace_line as oracle_trace_line,
 )
 from test_mesh import random_terminal
 
@@ -197,6 +198,94 @@ def test_memoised_walks_match_memo_free_mutation(monkeypatch, name, length):
             for side in (out_side, in_side)
         )
         assert new == exact_div(out_p + in_p, old)
+
+
+def test_trace_lines_match_the_per_factor_oracle(fan_a3, linear_a4, kronecker3):
+    """Seeded walks, one memo each, on labelled category seeds (whose
+    mutated positions lose their labels) and on unlabelled seeds of random
+    matrices: every trace line equals the per-factor oracle's, through
+    multiplicities above 1 and empty sides (written ``1``)."""
+    rng = random.Random(25)
+    starts = [initial_seed(cat) for cat in (fan_a3, linear_a4, kronecker3)]
+    while len(starts) < 40:
+        r = rng.randint(2, 4)
+        m = random_matrix(rng, r, (0, 0, -1, 1, -2, 2, 3))
+        if len(m.frozen) < r:
+            starts.append(Seed(matrix=m, vars=tuple(LaurentPoly.variable(i, r) for i in range(r))))
+    seen = Counter()
+    for s in starts:
+        memo = cluster.ExchangeMemo()
+        for _ in range(4):
+            k = rng.choice(mutable(s.matrix))
+            sides = arrows_at(s.matrix, k)
+            new = mutate_seed(s, k, sides=sides, memo=memo)
+            assert trace_line(s, k, new, sides, memo) == oracle_trace_line(s, k, new)
+            seen["labelled" if s.labels else "unlabelled"] += 1
+            seen["multiplicity > 1"] += any(m > 1 for side in sides for m in side.values())
+            seen["empty side"] += not all(sides)
+            s = new
+    assert min(seen.values()) >= 10 and len(seen) == 4, seen
+
+
+def test_the_memo_adds_up_equal_variables(linear_a4):
+    """Two positions holding one variable make it a square: the memo never
+    takes y1' = (y2*y2 + 1)/y1 for (y2 + 1)/y1, met in either order.  A
+    seeded walk on the linear A_4 seed with one variable copied to a second
+    position (the image of the true walk under y_q -> y_p, so every division
+    stays exact) agrees step by step with memo-free mutation."""
+    y1, y2 = LaurentPoly.variable(0, 3), LaurentPoly.variable(1, 3)
+    both = Seed(matrix=make_matrix([[0, -1, -1], [1, 0, 0], [1, 0, 0]]), vars=(y1, y2, y2))
+    one = Seed(matrix=make_matrix([[0, -1, 0], [1, 0, 0], [0, 0, 0]]), vars=(y1, y2, y2))
+    assert mutate_seed(both, 1).vars[0] == exact_div(y2 * y2 + LaurentPoly.one(3), y1)
+    for order in ((both, one), (one, both)):
+        memo = cluster.ExchangeMemo()
+        for s in order:
+            assert mutate_seed(s, 1, memo=memo).vars == mutate_seed(s, 1).vars
+    start = initial_seed(linear_a4)
+    p, q = mutable(start.matrix)[:2]
+    copied = start.vars[: q - 1] + (start.vars[p - 1],) + start.vars[q:]
+    start = Seed(matrix=start.matrix, vars=copied, labels=start.labels, dim_trackers=start.dim_trackers,
+                 delta_trackers=start.delta_trackers, d_delta=start.d_delta)
+    rng = random.Random(7)
+    walk = [rng.choice(mutable(start.matrix)) for _ in range(150)]
+    memo, plain, memoised = cluster.ExchangeMemo(), start, start
+    for k in walk + walk[::-1]:
+        sides = arrows_at(memoised.matrix, k)
+        new, new_plain = mutate_seed(memoised, k, sides=sides, memo=memo), mutate_seed(plain, k)
+        assert trace_line(memoised, k, new, sides, memo) == oracle_trace_line(plain, k, new_plain)
+        assert new.vars == new_plain.vars
+        plain, memoised = new_plain, new
+    assert memoised.vars == start.vars
+
+
+def bench_walk_seeds() -> dict:
+    """The walk seeds of the small-exact benchmark, by name."""
+    pins = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
+    return json.loads(pins.read_text())["seeds"]
+
+
+@pytest.mark.parametrize("name", ["fan-a3", "linear-a4", "a4-t3210", "d4"])
+def test_a_walk_divides_each_exchange_pair_once(monkeypatch, name):
+    """On each finite-type walk seed of the benchmark, a seeded 1,500-step
+    walk and its reversal make one exact division per exchange pair
+    {old, new} they meet, although they meet relations again with their
+    variables at other positions."""
+    start = from_json(bench_walk_seeds()[name])
+    divisions = []
+    monkeypatch.setattr(
+        laurent, "exact_div", lambda num, den: divisions.append(1) or exact_div(num, den)
+    )
+    rng = random.Random(name)
+    walk = [rng.choice(mutable(start.matrix)) for _ in range(1500)]
+    memo, s, pairs, by_position = cluster.ExchangeMemo(), start, set(), set()
+    for k in walk + walk[::-1]:
+        sides = arrows_at(s.matrix, k)
+        new = mutate_seed(s, k, sides=sides, memo=memo)
+        pairs.add(frozenset((s.vars[k - 1], new.vars[k - 1])))
+        # the key of a memo that keeps each side in position order
+        by_position.add((s.vars[k - 1], *(tuple((s.vars[i - 1], m) for i, m in side.items()) for side in sides)))
+        s = new
+    assert len(divisions) == len(pairs) < len(by_position)
 
 
 def test_mutate_dimvec_worked_example(kronecker3):
@@ -549,6 +638,5 @@ def test_from_json_checks_sizes(kronecker3):
 
 
 def test_from_json_loads_the_benchmark_walk_seeds():
-    pins = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
-    for data in json.loads(pins.read_text())["seeds"].values():
+    for data in bench_walk_seeds().values():
         assert to_json(from_json(data)) == data

@@ -10,6 +10,7 @@ from clusterknit.errors import (
     ArityMismatchError,
     NegativeExponentSubstitutionError,
     NotDivisibleError,
+    VertexIndexError,
 )
 from clusterknit.laurent import (
     LaurentPoly,
@@ -48,6 +49,16 @@ def test_inverse_monomial():
     y1 = y(0)
     inv = LaurentPoly.monomial(2, (-1, 0))
     assert inv * y1 == LaurentPoly.one(2)
+
+
+def test_variable_index_out_of_range_is_typed():
+    """A variable index outside 0..arity-1 raises VertexIndexError, which
+    is still an IndexError."""
+    for idx in (-1, 3):
+        with pytest.raises(VertexIndexError, match=r"out of range 0\.\.2"):
+            LaurentPoly.variable(idx, 3)
+    with pytest.raises(IndexError):
+        LaurentPoly.variable(3, 3)
 
 
 def test_arity_mismatch():

@@ -12,6 +12,7 @@ from clusterknit.errors import (
     LabelRangeError,
     NotAdaptedError,
     TerminalConstraintError,
+    VertexIndexError,
 )
 from clusterknit.mesh import (
     IntervalLabel,
@@ -450,6 +451,17 @@ def test_label_out_of_range_is_typed(kronecker3):
             validate_label(kronecker3, lbl)
     with pytest.raises(IndexError):
         projected_dimvec(kronecker3, IntervalLabel(2, 0, 2))
+
+
+def test_vertex_not_in_the_category_is_typed(kronecker3):
+    """``pos`` of a vertex the category lacks raises VertexIndexError,
+    which is still an IndexError."""
+    assert kronecker3.pos(V(1, 2)) == kronecker3.vertices.index(V(1, 2))
+    for v in (V(1, 3), V(4, 0), V(0, 0)):
+        with pytest.raises(VertexIndexError, match="is not in the category"):
+            kronecker3.pos(v)
+    with pytest.raises(IndexError):
+        kronecker3.pos(V(3, 2))
 
 
 def test_terminal_data_repr():

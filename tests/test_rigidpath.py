@@ -161,7 +161,8 @@ def test_relation_text_matches_the_oracle(five_vertex):
         td = cat.terminal
         res = run_path(initial_seed(cat, with_vars=False), make_schedule(td))
         assert len(res.steps) == schedule_length(td)
-        for st, text in zip(res.steps, relation_texts(res.steps), strict=True):
+        for st, (old, new, text) in zip(res.steps, relation_texts(res.steps), strict=True):
+            assert (old, new) == tuple(map(repr, st.identity.main))
             assert text == _oracle_relation(td, st.identity.main[0])
 
 

@@ -52,16 +52,19 @@ def test_help_loads_only_the_cli_and_errors(tmp_path):
 
 
 def test_mutate_loads_no_path_euler_or_minors_module(tmp_path):
+    """A text walk on a labelled seed loads neither the knitting (``mesh``,
+    ``quiver``: labels come from ``labels``) nor the JSON writer."""
     seed = tmp_path / "seed.json"
     seed.write_text(json.dumps({
         "r": 2,
         "matrix": {"b": [[0, 1], [-1, 0]], "frozen": []},
         "vars": [{"1,0": "1"}, {"0,1": "1"}],
+        "labels": [[1, 0, 1], [2, 1, 1]],
     }))
     out, loaded = run_cli(["mutate", str(seed), "1", "2"], tmp_path)
-    assert "var = " in out
-    assert {"cluster", "laurent"} <= loaded and not loaded & HEAVY
-    assert "dataclasses" not in loaded
+    assert out.startswith("mu_1  T_{1,[0,1]}' * T_{1,[0,1]} = 1 + T_{2,[1,1]}  var = ")
+    assert {"cluster", "laurent", "labels"} <= loaded and not loaded & HEAVY
+    assert not loaded & {"mesh", "quiver", "jsontext", "dataclasses"}, loaded
 
 
 def test_the_package_loads_submodules_on_first_access(tmp_path):
