@@ -81,7 +81,7 @@ def cmd_build(args) -> int:
     cat = mesh.build_category(td)
     ordering = load_ordering(cat, args.ordering)
     if args.format == "dot":
-        emit(mesh.to_dot(cat, star=True), args, "gamma_star.dot")
+        emit(mesh.to_dot(cat), args, "gamma_star.dot")
         return 0
     d_delta = list(mesh.delta_dims(cat, mesh.validate_ordering(cat, ordering)))
     if args.format == "json":

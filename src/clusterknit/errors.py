@@ -99,10 +99,6 @@ class NotDivisibleError(ClusterKnitError):
     invariant, never an expected condition."""
 
 
-class NegativeExponentSubstitutionError(ClusterKnitError):
-    pass
-
-
 # -- rigidpath ---------------------------------------------------------
 
 class ScheduleMismatchError(ClusterKnitError):

@@ -33,7 +33,6 @@ import heapq
 
 from .errors import (
     ArityMismatchError,
-    NegativeExponentSubstitutionError,
     NotDivisibleError,
     SeedFormatError,
     VertexIndexError,
@@ -192,18 +191,10 @@ class LaurentPoly:
         lay = layout(arity, _BASE_WIDTH, _GUARD)
         return _new(lay, {lay.lows + (1 << arity * lay.w) + (1 << (arity - 1 - idx) * lay.w): 1})
 
-    @staticmethod
-    def monomial(arity: int, exps, coeff: int = 1) -> "LaurentPoly":
-        return LaurentPoly(arity, {tuple(exps): coeff})
-
     # -- basics ----------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_unit_monomial(self) -> bool:
-        """A single term with coefficient +-1 (invertible over Z)."""
-        return len(self.terms) == 1 and next(iter(self.terms.values())) in (1, -1)
 
     def __eq__(self, other) -> bool:
         return (
@@ -263,17 +254,6 @@ class LaurentPoly:
             base = _redo_wider(_square, base)
 
     # -- inspection --------------------------------------------------------
-
-    def leading(self) -> tuple[tuple[int, ...], int]:
-        """Leading (exponent, coefficient) in graded-lex order."""
-        k = max(self.terms)
-        return self._lay.unpack(k), self.terms[k]
-
-    def min_exponents(self) -> tuple[int, ...]:
-        """Componentwise minimum exponent over all terms (0 if empty)."""
-        if not self.terms:
-            return (0,) * self.arity
-        return self._lay.unpack(self._lay.min(self.terms))
 
     def exponent_map(self) -> dict:
         """exponent tuple -> coefficient, in the polynomial's own term order."""
@@ -431,43 +411,6 @@ def _zeta8_divides(d: tuple, n: tuple) -> bool:
     return _gauss_divides(norm, part) and _gauss_divides(norm, other)
 
 
-def substitute(p: LaurentPoly, images: list[LaurentPoly]) -> LaurentPoly:
-    """Substitute variable i by images[i] for every i, exactly.
-
-    Variables occurring with negative exponents must map to unit monomials.
-    All images share one target arity.
-    """
-    if len(images) != p.arity:
-        raise ArityMismatchError(
-            f"need {p.arity} images, got {len(images)}"
-        )
-    target = images[0].arity
-    for img in images:
-        if img.arity != target:
-            raise ArityMismatchError("images have mixed arities")
-    mins = p.min_exponents()
-    for i, m in enumerate(mins):
-        if m < 0 and not images[i].is_unit_monomial():
-            raise NegativeExponentSubstitutionError(
-                f"variable {i} occurs with negative exponent but its image "
-                "is not a unit monomial"
-            )
-    result = LaurentPoly.zero(target)
-    for exps, coeff in p.sorted_terms():
-        term = LaurentPoly.const(target, coeff)
-        for i, e in enumerate(exps):
-            if e == 0:
-                continue
-            if e > 0:
-                term = term * images[i] ** e
-            else:
-                m_exps, m_coeff = images[i].leading()
-                inv = LaurentPoly.monomial(target, tuple(-x for x in m_exps), m_coeff)
-                term = term * inv ** (-e)
-        result = result + term
-    return result
-
-
 # -- text / json forms ---------------------------------------------------
 
 
@@ -514,7 +457,8 @@ def to_json_terms(p: LaurentPoly) -> dict:
 def from_json_terms(arity: int, data: dict) -> LaurentPoly:
     """The polynomial of a ``to_json_terms`` map; SeedFormatError where a
     key is not ','-joined integers or a coefficient is not an integer, each
-    spelled ``-?[0-9]+`` (a coefficient may also be a JSON integer)."""
+    spelled ``-?[0-9]+`` (a coefficient may also be a JSON integer), or
+    where two keys spell one exponent vector ("0,1" and "00,1")."""
     terms = {}
     for key, val in data.items():
         try:
@@ -524,5 +468,7 @@ def from_json_terms(arity: int, data: dict) -> LaurentPoly:
             raise SeedFormatError(f"a term is not integer exponents and coefficient: {exc}") from None
         if len(exps) != arity:
             raise ArityMismatchError(f"exponent vector {key!r} has wrong length")
+        if exps in terms:
+            raise SeedFormatError(f"two terms spell the exponent vector {key!r}")
         terms[exps] = coeff
     return LaurentPoly(arity, terms)

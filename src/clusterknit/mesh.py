@@ -282,18 +282,15 @@ def triangle_display(cat: CategoryModel, values):
 # -- exports --------------------------------------------------------------
 
 
-def to_dot(cat: CategoryModel, star: bool = True) -> str:
-    """DOT text of Gamma_M (star=False) or Gamma_M^*; tau-arrows dashed."""
+def to_dot(cat: CategoryModel) -> str:
+    """DOT text of Gamma_M^*; tau-arrows dashed."""
     lines = ["digraph gamma {", "  rankdir=RL;"]
     for v in cat.vertices:
         lines.append(f'  "{v.i},{v.a}" [label="{v!r}"];')
-    g = cat.gammaMStar if star else cat.gammaM
-    for (s, t) in g.arrows:
+    for (s, t) in cat.gammaMStar.arrows:
         src = cat.vertices[s - 1]
         tgt = cat.vertices[t - 1]
-        style = ""
-        if star and src.i == tgt.i and tgt.a == src.a + 1:
-            style = " [style=dashed]"
+        style = " [style=dashed]" if src.i == tgt.i and tgt.a == src.a + 1 else ""
         lines.append(f'  "{src.i},{src.a}" -> "{tgt.i},{tgt.a}"{style};')
     lines.append("}")
     return "\n".join(lines)

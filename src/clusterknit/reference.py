@@ -196,13 +196,14 @@ def interval_minors(n: int) -> dict:
 
 
 def eta_checks(n: int):
-    """Compare substituted PBW expansions against the symbolic minors for
-    every interval (i, a, b) in range."""
+    """Compare the PBW expansion of every interval (i, a, b) in range,
+    evaluated at the minors of the single intervals, against its own
+    symbolic minor."""
     cat, table = linear_type_a(n), interval_minors(n)
-    # the single-interval variable at canonical position p maps to its minor
+    # the single-interval variable at canonical position p takes its minor
     images = [table[v.i, v.a, v.a][1] for v in cat.vertices]
     return [
-        (iab, laurent.substitute(rigidpath.pbw_expand(cat, IntervalLabel(*iab)), images) == rhs)
+        (iab, rigidpath.pbw_expand(cat, IntervalLabel(*iab), images) == rhs)
         for iab, (_, rhs) in table.items()
     ]
 

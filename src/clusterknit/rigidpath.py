@@ -159,21 +159,26 @@ def run_path(seed: cluster.Seed, sch: Schedule) -> PathResult:
 # -- dual PBW expansion ----------------------------------------------------
 
 
-def pbw_expand(cat: mesh.CategoryModel, lbl: IntervalLabel) -> LaurentPoly:
+def pbw_expand(cat: mesh.CategoryModel, lbl: IntervalLabel, images=None) -> LaurentPoly:
     """Expand T_{i,[a,b]} as a polynomial in the single-interval variables
-    z_{l,c}, one per mesh vertex in canonical position order.
+    z_{l,c}, evaluated at ``images``: their values in canonical position
+    order, by default the z_{l,c} themselves.
 
     Recursion: solve the determinantal identity at (i, a+1, b) for the
     longest interval and divide exactly by T_{i,[a+1,b-1]}, a unit when
     b = a + 1.  Each product starts from its first factor, so no product
-    has a unit operand.  A division failure would contradict polynomiality
-    of the dual PBW expansion and is fatal."""
+    has a unit operand.  Every quotient is a polynomial in the z_{l,c} and
+    evaluation is a ring map, so each division stays exact wherever its
+    divisor's value is not 0.  A division failure would contradict
+    polynomiality of the dual PBW expansion and is fatal."""
     from .laurent import LaurentPoly, exact_div
 
     mesh.validate_label(cat, lbl)
     td = cat.terminal
     op = qm_op(td)
-    r = cat.r
+    if images is None:
+        images = [LaurentPoly.variable(p, cat.r) for p in range(cat.r)]
+    r = images[0].arity
     memo: dict = {}
 
     def expand(i: int, a: int, b: int) -> LaurentPoly:
@@ -182,7 +187,7 @@ def pbw_expand(cat: mesh.CategoryModel, lbl: IntervalLabel) -> LaurentPoly:
         if key in memo:
             return memo[key]
         if a == b:
-            res = LaurentPoly.variable(cat.pos(MeshVertex(i, a)), r)
+            res = images[cat.pos(MeshVertex(i, a))]
         else:
             num = expand(i, a + 1, b) * expand(i, a, b - 1)
             prod = None

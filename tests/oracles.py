@@ -14,7 +14,9 @@ stage DAG, the upward dimension-vector knitting and per-row hom knitting,
 the zero-started tracker side sums, the per-label determinantal identity
 with its ``Counter`` sides, the per-label projected dimension vector, the
 sorted series text, the sorted Laurent JSON term map, the per-factor
-relation text and trace line, and the rescanning topological order are the
+relation text and trace line, the term-by-term Laurent substitution that
+``rigidpath.pbw_expand``'s evaluation at images replaced, and the
+rescanning topological order are the
 kernels that ``minors``, ``euler``, ``mesh``, ``cluster``, ``rigidpath``,
 ``laurent`` and ``quiver`` replaced; they live on here as differential
 oracles, beside small helpers that only the tests call.
@@ -26,10 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 
-from clusterknit.errors import AmbiguityError, NotDivisibleError, SeedFormatError, ShapeError
+from clusterknit.errors import AmbiguityError, ArityMismatchError, NotDivisibleError, SeedFormatError, ShapeError
 from clusterknit.euler import ShuffleSeries, ThinModule, b_exponents, stage_dag
 from clusterknit.exchange import ExchangeMatrix, arrows_at, make_matrix
-from clusterknit.laurent import LaurentPoly, exact_div, substitute, to_text
+from clusterknit.laurent import LaurentPoly, exact_div, to_text
 from clusterknit.mesh import IntervalLabel, MeshVertex, TerminalData, validate_label, validate_ordering
 from clusterknit.quiver import (
     CartanMatrix,
@@ -425,6 +427,48 @@ def sorted_json_terms(p: LaurentPoly) -> dict:
         ",".join(map(str, exps)): str(coeff)
         for exps, coeff in p.sorted_terms()
     }
+
+
+class NegativeExponentError(ValueError):
+    """``substitute`` met a variable with a negative exponent whose image
+    is not a unit monomial, so it has no inverse to take."""
+
+
+def monomial(arity: int, exps, c: int = 1) -> LaurentPoly:
+    """The single term c * y^exps."""
+    return LaurentPoly(arity, {tuple(exps): c})
+
+
+def substitute(p: LaurentPoly, images) -> LaurentPoly:
+    """p with each variable y_i replaced by images[i], term by term.  A
+    variable with a negative exponent must map to a unit monomial c * y^e
+    (c = +-1), whose inverse is c * y^-e; all images share one arity."""
+    if len(images) != p.arity:
+        raise ArityMismatchError(f"need {p.arity} images, got {len(images)}")
+    target = images[0].arity
+    if any(img.arity != target for img in images):
+        raise ArityMismatchError("images have mixed arities")
+    terms = p.sorted_terms()
+    inverses = {}
+    for i, img in enumerate(images):
+        if any(exps[i] < 0 for exps, _ in terms):
+            img_terms = img.sorted_terms()
+            if len(img_terms) != 1 or img_terms[0][1] not in (1, -1):
+                raise NegativeExponentError(
+                    f"variable {i} occurs with a negative exponent but its image is not a unit monomial"
+                )
+            ((unit_exps, c),) = img_terms
+            inverses[i] = monomial(target, [-x for x in unit_exps], c)
+    result = LaurentPoly.zero(target)
+    for exps, coeff in terms:
+        term = LaurentPoly.const(target, coeff)
+        for i, e in enumerate(exps):
+            if e > 0:
+                term = term * images[i] ** e
+            elif e < 0:
+                term = term * inverses[i] ** -e
+        result = result + term
+    return result
 
 
 def tuple_mutate_vars(m: ExchangeMatrix, variables, k: int):

@@ -17,12 +17,13 @@ from oracles import (
     mutable,
     projected_dimvec,
     strictly_equal,
+    substitute,
 )
 
 from clusterknit import euler, minors, reference
 from clusterknit.cluster import initial_seed, mutate_seed
 from clusterknit.exchange import make_matrix, mutate_matrix
-from clusterknit.laurent import LaurentPoly, substitute
+from clusterknit.laurent import LaurentPoly
 from clusterknit.mesh import (
     IntervalLabel,
     MeshVertex,

@@ -200,6 +200,15 @@ def test_mutate_vertex_out_of_range_exits_2(tmp_path, kronecker3, capsys, vertex
             {"r": 2, "matrix": {"b": [[0, 1], [-1, 0]]}, "vars": [{"1,0": "1_0"}, {"0,1": "\u0661"}]},
             "a term is not integer exponents and coefficient",
         ),
+        # two keys that spell one exponent vector: the reader kept only the last
+        (
+            {"r": 2, "matrix": {"b": [[0, 1], [-1, 0]]}, "vars": [{"1,0": "1"}, {"0,1": "1", "00,1": "2"}]},
+            "two terms spell the exponent vector '00,1'",
+        ),
+        (
+            {"r": 2, "matrix": {"b": [[0, 1], [-1, 0]]}, "vars": [{"1,0": "1"}, {"0,1": "1", "-0,1": "2"}]},
+            "two terms spell the exponent vector '-0,1'",
+        ),
     ],
 )
 def test_mutate_rejects_an_inconsistent_seed(tmp_path, capsys, seed, detail):

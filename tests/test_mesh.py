@@ -432,8 +432,6 @@ def test_dot_export(kronecker3):
     assert dot.startswith("digraph")
     assert "style=dashed" in dot  # tau-arrows styled
     assert '"1,0" -> "1,1"' in dot
-    dot_m = to_dot(kronecker3, star=False)
-    assert "style=dashed" not in dot_m
 
 
 def test_json_export(kronecker3):

@@ -2,11 +2,11 @@ import random
 from itertools import combinations
 
 import pytest
-from oracles import bareiss_det, matmul_product, minor, one_param_product, unitriangular
+from oracles import bareiss_det, matmul_product, minor, one_param_product, substitute, unitriangular
 
 from clusterknit import reference
 from clusterknit.errors import LabelRangeError, ShapeError, VertexIndexError
-from clusterknit.laurent import LaurentPoly, substitute
+from clusterknit.laurent import LaurentPoly
 from clusterknit.mesh import IntervalLabel, adapted_orderings
 from clusterknit.minors import (
     MinorKey,

@@ -3,14 +3,14 @@ from collections import Counter
 
 import oracles
 import pytest
-from oracles import core_equal, mutable, projected_dimvec, strictly_equal
+from oracles import core_equal, monomial, mutable, projected_dimvec, strictly_equal, substitute
 
 from clusterknit import reference, rigidpath
 from clusterknit import cluster, exchange
 from clusterknit.cluster import initial_seed, mutate_seed
 from clusterknit.errors import LabelRangeError, ScheduleMismatchError
 from clusterknit.exchange import arrows_at, b_matrix, make_matrix, mutate_matrix
-from clusterknit.laurent import LaurentPoly, substitute
+from clusterknit.laurent import LaurentPoly
 from clusterknit.mesh import (
     IntervalLabel,
     MeshVertex,
@@ -339,6 +339,52 @@ def test_pbw_products_have_no_unit_operand(five_vertex, monkeypatch):
     for lbl in (L(1, 0, 3), L(3, 0, 3), L(5, 0, 2), L(2, 0, 2)):
         pbw_expand(five_vertex, lbl)
     assert operands and not [pair for pair in operands if one in pair]
+
+
+def _random_image(rng, arity):
+    """A unit monomial (exponents in -2..2) or a nonzero polynomial of one
+    to three terms (exponents in 0..2, coefficients in +-1..3)."""
+    if rng.random() < 0.5:
+        return monomial(arity, [rng.randint(-2, 2) for _ in range(arity)], rng.choice((1, -1)))
+    terms = {
+        tuple(rng.randint(0, 2) for _ in range(arity)): rng.choice((1, 2, 3, -1, -2, -3))
+        for _ in range(rng.randint(1, 3))
+    }
+    return LaurentPoly(arity, terms)
+
+
+def test_pbw_at_images_matches_the_substitution_oracle(kronecker3, five_vertex):
+    """Expanding at images equals substituting them into the expansion in
+    the z variables: at the single-interval minors of linear type A for
+    n = 3, 4, 5, where every interval gives its own minor, and at seeded
+    random images, unit monomials and small polynomials of arity 1 to 3, on
+    every interval of kronecker3 and five_vertex and on a unit.  A draw
+    where some interval's image is 0 is skipped: a divisor of the recursion
+    could be that interval."""
+    for n in (3, 4, 5):
+        cat, table = reference.linear_type_a(n), reference.interval_minors(n)
+        images = [table[v.i, v.a, v.a][1] for v in cat.vertices]
+        for iab, (_, minor) in table.items():
+            got = pbw_expand(cat, L(*iab), images)
+            assert got == substitute(pbw_expand(cat, L(*iab)), images) == minor, (n, iab)
+    rng = random.Random(59)
+    tested = skipped = 0
+    for cat in (kronecker3, five_vertex):
+        t_of = cat.terminal.level
+        labels = [
+            L(i, a, b) for i in range(1, cat.terminal.q.n + 1) for b in range(t_of(i) + 1) for a in range(b + 1)
+        ] + [L(1, 1, 0)]
+        expansions = [pbw_expand(cat, lbl) for lbl in labels]
+        for _ in range(20):
+            arity = rng.randint(1, 3)
+            images = [_random_image(rng, arity) for _ in range(cat.r)]
+            want = [substitute(p, images) for p in expansions]
+            if any(w.is_zero() for w in want):
+                skipped += 1
+                continue
+            assert [pbw_expand(cat, lbl, images) for lbl in labels] == want, cat.terminal
+            tested += 1
+    assert tested >= 30, (tested, skipped)
 
 
 def test_pbw_satisfies_identity(kronecker3, five_vertex):

@@ -167,3 +167,30 @@ def test_the_guard_resolves_module_names():
     }
     assert _unused(trees) == ["a:1 to_json", "c:5 run"]
     assert _unused(trees, _is_private) == ["b:9 _knit"]
+
+
+def _raised(trees: dict) -> set:
+    """The class names that ``raise`` statements name: ``X``, ``X(...)``,
+    ``module.X`` and ``module.X(...)``."""
+    names = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    names.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    names.add(exc.attr)
+    return names
+
+
+def test_every_error_class_is_raised():
+    """Each class in ``errors`` is raised by name somewhere in ``src/``.  A
+    class that nothing raises is left behind by deleted code, and a caller
+    that catches it waits for an error that never comes."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    classes = {node.name for node in trees["errors"].body if isinstance(node, ast.ClassDef)}
+    missing = sorted(classes - _raised(trees))
+    assert len(classes) > 10 and not missing, missing
+    sample = ast.parse("raise A\nraise b.B('x') from None\ntry:\n    f()\nexcept C:\n    raise\n")
+    assert _raised({"a": sample}) == {"A", "B"}
