@@ -5,6 +5,12 @@ Commands: build, mutate, path, euler, minors, check.  Exit codes: 0 ok,
 input).  Large outputs (long series, long path traces) go to files, never
 to stdout by default.
 
+Each report is built in the module that computes its data: ``mesh``
+(build, path --count-only), ``cluster`` (mutate), ``rigidpath`` (path),
+``euler`` and ``reference`` (minors, check).  A command returns its report
+(text, or a dict that ``main`` writes as JSON), its default file stem and
+whether its checks passed; ``main`` writes it.
+
 Each command imports the modules it uses when it runs, so ``--help``
 loads no library module and ``mutate`` none of the path, Euler-series or
 minors modules.
@@ -24,9 +30,9 @@ BIG_OUTPUT_CHARS = 200_000
 
 
 def read_json(path: str):
-    """The JSON value in the file at ``path``.  Text that is not UTF-8, or
-    nested too deeply for the parser, is an input error like any other
-    unreadable JSON."""
+    """The JSON value in the file at ``path``.  Text that is not UTF-8,
+    nested too deeply for the parser or with an integer literal past
+    Python's digit limit is an input error like any other unreadable JSON."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -34,6 +40,10 @@ def read_json(path: str):
             raise InputFormatError(f"{path} is not UTF-8 text: {exc}") from None
         except RecursionError:
             raise InputFormatError(f"{path} nests JSON too deeply") from None
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:  # an integer literal too long to convert
+            raise InputFormatError(f"{path}: {exc}") from None
 
 
 def load_terminal(args):
@@ -62,179 +72,69 @@ def load_ordering(cat, spec: str):
 
 
 def emit(text: str, args, default_name: str) -> None:
-    out = getattr(args, "out", None)
-    if not out and text.count("\n") <= BIG_OUTPUT_LINES and len(text) <= BIG_OUTPUT_CHARS:
-        print(text)
-        return
-    with open(out or default_name, "w") as fh:
-        fh.write(text + "\n")
-    print(f"wrote {out}" if out else f"output too large for stdout; wrote {default_name}")
+    """Print ``text``, or write it to a file and print where: UTF-8 whatever the locale."""
+    if args.out or text.count("\n") > BIG_OUTPUT_LINES or len(text) > BIG_OUTPUT_CHARS:
+        with open(args.out or default_name, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        text = f"wrote {args.out}" if args.out else f"output too large for stdout; wrote {default_name}"
+    sys.stdout.flush()
+    sys.stdout.buffer.write((text + "\n").encode("utf-8", "surrogateescape"))
+    sys.stdout.flush()
 
 
-# -- build ------------------------------------------------------------------
+def cmd_build(args):
+    from . import mesh
 
-
-def cmd_build(args) -> int:
-    from . import jsontext, mesh
-
-    td = load_terminal(args)
-    cat = mesh.build_category(td)
+    cat = mesh.build_category(load_terminal(args))
     ordering = load_ordering(cat, args.ordering)
     if args.format == "dot":
-        emit(mesh.to_dot(cat), args, "gamma_star.dot")
-        return 0
-    d_delta = list(mesh.delta_dims(cat, mesh.validate_ordering(cat, ordering)))
-    if args.format == "json":
-        data = mesh.to_json(cat)
-        data["d_delta"] = d_delta
-        data["ordering"] = [list(v) for v in ordering]
-        emit(jsontext.dumps(data), args, "category.json")
-        return 0
-    lines = [f"category on {cat.r} vertices, t = {','.join(map(str, td.t))}"]
-    lines.append("vertices (canonical order): " + " ".join(map(repr, cat.vertices)))
-    star = ", ".join(
-        f"{cat.vertices[s - 1]!r}->{cat.vertices[t - 1]!r}"
-        for (s, t) in cat.gammaMStar.arrows
-    )
-    lines.append(f"Gamma* arrows: {star}")
-    lines.append("dimension vectors:")
-    for v in cat.vertices:
-        lines.append(f"  {v!r}: {list(cat.dims[v].coords)}")
-    lines.append("hom table (rows = source, canonical order):")
-    for x, row in zip(cat.vertices, cat.hom_table):
-        lines.append(f"  {x!r}: {list(row)}")
-    lines.append(f"d_Delta (ordering): {d_delta}")
-    emit("\n".join(lines), args, "category.txt")
-    return 0
+        return mesh.to_dot(cat), "gamma_star", True
+    return (mesh.to_json if args.format == "json" else mesh.text)(cat, ordering), "category", True
 
 
-# -- mutate -----------------------------------------------------------------
+def cmd_mutate(args):
+    from . import cluster
+
+    seed = cluster.from_json(read_json(args.seed))
+    return cluster.walk(seed, args.vertices, as_json=args.format == "json"), "mutation_trace", True
 
 
-def cmd_mutate(args) -> int:
-    from . import cluster, exchange
-
-    cur = cluster.from_json(read_json(args.seed))
-    memo = cluster.ExchangeMemo()  # this walk's relations, dropped on return
-    steps = []  # each step's output is made as the walk goes, so no old seed is kept
-    for k in args.vertices:
-        sides = exchange.arrows_at(cur.matrix, k)
-        new = cluster.mutate_seed(cur, k, sides=sides, memo=memo)
-        if args.format == "json":
-            steps.append({"vertex": k, "seed": cluster.to_json(new)})
-        else:
-            steps.append(cluster.trace_line(cur, k, new, sides, memo))
-        cur = new
-    if args.format == "json":
-        from . import jsontext
-
-        data = {"steps": steps, "final": cluster.to_json(cur)}
-        emit(jsontext.dumps(data), args, "mutation_trace.json")
-        return 0
-    emit("\n".join(steps), args, "mutation_trace.txt")
-    return 0
-
-
-# -- path -------------------------------------------------------------------
-
-
-def cmd_path(args) -> int:
+def cmd_path(args):
     from . import mesh
 
     td = load_terminal(args)
     cat = mesh.build_category(td)
-    ordering = load_ordering(cat, args.ordering)
+    ordering, as_json = load_ordering(cat, args.ordering), args.format == "json"
     if args.count_only:
-        length = mesh.schedule_length(td)
-        if args.format == "json":
-            emit(json.dumps({"length": length}), args, "path_report.json")
-        else:
-            emit(f"schedule length r(M) = {length}", args, "path_report.txt")
-        return 0
-    from . import cluster, jsontext, rigidpath
-    sch = rigidpath.make_schedule(td)
+        return mesh.length_text(mesh.schedule_length(td), as_json), "path_report", True
+    from . import cluster, rigidpath
     seed = cluster.initial_seed(cat, ordering, with_vars=not args.no_expand)
-    res = rigidpath.run_path(seed, sch)
-    if args.format == "json":
-        emit(jsontext.dumps(rigidpath.result_to_json(res)), args, "path_report.json")
-        return 0
-    lines = [f"schedule length r(M) = {len(sch)}"]
-    for st, (old, new, relation) in zip(res.steps, rigidpath.relation_texts(res.steps)):
-        lines.append(f"step {st.index}: {old} -> {new}  {relation}  Max-dominated: {st.dominated}")
-    lines.append("final labels: " + " ".join(repr(l) for l in res.seed.labels))
-    emit("\n".join(lines), args, "path_report.txt")
-    return 0
+    res = rigidpath.run_path(seed, rigidpath.make_schedule(td))
+    return (rigidpath.result_to_json if as_json else rigidpath.result_text)(res), "path_report", True
 
 
-# -- euler ------------------------------------------------------------------
-
-
-def cmd_euler(args) -> int:
+def cmd_euler(args):
     from . import euler, mesh
 
-    td = load_terminal(args)
-    cat = mesh.build_category(td)
-    ordering = load_ordering(cat, args.ordering)
-    if args.format == "json":
-        emit(euler.json_text(cat, ordering, args.k), args, f"g_T{args.k}.json")
-    else:
-        emit(euler.text(cat, ordering, args.k), args, f"g_T{args.k}.txt")
-    return 0
+    cat = mesh.build_category(load_terminal(args))
+    report = euler.json_text if args.format == "json" else euler.text
+    return report(cat, load_ordering(cat, args.ordering), args.k), f"g_T{args.k}", True
 
 
-# -- minors -----------------------------------------------------------------
-
-
-def minors_line(check: dict) -> str:
-    """The text line of one entry of the ``minors`` report."""
-    if check["kind"] == "table":
-        return f"table ({check['interval']}): rows={check['rows']} cols={check['cols']} minor={check['minor']}"
-    if check["kind"] == "eta":
-        extra = " (extrapolated)" if check["extrapolated"] else ""
-        return f"eta {tuple(check['interval'])}: {check['status']}{extra}"
-    return f"cross k={check['k']}: {check['status']}"
-
-
-def cmd_minors(args) -> int:
-    from . import jsontext, reference
+def cmd_minors(args):
+    from . import reference
 
     report = reference.minors_report(args.n, args.mode)
-    if args.format == "json":
-        emit(jsontext.dumps(report), args, "minors_report.json")
-    else:
-        lines = [*map(minors_line, report["checks"]), f"overall: {report['status']}"]
-        emit("\n".join(lines), args, "minors_report.txt")
-    return 0 if report["status"] == "PASS" else 1
+    text = report if args.format == "json" else reference.minors_text(report)
+    return text, "minors_report", report["status"] == "PASS"
 
 
-# -- check: verification manifest --------------------------------------------
+def cmd_check(args):
+    from . import reference
 
-
-def cmd_check(args) -> int:
-    from . import jsontext, reference
-
-    manifest = {"checks": [], "status": "PASS"}
-    for name, fn in reference.CHECKS + (reference.SLOW_CHECKS if args.slow else []):
-        try:
-            passed = bool(fn())
-            detail = ""
-        except Exception as exc:  # a crash is a failure with a reason
-            passed = False
-            detail = f"{type(exc).__name__}: {exc}"
-        manifest["checks"].append(
-            {"name": name, "status": "PASS" if passed else "FAIL", "detail": detail}
-        )
-        if not passed:
-            manifest["status"] = "FAIL"
-    if args.format == "json":
-        emit(jsontext.dumps(manifest), args, "manifest.json")
-    else:
-        lines = [
-            f"{c['status']}  {c['name']}" + (f"  ({c['detail']})" if c["detail"] else "")
-            for c in manifest["checks"]
-        ]
-        emit("\n".join(lines + [f"overall: {manifest['status']}"]), args, "manifest.txt")
-    return 0 if manifest["status"] == "PASS" else 1
+    manifest = reference.run_checks(args.slow)
+    text = manifest if args.format == "json" else reference.manifest_text(manifest)
+    return text, "manifest", manifest["status"] == "PASS"
 
 
 # -- driver -------------------------------------------------------------------
@@ -304,7 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        report, stem, passed = args.fn(args)
+        if not isinstance(report, str):  # a report dict
+            from . import jsontext
+            report = jsontext.dumps(report)
+        emit(report, args, f"{stem}.{'txt' if args.format == 'text' else args.format}")
     except (ClusterKnitError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
@@ -314,6 +218,7 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

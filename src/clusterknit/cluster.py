@@ -252,14 +252,15 @@ def _exchange_quotient(s: Seed, k: int, out, inc) -> LaurentPoly:
     return exact_div(product(out) + product(inc), s.vars[k - 1])
 
 
-def _multiset(variables, side) -> frozenset:
-    """An exchange side as the multiset of its variables: (variable, total
-    multiplicity) pairs, equal variables at two positions added up."""
+def side_counts(values, side) -> dict:
+    """An exchange side {position: multiplicity} as {value: total
+    multiplicity}, each position read as its entry of ``values`` (the
+    variables or the labels): equal values at two positions add up."""
     counts: dict = {}
     for i, m in side.items():
-        v = variables[i - 1]
+        v = values[i - 1]
         counts[v] = counts.get(v, 0) + m
-    return frozenset(counts.items())
+    return counts
 
 
 class ExchangeMemo:
@@ -268,12 +269,13 @@ class ExchangeMemo:
     by value (a packed row with its layout).
 
     A relation's key is the old variable at k and both sides as multisets
-    (``_multiset``), so a relation met again with its variables at other
-    positions is not divided again; its value is the new variable, which
-    the key determines.  Mutation is an involution, so the quotient y_k' of
-    (y_k, out, in) also gives the exact entry (y_k', in, out) -> y_k, the
-    relation that mutating back at k meets: each exchange pair is divided
-    once.  A memo lives as long as the walk that owns it."""
+    (``side_counts`` as a ``frozenset``), so a relation met again with its
+    variables at other positions is not divided again; its value is the new
+    variable, which the key determines.  Mutation is an involution, so the
+    quotient y_k' of (y_k, out, in) also gives the exact entry
+    (y_k', in, out) -> y_k, the relation that mutating back at k meets: each
+    exchange pair is divided once.  A memo lives as long as the walk that
+    owns it."""
 
     __slots__ = ("quotients", "variables", "texts", "names")
 
@@ -285,7 +287,8 @@ class ExchangeMemo:
 
     def quotient(self, s: Seed, k: int, out, inc) -> LaurentPoly:
         old = s.vars[k - 1]
-        out_key, in_key = _multiset(s.vars, out), _multiset(s.vars, inc)
+        out_key = frozenset(side_counts(s.vars, out).items())
+        in_key = frozenset(side_counts(s.vars, inc).items())
         new = self.quotients.get((old, out_key, in_key))
         if new is None:
             # one object per value, so later keys mostly match by identity
@@ -434,3 +437,18 @@ def trace_line(s: Seed, k: int, new_s: Seed, sides=None, memo: ExchangeMemo | No
         if rows is not None:
             parts.append(f"{tag} = {memo.row_text(rows, k)}")
     return "  ".join(parts)
+
+
+def walk(s: Seed, vertices, as_json: bool = False):
+    """The ``mutate`` report of mutating ``s`` at each of ``vertices`` in
+    turn: a trace line per step, or with ``as_json`` each step's vertex and
+    seed and the final seed.  Each step's output is made as the walk goes,
+    so no old seed is kept; the walk's ``ExchangeMemo`` is dropped on
+    return."""
+    memo, steps = ExchangeMemo(), []
+    for k in vertices:
+        sides = ex.arrows_at(s.matrix, k)
+        new = mutate_seed(s, k, sides=sides, memo=memo)
+        steps.append({"vertex": k, "seed": to_json(new)} if as_json else trace_line(s, k, new, sides, memo))
+        s = new
+    return {"steps": steps, "final": to_json(s)} if as_json else "\n".join(steps)

@@ -279,7 +279,13 @@ def triangle_display(cat: CategoryModel, values):
     return tuple(rows)
 
 
-# -- exports --------------------------------------------------------------
+# -- reports --------------------------------------------------------------
+
+
+def length_text(length: int, as_json: bool = False) -> str:
+    """The schedule length r(M) as ``path --count-only`` reports it; its
+    text is also the first line of the full ``path`` report."""
+    return f'{{"length": {length}}}' if as_json else f"schedule length r(M) = {length}"
 
 
 def to_dot(cat: CategoryModel) -> str:
@@ -296,8 +302,9 @@ def to_dot(cat: CategoryModel) -> str:
     return "\n".join(lines)
 
 
-def to_json(cat: CategoryModel) -> dict:
-    """Dims and hom table keyed by "(i,a)" strings, plus the Gamma^* arrows."""
+def to_json(cat: CategoryModel, ordering) -> dict:
+    """The ``build`` report: dims and hom table keyed by "(i,a)" strings,
+    the Gamma^* arrows, and the ordering with its d_Delta."""
     return {
         "n": cat.terminal.q.n,
         "t": list(cat.terminal.t),
@@ -311,4 +318,21 @@ def to_json(cat: CategoryModel) -> dict:
             repr(x): dict(zip(map(repr, cat.vertices), row))
             for x, row in zip(cat.vertices, cat.hom_table)
         },
+        "d_delta": list(delta_dims(cat, validate_ordering(cat, ordering))),
+        "ordering": [list(v) for v in ordering],
     }
+
+
+def text(cat: CategoryModel, ordering) -> str:
+    """The text ``build`` report: the facts of ``to_json``, one a line."""
+    star = ", ".join(f"{cat.vertices[s - 1]!r}->{cat.vertices[t - 1]!r}" for (s, t) in cat.gammaMStar.arrows)
+    return "\n".join([
+        f"category on {cat.r} vertices, t = {','.join(map(str, cat.terminal.t))}",
+        "vertices (canonical order): " + " ".join(map(repr, cat.vertices)),
+        f"Gamma* arrows: {star}",
+        "dimension vectors:",
+        *(f"  {v!r}: {list(cat.dims[v].coords)}" for v in cat.vertices),
+        "hom table (rows = source, canonical order):",
+        *(f"  {x!r}: {list(row)}" for x, row in zip(cat.vertices, cat.hom_table)),
+        f"d_Delta (ordering): {list(delta_dims(cat, validate_ordering(cat, ordering)))}",
+    ])

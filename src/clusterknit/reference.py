@@ -256,6 +256,21 @@ def minors_report(n: int, mode: str) -> dict:
     return {"n": n, "mode": mode, "checks": checks, "status": status(ok)}
 
 
+def minors_line(check: dict) -> str:
+    """The text line of one entry of the ``minors`` report."""
+    if check["kind"] == "table":
+        return f"table ({check['interval']}): rows={check['rows']} cols={check['cols']} minor={check['minor']}"
+    if check["kind"] == "eta":
+        extra = " (extrapolated)" if check["extrapolated"] else ""
+        return f"eta {tuple(check['interval'])}: {check['status']}{extra}"
+    return f"cross k={check['k']}: {check['status']}"
+
+
+def minors_text(report: dict) -> str:
+    """The text ``minors`` report: a line per entry, then the overall status."""
+    return "\n".join([*map(minors_line, report["checks"]), f"overall: {report['status']}"])
+
+
 # -- the checks of ``clusterknit check`` ------------------------------------------
 
 
@@ -363,3 +378,27 @@ CHECKS = [
 ]
 # Run after CHECKS by ``check --slow``.
 SLOW_CHECKS = [("euler_g6_integral", check_euler_g6_integral)]
+
+
+def run_checks(slow: bool = False) -> dict:
+    """The ``check`` manifest: each of CHECKS (and SLOW_CHECKS if ``slow``)
+    with its status, and the overall status.  A check that raises fails,
+    with the exception as its detail."""
+    manifest = {"checks": [], "status": "PASS"}
+    for name, fn in CHECKS + (SLOW_CHECKS if slow else []):
+        try:
+            passed, detail = bool(fn()), ""
+        except Exception as exc:  # a crash is a failure with a reason
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
+        manifest["checks"].append({"name": name, "status": "PASS" if passed else "FAIL", "detail": detail})
+        if not passed:
+            manifest["status"] = "FAIL"
+    return manifest
+
+
+def manifest_text(manifest: dict) -> str:
+    """The text ``check`` manifest: a line per check, then the overall status."""
+    lines = [
+        f"{c['status']}  {c['name']}" + (f"  ({c['detail']})" if c["detail"] else "") for c in manifest["checks"]
+    ]
+    return "\n".join(lines + [f"overall: {manifest['status']}"])

@@ -119,14 +119,6 @@ class PathResult(NamedTuple):
     steps: tuple[PathStep, ...]
 
 
-def _label_side(labels, side) -> dict:
-    """An exchange side {position: multiplicity} as {label: multiplicity}."""
-    counts: dict = {}
-    for i, m in side.items():
-        counts[labels[i - 1]] = counts.get(labels[i - 1], 0) + m
-    return counts
-
-
 def run_path(seed: cluster.Seed, sch: Schedule) -> PathResult:
     """Run the full schedule.  Every mutation must hit the vertex currently
     carrying the scheduled label and its exchange sides must be the two
@@ -143,7 +135,7 @@ def run_path(seed: cluster.Seed, sch: Schedule) -> PathResult:
         if k is None:
             raise ScheduleMismatchError(f"step {idx + 1}: no vertex is labeled {target!r}")
         sides = ex.arrows_at(cur.matrix, k)
-        emitted = tuple(_label_side(cur.labels, side) for side in sides)
+        emitted = tuple(cluster.side_counts(cur.labels, side) for side in sides)
         if ident.sides not in (emitted, emitted[::-1]):
             raise ScheduleMismatchError(
                 f"step {idx + 1}: exchange at {target!r} emitted "
@@ -226,7 +218,18 @@ def relation_texts(steps) -> list[tuple[str, str, str]]:
     return lines
 
 
+def result_text(res: PathResult) -> str:
+    """The text ``path`` report: the schedule length, a line per step and
+    the final labels."""
+    lines = [mesh.length_text(len(res.schedule))]
+    for st, (old, new, relation) in zip(res.steps, relation_texts(res.steps)):
+        lines.append(f"step {st.index}: {old} -> {new}  {relation}  Max-dominated: {st.dominated}")
+    lines.append("final labels: " + " ".join(map(repr, res.seed.labels)))
+    return "\n".join(lines)
+
+
 def result_to_json(res: PathResult) -> dict:
+    """The JSON ``path`` report."""
     return {
         "length": len(res.schedule),
         "qm_order": list(res.schedule.qm_order),

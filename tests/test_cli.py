@@ -388,6 +388,58 @@ def test_large_output_goes_to_the_default_file(tmp_path, monkeypatch, capsys):
     assert text == out.read_text() and text.count("\n") == len(walk) > cli.BIG_OUTPUT_LINES
 
 
+# argv (QUIVER and SEED stand for input files), format, default file name
+DEFAULT_FILES = [
+    *[(["build", "QUIVER", "--t", "2,1,1"], fmt, name)
+      for fmt, name in (("text", "category.txt"), ("json", "category.json"), ("dot", "gamma_star.dot"))],
+    *[(argv, fmt, f"{stem}.{ext}") for argv, stem in (
+        (["mutate", "SEED", "4", "5", "6"], "mutation_trace"),
+        (["path", "QUIVER", "--t", "2,1,1"], "path_report"),
+        (["path", "QUIVER", "--t", "2,1,1", "--count-only"], "path_report"),
+        (["euler", "QUIVER", "--t", "2,1,1", "--k", "3"], "g_T3"),
+        (["minors", "--n", "3"], "minors_report"),
+        (["check"], "manifest"),
+    ) for fmt, ext in (("text", "txt"), ("json", "json"))],
+]
+
+
+@pytest.mark.parametrize("argv, fmt, name", DEFAULT_FILES, ids=lambda x: " ".join(x) if isinstance(x, list) else x)
+def test_every_report_goes_to_its_default_file(argv, fmt, name, tmp_path, kron_file, monkeypatch, capsys):
+    """With BIG_OUTPUT_LINES below 0, every command in every format writes
+    its report to its default file, the bytes an ``--out`` run writes."""
+    pins = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
+    seed = tmp_path / "seed.json"
+    seed.write_text(json.dumps(json.loads(pins.read_text())["seeds"]["fan-a3"]))
+    argv = [{"QUIVER": kron_file, "SEED": str(seed)}.get(a, a) for a in argv] + ["--format", fmt]
+    monkeypatch.setattr(cli, "BIG_OUTPUT_LINES", -1)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == f"output too large for stdout; wrote {name}\n"
+    out = tmp_path / "given"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert (tmp_path / name).read_bytes() == out.read_bytes()
+
+
+def test_output_bytes_do_not_depend_on_the_locale(kron_file, tmp_path):
+    """``euler`` text writes U+00B7: under the C locale, with neither UTF-8
+    mode nor locale coercion, it still exits 0 and writes the UTF-8 bytes of
+    a default run, to stdout and to ``--out``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "clusterknit.cli", "euler", kron_file, "--t", "2,1,1", "--k", "3"]
+    runs = {}
+    for name, extra in (("default", {}), ("c", {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})):
+        env = dict(os.environ, PYTHONPATH=src, **extra)
+        if extra:
+            env.pop("PYTHONIOENCODING", None)
+        out = tmp_path / f"{name}.txt"
+        printed = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+        written = subprocess.run(argv + ["--out", str(out)], capture_output=True, env=env, timeout=60)
+        assert printed.returncode == written.returncode == 0, printed.stderr + written.stderr
+        runs[name] = printed.stdout, out.read_bytes()
+    assert runs["c"] == runs["default"] == (b"2\xc2\xb7w[3,2,1,1]\n",) * 2
+
+
 def test_check_fails_on_a_wrong_expected_value(monkeypatch, capsys):
     """Corrupting one expected value fails exactly the check that reads it."""
     (top, *rows) = reference.D_DELTA
@@ -428,6 +480,24 @@ def test_unreadable_json_files_exit_2(tmp_path, kron_file, capsys, raw, detail):
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: InputFormatError: ") and detail in err
+
+
+BIG = "1" * 5000  # past the 4,300 digits Python converts between int and text
+
+
+@pytest.mark.parametrize("kind", ["quiver", "ordering", "seed"])
+def test_an_integer_past_the_digit_limit_exits_2(kind, tmp_path, kron_file, capsys):
+    """A JSON integer literal too long for ``int`` is bad input, not a bug."""
+    path = tmp_path / "big.json"
+    text, argv = {
+        "quiver": (f'{{"n": {BIG}, "arrows": []}}', ["build", str(path), "--t", "0"]),
+        "ordering": (f"[[1, {BIG}]]", ["build", kron_file, "--t", "2,1,1", "--ordering", f"file:{path}"]),
+        "seed": (f'{{"r": 1, "matrix": {{"b": [[0]]}}, "vars": [{{"1": {BIG}}}]}}', ["mutate", str(path), "1"]),
+    }[kind]
+    path.write_text(text)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: InputFormatError: ") and "5000 digits" in err
 
 
 def test_an_internal_error_exits_3(tmp_path, monkeypatch, capsys):
@@ -508,7 +578,7 @@ def test_minors_modes_are_the_filtered_full_report(mode, capsys):
     assert got == {"n": 4, "mode": mode, "checks": checks, "status": status}
     lines = [line for line in minors_output([], capsys).splitlines() if line.startswith(mode + " ")]
     assert len(lines) == len(checks) > 0
-    assert lines == [cli.minors_line(c) for c in checks]
+    assert lines == [reference.minors_line(c) for c in checks]
     assert minors_output(["--mode", mode], capsys).splitlines() == lines + [f"overall: {status}"]
 
 

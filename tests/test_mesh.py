@@ -435,7 +435,7 @@ def test_dot_export(kronecker3):
 
 
 def test_json_export(kronecker3):
-    data = to_json(kronecker3)
+    data = to_json(kronecker3, kronecker3.vertices)
     assert data["dims"]["(1,2)"] == [9, 6, 2]
     assert data["hom"]["(1,2)"]["(1,0)"] == 9
 

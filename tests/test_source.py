@@ -194,3 +194,20 @@ def test_every_error_class_is_raised():
     assert len(classes) > 10 and not missing, missing
     sample = ast.parse("raise A\nraise b.B('x') from None\ntry:\n    f()\nexcept C:\n    raise\n")
     assert _raised({"a": sample}) == {"A", "B"}
+
+
+def test_the_cli_only_parses_loads_and_writes():
+    """``cli`` defines its loaders, ``emit``, the six commands, the parser
+    and ``main``, and only ``main`` calls ``emit``: each report is built in
+    the module that computes its data."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    defined = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    commands = {f"cmd_{c}" for c in ("build", "mutate", "path", "euler", "minors", "check")}
+    assert set(defined) == {"read_json", "load_terminal", "load_ordering", "emit", "build_parser", "main", *commands}
+    emits = [
+        name
+        for name, node in defined.items()
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id == "emit"
+    ]
+    assert emits == ["main"]
