@@ -31,18 +31,19 @@ BIG_OUTPUT_CHARS = 200_000
 
 def read_json(path: str):
     """The JSON value in the file at ``path``.  Text that is not UTF-8,
-    nested too deeply for the parser or with an integer literal past
-    Python's digit limit is an input error like any other unreadable JSON."""
+    nested too deeply for the parser or with an integer literal that
+    ``strict_int`` refuses for its length is an input error like any other
+    unreadable JSON."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_int=strict_int)
         except UnicodeDecodeError as exc:
             raise InputFormatError(f"{path} is not UTF-8 text: {exc}") from None
         except RecursionError:
             raise InputFormatError(f"{path} nests JSON too deeply") from None
         except json.JSONDecodeError:
             raise
-        except ValueError as exc:  # an integer literal too long to convert
+        except ValueError as exc:  # an integer literal too long
             raise InputFormatError(f"{path}: {exc}") from None
 
 
@@ -203,6 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # results may pass the int-text digit limit; input stays bounded by strict_int
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()  # None: no limit before 3.10.7
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         report, stem, passed = args.fn(args)
         if not isinstance(report, str):  # a report dict
@@ -218,6 +223,9 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     return 0 if passed else 1
 
 

@@ -1,15 +1,19 @@
 """Exception hierarchy shared by all clusterknit modules, and the strict
 integer reader that the text input boundaries share."""
 
+MAX_DIGITS = 4300  # Python's default int-text limit, which ``cli.main`` lifts for exact output
+
 
 def strict_int(text: str) -> int:
     """The integer spelled ``-?[0-9]+`` by ``text``, as JSON spells one.
     Anything ``int()`` would also take (underscores, surrounding spaces, a
-    sign '+', non-ASCII digits) raises ValueError, as does a number past
-    ``int()``'s digit limit."""
+    sign '+', non-ASCII digits) raises ValueError, as does a number of more
+    than MAX_DIGITS digits."""
     digits = text[1:] if text[:1] == "-" else text
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not an integer: {text!r}")
+    if len(digits) > MAX_DIGITS:
+        raise ValueError(f"an integer of {len(digits)} digits is past the limit of {MAX_DIGITS}")
     return int(text)
 
 

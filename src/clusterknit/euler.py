@@ -11,15 +11,7 @@ from operator import sub
 
 from . import mesh
 from .errors import NotThinError, SummandIndexError
-from .quiver import (
-    CartanMatrix,
-    _topological_order,
-    ReducedWord,
-    adapted_word,
-    cartan,
-    fundamental_weight,
-    s_weight,
-)
+from .quiver import acyclic_order, adapted_word, cartan, fundamental_weight, s_weight
 
 
 class ShuffleSeries:
@@ -93,18 +85,17 @@ def shuffle(a: ShuffleSeries, b: ShuffleSeries) -> ShuffleSeries:
     return ShuffleSeries(terms)
 
 
-def b_exponents(word: ReducedWord, k: int, c: CartanMatrix):
-    """(b_1, ..., b_k): b_k = 1 and
+def b_exponents(letters: tuple, k: int, c: tuple):
+    """(b_1, ..., b_k) for the word (i_1, ..., i_r): b_k = 1 and
     b_j = (s_{i_{j+1}} ... s_{i_k}(w_{i_k}))(alpha_{i_j}^vee)."""
-    letters = word.letters
     if not (1 <= k <= len(letters)):
         raise SummandIndexError(f"k={k} out of range 1..{len(letters)}")
     bs = [0] * k
     bs[k - 1] = 1
-    lam = fundamental_weight(letters[k - 1], c.n)
+    lam = fundamental_weight(letters[k - 1], len(c))
     for j in range(k - 1, 0, -1):
         lam = s_weight(lam, letters[j], c)
-        bs[j - 1] = lam[letters[j - 1]]
+        bs[j - 1] = lam[letters[j - 1] - 1]
     return tuple(bs)
 
 
@@ -129,13 +120,13 @@ def stage_dag(cat: mesh.CategoryModel, ordering, k: int) -> tuple:
     one drop vector per stage.  A state is pushed once, when first seen,
     and maps to None in ``edges`` until it is built."""
     mesh.validate_ordering(cat, ordering)
-    word = adapted_word(cat, ordering)
+    letters = adapted_word(cat, ordering)
     c = cartan(cat.terminal.q)
-    bs = b_exponents(word, k, c)
-    lam = fundamental_weight(word.letters[k - 1], c.n)
-    stages = [(word.letters[j - 1], bs[j - 1]) for j in range(k, 0, -1) if bs[j - 1]]
+    bs = b_exponents(letters, k, c)
+    lam = fundamental_weight(letters[k - 1], len(c))
+    stages = [(letters[j - 1], bs[j - 1]) for j in range(k, 0, -1) if bs[j - 1]]
     drops = [
-        tuple(0 if t < s else 1 if t == s else c[i, j] for t, (j, _) in enumerate(stages))
+        tuple(0 if t < s else 1 if t == s else c[i - 1][j - 1] for t, (j, _) in enumerate(stages))
         for s, (i, _) in enumerate(stages)
     ]
     # (stage, letter, radix, b_s), letters descending, stages ascending within a letter
@@ -144,7 +135,7 @@ def stage_dag(cat: mesh.CategoryModel, ordering, k: int) -> tuple:
         for s, (i, b) in sorted(enumerate(stages), key=lambda e: (-e[1][0], e[0]))
     ]
     edges: dict = {0: None}
-    todo = [(0, (0,) * len(stages), tuple(lam[i] for i, _ in stages))]
+    todo = [(0, (0,) * len(stages), tuple(lam[i - 1] for i, _ in stages))]
     while todo:
         state, xs, weights = todo.pop()
         out = []
@@ -335,7 +326,7 @@ class ThinModule:
         for (u, v) in arrows:
             if u not in index or v not in index:
                 raise NotThinError(f"arrow ({u},{v}) references unknown slot")
-        if _topological_order(len(index), [(index[u], index[v]) for (u, v) in arrows]) is None:
+        if acyclic_order(len(index), [(index[u], index[v]) for (u, v) in arrows]) is None:
             raise NotThinError("arrow relation has a cycle")
 
 def flag_oracle(m: ThinModule) -> ShuffleSeries:

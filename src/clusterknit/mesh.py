@@ -24,7 +24,7 @@ from typing import NamedTuple
 from .errors import (DynkinOverflowError, LabelRangeError, NotAdaptedError, TerminalConstraintError,
                      VertexIndexError)
 from .labels import IntervalLabel, MeshVertex
-from .quiver import Quiver, RootVec, topological_order
+from .quiver import Quiver, topological_order
 
 
 class TerminalData(NamedTuple):
@@ -148,7 +148,7 @@ def _knit_dims(td: TerminalData) -> dict:
     if ends:
         i = min(ends)
         raise DynkinOverflowError(f"tau^{ends[i]}(I_{i}) does not exist; t_{i}={t[i - 1]} is too large")
-    return {MeshVertex(i, a): RootVec(vec) for (i, a), vec in dims.items()}
+    return {MeshVertex(i, a): vec for (i, a), vec in dims.items()}
 
 
 def build_category(td: TerminalData) -> CategoryModel:
@@ -313,7 +313,7 @@ def to_json(cat: CategoryModel, ordering) -> dict:
             [repr(cat.vertices[s - 1]), repr(cat.vertices[t - 1])]
             for (s, t) in cat.gammaMStar.arrows
         ],
-        "dims": {repr(v): list(cat.dims[v].coords) for v in cat.vertices},
+        "dims": {repr(v): list(cat.dims[v]) for v in cat.vertices},
         "hom": {
             repr(x): dict(zip(map(repr, cat.vertices), row))
             for x, row in zip(cat.vertices, cat.hom_table)
@@ -331,7 +331,7 @@ def text(cat: CategoryModel, ordering) -> str:
         "vertices (canonical order): " + " ".join(map(repr, cat.vertices)),
         f"Gamma* arrows: {star}",
         "dimension vectors:",
-        *(f"  {v!r}: {list(cat.dims[v].coords)}" for v in cat.vertices),
+        *(f"  {v!r}: {list(cat.dims[v])}" for v in cat.vertices),
         "hom table (rows = source, canonical order):",
         *(f"  {x!r}: {list(row)}" for x, row in zip(cat.vertices, cat.hom_table)),
         f"d_Delta (ordering): {list(delta_dims(cat, validate_ordering(cat, ordering)))}",

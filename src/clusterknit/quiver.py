@@ -1,7 +1,9 @@
 """Quivers, Cartan matrices, reflections and reduced words.
 
 Vertices are the integers 1..n.  Arrows form a multiset: parallel arrows
-are allowed and tracked with multiplicity, loops are not.
+are allowed and tracked with multiplicity, loops are not.  A vector over
+the vertices (a Cartan matrix row, a weight's pairings, a root's
+coordinates) is a tuple holding vertex i at index i - 1.
 """
 
 from __future__ import annotations
@@ -40,59 +42,20 @@ class Quiver(NamedTuple):
         return Quiver(self.n, tuple(sorted((t, s) for (s, t) in self.arrows)))
 
 
-class CartanMatrix(NamedTuple):
-    entries: tuple[tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.entries[i - 1][j - 1]
+def fundamental_weight(i: int, n: int) -> tuple[int, ...]:
+    """omega_i, stored purely through its pairings omega_i(alpha_j^vee)."""
+    return tuple(1 if j == i else 0 for j in range(1, n + 1))
 
 
-class Weight(NamedTuple):
-    """A weight stored purely through its pairings lambda(alpha_j^vee)."""
-
-    pairings: tuple[int, ...]
-
-    def __getitem__(self, j: int) -> int:
-        return self.pairings[j - 1]
+def simple_root(i: int, n: int) -> tuple[int, ...]:
+    """alpha_i in simple-root coordinates."""
+    return tuple(1 if j == i else 0 for j in range(1, n + 1))
 
 
-class RootVec(NamedTuple):
-    """Element of the root lattice in simple-root coordinates."""
-
-    coords: tuple[int, ...]
-
-    def __getitem__(self, j: int) -> int:
-        return self.coords[j - 1]
-
-    def is_positive(self) -> bool:
-        return any(self.coords) and all(c >= 0 for c in self.coords)
-
-
-class ReducedWord(NamedTuple):
-    """Letters (i_1, ..., i_r), read right-to-left as w = s_{i_r} ... s_{i_1}."""
-
-    letters: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-
-def fundamental_weight(i: int, n: int) -> Weight:
-    return Weight(tuple(1 if j == i else 0 for j in range(1, n + 1)))
-
-
-def simple_root(i: int, n: int) -> RootVec:
-    return RootVec(tuple(1 if j == i else 0 for j in range(1, n + 1)))
-
-
-def _topological_order(n: int, arrows) -> list[int] | None:
-    """Sources-first topological order, or None if there is a cycle: Kahn's
-    algorithm with a heap, so the smallest ready vertex goes first."""
+def acyclic_order(n: int, arrows) -> list[int] | None:
+    """Sources-first topological order of 1..n under ``arrows``, or None if
+    there is a cycle: Kahn's algorithm with a heap, so the smallest ready
+    vertex goes first."""
     indeg = [0] * (n + 1)
     succ: list[list[int]] = [[] for _ in range(n + 1)]
     for (s, t) in arrows:
@@ -111,7 +74,7 @@ def _topological_order(n: int, arrows) -> list[int] | None:
 
 
 def topological_order(q: Quiver) -> list[int]:
-    order = _topological_order(q.n, q.arrows)
+    order = acyclic_order(q.n, q.arrows)
     if order is None:
         raise CycleError("quiver has a directed cycle")
     return order
@@ -130,7 +93,7 @@ def validate_quiver(n: int, arrows) -> Quiver:
         arrs.append((s, t))
     if len(arrs) < n - 1:  # refused before any table of n entries is built
         raise DisconnectedError(f"{len(arrs)} arrows cannot connect {n} vertices")
-    if _topological_order(n, arrs) is None:
+    if acyclic_order(n, arrs) is None:
         raise CycleError("quiver has a directed cycle")
     # undirected connectivity
     adj = {v: set() for v in range(1, n + 1)}
@@ -168,8 +131,9 @@ def from_json(data: dict) -> Quiver:
     return validate_quiver(data["n"], int_pairs(data.get("arrows"), "arrows"))
 
 
-def cartan(q: Quiver) -> CartanMatrix:
-    """Symmetric generalized Cartan matrix of the underlying graph."""
+def cartan(q: Quiver) -> tuple[tuple[int, ...], ...]:
+    """Symmetric generalized Cartan matrix of the underlying graph, as its
+    rows: c_ij is ``c[i - 1][j - 1]``."""
     n = q.n
     edges = [[0] * (n + 1) for _ in range(n + 1)]
     for (s, t) in q.arrows:
@@ -178,7 +142,7 @@ def cartan(q: Quiver) -> CartanMatrix:
     rows = []
     for i in range(1, n + 1):
         rows.append(tuple(2 if i == j else -edges[i][j] for j in range(1, n + 1)))
-    return CartanMatrix(tuple(rows))
+    return tuple(rows)
 
 
 def reflect(q: Quiver, k: int) -> Quiver:
@@ -191,20 +155,19 @@ def reflect(q: Quiver, k: int) -> Quiver:
     return Quiver(q.n, flipped)
 
 
-def s_weight(w: Weight, i: int, c: CartanMatrix) -> Weight:
+def s_weight(w: tuple, i: int, c: tuple) -> tuple[int, ...]:
     """Simple reflection s_i on pairing vectors:
     (s_i w)_j = w_j - w_i * c_ij."""
-    wi = w[i]
-    return Weight(tuple(w[j] - wi * c[i, j] for j in range(1, c.n + 1)))
+    wi = w[i - 1]
+    return tuple(wj - wi * cij for wj, cij in zip(w, c[i - 1]))
 
 
-def s_root(d: RootVec, i: int, c: CartanMatrix) -> RootVec:
+def s_root(d: tuple, i: int, c: tuple) -> tuple[int, ...]:
     """Simple reflection s_i on root coordinates: only the i-th coordinate
     moves, by d_i -> d_i - sum_j d_j c_ji."""
-    pairing = sum(d[j] * c[j, i] for j in range(1, c.n + 1))
-    coords = list(d.coords)
-    coords[i - 1] -= pairing
-    return RootVec(tuple(coords))
+    coords = list(d)
+    coords[i - 1] -= sum(dj * row[i - 1] for dj, row in zip(d, c))
+    return tuple(coords)
 
 
 def validate_sink_sequence(q: Quiver, letters) -> None:
@@ -221,8 +184,9 @@ def validate_sink_sequence(q: Quiver, letters) -> None:
         cur = reflect(cur, letter)
 
 
-def adapted_word(cat, ordering) -> ReducedWord:
-    """Reduced word of the Weyl group element attached to a terminal module.
+def adapted_word(cat, ordering) -> tuple[int, ...]:
+    """Reduced word (i_1, ..., i_r) of the Weyl group element attached to a
+    terminal module, read right-to-left as w = s_{i_r} ... s_{i_1}.
 
     ``ordering`` is a Gamma_M-adapted list of mesh vertices; the j-th letter
     is the Q-vertex of the j-th mesh vertex.  The result is validated by the
@@ -235,30 +199,25 @@ def adapted_word(cat, ordering) -> ReducedWord:
             f"ordering has {len(letters)} entries, expected {len(cat.vertices)}"
         )
     validate_sink_sequence(q.opposite(), letters)
-    return ReducedWord(letters)
+    return letters
 
 
-def inversion_roots(word: ReducedWord, c: CartanMatrix) -> list[RootVec]:
+def inversion_roots(letters: tuple, c: tuple) -> list[tuple[int, ...]]:
     """The roots alpha_{i_1}, s_{i_1}(alpha_{i_2}), ...,
-    s_{i_1}...s_{i_{r-1}}(alpha_{i_r}).
+    s_{i_1}...s_{i_{r-1}}(alpha_{i_r}) of the word ``letters``.
 
     All must come out positive and pairwise distinct, otherwise the word is
     not reduced.  This positivity test works uniformly for infinite Weyl
     groups, where a length comparison is unavailable.
     """
-    n = c.n
-    roots: list[RootVec] = []
-    for j, letter in enumerate(word.letters):
-        root = simple_root(letter, n)
+    roots: list[tuple[int, ...]] = []
+    for j, letter in enumerate(letters):
+        root = simple_root(letter, len(c))
         for k in range(j - 1, -1, -1):
-            root = s_root(root, word.letters[k], c)
-        if not root.is_positive():
-            raise NotReducedError(
-                f"inversion root {j + 1} of {word.letters} is not positive"
-            )
+            root = s_root(root, letters[k], c)
+        if not (any(root) and min(root) >= 0):
+            raise NotReducedError(f"inversion root {j + 1} of {letters} is not positive")
         if root in roots:
-            raise NotReducedError(
-                f"inversion root {j + 1} of {word.letters} is duplicated"
-            )
+            raise NotReducedError(f"inversion root {j + 1} of {letters} is duplicated")
         roots.append(root)
     return roots

@@ -215,13 +215,13 @@ def cross_checks(cat):
     tuples to coefficients (a fractional coefficient equals no minor's)."""
     n = cat.terminal.q.n
     ordering = mesh.adapted_orderings(cat)
-    word = adapted_word(cat, ordering)
-    seq = word.letters * 2
+    letters = adapted_word(cat, ordering)
+    seq = letters * 2
     flag = minors.flag_minors(seq, n + 1)
     results = []
     for k in range(1, cat.r + 1):
         phi = euler.evaluate_phi(euler.g_module(cat, ordering, k), seq)
-        key = minors.w_minor(word.letters[:k], word.letters[k - 1], n + 1)
+        key = minors.w_minor(letters[:k], letters[k - 1], n + 1)
         results.append((k, phi == (flag[key].exponent_map() if key in flag else {})))
     return results
 
@@ -275,7 +275,7 @@ def minors_text(report: dict) -> str:
 
 
 def check_cartan() -> bool:
-    return cartan(quiver("kronecker3")).entries == CARTAN_KRONECKER3
+    return cartan(quiver("kronecker3")) == CARTAN_KRONECKER3
 
 
 def check_dim_triangles() -> bool:
@@ -304,7 +304,7 @@ def check_delta_vectors() -> bool:
 
 def check_schedule_lengths() -> bool:
     return all(
-        len(rigidpath.make_schedule(terminal(name))) == length
+        len(rigidpath.make_schedule(terminal(name)).steps) == length
         for name, length in SCHEDULE_LENGTHS.items()
     )
 
@@ -336,9 +336,9 @@ def check_euler_series() -> bool:
 
 def check_inversion_roots() -> bool:
     cat = category("triangle3")
-    word = adapted_word(cat, mesh.adapted_orderings(cat))
-    got = sorted(r.coords for r in inversion_roots(word, cartan(cat.terminal.q)))
-    want = sorted(cat.dims[v].coords for v in cat.vertices)
+    letters = adapted_word(cat, mesh.adapted_orderings(cat))
+    got = sorted(inversion_roots(letters, cartan(cat.terminal.q)))
+    want = sorted(cat.dims[v] for v in cat.vertices)
     return got == want == TRIANGLE3_ROOTS
 
 

@@ -83,9 +83,6 @@ class Schedule(NamedTuple):
     qm_order: tuple[int, ...]
     steps: tuple[DetIdentity, ...]
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
 
 def make_schedule(td: TerminalData) -> Schedule:
     """Round k = 0, 1, ... mutates, for each i in Q_M-adapted order, the
@@ -100,10 +97,9 @@ def make_schedule(td: TerminalData) -> Schedule:
         for i in order
         for a in range(td.level(i) - k, 0, -1)
     )
-    sch = Schedule(tuple(order), steps)
-    if len(sch) != schedule_length(td):
-        raise ScheduleMismatchError(f"{len(sch)} steps, r(M) = {schedule_length(td)}")
-    return sch
+    if len(steps) != schedule_length(td):
+        raise ScheduleMismatchError(f"{len(steps)} steps, r(M) = {schedule_length(td)}")
+    return Schedule(tuple(order), steps)
 
 
 class PathStep(NamedTuple):
@@ -221,7 +217,7 @@ def relation_texts(steps) -> list[tuple[str, str, str]]:
 def result_text(res: PathResult) -> str:
     """The text ``path`` report: the schedule length, a line per step and
     the final labels."""
-    lines = [mesh.length_text(len(res.schedule))]
+    lines = [mesh.length_text(len(res.schedule.steps))]
     for st, (old, new, relation) in zip(res.steps, relation_texts(res.steps)):
         lines.append(f"step {st.index}: {old} -> {new}  {relation}  Max-dominated: {st.dominated}")
     lines.append("final labels: " + " ".join(map(repr, res.seed.labels)))
@@ -231,7 +227,7 @@ def result_text(res: PathResult) -> str:
 def result_to_json(res: PathResult) -> dict:
     """The JSON ``path`` report."""
     return {
-        "length": len(res.schedule),
+        "length": len(res.schedule.steps),
         "qm_order": list(res.schedule.qm_order),
         "steps": [
             {

@@ -34,9 +34,7 @@ from clusterknit.exchange import ExchangeMatrix, arrows_at, make_matrix
 from clusterknit.laurent import LaurentPoly, exact_div, to_text
 from clusterknit.mesh import IntervalLabel, MeshVertex, TerminalData, validate_label, validate_ordering
 from clusterknit.quiver import (
-    CartanMatrix,
     Quiver,
-    Weight,
     adapted_word,
     cartan,
     fundamental_weight,
@@ -626,12 +624,12 @@ def quiver_to_json(q: Quiver) -> dict:
     return {"n": q.n, "arrows": [[s, t] for (s, t) in q.arrows]}
 
 
-def f_action(s: ShuffleSeries, i: int, lam: Weight, c: CartanMatrix) -> ShuffleSeries:
+def f_action(s: ShuffleSeries, i: int, lam: tuple, c: tuple) -> ShuffleSeries:
     """Letter insertion realizing the lowering operator: w[j_1..j_k] goes to
     sum_r (lam - alpha_{j_1} - ... - alpha_{j_r})(alpha_i^vee)
     w[j_1..j_r, i, j_{r+1}..j_k]."""
-    col = [0] + [c[l, i] for l in range(1, c.n + 1)]
-    lam_i = lam[i]
+    col = [0] + [row[i - 1] for row in c]
+    lam_i = lam[i - 1]
     ins = (i,)
     terms: dict = defaultdict(int)
     for word, coeff in s.terms.items():
@@ -651,7 +649,7 @@ def f_action(s: ShuffleSeries, i: int, lam: Weight, c: CartanMatrix) -> ShuffleS
     return ShuffleSeries(terms)
 
 
-def divided_f(s: ShuffleSeries, i: int, b: int, lam: Weight, c: CartanMatrix) -> ShuffleSeries:
+def divided_f(s: ShuffleSeries, i: int, b: int, lam: tuple, c: tuple) -> ShuffleSeries:
     """Apply f_i b times and divide by b!: after the m-th application every
     coefficient is divided by m, so each stage is the divided power f_i^(m)
     of the input.  On an integer series each stage is integral, so a
@@ -677,10 +675,10 @@ def divided_f_chain(cat, ordering, k: int) -> ShuffleSeries:
     word = adapted_word(cat, ordering)
     c = cartan(cat.terminal.q)
     bs = b_exponents(word, k, c)
-    lam = fundamental_weight(word.letters[k - 1], c.n)
+    lam = fundamental_weight(word[k - 1], len(c))
     series = ShuffleSeries.unit()
     for j in range(k, 0, -1):
-        series = divided_f(series, word.letters[j - 1], bs[j - 1], lam, c)
+        series = divided_f(series, word[j - 1], bs[j - 1], lam, c)
     return series
 
 
@@ -721,8 +719,8 @@ def rescan_stage_dag(cat, ordering, k: int) -> tuple:
     word = adapted_word(cat, ordering)
     c = cartan(cat.terminal.q)
     bs = b_exponents(word, k, c)
-    lam = fundamental_weight(word.letters[k - 1], c.n)
-    stages = [(word.letters[j - 1], bs[j - 1]) for j in range(k, 0, -1) if bs[j - 1]]
+    lam = fundamental_weight(word[k - 1], len(c))
+    stages = [(word[j - 1], bs[j - 1]) for j in range(k, 0, -1) if bs[j - 1]]
     radix = [prod(b + 1 for _, b in stages[:s]) for s in range(len(stages))]
     edges: dict = {}
     todo = [0]
@@ -734,7 +732,7 @@ def rescan_stage_dag(cat, ordering, k: int) -> tuple:
         out: dict = defaultdict(list)
         for s, (i, b) in enumerate(stages):
             if xs[s] < b:
-                weight = lam[i] - xs[s] - sum(x * c[j, i] for (j, _), x in zip(stages[:s], xs))
+                weight = lam[i - 1] - xs[s] - sum(x * c[j - 1][i - 1] for (j, _), x in zip(stages[:s], xs))
                 if weight:
                     out[i].append((state + radix[s], weight))
                     todo.append(state + radix[s])

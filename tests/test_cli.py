@@ -500,6 +500,25 @@ def test_an_integer_past_the_digit_limit_exits_2(kind, tmp_path, kron_file, caps
     assert err.startswith("error: InputFormatError: ") and "5000 digits" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_result_past_the_digit_limit_is_written_exactly(fmt, tmp_path, capsys):
+    """A valid seed whose result passes Python's int-text digit limit: c,
+    of 3,000 digits, squares to 6,000 in mu_2 of y1 = c*y1.  ``Decimal``
+    spells c^2 here, where ``str`` would hit the limit."""
+    from decimal import Decimal
+
+    c = "7" * 3000
+    path = tmp_path / "s.json"
+    path.write_text(f'{{"r": 2, "matrix": {{"b": [[0, 2], [-2, 0]]}}, "vars": [{{"1,0": {c}}}, {{"0,1": 1}}]}}')
+    assert cli.main(["mutate", str(path), "2", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    square = str(Decimal(int(c) * int(c)))
+    if fmt == "json":
+        assert json.loads(out)["final"]["vars"][1] == {"0,-1": "1", "2,-1": square}
+    else:
+        assert out == f"mu_2  y2' * y2 = y1^2 + 1  var = {square}*y1^2*y2^-1 + y2^-1\n"
+
+
 def test_an_internal_error_exits_3(tmp_path, monkeypatch, capsys):
     """A ValueError from inside the library is a bug, not bad input: it
     exits 3 and says so, with its traceback."""

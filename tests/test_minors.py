@@ -205,7 +205,7 @@ def test_w_minor_matches_eta_on_linear_a4(linear_a4):
     ordering = adapted_orderings(linear_a4)
     word = adapted_word(linear_a4, ordering)
     for k, v in enumerate(ordering, start=1):
-        got = w_minor(word.letters[:k], word.letters[k - 1], 5)
+        got = w_minor(word[:k], word[k - 1], 5)
         assert got == interval_minor_key(v.i, 0, v.a, 4)
 
 

@@ -44,13 +44,13 @@ def test_qm_op_five_vertex(five_vertex):
 def test_schedule_e8():
     td = reference.terminal("e8")
     assert schedule_length(td) == reference.SCHEDULE_LENGTHS["e8"]
-    assert len(make_schedule(td)) == reference.SCHEDULE_LENGTHS["e8"]
+    assert len(make_schedule(td).steps) == reference.SCHEDULE_LENGTHS["e8"]
 
 
 def test_schedule_empty():
     q = validate_quiver(2, [(1, 2)])
     td = validate_terminal(q, (0, 0))
-    assert len(make_schedule(td)) == 0
+    assert len(make_schedule(td).steps) == 0
     cat = build_category(td)
     res = run_path(initial_seed(cat), make_schedule(td))
     assert core_equal(res.seed, initial_seed(cat))
@@ -58,7 +58,7 @@ def test_schedule_empty():
 
 def test_schedule_five_vertex(five_vertex):
     sch = make_schedule(five_vertex.terminal)
-    assert len(sch) == reference.SCHEDULE_LENGTHS["five_vertex"]
+    assert len(sch.steps) == reference.SCHEDULE_LENGTHS["five_vertex"]
     # step 1 starts with the full top-to-bottom sweep of orbit 1
     assert [s.main[0] for s in sch.steps[:3]] == [L(1, 3, 3), L(1, 2, 3), L(1, 1, 3)]
 
@@ -69,7 +69,7 @@ def test_schedule_length_random():
 
     for _ in range(50):
         td = random_terminal(rng)
-        assert len(make_schedule(td)) == schedule_length(td)
+        assert len(make_schedule(td).steps) == schedule_length(td)
 
 
 def test_make_schedule_checks_its_length(monkeypatch, kronecker3):

@@ -211,3 +211,63 @@ def test_the_cli_only_parses_loads_and_writes():
         if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id == "emit"
     ]
     assert emits == ["main"]
+
+
+def _private_imports(trees: dict) -> list:
+    """Sites where a module names another module's ``_`` definition:
+    ``from .other import _name`` or ``other._name``."""
+    found = []
+    for module, tree in trees.items():
+        aliases = _module_aliases(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                found += [f"{module}:{node.lineno} {a.name}" for a in node.names if _is_private(a.name)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in aliases and _is_private(node.attr):
+                    found.append(f"{module}:{node.lineno} {node.attr}")
+    return found
+
+
+def test_no_module_imports_a_private_name():
+    """A ``_`` name is its module's own: another module that needs it
+    reaches it through a public function."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    found = _private_imports(trees)
+    assert len(trees) > 10 and not found, found
+    sample = ast.parse("from . import q\nfrom .q import _a, b\n\n\ndef f():\n    return q._c(q.d, _e)\n")
+    assert _private_imports({"a": sample}) == ["a:2 _a", "a:6 _c"]
+
+
+TUPLE_PROTOCOL = {"__len__", "__getitem__", "__iter__", "__contains__"}
+
+
+def _tuple_overrides(trees: dict) -> list:
+    """The classes that subclass ``tuple`` (directly, as a ``NamedTuple``
+    or through such a class defined before them) and define a method of
+    the tuple protocol."""
+    tuples, found = {"tuple", "NamedTuple"}, []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases = {b.id if isinstance(b, ast.Name) else getattr(b, "attr", None) for b in node.bases}
+            if bases & tuples:
+                tuples.add(node.name)
+                if any(isinstance(m, ast.FunctionDef) and m.name in TUPLE_PROTOCOL for m in node.body):
+                    found.append(f"{module}:{node.lineno} {node.name}")
+    return found
+
+
+def test_no_tuple_record_overrides_the_tuple_protocol():
+    """A record that is a tuple stays one: ``len``, indexing, iteration and
+    ``in`` mean what they mean for every tuple, so no such class redefines
+    them."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    found = _tuple_overrides(trees)
+    assert len(trees) > 10 and not found, found
+    sample = ast.parse(
+        "class A(typing.NamedTuple):\n    x: int\n\n    def __len__(self):\n        return 1\n\n\n"
+        "class B(A):\n    def __iter__(self):\n        return iter(())\n\n\n"
+        "class C:\n    def __len__(self):\n        return 0\n"
+    )
+    assert _tuple_overrides({"a": sample}) == ["a:1 A", "a:8 B"]
