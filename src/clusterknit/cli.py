@@ -8,8 +8,9 @@ to stdout by default.
 Each report is built in the module that computes its data: ``mesh``
 (build, path --count-only), ``cluster`` (mutate), ``rigidpath`` (path),
 ``euler`` and ``reference`` (minors, check).  A command returns its report
-(text, or a dict that ``main`` writes as JSON), its default file stem and
-whether its checks passed; ``main`` writes it.
+(a text, the list of a text's pieces, or a dict that ``main`` writes as
+JSON), its default file stem and whether its checks passed; ``main``
+writes it.
 
 Each command imports the modules it uses when it runs, so ``--help``
 loads no library module and ``mutate`` none of the path, Euler-series or
@@ -72,14 +73,21 @@ def load_ordering(cat, spec: str):
     raise ClusterKnitError(f"unknown ordering spec {spec!r}")
 
 
-def emit(text: str, args, default_name: str) -> None:
-    """Print ``text``, or write it to a file and print where: UTF-8 whatever the locale."""
-    if args.out or text.count("\n") > BIG_OUTPUT_LINES or len(text) > BIG_OUTPUT_CHARS:
+def emit(report, args, default_name: str) -> None:
+    """Print ``report``, a text or a list of the pieces of one, and a
+    newline, or write them to a file and print where: UTF-8 whatever the
+    locale."""
+    pieces = [report] if isinstance(report, str) else report
+    if (args.out or sum(map(len, pieces)) > BIG_OUTPUT_CHARS
+            or sum(p.count("\n") for p in pieces) > BIG_OUTPUT_LINES):
         with open(args.out or default_name, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        text = f"wrote {args.out}" if args.out else f"output too large for stdout; wrote {default_name}"
+            fh.writelines(pieces)
+            fh.write("\n")
+        pieces = [f"wrote {args.out}" if args.out else f"output too large for stdout; wrote {default_name}"]
     sys.stdout.flush()
-    sys.stdout.buffer.write((text + "\n").encode("utf-8", "surrogateescape"))
+    for piece in pieces:
+        sys.stdout.buffer.write(piece.encode("utf-8", "surrogateescape"))
+    sys.stdout.buffer.write(b"\n")
     sys.stdout.flush()
 
 
@@ -111,7 +119,7 @@ def cmd_path(args):
     from . import cluster, rigidpath
     seed = cluster.initial_seed(cat, ordering, with_vars=not args.no_expand)
     res = rigidpath.run_path(seed, rigidpath.make_schedule(td))
-    return (rigidpath.result_to_json if as_json else rigidpath.result_text)(res), "path_report", True
+    return (rigidpath.result_json if as_json else rigidpath.result_text)(res), "path_report", True
 
 
 def cmd_euler(args):
@@ -210,7 +218,7 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         report, stem, passed = args.fn(args)
-        if not isinstance(report, str):  # a report dict
+        if isinstance(report, dict):
             from . import jsontext
             report = jsontext.dumps(report)
         emit(report, args, f"{stem}.{'txt' if args.format == 'text' else args.format}")

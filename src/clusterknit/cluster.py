@@ -341,20 +341,15 @@ def mutate_seed(s: Seed, k: int, new_label=None, sides=None, memo: ExchangeMemo 
 
 
 def to_json(s: Seed) -> dict:
-    data: dict = {"r": s.r, "matrix": ex.to_json(s.matrix)}
-    if s.vars is not None:
-        from .laurent import to_json_terms
+    """The seed as a JSON object: its ``mutate --format json`` text read
+    back."""
+    import json
 
-        data["vars"] = [to_json_terms(v) for v in s.vars]
-    if s.labels is not None:
-        data["labels"] = [None if l is None else list(l) for l in s.labels]
-    if s.dim_trackers is not None:
-        data["dim_trackers"] = [list(v) for v in s.dim_trackers]
-    if s.delta_trackers is not None:
-        data["delta_trackers"] = [list(v) for v in s.delta_trackers]
-    if s.d_delta is not None:
-        data["d_delta"] = list(s.d_delta)
-    return data
+    from .seedtext import SeedText
+
+    pieces: list = []
+    SeedText(s.r, "\n").write(s, pieces)
+    return json.loads("".join(pieces))
 
 
 def _sized(value, r: int, what: str):
@@ -441,14 +436,31 @@ def trace_line(s: Seed, k: int, new_s: Seed, sides=None, memo: ExchangeMemo | No
 
 def walk(s: Seed, vertices, as_json: bool = False):
     """The ``mutate`` report of mutating ``s`` at each of ``vertices`` in
-    turn: a trace line per step, or with ``as_json`` each step's vertex and
-    seed and the final seed.  Each step's output is made as the walk goes,
-    so no old seed is kept; the walk's ``ExchangeMemo`` is dropped on
-    return."""
-    memo, steps = ExchangeMemo(), []
+    turn: a trace line per step, or with ``as_json`` the pieces of the JSON
+    text of each step's vertex and seed and of the final seed.  Each step's
+    text is made as the walk goes, so no old seed is kept; the walk's
+    ``ExchangeMemo`` is dropped on return."""
+    memo = ExchangeMemo()
+    if not as_json:
+        lines = []
+        for k in vertices:
+            sides = ex.arrows_at(s.matrix, k)
+            new = mutate_seed(s, k, sides=sides, memo=memo)
+            lines.append(trace_line(s, k, new, sides, memo))
+            s = new
+        return "\n".join(lines)
+    from .seedtext import SeedText
+
+    seeds, sep, steps = SeedText(s.r, "\n   "), "\n  ", []
     for k in vertices:
-        sides = ex.arrows_at(s.matrix, k)
-        new = mutate_seed(s, k, sides=sides, memo=memo)
-        steps.append({"vertex": k, "seed": to_json(new)} if as_json else trace_line(s, k, new, sides, memo))
-        s = new
-    return {"steps": steps, "final": to_json(s)} if as_json else "\n".join(steps)
+        s = mutate_seed(s, k, memo=memo)
+        steps.append(f'{sep}{{\n   "seed": ')
+        seeds.write(s, steps)
+        steps.append(f',\n   "vertex": {k}\n  }}')
+        sep = ",\n  "
+    pieces = ['{\n "final": ']
+    SeedText(s.r, "\n ").write(s, pieces)
+    pieces.append(',\n "steps": [')
+    pieces += steps
+    pieces.append("\n ]\n}" if steps else "]\n}")
+    return pieces

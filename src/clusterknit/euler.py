@@ -155,68 +155,74 @@ def stage_dag(cat: mesh.CategoryModel, ordering, k: int) -> tuple:
     return edges, sum(bs)
 
 
-def _forced_run(edges: dict, state, tokens) -> tuple:
-    """The forced run from ``state`` as ``(its letters' tokens, their count,
-    end state, the end's edges, product of weights)``: followed while a
-    state has one out-letter into one state, in a loop, since a run can be
-    a whole word.  A state missing from ``edges`` has no out-edges."""
-    run, weight = [], 1
+def _forced_run(edges: dict, state, tokens, ends) -> tuple:
+    """The forced run from ``state`` as ``(its text, its letter count, end
+    state, the end's edges, product of weights)``: followed while a state
+    has one out-letter into one state, in a loop, since a run can be a whole
+    word.  A state missing from ``edges`` has no out-edges; a run into a
+    state with none ends its word, so its last letter is read from
+    ``ends``."""
+    letters, weight = [], 1
     out = edges.get(state, ())
     while len(out) == 1 and out[0][1] is not None:
         i, state, w = out[0]
-        run.append(tokens[i])
+        letters.append(i)
         weight *= w
         out = edges.get(state, ())
-    return run, len(run), state, out, weight
+    text = tokens[0][:0]  # the empty word
+    for pos, i in enumerate(letters, 1):
+        text += ends[i] if pos == len(letters) and not out else tokens[i]
+    return text, len(letters), state, out, weight
 
 
-def expand(edges: dict, length: int, tokens, key):
-    """Yield ``(key(word), coefficient)`` for every word of nonzero
-    coefficient, in ascending letter order, where ``word`` is the list of
-    ``tokens[letter]`` and the coefficient is the sum over the paths that
-    spell it from the empty state to the full one.
+def expand(edges: dict, length: int, tokens, ends=None, lines: bool = False):
+    """Yield ``(word, coefficient)`` for every word of nonzero coefficient,
+    in ascending letter order, where the coefficient is the sum over the
+    paths that spell the word from the empty state to the full one.  A
+    word is the sum of ``tokens[letter]`` over its letters but the last,
+    plus ``ends[letter]`` of the last (``tokens`` where ``ends`` is
+    omitted): ``(i,)`` both for tuple words, ``"i,"`` and ``"i"`` for
+    comma-joined text.  With ``lines``, yield each word's JSON line
+    ``"word": "coefficient"`` instead, formatted where the word ends.
 
-    One depth-first walk over the prefix trie, carrying what each prefix
-    reaches: a single state and its coefficient (almost every prefix: its
-    children scale that state's edges), or a sparse {state: coefficient}
-    vector whose zero entries are skipped as they are read.  Children are
-    pushed in descending letter order, so they pop in ascending order.  A
-    single state jumps its forced run (found on its first pop) in one step:
-    the run's letters go into the word by one slice assignment and its
-    weight into the coefficient, so the walk only stops where a word
-    branches."""
+    One depth-first walk over the prefix trie, carrying each prefix's word
+    so far and what it reaches: a single state and its coefficient (almost
+    every prefix: its children scale that state's edges), or a sparse
+    {state: coefficient} vector whose zero entries are skipped as they are
+    read.  Children are pushed in descending letter order, so they pop in
+    ascending order.  A single state jumps its forced run (found, with its
+    text, on its first pop) in one step, so the walk only stops where a
+    word branches."""
+    ends = tokens if ends is None else ends
     last = length - 1
-    path = [None] * length
     runs: dict = {}
-    stack = [(0, None, 0, 1)]  # (depth, token, state, coefficient) or (depth, token, None, vector)
+    # (depth, prefix, state, coefficient) or (depth, prefix, None, vector), from the empty word
+    stack = [(0, tokens[0][:0], 0, 1)]
     pop, push = stack.pop, stack.append
     while stack:
-        depth, token, state, coeff = pop()
-        if depth:
-            path[depth - 1] = token
+        depth, prefix, state, coeff = pop()
         if state is not None:
             run = runs.get(state)
             if run is None:
-                run = runs[state] = _forced_run(edges, state, tokens)
-            letters, forced, state, out, weight = run
+                run = runs[state] = _forced_run(edges, state, tokens, ends)
+            text, forced, state, out, weight = run
             if forced:
-                path[depth:depth + forced] = letters
                 depth += forced
                 coeff *= weight
                 if depth == length:
-                    yield key(path), coeff
+                    yield f'"{prefix}{text}": "{coeff}"' if lines else (prefix + text, coeff)
                     continue
+                prefix += text
             if depth == last:  # each letter has one edge, into the full state
                 for i, _, weight in reversed(out):
-                    path[last] = tokens[i]
-                    yield key(path), coeff * weight
+                    yield f'"{prefix}{ends[i]}": "{coeff * weight}"' if lines else (prefix + ends[i], coeff * weight)
                 continue
             depth += 1
             for i, target, weight in out:
                 if target is None:
-                    push((depth, tokens[i], None, {t: coeff * w for t, w in weight}))
+                    push((depth, prefix + tokens[i], None, {t: coeff * w for t, w in weight}))
                 else:
-                    push((depth, tokens[i], target, coeff * weight))
+                    push((depth, prefix + tokens[i], target, coeff * weight))
             continue
         split: dict = {}  # next letter -> {state: coefficient}
         for state, c in coeff.items():
@@ -233,17 +239,16 @@ def expand(edges: dict, length: int, tokens, key):
         if depth == last:  # each row holds the full state alone
             for i in sorted(split):
                 if c := split[i].popitem()[1]:
-                    path[last] = tokens[i]
-                    yield key(path), c
+                    yield f'"{prefix}{ends[i]}": "{c}"' if lines else (prefix + ends[i], c)
             continue
         for i in sorted(split, reverse=True):
             row = split[i]
             if len(row) > 1:
-                push((depth + 1, tokens[i], None, row))
+                push((depth + 1, prefix + tokens[i], None, row))
             else:
                 [(target, c)] = row.items()
                 if c:
-                    push((depth + 1, tokens[i], target, c))
+                    push((depth + 1, prefix + tokens[i], target, c))
 
 
 def dag_coefficient_sum(edges: dict, length: int) -> int:
@@ -268,7 +273,7 @@ def g_module(cat: mesh.CategoryModel, ordering, k: int) -> ShuffleSeries:
     a path sum over the stage DAG.  Nothing is divided."""
     edges, length = stage_dag(cat, ordering, k)
     series = ShuffleSeries()  # the expansion yields tuple words, no zeros: nothing to clean
-    series.terms = dict(expand(edges, length, range(cat.terminal.q.n + 1), tuple))
+    series.terms = dict(expand(edges, length, [(i,) for i in range(cat.terminal.q.n + 1)]))
     return series
 
 
@@ -380,24 +385,27 @@ def to_json(s: ShuffleSeries) -> dict:
     return {",".join(map(str, word)): str(coeff) for word, coeff in s.terms.items()}
 
 
+def _word_tokens(n: int) -> tuple:
+    """The ``expand`` tokens and ends of comma-joined words over 1..n."""
+    return [f"{i}," for i in range(n + 1)], [str(i) for i in range(n + 1)]
+
+
 def json_text(cat: mesh.CategoryModel, ordering, k: int) -> str:
     """The text ``json.dumps(to_json(g_module(cat, ordering, k)), indent=0,
-    sort_keys=True)`` gives, written from one expansion: each word's key is
-    joined from per-letter strings, and the lines, already in letter order,
-    are sorted as strings (a nearly linear sort).  String order differs
-    from letter order past letter 9 ("1,10" < "1,2"); a line sorts as its
-    key does, since the '"' that closes a key sorts before ',' and every
+    sort_keys=True)`` gives, written from one expansion that formats each
+    line where its word ends; the lines, already in letter order, are
+    sorted as strings (a nearly linear sort).  String order differs from
+    letter order past letter 9 ("1,10" < "1,2"); a line sorts as its key
+    does, since the '"' that closes a key sorts before ',' and every
     digit."""
     edges, length = stage_dag(cat, ordering, k)
-    tokens = [str(i) for i in range(cat.terminal.q.n + 1)]
-    lines = sorted([f'"{w}": "{c}"' for w, c in expand(edges, length, tokens, ",".join)])
+    lines = sorted(expand(edges, length, *_word_tokens(cat.terminal.q.n), lines=True))
     return "{\n" + ",\n".join(lines) + "\n}" if lines else "{}"
 
 
 def text(cat: mesh.CategoryModel, ordering, k: int) -> str:
     """The terms c·w[...] of ``g_module(cat, ordering, k)``, sorted
     lexicographically by word, written from one expansion: its words come
-    in letter order, each joined once from per-letter strings."""
+    in letter order, each prefix's text joined once."""
     edges, length = stage_dag(cat, ordering, k)
-    tokens = [str(i) for i in range(cat.terminal.q.n + 1)]
-    return _series_text(expand(edges, length, tokens, ",".join))
+    return _series_text(expand(edges, length, *_word_tokens(cat.terminal.q.n)))

@@ -160,13 +160,10 @@ def arrows_at(m: ExchangeMatrix, k: int):
     return out, inc
 
 
-def to_json(m: ExchangeMatrix) -> dict:
-    return {"b": [list(row) for row in m.b], "frozen": sorted(m.frozen)}
-
-
 def from_json(data: dict) -> ExchangeMatrix:
-    """The matrix of ``to_json``, checked: square rows of integers (JSON
-    true and false are not integers) and frozen indices in 1..r."""
+    """The matrix of a seed's JSON ``matrix`` object, checked: square rows
+    of integers (JSON true and false are not integers) and frozen indices
+    in 1..r."""
     rows = data.get("b") if isinstance(data, dict) else None
     if not isinstance(rows, list) or any(
         not isinstance(row, list) or len(row) != len(rows) or any(type(x) is not int for x in row)

@@ -1,6 +1,8 @@
 """JSON report text, byte for byte as ``json.dumps(obj, indent=1,
 sort_keys=True)`` writes it, for reports built of dicts with string keys,
-lists and tuples, strings, ints, booleans and None.
+lists and tuples, strings, ints, booleans and None: the report dicts of
+``build``, ``minors`` and ``check``.  (``mutate``, ``path`` and ``euler``
+write their JSON from the texts their walks make.)
 
 A list of ints, the bulk of a report (matrix and tracker rows), is written
 with one join; strings go through the encoder's own ASCII escaping.

@@ -446,16 +446,19 @@ def to_text(p: LaurentPoly, names=None) -> str:
     return " ".join(parts)
 
 
-def to_json_terms(p: LaurentPoly) -> dict:
-    """JSON term map: ','-joined exponent vector -> coefficient string, in
-    the polynomial's own term order (a JSON report sorts its keys)."""
+def json_term_lines(p: LaurentPoly) -> list:
+    """The entries ``"key": "coefficient"`` of the JSON term map of ``p``,
+    whose keys are the ','-joined exponent vectors and whose values are the
+    coefficients as strings: each formatted from one template and sorted as
+    their keys sort, since the '"' that closes a key sorts before ',', '-'
+    and every digit."""
     lay = p._lay
-    slots, exponent = lay.slots, lay.low.__rsub__
-    return {",".join(map(str, map(exponent, slots(k)))): str(c) for k, c in p.terms.items()}
+    line, unpack = '"' + ",".join(["%d"] * lay.r) + '": "%d"', lay.unpack
+    return sorted([line % (*unpack(k), c) for k, c in p.terms.items()])
 
 
 def from_json_terms(arity: int, data: dict) -> LaurentPoly:
-    """The polynomial of a ``to_json_terms`` map; SeedFormatError where a
+    """The polynomial of a JSON term map; SeedFormatError where a
     key is not ','-joined integers or a coefficient is not an integer, each
     spelled ``-?[0-9]+`` (a coefficient may also be a JSON integer), or
     where two keys spell one exponent vector ("0,1" and "00,1")."""

@@ -196,22 +196,20 @@ def pbw_expand(cat: mesh.CategoryModel, lbl: IntervalLabel, images=None) -> Laur
 # -- reporting ---------------------------------------------------------------
 
 
-def relation_texts(steps) -> list[tuple[str, str, str]]:
-    """Each step's old label, new label and exchange relation as text, each
-    side's labels sorted by their text (not as tuples: the two orders
-    differ once an index reaches 10); every label is formatted once for all
-    the steps."""
+def relation_texts(steps):
+    """Yield each step's old label, new label and exchange relation as
+    text, each side's labels sorted by their text (not as tuples: the two
+    orders differ once an index reaches 10); every label is formatted once
+    for all the steps."""
     text = LabelTexts()
 
     def fmt(side):
         # label texts are distinct, so the multiplicity never breaks a tie
         return cluster.monomial_text(sorted(zip(map(text.__getitem__, side), side.values())))
 
-    lines = []
     for step in steps:
         (old, new), (left, right) = step.identity.main, step.identity.sides
-        lines.append((text[old], text[new], f"{text[old]}*{text[new]} = {fmt(left)} + {fmt(right)}"))
-    return lines
+        yield text[old], text[new], f"{text[old]}*{text[new]} = {fmt(left)} + {fmt(right)}"
 
 
 def result_text(res: PathResult) -> str:
@@ -224,22 +222,34 @@ def result_text(res: PathResult) -> str:
     return "\n".join(lines)
 
 
+def result_json(res: PathResult) -> list:
+    """The pieces of the JSON ``path`` report: a piece per step, formatted
+    from one template with its relation from ``relation_texts``, and the
+    final seed by ``seedtext.SeedText``."""
+    from json.encoder import encode_basestring_ascii
+
+    from .seedtext import SeedText, int_list_template, list_text
+
+    label = int_list_template(3, "\n   ")  # old and new, in a step
+    step = ('%s{\n   "dominated": %s,\n   "index": %d,\n   "new": ' + label + ',\n   "old": ' + label
+            + ',\n   "position": %d,\n   "relation": %s\n  }')  # after the separator %s
+    labels = int_list_template(3, "\n  ")
+    qm_order = int_list_template(len(res.schedule.qm_order), "\n ") % res.schedule.qm_order
+    pieces = ['{\n "final_labels": ', list_text([labels % l for l in res.seed.labels], "\n "),
+              ',\n "final_seed": ']
+    SeedText(res.seed.r, "\n ").write(res.seed, pieces)
+    pieces.append(f',\n "length": {len(res.schedule.steps)},\n "qm_order": {qm_order},\n "steps": [')
+    sep = "\n  "
+    for s, (_, _, relation) in zip(res.steps, relation_texts(res.steps)):
+        pieces.append(step % (sep, "true" if s.dominated else "false", s.index, *s.identity.main[1],
+                              *s.identity.main[0], s.position, encode_basestring_ascii(relation)))
+        sep = ",\n  "
+    pieces.append("\n ]\n}" if res.steps else "]\n}")
+    return pieces
+
+
 def result_to_json(res: PathResult) -> dict:
-    """The JSON ``path`` report."""
-    return {
-        "length": len(res.schedule.steps),
-        "qm_order": list(res.schedule.qm_order),
-        "steps": [
-            {
-                "index": s.index,
-                "position": s.position,
-                "old": list(s.identity.main[0]),
-                "new": list(s.identity.main[1]),
-                "relation": relation,
-                "dominated": s.dominated,
-            }
-            for s, (_, _, relation) in zip(res.steps, relation_texts(res.steps))
-        ],
-        "final_labels": [list(l) for l in res.seed.labels],
-        "final_seed": cluster.to_json(res.seed),
-    }
+    """The JSON ``path`` report, read back as a dict."""
+    import json
+
+    return json.loads("".join(result_json(res)))

@@ -9,12 +9,14 @@ with the unitriangular matrix it was taken of, the column-update and the
 matrix-product forms of the one-parameter product, the per-leaf
 ``evaluate_phi``, the
 letter-insertion action with its divided powers, the split-dict Euler word
-expansion, the Euler trie walk that pops every prefix, the rescanning
+expansion, the Euler trie walk that pops every prefix and the one that
+builds each word from per-letter tokens at its end, the rescanning
 stage DAG, the upward dimension-vector knitting and per-row hom knitting,
 the zero-started tracker side sums, the per-label determinantal identity
 with its ``Counter`` sides, the per-label projected dimension vector, the
 sorted series text, the sorted Laurent JSON term map, the per-factor
-relation text and trace line, the term-by-term Laurent substitution that
+relation text and trace line, the seed and the ``mutate`` and ``path``
+JSON reports as dicts, the term-by-term Laurent substitution that
 ``rigidpath.pbw_expand``'s evaluation at images replaced, and the
 rescanning topological order are the
 kernels that ``minors``, ``euler``, ``mesh``, ``cluster``, ``rigidpath``,
@@ -40,7 +42,8 @@ from clusterknit.quiver import (
     fundamental_weight,
     topological_order,
 )
-from clusterknit.rigidpath import qm_op
+from clusterknit import cluster
+from clusterknit.rigidpath import qm_op, relation_texts
 
 
 def rank(rows):
@@ -515,6 +518,56 @@ def trace_line(s, k: int, new_s, sides=None) -> str:
     return "  ".join(parts)
 
 
+def seed_to_json(s) -> dict:
+    """A seed as the JSON object ``cluster.to_json`` built field by field
+    before it read back the text of ``seedtext``."""
+    data: dict = {"r": s.r, "matrix": {"b": [list(row) for row in s.matrix.b], "frozen": sorted(s.matrix.frozen)}}
+    if s.vars is not None:
+        data["vars"] = [sorted_json_terms(v) for v in s.vars]
+    if s.labels is not None:
+        data["labels"] = [None if l is None else list(l) for l in s.labels]
+    if s.dim_trackers is not None:
+        data["dim_trackers"] = [list(v) for v in s.dim_trackers]
+    if s.delta_trackers is not None:
+        data["delta_trackers"] = [list(v) for v in s.delta_trackers]
+    if s.d_delta is not None:
+        data["d_delta"] = list(s.d_delta)
+    return data
+
+
+def walk_report(s, vertices) -> dict:
+    """The ``mutate --format json`` report as the dict that ``jsontext``
+    wrote before the walk wrote its own text: each step's vertex and seed,
+    and the final seed."""
+    steps = []
+    for k in vertices:
+        s = cluster.mutate_seed(s, k)
+        steps.append({"vertex": k, "seed": seed_to_json(s)})
+    return {"steps": steps, "final": seed_to_json(s)}
+
+
+def result_to_json(res) -> dict:
+    """The ``path --format json`` report as the dict that ``jsontext``
+    wrote before the path wrote its own text."""
+    return {
+        "length": len(res.schedule.steps),
+        "qm_order": list(res.schedule.qm_order),
+        "steps": [
+            {
+                "index": s.index,
+                "position": s.position,
+                "old": list(s.identity.main[0]),
+                "new": list(s.identity.main[1]),
+                "relation": relation,
+                "dominated": s.dominated,
+            }
+            for s, (_, _, relation) in zip(res.steps, relation_texts(res.steps))
+        ],
+        "final_labels": [list(l) for l in res.seed.labels],
+        "final_seed": seed_to_json(res.seed),
+    }
+
+
 # -- helpers only the tests need --------------------------------------------
 
 
@@ -763,6 +816,98 @@ def trie_expand(edges: dict, length: int, tokens, key):
                 continue
             depth += 1
             for i, target, weight in edges[state]:
+                if target is None:
+                    push((depth, tokens[i], None, {t: coeff * w for t, w in weight}))
+                else:
+                    push((depth, tokens[i], target, coeff * weight))
+            continue
+        split: dict = {}  # next letter -> {state: coefficient}
+        for state, c in coeff.items():
+            if c:
+                for i, target, weight in edges[state]:
+                    row = split.get(i)
+                    if row is None:
+                        split[i] = row = {}
+                    if target is None:
+                        for target, w in weight:
+                            row[target] = row.get(target, 0) + c * w
+                    else:
+                        row[target] = row.get(target, 0) + c * weight
+        if depth == last:  # each row holds the full state alone
+            for i in sorted(split):
+                if c := split[i].popitem()[1]:
+                    path[last] = tokens[i]
+                    yield key(path), c
+            continue
+        for i in sorted(split, reverse=True):
+            row = split[i]
+            if len(row) > 1:
+                push((depth + 1, tokens[i], None, row))
+            else:
+                [(target, c)] = row.items()
+                if c:
+                    push((depth + 1, tokens[i], target, c))
+
+
+def _letter_run(edges: dict, state, tokens) -> tuple:
+    """The forced run from ``state`` as ``(its letters' tokens, their count,
+    end state, the end's edges, product of weights)``: followed while a
+    state has one out-letter into one state, in a loop, since a run can be
+    a whole word.  A state missing from ``edges`` has no out-edges."""
+    run, weight = [], 1
+    out = edges.get(state, ())
+    while len(out) == 1 and out[0][1] is not None:
+        i, state, w = out[0]
+        run.append(tokens[i])
+        weight *= w
+        out = edges.get(state, ())
+    return run, len(run), state, out, weight
+
+
+def forced_run_expand(edges: dict, length: int, tokens, key):
+    """``euler.expand`` before it carried each prefix's text: yield
+    ``(key(word), coefficient)`` for every word of nonzero coefficient, in
+    ascending letter order, where ``word`` is the list of
+    ``tokens[letter]`` and the coefficient is the sum over the paths that
+    spell it from the empty state to the full one.
+
+    One depth-first walk over the prefix trie, carrying what each prefix
+    reaches: a single state and its coefficient (almost every prefix: its
+    children scale that state's edges), or a sparse {state: coefficient}
+    vector whose zero entries are skipped as they are read.  Children are
+    pushed in descending letter order, so they pop in ascending order.  A
+    single state jumps its forced run (found on its first pop) in one step:
+    the run's letters go into the word by one slice assignment and its
+    weight into the coefficient, so the walk only stops where a word
+    branches."""
+    last = length - 1
+    path = [None] * length
+    runs: dict = {}
+    stack = [(0, None, 0, 1)]  # (depth, token, state, coefficient) or (depth, token, None, vector)
+    pop, push = stack.pop, stack.append
+    while stack:
+        depth, token, state, coeff = pop()
+        if depth:
+            path[depth - 1] = token
+        if state is not None:
+            run = runs.get(state)
+            if run is None:
+                run = runs[state] = _letter_run(edges, state, tokens)
+            letters, forced, state, out, weight = run
+            if forced:
+                path[depth:depth + forced] = letters
+                depth += forced
+                coeff *= weight
+                if depth == length:
+                    yield key(path), coeff
+                    continue
+            if depth == last:  # each letter has one edge, into the full state
+                for i, _, weight in reversed(out):
+                    path[last] = tokens[i]
+                    yield key(path), coeff * weight
+                continue
+            depth += 1
+            for i, target, weight in out:
                 if target is None:
                     push((depth, tokens[i], None, {t: coeff * w for t, w in weight}))
                 else:

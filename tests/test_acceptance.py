@@ -157,7 +157,7 @@ def test_euler_series_sum_to_their_stage_dag_path_sums(kronecker3, kronecker3_or
     assert len(edges) == 1652
     total = euler.dag_coefficient_sum(edges, length)
     assert total == 8_619_907_645_440
-    assert sum(c for _, c in euler.expand(edges, length, range(4), len)) == total
+    assert sum(c for _, c in euler.expand(edges, length, [(i,) for i in range(4)])) == total
     kronecker2 = build_category(validate_terminal(validate_quiver(2, [(1, 2), (1, 2)]), (3, 2)))
     for cat, k in ((five_vertex, 8), (kronecker2, 6), (triangle3, 7)):
         ordering = adapted_orderings(cat)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -386,6 +387,29 @@ def test_large_output_goes_to_the_default_file(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == f"wrote {out}\n"
     text = (tmp_path / "mutation_trace.txt").read_text()
     assert text == out.read_text() and text.count("\n") == len(walk) > cli.BIG_OUTPUT_LINES
+
+
+class Uncopied(str):
+    """A report text that fails if it is copied with something appended."""
+
+    def __add__(self, other):
+        raise AssertionError("the report was copied")
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_emit_writes_the_report_then_its_newline(to_file, tmp_path, capsys):
+    """``emit`` writes a text, or the list of its pieces, and then a
+    newline, to stdout or to a file: the same UTF-8 bytes either way, and
+    never by building the text plus its newline."""
+    out = tmp_path / "out.txt"
+    args = argparse.Namespace(out=str(out) if to_file else None)
+    for report in (Uncopied("a\nb·c"), ["a\n", "b", "·c"]):
+        cli.emit(report, args, "unused.txt")
+        printed = capsys.readouterr().out
+        if to_file:
+            assert printed == f"wrote {out}\n" and out.read_bytes() == "a\nb·c\n".encode()
+        else:
+            assert printed == "a\nb·c\n"
 
 
 # argv (QUIVER and SEED stand for input files), format, default file name

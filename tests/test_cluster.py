@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from oracles import (
+    walk_report,
     core_equal,
     delta_rule,
     dim_rule,
@@ -21,7 +22,7 @@ from oracles import (
 )
 from test_mesh import random_terminal
 
-from clusterknit import cluster, laurent, reference
+from clusterknit import cluster, jsontext, laurent, reference
 from clusterknit.cluster import (
     Seed,
     from_json,
@@ -555,6 +556,48 @@ def test_packed_rules_widen_at_the_slot_limits():
             s = new
             seen["steps"] += 1
     assert min(seen.values()) >= 100 and seen["steps"] >= 300, seen
+
+
+def test_json_walk_matches_the_dict_report(fan_a3, linear_a4, kronecker3):
+    """The JSON ``mutate`` report, written from the texts a walk keeps by
+    position, is the text ``jsontext`` writes of the dict report, on
+    seeded walks from labelled category seeds (whose mutated positions
+    lose their labels), from unlabelled seeds of random matrices, through
+    exchange sides of multiplicity above 1, and from tracker-only seeds at
+    the slot limits, where a step redoes a row wider."""
+    rng = random.Random(29)
+    starts = [initial_seed(cat) for cat in (fan_a3, linear_a4, kronecker3) for _ in range(4)]
+    while len(starts) < 40:
+        r = rng.randint(2, 4)
+        m = random_matrix(rng, r, (0, 0, -1, 1, -2, 2, 3))
+        if len(m.frozen) < r:
+            starts.append(Seed(matrix=m, vars=tuple(LaurentPoly.variable(i, r) for i in range(r))))
+    limits = (-256, -255, -1, 0, 1, 254, 255)
+    while len(starts) < 200:
+        r = rng.randint(1, 5)
+        rows = [tuple(rng.choice(limits) for _ in range(r)) for _ in range(r)]
+        starts.append(Seed(matrix=random_matrix(rng, r, (0, -1, 1, 3, -7, 40)), dim_trackers=rows,
+                           delta_trackers=rows[::-1], d_delta=tuple(rng.choice(limits) for _ in range(r))))
+    seen = Counter()
+    for s in starts:
+        walk = [rng.choice(mutable(s.matrix)) for _ in range(rng.randint(1, 4))]
+        try:
+            want = walk_report(s, walk)
+        except AmbiguityError:
+            continue
+        assert "".join(cluster.walk(s, walk, as_json=True)) == jsontext.dumps(want)
+        seen["labelled" if s.labels else "unlabelled"] += 1
+        for k in walk:
+            sides = arrows_at(s.matrix, k)
+            new = mutate_seed(s, k)
+            seen["multiplicity > 1"] += any(m > 1 for side in sides for m in side.values())
+            if s.dim_trackers is not None:
+                seen["redone wider"] += any(
+                    rows.lay.g == was.lay.g and rows.lay.w > was.lay.w
+                    for rows, was in ((new._dim_trackers, s._dim_trackers), (new._delta_trackers, s._delta_trackers))
+                )
+            s = new
+    assert min(seen.values()) >= 10 and len(seen) == 4, seen
 
 
 @pytest.mark.parametrize("name", ["e8", "kronecker-3arrow"])

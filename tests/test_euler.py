@@ -392,13 +392,16 @@ HAND_DAGS = [
 ]
 
 
+LETTERS = [(i,) for i in range(4)]  # expand's tokens of tuple words over 0..3
+
+
 @pytest.mark.parametrize("edges,length,want", HAND_DAGS)
 def test_expand_merges_states_at_the_last_letter(edges, length, want):
     """A prefix one letter short of the end that reaches several states
     sums their paths into the full state per last letter and drops a sum
     that cancels.  ``expand`` takes its edges as given, so the DAGs are
     built by hand and checked against enumerating every path."""
-    got = list(euler.expand(edges, length, range(4), tuple))
+    got = list(euler.expand(edges, length, LETTERS))
     assert got == sorted(dag_words(edges, length).items()) == want
 
 
@@ -427,22 +430,47 @@ def small_stage_dags():
                 yield cat, ordering, k
 
 
+def expansions(edges, length, n):
+    """``expand``'s three forms over letters 0..n: tuple words, comma-joined
+    words and JSON lines."""
+    text_tokens = euler._word_tokens(n)
+    return (
+        list(euler.expand(edges, length, [(i,) for i in range(n + 1)])),
+        list(euler.expand(edges, length, *text_tokens)),
+        list(euler.expand(edges, length, *text_tokens, lines=True)),
+    )
+
+
+def oracle_expansions(walk, edges, length, n):
+    """The same three forms from an oracle walk that takes a key."""
+    words = list(walk(edges, length, [str(i) for i in range(n + 1)], ",".join))
+    return (
+        list(walk(edges, length, range(n + 1), tuple)),
+        words,
+        [f'"{w}": "{c}"' for w, c in words],
+    )
+
+
 def test_stage_dag_and_expand_match_their_oracles():
     """The carried-weight ``stage_dag`` builds the edges the rescanning one
-    built, and ``expand`` with its forced runs yields the trie walk's
-    words, coefficients and order, as strings and as tuples."""
+    built, and ``expand``, which carries each prefix's text, yields the
+    words, coefficients and order of the trie walk and of the forced-run
+    walk that joined each word at its end, as tuples, as strings and as
+    JSON lines."""
     cases = 0
     for cat, ordering, k in small_stage_dags():
         edges, length = euler.stage_dag(cat, ordering, k)
         assert (edges, length) == oracles.rescan_stage_dag(cat, ordering, k), (cat.terminal, k)
-        tokens = [str(i) for i in range(cat.terminal.q.n + 1)]
-        for toks, key in ((tokens, ",".join), (range(cat.terminal.q.n + 1), tuple)):
-            got = list(euler.expand(edges, length, toks, key))
-            assert got == list(oracles.trie_expand(edges, length, toks, key)), (cat.terminal, k)
+        n = cat.terminal.q.n
+        got = expansions(edges, length, n)
+        for walk in (oracles.trie_expand, oracles.forced_run_expand):
+            assert got == oracle_expansions(walk, edges, length, n), (cat.terminal, k, walk)
         cases += 1
     assert cases > 200
-    for edges, length, _ in HAND_DAGS:
-        assert list(euler.expand(edges, length, range(4), tuple)) == list(oracles.trie_expand(edges, length, range(4), tuple))
+    for edges, length, _ in HAND_DAGS + list(RUN_DAGS.values()):
+        edges = dict.fromkeys(range(10), ()) | edges
+        for walk in (oracles.trie_expand, oracles.forced_run_expand):
+            assert expansions(edges, length, 3) == oracle_expansions(walk, edges, length, 3)
 
 
 # Hand-built stage DAGs with forced runs (state 9 is full, and left out of
@@ -474,7 +502,7 @@ RUN_DAGS = {
 def test_expand_jumps_forced_runs(edges, length, want):
     """Each run's letters and weight enter the word, a run stops at a
     missing state, at the full state and before a vector edge."""
-    got = list(euler.expand(edges, length, range(4), tuple))
+    got = list(euler.expand(edges, length, LETTERS))
     assert got == sorted(dag_words(dict.fromkeys(range(10), ()) | edges, length).items()) == want
 
 
@@ -484,5 +512,5 @@ def test_expand_jumps_a_chain_longer_than_the_recursion_limit():
     length = 5000
     edges = {s: ((1 + s % 3, s + 1, -1 if s % 1000 == 999 else 2 if s % 500 == 0 else 1),) for s in range(length)}
     want = (tuple(1 + s % 3 for s in range(length)), 2**10 * (-1) ** 5)
-    assert list(euler.expand(edges, length, range(4), tuple)) == [want]
+    assert list(euler.expand(edges, length, LETTERS)) == [want]
     assert list(oracles.trie_expand(edges, length, range(4), tuple)) == [want]

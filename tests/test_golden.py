@@ -52,8 +52,13 @@ DIGESTS = {
     ("mutate a4-t3210", "text"): "103fac0a63edeefc385811a065100462ba67e86f3dd2ea8a083a838bc4284ce3",
     ("mutate d4", "text"): "6e1c1e340e4f0b79278f4d381a29849ee39e817baff86a8aefe5fe9578c4610b",
     ("mutate fan-a3", "json"): "3c25b57bf534959435a7b5875a110d961b8a52b4e78425b1453ed523c767ddd8",
+    ("mutate linear-a4", "json"): "ec0beee38f94b5249ca24c7cbd191efc1acc780dd533f97b3f85b6adcefbd98c",
+    ("mutate a4-t3210", "json"): "604b465b71ac90a32afd3af433dc21584d77957c0965bcaccad12091cfab8ad1",
+    ("mutate d4", "json"): "c52a7ecf6d9b557bd77779ef0110eeda2648909dd892b26a4a93c141b41888bf",
     ("euler five-vertex t=3,2,3,1,2", "json"): "e38150ae345f78af1bbf24ca9dbacb95d1ec6a788c6b71ffd9d680d92e20b83b",
+    ("euler five-vertex t=3,2,3,1,2", "text"): "11eb3b66367e625f2dc327d6e77c986fddab085626cb69b7ce90260ddae95e59",
     ("euler kronecker-2arrow t=3,2", "json"): "12633aed92bd881af7f79bb9aeb5aa0759a1562674ac18628698326341024987",
+    ("euler kronecker-2arrow t=3,2", "text"): "3c5f8247e8ad447a256ebe3137e9de5b4ba538910855bbd37212034e2ebfbba8",
     ("euler triangle t=2,1,1", "json"): "c8c9aa9cbe0c1e18dd05596e5ca3fd51140f38a8cb849713a4db2313449d8c3e",
     ("euler triangle t=2,1,1", "text"): "6546c1bb6bdcecc33f53eab52d8d5c367b926b9066e26d48ed9898002b691275",
     ("minors 4", "text"): "f7b902538e20768cc959768c82f5205d566e14d7c2a5d35db68ed65fa48f0523",

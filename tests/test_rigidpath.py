@@ -5,7 +5,7 @@ import oracles
 import pytest
 from oracles import core_equal, monomial, mutable, projected_dimvec, strictly_equal, substitute
 
-from clusterknit import reference, rigidpath
+from clusterknit import jsontext, reference, rigidpath
 from clusterknit import cluster, exchange
 from clusterknit.cluster import initial_seed, mutate_seed
 from clusterknit.errors import LabelRangeError, ScheduleMismatchError
@@ -496,6 +496,36 @@ def test_result_json(kronecker3):
     assert sorted(data["final_labels"]) == sorted(
         [[1, 0, 0], [1, 0, 1], [1, 0, 2], [2, 0, 0], [2, 0, 1], [3, 0, 0], [3, 0, 1]]
     )
+
+
+# Laurent-expanded instances where the corpus t is too costly to expand:
+# five_vertex at the laurent-path t, and E8 at t = 2
+EXPANDED_T = {"five_vertex": (2, 2, 2, 1, 2), "e8": (2,) * 8}
+
+
+def path_cases():
+    """(id, category, whether the seed carries variables): every corpus
+    path with and without expansion (E8's labels reach index 14 without),
+    and the linear A_11 path at t = (0, 1, ..., 1), whose vertex indices
+    reach 11, expanded."""
+    for name, (n, arrows, t) in reference.CORPUS.items():
+        yield f"{name} --no-expand", reference.category(name), False
+        q = validate_quiver(n, arrows)
+        yield name, build_category(validate_terminal(q, EXPANDED_T.get(name, t))), True
+    a11 = validate_quiver(11, [(i + 1, i) for i in range(1, 11)])
+    yield "a11", build_category(validate_terminal(a11, (0,) + (1,) * 10)), True
+
+
+@pytest.mark.parametrize("cat,with_vars", [c[1:] for c in path_cases()], ids=[c[0] for c in path_cases()])
+def test_path_writer_matches_the_dict_report(cat, with_vars):
+    """The JSON ``path`` report, written from its template pieces, is the
+    text ``jsontext`` writes of the dict report, and ``result_to_json``
+    reads it back as that dict."""
+    res = run_path(initial_seed(cat, with_vars=with_vars), make_schedule(cat.terminal))
+    want = oracles.result_to_json(res)
+    assert "".join(rigidpath.result_json(res)) == jsontext.dumps(want)
+    assert result_to_json(res) == want
+    assert ("vars" in want["final_seed"]) == with_vars
 
 
 def test_path_step_repr(kronecker3):

@@ -5,6 +5,7 @@ from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "clusterknit"
+BENCH = SRC.parents[1] / "perfbench"
 
 
 def _module_aliases(tree) -> dict:
@@ -84,6 +85,27 @@ def _unused(trees: dict, wanted=_is_public) -> list:
     return unused
 
 
+def _bench_names() -> set:
+    """The module-level names the benchmark in ``perfbench/`` reads as
+    ``module.name`` from the modules it imports by ``from clusterknit
+    import module``."""
+    names = set()
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {
+            alias.asname or alias.name: alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "clusterknit"
+            for alias in node.names
+        }
+        names |= {
+            f"{modules[node.value.id]} {node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+        }
+    return names
+
+
 def test_every_public_definition_is_named_in_src():
     """A public function, class or method that nothing in ``src/`` names
     outside its own body is reachable only from the tests: it belongs in
@@ -91,10 +113,13 @@ def test_every_public_definition_is_named_in_src():
     named only through its own module (``module.name``, ``from .module
     import name``, or a bare name inside the module), so a dead
     ``quiver.to_json`` is not hidden by the ``to_json`` of other modules;
-    a method is matched by its bare name."""
+    a method is matched by its bare name.  The benchmark is a caller too:
+    what ``perfbench/`` names this way counts as named."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    unused = _unused(trees)
+    bench = _bench_names()
+    unused = [u for u in _unused(trees) if u.split(":")[0] + " " + u.split(" ")[1] not in bench]
     assert len(trees) > 10 and not unused, unused
+    assert {"cluster to_json", "rigidpath result_to_json", "euler to_json"} <= bench
 
 
 def test_every_private_definition_is_named_in_src():
