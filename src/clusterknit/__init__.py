@@ -9,18 +9,20 @@ only for the modules it uses."""
 import importlib
 
 __all__ = [
+    "cli",
     "cluster",
     "errors",
     "euler",
     "exchange",
-    "jsontext",
     "labels",
     "laurent",
     "mesh",
     "minors",
     "packing",
     "quiver",
+    "reference",
     "rigidpath",
+    "seedtext",
 ]
 
 __version__ = "0.1.0"

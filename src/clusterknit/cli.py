@@ -8,9 +8,9 @@ to stdout by default.
 Each report is built in the module that computes its data: ``mesh``
 (build, path --count-only), ``cluster`` (mutate), ``rigidpath`` (path),
 ``euler`` and ``reference`` (minors, check).  A command returns its report
-(a text, the list of a text's pieces, or a dict that ``main`` writes as
-JSON), its default file stem and whether its checks passed; ``main``
-writes it.
+(a text, the list of a text's pieces, or a dict that ``main`` writes with
+``json.dumps(indent=1, sort_keys=True)``), its default file stem and
+whether its checks passed; ``main`` writes it.
 
 Each command imports the modules it uses when it runs, so ``--help``
 loads no library module and ``mutate`` none of the path, Euler-series or
@@ -219,8 +219,7 @@ def main(argv=None) -> int:
     try:
         report, stem, passed = args.fn(args)
         if isinstance(report, dict):
-            from . import jsontext
-            report = jsontext.dumps(report)
+            report = json.dumps(report, indent=1, sort_keys=True)
         emit(report, args, f"{stem}.{'txt' if args.format == 'text' else args.format}")
     except (ClusterKnitError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -27,13 +27,8 @@ class ExchangeMatrix:
     @property
     def b(self) -> tuple[tuple[int, ...], ...]:
         """The dense matrix, as a tuple of rows."""
-        r, dense = self.r, []
-        for row in self.rows:
-            line = [0] * r
-            for j, v in row.items():
-                line[j - 1] = v
-            dense.append(tuple(line))
-        return tuple(dense)
+        r = self.r
+        return tuple(dense_row(row, r) for row in self.rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExchangeMatrix):
@@ -51,6 +46,14 @@ class ExchangeMatrix:
 
     def __hash__(self):
         return hash((self.r, self.frozen))
+
+
+def dense_row(row: dict, r: int) -> tuple[int, ...]:
+    """The r entries of the sparse row ``{j: b_ij}``."""
+    line = [0] * r
+    for j, v in row.items():
+        line[j - 1] = v
+    return tuple(line)
 
 
 def _from_dense(b, frozen: frozenset) -> ExchangeMatrix:

@@ -1,7 +1,7 @@
 """JSON report text written from pieces made once, byte for byte as
-``jsontext.dumps`` (``json.dumps(indent=1, sort_keys=True)``) writes the
-same report as a dict: lists of ints, and seeds.  ``nl`` is the newline
-and indentation of the line a value starts on.
+``json.dumps(indent=1, sort_keys=True)`` writes the same report as a dict:
+lists of ints, and seeds.  ``nl`` is the newline and indentation of the
+line a value starts on.
 
 The ``mutate`` and ``path`` JSON reports load this module, and
 ``cluster.to_json`` reads a seed's text back; a text walk compiles none of
@@ -9,6 +9,8 @@ it.
 """
 
 from __future__ import annotations
+
+from .exchange import dense_row
 
 
 def int_list_template(n: int, nl: str) -> str:
@@ -97,15 +99,8 @@ class SeedText:
             sep = "," + key
         m = s.matrix
         b_row, r = self.b_row, m.r
-
-        def dense(row):
-            line = [0] * r
-            for j, v in row.items():
-                line[j - 1] = v
-            return b_row % tuple(line)
-
         out.append(f'{sep}"matrix": {{{item}"b": ')
-        self._list("b", m.rows, dense, item, out)
+        self._list("b", m.rows, lambda row: b_row % dense_row(row, r), item, out)
         frozen = int_list_template(len(m.frozen), item) % tuple(sorted(m.frozen))
         out.append(f',{item}"frozen": {frozen}{key}}},{key}"r": {r}')
         if s.vars is not None:

@@ -520,7 +520,8 @@ def trace_line(s, k: int, new_s, sides=None) -> str:
 
 def seed_to_json(s) -> dict:
     """A seed as the JSON object ``cluster.to_json`` built field by field
-    before it read back the text of ``seedtext``."""
+    before it read back the text of ``seedtext``, which writes this
+    object's ``json.dumps(indent=1, sort_keys=True)`` text."""
     data: dict = {"r": s.r, "matrix": {"b": [list(row) for row in s.matrix.b], "frozen": sorted(s.matrix.frozen)}}
     if s.vars is not None:
         data["vars"] = [sorted_json_terms(v) for v in s.vars]
@@ -536,9 +537,9 @@ def seed_to_json(s) -> dict:
 
 
 def walk_report(s, vertices) -> dict:
-    """The ``mutate --format json`` report as the dict that ``jsontext``
-    wrote before the walk wrote its own text: each step's vertex and seed,
-    and the final seed."""
+    """The ``mutate --format json`` report as a dict, whose
+    ``json.dumps(indent=1, sort_keys=True)`` text the walk writes: each
+    step's vertex and seed, and the final seed."""
     steps = []
     for k in vertices:
         s = cluster.mutate_seed(s, k)
@@ -547,8 +548,9 @@ def walk_report(s, vertices) -> dict:
 
 
 def result_to_json(res) -> dict:
-    """The ``path --format json`` report as the dict that ``jsontext``
-    wrote before the path wrote its own text."""
+    """The ``path --format json`` report as a dict, whose
+    ``json.dumps(indent=1, sort_keys=True)`` text ``rigidpath.result_json``
+    writes."""
     return {
         "length": len(res.schedule.steps),
         "qm_order": list(res.schedule.qm_order),

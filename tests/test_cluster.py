@@ -22,7 +22,7 @@ from oracles import (
 )
 from test_mesh import random_terminal
 
-from clusterknit import cluster, jsontext, laurent, reference
+from clusterknit import cluster, laurent, reference
 from clusterknit.cluster import (
     Seed,
     from_json,
@@ -560,11 +560,12 @@ def test_packed_rules_widen_at_the_slot_limits():
 
 def test_json_walk_matches_the_dict_report(fan_a3, linear_a4, kronecker3):
     """The JSON ``mutate`` report, written from the texts a walk keeps by
-    position, is the text ``jsontext`` writes of the dict report, on
-    seeded walks from labelled category seeds (whose mutated positions
-    lose their labels), from unlabelled seeds of random matrices, through
-    exchange sides of multiplicity above 1, and from tracker-only seeds at
-    the slot limits, where a step redoes a row wider."""
+    position, is the text ``json.dumps(indent=1, sort_keys=True)`` writes
+    of the dict report, on seeded walks from labelled category seeds
+    (whose mutated positions lose their labels), from unlabelled seeds of
+    random matrices, through exchange sides of multiplicity above 1, and
+    from tracker-only seeds at the slot limits, where a step redoes a row
+    wider."""
     rng = random.Random(29)
     starts = [initial_seed(cat) for cat in (fan_a3, linear_a4, kronecker3) for _ in range(4)]
     while len(starts) < 40:
@@ -585,7 +586,7 @@ def test_json_walk_matches_the_dict_report(fan_a3, linear_a4, kronecker3):
             want = walk_report(s, walk)
         except AmbiguityError:
             continue
-        assert "".join(cluster.walk(s, walk, as_json=True)) == jsontext.dumps(want)
+        assert "".join(cluster.walk(s, walk, as_json=True)) == json.dumps(want, indent=1, sort_keys=True)
         seen["labelled" if s.labels else "unlabelled"] += 1
         for k in walk:
             sides = arrows_at(s.matrix, k)

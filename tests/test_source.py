@@ -132,6 +132,17 @@ def test_every_private_definition_is_named_in_src():
     assert len(trees) > 10 and not unused, unused
 
 
+def test_the_package_lists_every_module():
+    """The lazy loader resolves exactly the names in ``__all__``, so it
+    lists every module file, and each resolves to its module."""
+    import clusterknit
+
+    stems = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    assert set(clusterknit.__all__) == stems
+    for name in ("cli", "reference", "seedtext"):
+        assert getattr(clusterknit, name).__name__ == f"clusterknit.{name}"
+
+
 def _asserts(trees: dict) -> list:
     return [
         f"{module}:{node.lineno}"

@@ -64,14 +64,14 @@ def test_mutate_loads_no_path_euler_or_minors_module(tmp_path):
     out, loaded = run_cli(["mutate", str(seed), "1", "2"], tmp_path)
     assert out.startswith("mu_1  T_{1,[0,1]}' * T_{1,[0,1]} = 1 + T_{2,[1,1]}  var = ")
     assert {"cluster", "laurent", "labels"} <= loaded and not loaded & HEAVY
-    assert not loaded & {"mesh", "quiver", "jsontext", "seedtext", "dataclasses"}, loaded
+    assert not loaded & {"mesh", "quiver", "seedtext", "dataclasses"}, loaded
 
 
 def test_json_reports_written_from_their_walks_load_no_json_writer(tmp_path):
-    """``mutate``, ``path`` and ``euler`` write their JSON reports from the
-    texts their walks make (a seed's through ``seedtext``); only
-    ``build``, ``minors`` and ``check`` build a report dict for
-    ``jsontext`` to write."""
+    """``mutate`` and ``path`` write their JSON reports from the texts
+    their walks make, a seed's through ``seedtext``; ``euler`` writes its
+    own text, and ``build``, ``minors`` and ``check`` a report dict that
+    the standard encoder writes."""
     seed = tmp_path / "seed.json"
     seed.write_text(json.dumps({
         "r": 2,
@@ -82,17 +82,17 @@ def test_json_reports_written_from_their_walks_load_no_json_writer(tmp_path):
     quiver = tmp_path / "kronecker3.json"
     quiver.write_text(json.dumps({"n": 3, "arrows": [[1, 2], [1, 2], [2, 3]]}))
     terminal = [str(quiver), "--t", "2,1,1"]
-    for args, writer in (
-        (["mutate", str(seed), "1", "2"], "seedtext"),
-        (["path", *terminal], "seedtext"),
-        (["euler", *terminal, "--k", "2"], None),
-        (["build", *terminal], "jsontext"),
-        (["minors", "--n", "3"], "jsontext"),
-        (["check"], "jsontext"),
+    for args, writes_seeds in (
+        (["mutate", str(seed), "1", "2"], True),
+        (["path", *terminal], True),
+        (["euler", *terminal, "--k", "2"], False),
+        (["build", *terminal], False),
+        (["minors", "--n", "3"], False),
+        (["check"], False),
     ):
         out, loaded = run_cli(args + ["--format", "json"], tmp_path)
         assert json.loads(out)
-        assert loaded & {"jsontext", "seedtext"} == ({writer} if writer else set()), (args, loaded)
+        assert ("seedtext" in loaded) == writes_seeds and "jsontext" not in loaded, (args, loaded)
 
 
 def test_the_package_loads_submodules_on_first_access(tmp_path):
@@ -120,8 +120,7 @@ def test_euler_loads_no_laurent_cluster_path_or_minors_module(tmp_path):
         out, loaded = run_cli(["euler", str(quiver), "--t", "2,1,1", "--k", "2", "--format", fmt], tmp_path)
         assert out.startswith("{") if fmt == "json" else "w[" in out
         assert "euler" in loaded
-        assert not loaded & {"packing", "laurent", "cluster", "exchange", "rigidpath", "minors", "reference",
-                             "jsontext"}, loaded
+        assert not loaded & {"packing", "laurent", "cluster", "exchange", "rigidpath", "minors", "reference"}, loaded
         assert not loaded & {"dataclasses", "fractions"}, loaded
 
 
@@ -134,7 +133,7 @@ def test_path_without_expansion_loads_no_laurent_or_dataclasses(tmp_path):
     out, loaded = run_cli(["path", str(quiver), "--t", "3,3,2", "--no-expand", "--format", "json"], tmp_path)
     assert json.loads(out)["length"] == 15
     assert {"cluster", "exchange", "rigidpath", "packing"} <= loaded
-    assert not loaded & {"laurent", "dataclasses", "inspect", "jsontext"}, loaded
+    assert not loaded & {"laurent", "dataclasses", "inspect"}, loaded
 
 
 def test_path_count_only_loads_no_cluster_exchange_rigidpath_or_laurent(tmp_path):
