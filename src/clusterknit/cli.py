@@ -20,6 +20,7 @@ minors modules.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from functools import cache
@@ -236,5 +237,15 @@ def main(argv=None) -> int:
     return 0 if passed else 1
 
 
+def run() -> None:
+    """``main``, then exit with its code: the heap frozen first, so that
+    the collections of interpreter shutdown walk nothing."""
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -21,7 +21,7 @@ from operator import mul
 
 from . import exchange as ex
 from .errors import AmbiguityError, SeedFormatError
-from .labels import IntervalLabel, LabelTexts
+from .labels import IntervalLabel, LabelTexts, monomial_text
 from .packing import Layout, fitting, layout
 
 
@@ -99,17 +99,18 @@ class Seed:
     """``dominated`` records whether the mutation that made this seed was
     Max-dominated: one dimension arrow-sum dominated the other
     componentwise.  It is True for a seed that no mutation made and for a
-    seed without dimension trackers, and equality ignores it."""
+    seed without dimension trackers.  ``sides`` are the exchange sides it
+    read (None if no mutation made it).  Equality ignores both."""
 
-    __slots__ = ("matrix", "vars", "labels", "_dim_trackers", "_delta_trackers", "d_delta", "dominated")
+    __slots__ = ("matrix", "vars", "labels", "_dim_trackers", "_delta_trackers", "d_delta", "dominated", "sides")
     dim_trackers = _Trackers()
     delta_trackers = _Trackers()
 
     def __init__(self, matrix: ex.ExchangeMatrix, vars=None, labels=None, dim_trackers=None,
-                 delta_trackers=None, d_delta=None, dominated: bool = True):
+                 delta_trackers=None, d_delta=None, dominated: bool = True, sides=None):
         self.matrix, self.vars, self.labels, self.d_delta = matrix, vars, labels, d_delta
         self._dim_trackers, self._delta_trackers = _packed(dim_trackers), _packed(delta_trackers)
-        self.dominated = dominated
+        self.dominated, self.sides = dominated, sides
 
     def _key(self) -> tuple:
         return (self.matrix, self.vars, self.labels, self.dim_trackers, self.delta_trackers,
@@ -150,7 +151,7 @@ def initial_seed(cat: mesh.CategoryModel, ordering=None, with_vars: bool = True)
     dims = mesh.top_dimvecs(cat, positions)
     return Seed(matrix=ex.b_matrix(Quiver(r, arrows), frozen), vars=variables, labels=labels,
                 dim_trackers=tuple(dims[p] for p in positions),
-                delta_trackers=tuple(mesh.delta_support(cat, l, positions) for l in labels),
+                delta_trackers=tuple(mesh.delta_support(cat, l, seat) for l in labels),
                 d_delta=mesh.delta_dims(cat, positions))
 
 
@@ -314,15 +315,14 @@ class ExchangeMemo:
         return text
 
 
-def mutate_seed(s: Seed, k: int, new_label=None, sides=None, memo: ExchangeMemo | None = None) -> Seed:
+def mutate_seed(s: Seed, k: int, new_label=None, memo: ExchangeMemo | None = None) -> Seed:
     """Replace y_k by (prod_out + prod_in) / y_k, mutate the matrix and the
     trackers, and record in ``dominated`` whether the dimension rule was
-    Max-dominated.  The label at k becomes ``new_label`` (callers walking
-    the explicit schedule pass the shifted interval; off schedule the new
-    label is unknown).  ``sides`` are the exchange sides at k, where the
-    caller has read them already; a walk's ``memo`` supplies each relation
-    it has met before."""
-    out, inc = ex.arrows_at(s.matrix, k) if sides is None else sides
+    Max-dominated and in ``sides`` the exchange sides at k.  The label at k
+    becomes ``new_label`` (callers walking the explicit schedule pass the
+    shifted interval; off schedule the new label is unknown).  A walk's
+    ``memo`` supplies each relation it has met before."""
+    out, inc = sides = ex.arrows_at(s.matrix, k)
     matrix = ex.mutate_matrix(s.matrix, k)
     variables, dim, delta, dominated = s.vars, s._dim_trackers, s._delta_trackers, True
     m_out, m_in = sum(out.values()), sum(inc.values())  # the sides' total multiplicities
@@ -337,7 +337,7 @@ def mutate_seed(s: Seed, k: int, new_label=None, sides=None, memo: ExchangeMemo 
         delta = _delta_rule(delta, s.d_delta, k, out, inc, m_out, m_in)
     labels = None if s.labels is None else _replace_at(s.labels, k, new_label)
     return Seed(matrix=matrix, vars=variables, labels=labels, dim_trackers=dim, delta_trackers=delta,
-                d_delta=s.d_delta, dominated=dominated)
+                d_delta=s.d_delta, dominated=dominated, sides=sides)
 
 
 def to_json(s: Seed) -> dict:
@@ -410,17 +410,12 @@ def from_json(data: dict) -> Seed:
     return Seed(matrix=matrix, vars=variables, labels=labels, d_delta=d_delta, **trackers)
 
 
-def monomial_text(factors) -> str:
-    """(name, multiplicity) pairs, in order, as ``a*b^m``; ``1`` if none."""
-    return "*".join([name if m == 1 else f"{name}^{m}" for name, m in factors]) or "1"
-
-
-def trace_line(s: Seed, k: int, new_s: Seed, sides=None, memo: ExchangeMemo | None = None) -> str:
-    """One mutation-trace line: vertex, the exchange relation at k in the
-    seed's position names, new trackers; ``sides`` and ``memo`` as for
+def trace_line(s: Seed, k: int, new_s: Seed, memo: ExchangeMemo | None = None) -> str:
+    """The trace line of ``new_s = mutate_seed(s, k)``: vertex, the sides it
+    read in the seed's position names, new trackers; ``memo`` as for
     ``mutate_seed``, a fresh memo where it is omitted."""
     memo = ExchangeMemo() if memo is None else memo
-    out, inc = ex.arrows_at(s.matrix, k) if sides is None else sides
+    out, inc = new_s.sides
     names, labels = memo.names, s.labels or (None,) * s.r
     out_text, in_text = [monomial_text([(names[labels[i - 1] or i], m) for i, m in side.items()])
                          for side in (out, inc)]
@@ -444,9 +439,8 @@ def walk(s: Seed, vertices, as_json: bool = False):
     if not as_json:
         lines = []
         for k in vertices:
-            sides = ex.arrows_at(s.matrix, k)
-            new = mutate_seed(s, k, sides=sides, memo=memo)
-            lines.append(trace_line(s, k, new, sides, memo))
+            new = mutate_seed(s, k, memo=memo)
+            lines.append(trace_line(s, k, new, memo))
             s = new
         return "\n".join(lines)
     from .seedtext import SeedText

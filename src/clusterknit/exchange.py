@@ -56,13 +56,6 @@ def dense_row(row: dict, r: int) -> tuple[int, ...]:
     return tuple(line)
 
 
-def _from_dense(b, frozen: frozenset) -> ExchangeMatrix:
-    def sparse(line):
-        return {j: v for j, v in enumerate(line, 1) if v}
-
-    return ExchangeMatrix(tuple(map(sparse, b)), tuple(map(sparse, zip(*b))), frozen)
-
-
 def _check_skew_principal(b, frozen) -> None:
     r = len(b)
     for i in range(r):
@@ -85,32 +78,35 @@ def make_matrix(rows, frozen=()) -> ExchangeMatrix:
         raise SeedFormatError("matrix must be square")
     _check_frozen(frozen, len(b))
     _check_skew_principal(b, frozen)
-    return _from_dense(b, frozen)
+
+    def sparse(line):
+        return {j: v for j, v in enumerate(line, 1) if v}
+
+    return ExchangeMatrix(tuple(map(sparse, b)), tuple(map(sparse, zip(*b))), frozen)
 
 
 def b_matrix(g: Quiver, frozen=()) -> ExchangeMatrix:
-    """B(Gamma): b_ij = #arrows(j -> i) - #arrows(i -> j).
+    """B(Gamma): b_ij = #arrows(j -> i) - #arrows(i -> j), counted sparsely.
 
     Rejects loops and 2-cycles touching a mutable vertex: those are not
     valid exchange quivers.
     """
     frozen = frozenset(frozen)
-    r = g.n
-    _check_frozen(frozen, r)
-    counts = [[0] * (r + 1) for _ in range(r + 1)]
+    _check_frozen(frozen, g.n)
+    counts: dict = {}
     for (s, t) in g.arrows:
         if s == t:
             raise TwoCycleError(f"loop at vertex {s}")
-        counts[s][t] += 1
-    for i in range(1, r + 1):
-        for j in range(i + 1, r + 1):
-            if counts[i][j] and counts[j][i] and not (i in frozen and j in frozen):
-                raise TwoCycleError(f"2-cycle between {i} and {j}")
-    rows = tuple(
-        tuple(counts[j][i] - counts[i][j] for j in range(1, r + 1))
-        for i in range(1, r + 1)
-    )
-    return _from_dense(rows, frozen)
+        counts[s, t] = counts.get((s, t), 0) + 1
+    cycles = [(s, t) for (s, t) in counts if s < t and (t, s) in counts and not {s, t} <= frozen]
+    if cycles:
+        raise TwoCycleError("2-cycle between %d and %d" % min(cycles))
+    rows, cols = tuple({} for _ in range(g.n)), tuple({} for _ in range(g.n))
+    for i, j in sorted({*counts, *((t, s) for s, t in counts)}):  # each row and column in index order
+        v = counts.get((j, i), 0) - counts.get((i, j), 0)
+        if v:
+            rows[i - 1][j] = cols[j - 1][i] = v
+    return ExchangeMatrix(rows, cols, frozen)
 
 
 def _check_mutable(m: ExchangeMatrix, k: int) -> None:

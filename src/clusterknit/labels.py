@@ -1,7 +1,7 @@
 """The two label records of the category model, a vertex (i, a) of the
-translation quiver and an interval label T_{i,[a,b]}, and the cache of their
-texts.  They live apart from ``mesh`` so that a seed can carry labels
-without loading the knitting."""
+translation quiver and an interval label T_{i,[a,b]}, the cache of their
+texts and the text of a monomial in them.  They live apart from ``mesh`` so
+that a seed can carry labels without loading the knitting."""
 
 from __future__ import annotations
 
@@ -37,3 +37,8 @@ class LabelTexts(dict):
     def __missing__(self, key):
         text = self[key] = f"y{key}" if type(key) is int else repr(key)
         return text
+
+
+def monomial_text(factors) -> str:
+    """(name, multiplicity) pairs, in order, as ``a*b^m``; ``1`` if none."""
+    return "*".join([name if m == 1 else f"{name}^{m}" for name, m in factors]) or "1"

@@ -223,14 +223,16 @@ def top_dimvecs(cat: CategoryModel, positions=None) -> list:
     return vecs
 
 
-def delta_support(cat: CategoryModel, lbl: IntervalLabel, positions=None):
+def delta_support(cat: CategoryModel, lbl: IntervalLabel, seat=None):
     """Delta-dimension vector of Hom(T_{i,[a,b]}, T_M): the indicator of
-    {(i, l) : a <= l <= b}, entry s at canonical position ``positions[s]``."""
+    {(i, l) : a <= l <= b}, entry ``seat[p]`` (p if omitted) for the vertex
+    at canonical position p."""
     validate_label(cat, lbl)
-    if positions is None:
-        positions = range(cat.r)
-    zs = (cat.vertices[p] for p in positions)
-    return tuple(1 if (z.i == lbl.i and lbl.a <= z.a <= lbl.b) else 0 for z in zs)
+    row, i = [0] * cat.r, lbl.i
+    for l in range(lbl.a, lbl.b + 1):
+        p = cat.index[i, l]  # a vertex hashes as its plain tuple
+        row[p if seat is None else seat[p]] = 1
+    return tuple(row)
 
 
 def validate_ordering(cat: CategoryModel, ordering) -> tuple[int, ...]:

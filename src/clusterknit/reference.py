@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from functools import cache
 
-from . import cluster, errors, euler, laurent, mesh, minors, rigidpath
+from . import errors, euler, laurent, mesh, minors, rigidpath
 from .laurent import LaurentPoly
 from .mesh import IntervalLabel, MeshVertex
 from .quiver import Quiver, adapted_word, cartan, inversion_roots, validate_quiver
@@ -286,20 +286,24 @@ def check_dim_triangles() -> bool:
     )
 
 
-def check_dim_mutation() -> bool:
+def _mutated():
+    """kronecker3, MUTATION_VERTEX's position k and the seed mutated at k."""
+    from .cluster import initial_seed, mutate_seed
+
     cat = category("kronecker3")
     k = cat.pos(MUTATION_VERTEX) + 1
-    s = cluster.mutate_seed(cluster.initial_seed(cat, with_vars=False), k)
+    return cat, k, mutate_seed(initial_seed(cat, with_vars=False), k)
+
+
+def check_dim_mutation() -> bool:
+    cat, k, s = _mutated()
     return s.dominated and mesh.triangle_display(cat, s.dim_trackers[k - 1]) == MUTATED_DIM_TRIANGLE
 
 
 def check_delta_vectors() -> bool:
-    cat = category("kronecker3")
-    if mesh.triangle_display(cat, mesh.delta_dims(cat)) != D_DELTA:
-        return False
-    k = cat.pos(MUTATION_VERTEX) + 1
-    s = cluster.mutate_seed(cluster.initial_seed(cat, with_vars=False), k)
-    return mesh.triangle_display(cat, s.delta_trackers[k - 1]) == MUTATED_DELTA_TRIANGLE
+    cat, k, s = _mutated()
+    return (mesh.triangle_display(cat, mesh.delta_dims(cat)) == D_DELTA
+            and mesh.triangle_display(cat, s.delta_trackers[k - 1]) == MUTATED_DELTA_TRIANGLE)
 
 
 def check_schedule_lengths() -> bool:
@@ -310,10 +314,10 @@ def check_schedule_lengths() -> bool:
 
 
 def check_path_final_labels() -> bool:
+    from .cluster import initial_seed
+
     cat = category("kronecker3")
-    res = rigidpath.run_path(
-        cluster.initial_seed(cat), rigidpath.make_schedule(cat.terminal)
-    )
+    res = rigidpath.run_path(initial_seed(cat), rigidpath.make_schedule(cat.terminal))
     return sorted(res.seed.labels) == final_labels(cat)
 
 

@@ -6,10 +6,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from . import cluster, mesh
-from . import exchange as ex
+from . import mesh
 from .errors import LabelRangeError, ScheduleMismatchError, TerminalConstraintError
-from .labels import IntervalLabel, LabelTexts, MeshVertex
+from .labels import IntervalLabel, LabelTexts, MeshVertex, monomial_text
 from .mesh import TerminalData, schedule_length
 from .quiver import Quiver, topological_order, validate_sink_sequence
 
@@ -120,6 +119,8 @@ def run_path(seed: cluster.Seed, sch: Schedule) -> PathResult:
     carrying the scheduled label and its exchange sides must be the two
     sides of the predicted determinantal identity, in either order, else
     ScheduleMismatchError."""
+    from .cluster import mutate_seed, side_counts
+
     if seed.labels is None:
         raise ScheduleMismatchError("seed has no interval labels to follow")
     records = []
@@ -130,16 +131,15 @@ def run_path(seed: cluster.Seed, sch: Schedule) -> PathResult:
         k = position_of.pop(target, None)
         if k is None:
             raise ScheduleMismatchError(f"step {idx + 1}: no vertex is labeled {target!r}")
-        sides = ex.arrows_at(cur.matrix, k)
-        emitted = tuple(cluster.side_counts(cur.labels, side) for side in sides)
+        new = mutate_seed(cur, k, new_label=new_label)
+        emitted = tuple(side_counts(cur.labels, side) for side in new.sides)
         if ident.sides not in (emitted, emitted[::-1]):
             raise ScheduleMismatchError(
                 f"step {idx + 1}: exchange at {target!r} emitted "
                 f"{emitted[0]} / {emitted[1]}, predicted "
                 f"{ident.sides[0]} / {ident.sides[1]}"
             )
-        cur = cluster.mutate_seed(cur, k, new_label=new_label, sides=sides)
-        position_of[new_label] = k
+        cur, position_of[new_label] = new, k
         records.append(PathStep(idx + 1, k, ident, cur.dominated))
     return PathResult(schedule=sch, seed=cur, steps=tuple(records))
 
@@ -205,7 +205,7 @@ def relation_texts(steps):
 
     def fmt(side):
         # label texts are distinct, so the multiplicity never breaks a tie
-        return cluster.monomial_text(sorted(zip(map(text.__getitem__, side), side.values())))
+        return monomial_text(sorted(zip(map(text.__getitem__, side), side.values())))
 
     for step in steps:
         (old, new), (left, right) = step.identity.main, step.identity.sides

@@ -12,7 +12,9 @@ letter-insertion action with its divided powers, the split-dict Euler word
 expansion, the Euler trie walk that pops every prefix and the one that
 builds each word from per-letter tokens at its end, the rescanning
 stage DAG, the upward dimension-vector knitting and per-row hom knitting,
-the zero-started tracker side sums, the per-label determinantal identity
+the zero-started tracker side sums, the dense arrow-count exchange matrix
+and the scanned Delta support of the initial seed, the per-label
+determinantal identity
 with its ``Counter`` sides, the per-label projected dimension vector, the
 sorted series text, the sorted Laurent JSON term map, the per-factor
 relation text and trace line, the seed and the ``mutate`` and ``path``
@@ -30,7 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 
-from clusterknit.errors import AmbiguityError, ArityMismatchError, NotDivisibleError, SeedFormatError, ShapeError
+from clusterknit.errors import (AmbiguityError, ArityMismatchError, NotDivisibleError, SeedFormatError, ShapeError,
+                               TwoCycleError)
 from clusterknit.euler import ShuffleSeries, ThinModule, b_exponents, stage_dag
 from clusterknit.exchange import ExchangeMatrix, arrows_at, make_matrix
 from clusterknit.laurent import LaurentPoly, exact_div, to_text
@@ -298,6 +301,36 @@ def dense_mutate_matrix(m: ExchangeMatrix, k: int) -> ExchangeMatrix:
     return make_matrix(rows, m.frozen)
 
 
+def dense_b_matrix(g: Quiver, frozen=()) -> ExchangeMatrix:
+    """B(Gamma) read off a dense (r+1)^2 table of arrow counts, with the
+    refusals and messages of ``exchange.b_matrix`` in the same order."""
+    frozen = frozenset(frozen)
+    r = g.n
+    if any(not (1 <= k <= r) for k in frozen):
+        raise SeedFormatError(f"frozen must be a list of indices in 1..{r}")
+    counts = [[0] * (r + 1) for _ in range(r + 1)]
+    for (s, t) in g.arrows:
+        if s == t:
+            raise TwoCycleError(f"loop at vertex {s}")
+        counts[s][t] += 1
+    for i in range(1, r + 1):
+        for j in range(i + 1, r + 1):
+            if counts[i][j] and counts[j][i] and not (i in frozen and j in frozen):
+                raise TwoCycleError(f"2-cycle between {i} and {j}")
+    return make_matrix([[counts[j][i] - counts[i][j] for j in range(1, r + 1)] for i in range(1, r + 1)], frozen)
+
+
+def scanned_delta_support(cat, lbl: IntervalLabel, positions=None) -> tuple:
+    """The Delta-dimension vector of T_{i,[a,b]}, every vertex tested
+    against the interval: entry s for the vertex at canonical position
+    ``positions[s]``."""
+    validate_label(cat, lbl)
+    if positions is None:
+        positions = range(cat.r)
+    zs = (cat.vertices[p] for p in positions)
+    return tuple(1 if (z.i == lbl.i and lbl.a <= z.a <= lbl.b) else 0 for z in zs)
+
+
 def _grlex_key(exps):
     return (sum(exps), exps)
 
@@ -493,10 +526,10 @@ def var_name(s, p: int) -> str:
     return f"y{p}" if label is None else repr(label)
 
 
-def relation_monomials(s, k: int, sides=None) -> str:
+def relation_monomials(s, k: int) -> str:
     """The exchange relation at k, written in the seed's variable names,
-    one name lookup per factor; ``sides`` as for ``mutate_seed``."""
-    out, inc = arrows_at(s.matrix, k) if sides is None else sides
+    one name lookup per factor."""
+    out, inc = arrows_at(s.matrix, k)
 
     def fmt(side):
         factors = ((var_name(s, i), m) for i, m in side.items())
@@ -506,10 +539,10 @@ def relation_monomials(s, k: int, sides=None) -> str:
     return f"{name}' * {name} = {fmt(out)} + {fmt(inc)}"
 
 
-def trace_line(s, k: int, new_s, sides=None) -> str:
+def trace_line(s, k: int, new_s) -> str:
     """One mutation-trace line, with every text made afresh: vertex,
     relation, new variable and trackers."""
-    parts = [f"mu_{k}", relation_monomials(s, k, sides)]
+    parts = [f"mu_{k}", relation_monomials(s, k)]
     if new_s.vars is not None:
         parts.append(f"var = {to_text(new_s.vars[k - 1])}")
     for name, rows in (("d", new_s.dim_trackers), ("dDelta", new_s.delta_trackers)):

@@ -445,15 +445,82 @@ def test_every_report_goes_to_its_default_file(argv, fmt, name, tmp_path, kron_f
     assert (tmp_path / name).read_bytes() == out.read_bytes()
 
 
+SRC = str(Path(cli.__file__).resolve().parents[1])
+MODULE = [sys.executable, "-m", "clusterknit.cli"]
+
+
+def run_module(argv, cwd=None) -> subprocess.CompletedProcess:
+    """``python -m clusterknit.cli`` on ``argv`` in a fresh process, its
+    output as bytes."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(MODULE + argv, capture_output=True, env=env, cwd=cwd, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "QUIVER", "--t", "2,1,1", "--format", "json"],
+    ["path", "QUIVER", "--t", "2,1,1"],
+    ["euler", "QUIVER", "--t", "2,1,1", "--k", "3", "--format", "json"],
+    ["minors", "--n", "3"],
+], ids=lambda argv: argv[0])
+def test_the_module_writes_what_main_writes(argv, kron_file, tmp_path, monkeypatch, capsys):
+    """A process run through the entry point writes the report that
+    ``cli.main`` writes in-process, byte for byte, on stdout and through
+    ``--out``, with the same exit code."""
+    argv = [kron_file if a == "QUIVER" else a for a in argv]
+    (tmp_path / "process").mkdir()
+    monkeypatch.chdir(tmp_path)
+    for extra in ([], ["--out", "given.txt"]):
+        proc = run_module(argv + extra, cwd=tmp_path / "process")
+        assert proc.returncode == cli.main(argv + extra) == 0, proc.stderr
+        printed = capsys.readouterr().out
+        assert proc.stdout == printed.encode()
+        if extra:
+            assert printed == "wrote given.txt\n"
+            assert (tmp_path / "process" / "given.txt").read_bytes() == (tmp_path / "given.txt").read_bytes()
+        else:
+            assert printed.count("\n") > 1
+
+
+def test_the_module_exits_as_argparse_and_main_say(tmp_path):
+    """``--help`` exits 0, a usage error 2 with argparse's message, and a
+    missing or unreadable input file 2 with its error."""
+    proc = run_module(["--help"])
+    assert proc.returncode == 0 and proc.stdout.startswith(b"usage: clusterknit") and not proc.stderr
+    proc = run_module(["build"])
+    assert proc.returncode == 2
+    assert proc.stderr.endswith(b"error: the following arguments are required: quiver, --t\n")
+    proc = run_module(["mutate", "missing.json", "1"], cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"error: FileNotFoundError: [Errno 2] No such file or directory: 'missing.json'\n"
+    (tmp_path / "bad.json").write_text("{")
+    proc = run_module(["mutate", "bad.json", "1"], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == (b"error: JSONDecodeError: Expecting property name enclosed in double quotes:"
+                           b" line 1 column 2 (char 1)\n")
+
+
+def test_a_closed_stdout_exits_2(tmp_path):
+    """A report written to a pipe whose reader has gone is an OSError like
+    any other: exit 2, with nothing more said at shutdown."""
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(MODULE + ["minors", "--n", "3"], stdout=w, stderr=subprocess.PIPE,
+                              env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    finally:
+        os.close(w)
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: BrokenPipeError: [Errno 32] Broken pipe\n"
+
+
 def test_output_bytes_do_not_depend_on_the_locale(kron_file, tmp_path):
     """``euler`` text writes U+00B7: under the C locale, with neither UTF-8
     mode nor locale coercion, it still exits 0 and writes the UTF-8 bytes of
     a default run, to stdout and to ``--out``."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    argv = [sys.executable, "-m", "clusterknit.cli", "euler", kron_file, "--t", "2,1,1", "--k", "3"]
+    argv = MODULE + ["euler", kron_file, "--t", "2,1,1", "--k", "3"]
     runs = {}
     for name, extra in (("default", {}), ("c", {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})):
-        env = dict(os.environ, PYTHONPATH=src, **extra)
+        env = dict(os.environ, PYTHONPATH=SRC, **extra)
         if extra:
             env.pop("PYTHONIOENCODING", None)
         out = tmp_path / f"{name}.txt"
@@ -477,8 +544,7 @@ def test_check_fails_on_a_wrong_expected_value(monkeypatch, capsys):
 
 def test_check_under_optimize():
     """``python -O`` strips asserts; the checks must still run and pass."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "clusterknit.cli", "check", "--format", "json"],
         capture_output=True, text=True, env=env, timeout=120,

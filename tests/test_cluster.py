@@ -186,10 +186,9 @@ def test_memoised_walks_match_memo_free_mutation(monkeypatch, name, length):
         for step, k in enumerate(walk + walk[::-1]):
             new_plain = mutate_seed(plain, k)
             done = len(divisions)
-            sides = arrows_at(memoised.matrix, k)
-            new = mutate_seed(memoised, k, sides=sides, memo=memo)
+            new = mutate_seed(memoised, k, memo=memo)
             assert step < length or len(divisions) == done, "a backtrack missed"
-            assert trace_line(memoised, k, new, sides, memo) == trace_line(plain, k, new_plain)
+            assert trace_line(memoised, k, new, memo) == trace_line(plain, k, new_plain)
             assert to_json(new) == to_json(new_plain) and new.dominated == new_plain.dominated
             plain, memoised = new_plain, new
         assert memoised.vars == start.vars
@@ -218,9 +217,10 @@ def test_trace_lines_match_the_per_factor_oracle(fan_a3, linear_a4, kronecker3):
         memo = cluster.ExchangeMemo()
         for _ in range(4):
             k = rng.choice(mutable(s.matrix))
-            sides = arrows_at(s.matrix, k)
-            new = mutate_seed(s, k, sides=sides, memo=memo)
-            assert trace_line(s, k, new, sides, memo) == oracle_trace_line(s, k, new)
+            new = mutate_seed(s, k, memo=memo)
+            sides = new.sides
+            assert sides == arrows_at(s.matrix, k)
+            assert trace_line(s, k, new, memo) == oracle_trace_line(s, k, new)
             seen["labelled" if s.labels else "unlabelled"] += 1
             seen["multiplicity > 1"] += any(m > 1 for side in sides for m in side.values())
             seen["empty side"] += not all(sides)
@@ -251,9 +251,8 @@ def test_the_memo_adds_up_equal_variables(linear_a4):
     walk = [rng.choice(mutable(start.matrix)) for _ in range(150)]
     memo, plain, memoised = cluster.ExchangeMemo(), start, start
     for k in walk + walk[::-1]:
-        sides = arrows_at(memoised.matrix, k)
-        new, new_plain = mutate_seed(memoised, k, sides=sides, memo=memo), mutate_seed(plain, k)
-        assert trace_line(memoised, k, new, sides, memo) == oracle_trace_line(plain, k, new_plain)
+        new, new_plain = mutate_seed(memoised, k, memo=memo), mutate_seed(plain, k)
+        assert trace_line(memoised, k, new, memo) == oracle_trace_line(plain, k, new_plain)
         assert new.vars == new_plain.vars
         plain, memoised = new_plain, new
     assert memoised.vars == start.vars
@@ -280,8 +279,8 @@ def test_a_walk_divides_each_exchange_pair_once(monkeypatch, name):
     walk = [rng.choice(mutable(start.matrix)) for _ in range(1500)]
     memo, s, pairs, by_position = cluster.ExchangeMemo(), start, set(), set()
     for k in walk + walk[::-1]:
-        sides = arrows_at(s.matrix, k)
-        new = mutate_seed(s, k, sides=sides, memo=memo)
+        new = mutate_seed(s, k, memo=memo)
+        sides = new.sides
         pairs.add(frozenset((s.vars[k - 1], new.vars[k - 1])))
         # the key of a memo that keeps each side in position order
         by_position.add((s.vars[k - 1], *(tuple((s.vars[i - 1], m) for i, m in side.items()) for side in sides)))
@@ -406,6 +405,28 @@ def test_trace_line(kronecker3):
     assert f"mu_{k}" in line and "d = " in line
 
 
+def test_a_mutation_reads_its_own_exchange_sides(kronecker3):
+    """``mutate_seed`` takes no sides: it reads them at k and keeps them on
+    the new seed, where ``trace_line`` finds them.  Sides once passed in by
+    hand at kronecker3's vertex 4, ({1: 1}, {2: 1}), made y4' = (y1 + y2)/y4
+    and the dimension row (1, 0, 0, 0, 0, 0, 0) without an error; the
+    seed's own give the true row."""
+    s = initial_seed(kronecker3)
+    with pytest.raises(TypeError):
+        mutate_seed(s, 4, sides=({1: 1}, {2: 1}))
+    new = mutate_seed(s, 4)
+    assert new.sides == arrows_at(s.matrix, 4) == ({2: 2, 7: 1}, {1: 1, 5: 2})
+    assert new.dim_trackers[3] == (13, 8, 2, 4, 2, 0, 0)
+    assert new.delta_trackers[3] == (1, 0, 0, 0, 2, 0, 0)
+    y = [LaurentPoly.variable(i, 7) for i in range(7)]
+    assert new.vars[3] == exact_div(y[1] ** 2 * y[6] + y[0] * y[4] ** 2, y[3])
+    assert trace_line(s, 4, new) == (
+        "mu_4  T_{1,[1,2]}' * T_{1,[1,2]} = T_{2,[0,1]}^2*T_{1,[2,2]} + T_{1,[0,2]}*T_{2,[1,1]}^2"
+        "  var = y1*y4^-1*y5^2 + y2^2*y4^-1*y7  d = [13, 8, 2, 4, 2, 0, 0]  dDelta = [1, 0, 0, 0, 2, 0, 0]"
+    )
+    assert initial_seed(kronecker3).sides is None and new == mutate_seed(s, 4, memo=cluster.ExchangeMemo())
+
+
 def test_tracker_consistency_after_schedule_step(kronecker3):
     """Mutating T_{1,[2,2]} (the first schedule step) gives the vertex
     T_{1,[1,1]}, whose trackers must equal the mesh predictions."""
@@ -429,8 +450,9 @@ def test_mutate_seed_needs_d_delta_for_delta_trackers(kronecker3):
 
 def test_seed_equality_ignores_dominated_and_frozen_pairs(kronecker3):
     """Seed equality reads the matrix, variables, labels, both tracker
-    views and d_Delta, never ``dominated``; ``!=`` is always ``not ==``,
-    also for matrices that differ only between two frozen indices."""
+    views and d_Delta, never ``dominated`` or ``sides``; ``!=`` is always
+    ``not ==``, also for matrices that differ only between two frozen
+    indices."""
     s = initial_seed(kronecker3)
     b = [list(row) for row in s.matrix.b]
     i, j = sorted(s.matrix.frozen)[:2]
@@ -438,6 +460,7 @@ def test_seed_equality_ignores_dominated_and_frozen_pairs(kronecker3):
     fields = (s.vars, s.labels, s.dim_trackers, s.delta_trackers, s.d_delta)
     same = [
         Seed(s.matrix, *fields, dominated=False),
+        Seed(s.matrix, *fields, sides=({1: 1}, {2: 1})),
         Seed(make_matrix(b, s.matrix.frozen), *fields),
     ]
     for t in same:

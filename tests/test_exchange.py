@@ -1,8 +1,9 @@
 import json
 import random
+from collections import Counter
 
 import pytest
-from oracles import dense_mutate_matrix, matrix_to_quiver, mutable, strictly_equal
+from oracles import dense_b_matrix, dense_mutate_matrix, matrix_to_quiver, mutable, strictly_equal
 
 from clusterknit import cluster
 from clusterknit.errors import FrozenMutationError, SeedFormatError, TwoCycleError, VertexIndexError
@@ -47,6 +48,42 @@ def test_b_matrix_rejects_two_cycle():
     q = Quiver(2, ((1, 2), (2, 1)))
     with pytest.raises(TwoCycleError):
         b_matrix(q)
+
+
+def _built(build, q, frozen):
+    """The sparse rows and columns, in their key order, and the frozen set
+    that ``build`` makes of ``q``, or the class and message it refuses
+    with."""
+    try:
+        m = build(q, frozen)
+    except (SeedFormatError, TwoCycleError) as exc:
+        return type(exc).__name__, str(exc)
+    return [list(row.items()) for row in m.rows], [list(col.items()) for col in m.cols], m.frozen
+
+
+def test_b_matrix_matches_the_dense_oracle():
+    """On seeded random quivers with multiple arrows, loops, 2-cycles
+    (refused unless both ends are frozen) and frozen indices out of range,
+    the sparse count gives the dense table's rows and columns, key order
+    included, or the same refusal first."""
+    rng = random.Random(3131)
+    seen = Counter()
+    for _ in range(800):
+        r = rng.randint(1, 6)
+        arrows = [tuple(rng.sample(range(1, r + 1), 2)) for _ in range(rng.randint(0, 3 * r))] if r > 1 else []
+        if rng.random() < 0.1:
+            arrows.insert(rng.randint(0, len(arrows)), (rng.randint(1, r),) * 2)
+        frozen = rng.sample(range(1, r + 1), rng.randint(0, r))
+        if rng.random() < 0.05:
+            frozen.append(rng.choice((0, r + 1)))
+        q = Quiver(r, tuple(arrows))
+        want = _built(dense_b_matrix, q, frozen)
+        assert _built(b_matrix, q, frozen) == want, (q, frozen)
+        if isinstance(want[0], str):
+            seen[want[1].split(" ")[0]] += 1
+        else:
+            seen["frozen 2-cycle" if any((t, s) in arrows for (s, t) in arrows) else "matrix"] += 1
+    assert len(seen) == 5 and min(seen.values()) >= 20, seen
 
 
 def test_round_trip_quiver():

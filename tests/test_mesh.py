@@ -1,9 +1,11 @@
 import random
+import re
 import signal
 
 import pytest
 
-from oracles import hom_dim, interval_hom_dim, knit_dims, knit_hom_row, maximal_terminal, projected_dimvec
+from oracles import (hom_dim, interval_hom_dim, knit_dims, knit_hom_row, maximal_terminal, projected_dimvec,
+                     scanned_delta_support)
 from test_quiver import random_quiver
 
 from clusterknit import mesh, reference
@@ -391,6 +393,29 @@ def test_delta_support(kronecker3):
         kronecker3, delta_support(kronecker3, IntervalLabel(1, 1, 2))
     )
     assert tri == ((1, 1, 0), (0, 0), (0, 0))
+
+
+def test_delta_support_matches_the_scanning_oracle(kronecker3, five_vertex):
+    """Every label's Delta support, at the canonical positions and at the
+    seat of a seeded random permutation, is the one that tests every
+    vertex against the interval; a label out of range is refused alike."""
+    rng = random.Random(3132)
+    cats = [kronecker3, five_vertex, reference.category("e8")]
+    cats += [build_category(random_terminal(rng)) for _ in range(20)]
+    for cat in cats:
+        positions = rng.sample(range(cat.r), cat.r)
+        seat = sorted(range(cat.r), key=positions.__getitem__)
+        for i, t in enumerate(cat.terminal.t, 1):
+            for a in range(t + 1):
+                for b in range(a, t + 1):
+                    lbl = IntervalLabel(i, a, b)
+                    assert delta_support(cat, lbl) == scanned_delta_support(cat, lbl)
+                    assert delta_support(cat, lbl, seat) == scanned_delta_support(cat, lbl, positions)
+        for lbl in (IntervalLabel(1, 0, cat.terminal.t[0] + 1), IntervalLabel(cat.terminal.q.n + 1, 0, 0)):
+            with pytest.raises(LabelRangeError) as want:
+                scanned_delta_support(cat, lbl)
+            with pytest.raises(LabelRangeError, match=f"^{re.escape(str(want.value))}$"):
+                delta_support(cat, lbl)
 
 
 def test_canonical_ordering_validates_random():

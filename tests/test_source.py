@@ -233,13 +233,15 @@ def test_every_error_class_is_raised():
 
 
 def test_the_cli_only_parses_loads_and_writes():
-    """``cli`` defines its loaders, ``emit``, the six commands, the parser
-    and ``main``, and only ``main`` calls ``emit``: each report is built in
-    the module that computes its data."""
+    """``cli`` defines its loaders, ``emit``, the six commands, the parser,
+    ``main`` and its entry point ``run``, and only ``main`` calls ``emit``:
+    each report is built in the module that computes its data."""
     tree = ast.parse((SRC / "cli.py").read_text())
     defined = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     commands = {f"cmd_{c}" for c in ("build", "mutate", "path", "euler", "minors", "check")}
-    assert set(defined) == {"read_json", "load_terminal", "load_ordering", "emit", "build_parser", "main", *commands}
+    assert set(defined) == {
+        "read_json", "load_terminal", "load_ordering", "emit", "build_parser", "main", "run", *commands
+    }
     emits = [
         name
         for name, node in defined.items()
@@ -247,6 +249,16 @@ def test_the_cli_only_parses_loads_and_writes():
         if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id == "emit"
     ]
     assert emits == ["main"]
+
+
+def test_the_installed_script_runs_the_entry_point():
+    """The ``clusterknit`` script calls ``cli.run``, as ``python -m
+    clusterknit.cli`` does, so both freeze the heap before they exit."""
+    text = (SRC.parents[1] / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n\n", 1)[0]
+    assert scripts == 'clusterknit = "clusterknit.cli:run"'
+    tail = ast.parse((SRC / "cli.py").read_text()).body[-1]
+    assert ast.unparse(tail) == "if __name__ == '__main__':\n    run()"
 
 
 def _private_imports(trees: dict) -> list:

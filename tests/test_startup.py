@@ -1,6 +1,8 @@
 """What a fresh process loads: each command imports only the modules it
-uses, and the package loads its submodules on first attribute access."""
+uses, and the package loads its submodules on first attribute access.
+The entry point freezes the heap before it exits."""
 
+import gc
 import json
 import os
 import subprocess
@@ -12,18 +14,19 @@ HEAVY = {"euler", "reference", "rigidpath", "minors"}
 STDLIB = ("dataclasses", "inspect", "fractions")  # costly to import, and unneeded
 
 
-# Runs the CLI module as ``python -m`` does, then prints the clusterknit
-# submodules in sys.modules and which of STDLIB are there.  (``-X
-# importtime`` cannot tell: it does not log a submodule that ``from .
-# import name`` loads.)
+# Runs the CLI module as ``python -m`` does, then prints its exit code, the
+# number of objects frozen, the clusterknit submodules in sys.modules and
+# which of STDLIB are there.  (``-X importtime`` cannot tell: it does not
+# log a submodule that ``from . import name`` loads.)
 CLI = f"""
-import json, runpy, sys
+import gc, json, runpy, sys
 sys.argv[0] = "clusterknit"
 try:
     runpy.run_module("clusterknit.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("clusterknit.") or m in {STDLIB})]))
+names = sorted(m for m in sys.modules if m.startswith("clusterknit.") or m in {STDLIB})
+print(json.dumps([code, gc.get_freeze_count(), names]))
 """
 
 
@@ -37,11 +40,12 @@ def python_c(code: str, args, cwd) -> subprocess.CompletedProcess:
 def run_cli(args, cwd) -> tuple[str, set]:
     """Run the CLI on ``args`` in a fresh process: its standard output
     before the report, and the clusterknit submodules (without the package
-    prefix) and STDLIB modules it loaded."""
+    prefix) and STDLIB modules it loaded.  It must exit 0 with the heap
+    frozen."""
     proc = python_c(CLI, args, cwd)
     out, _, report = proc.stdout.rstrip("\n").rpartition("\n")
-    code, names = json.loads(report)
-    assert code == 0, proc.stderr
+    code, frozen, names = json.loads(report)
+    assert code == 0 and frozen > 0, (frozen, proc.stderr)
     return out, {n.removeprefix("clusterknit.") for n in names}
 
 
@@ -146,3 +150,24 @@ def test_path_count_only_loads_no_cluster_exchange_rigidpath_or_laurent(tmp_path
         assert out == want
         assert "mesh" in loaded
         assert not loaded & {"cluster", "exchange", "rigidpath", "packing", "laurent"}, loaded
+
+
+def test_minors_loads_no_cluster_or_exchange_module(tmp_path):
+    """The minors checks expand interval minors through ``rigidpath`` but
+    never mutate a seed, so neither the seed nor the matrix module loads."""
+    out, loaded = run_cli(["minors", "--n", "3"], tmp_path)
+    assert out.endswith("overall: PASS")
+    assert {"reference", "rigidpath", "minors"} <= loaded
+    assert not loaded & {"cluster", "exchange"}, loaded
+
+
+def test_main_in_process_leaves_the_heap_unfrozen(tmp_path, capsys):
+    """Only the entry point freezes: ``main`` returns its code and leaves
+    the collector as it found it, also on an input error."""
+    from clusterknit import cli
+
+    before = gc.get_freeze_count()
+    assert cli.main(["minors", "--n", "3", "--mode", "table"]) == 0
+    assert cli.main(["mutate", str(tmp_path / "missing.json"), "1"]) == 2
+    assert gc.get_freeze_count() == before
+    assert "error: FileNotFoundError" in capsys.readouterr().err
