@@ -71,7 +71,7 @@ def load_ordering(cat, spec: str):
         ordering = [mesh.MeshVertex(i, a) for (i, a) in quiver.int_pairs(pairs, "an ordering")]
         mesh.validate_ordering(cat, ordering)
         return ordering
-    raise ClusterKnitError(f"unknown ordering spec {spec!r}")
+    raise InputFormatError(f"unknown ordering spec {spec!r}")
 
 
 def emit(report, args, default_name: str) -> None:

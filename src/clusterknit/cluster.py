@@ -73,9 +73,8 @@ class _Rows:
     def replaced(self, k: int, p: int, dot=None) -> "_Rows":
         """These rows with row k replaced by the packed row p, and its dot
         product by ``dot`` where they are kept."""
-        ints = self.ints[: k - 1] + (p,) + self.ints[k:]
-        dots = None if dot is None else self.dots[: k - 1] + (dot,) + self.dots[k:]
-        return _Rows(self.lay, ints, dots)
+        dots = None if dot is None else _replace_at(self.dots, k, dot)
+        return _Rows(self.lay, _replace_at(self.ints, k, p), dots)
 
 
 def _packed(rows):
@@ -239,20 +238,6 @@ def _delta_rule(rows: _Rows, d_delta, k: int, out, inc, m_out: int, m_in: int) -
         rows = rows.at(lay.wider())
 
 
-def _exchange_quotient(s: Seed, k: int, out, inc) -> LaurentPoly:
-    """(prod_out + prod_in) / y_k, divided exactly."""
-    from .laurent import LaurentPoly, exact_div
-
-    def product(side):
-        p = None
-        for i, m in side.items():
-            f = s.vars[i - 1] ** m
-            p = f if p is None else p * f
-        return LaurentPoly.one(s.r) if p is None else p
-
-    return exact_div(product(out) + product(inc), s.vars[k - 1])
-
-
 def side_counts(values, side) -> dict:
     """An exchange side {position: multiplicity} as {value: total
     multiplicity}, each position read as its entry of ``values`` (the
@@ -286,14 +271,15 @@ class ExchangeMemo:
         self.texts: dict = {}
         self.names = LabelTexts()  # position names, keyed by label or by unlabelled position
 
-    def quotient(self, s: Seed, k: int, out, inc) -> LaurentPoly:
-        old = s.vars[k - 1]
-        out_key = frozenset(side_counts(s.vars, out).items())
-        in_key = frozenset(side_counts(s.vars, inc).items())
+    def quotient(self, old: LaurentPoly, out_counts: dict, in_counts: dict) -> LaurentPoly:
+        """y_k' of the relation at y_k = ``old``, its sides as ``side_counts``."""
+        out_key, in_key = frozenset(out_counts.items()), frozenset(in_counts.items())
         new = self.quotients.get((old, out_key, in_key))
         if new is None:
+            from .laurent import exchange
+
             # one object per value, so later keys mostly match by identity
-            new = _exchange_quotient(s, k, out, inc)
+            new = exchange(out_counts.items(), in_counts.items(), old)
             new = self.variables.setdefault(new, new)
             self.quotients[old, out_key, in_key] = new
             self.quotients[new, in_key, out_key] = old
@@ -327,9 +313,13 @@ def mutate_seed(s: Seed, k: int, new_label=None, memo: ExchangeMemo | None = Non
     variables, dim, delta, dominated = s.vars, s._dim_trackers, s._delta_trackers, True
     m_out, m_in = sum(out.values()), sum(inc.values())  # the sides' total multiplicities
     if variables is not None:
-        new_var = (
-            _exchange_quotient(s, k, out, inc) if memo is None else memo.quotient(s, k, out, inc)
-        )
+        from .laurent import exchange
+
+        old, out_counts, in_counts = variables[k - 1], side_counts(variables, out), side_counts(variables, inc)
+        if memo is None:
+            new_var = exchange(out_counts.items(), in_counts.items(), old)
+        else:
+            new_var = memo.quotient(old, out_counts, in_counts)
         variables = _replace_at(variables, k, new_var)
     if dim is not None:
         dim, dominated = _dim_rule(dim, k, out, inc, m_out, m_in)

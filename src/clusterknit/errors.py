@@ -54,8 +54,8 @@ class VertexIndexError(ClusterKnitError, IndexError):
 
 
 class InputFormatError(ClusterKnitError):
-    """Quiver or ordering JSON, or a ``--t`` vector, whose entries are not
-    integers where integers belong."""
+    """Quiver or ordering JSON or a ``--t`` vector whose entries are not
+    integers where integers belong, or an unknown ``--ordering`` spec."""
 
 
 # -- mesh --------------------------------------------------------------

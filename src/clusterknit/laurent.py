@@ -30,6 +30,8 @@ and a JSON report sorts its keys.
 from __future__ import annotations
 
 import heapq
+from functools import reduce
+from operator import mul
 
 from .errors import (
     ArityMismatchError,
@@ -59,7 +61,7 @@ def _fits(lay: Layout, keys) -> bool:
 
 
 def _slot_bounds(lay: Layout, keys, bound) -> list[int]:
-    """Per-variable ``bound`` (min or max) exponent over nonempty keys."""
+    """Per-variable ``bound`` (min or max) exponent over the keys; [] if none."""
     return [bound(col) - lay.low for col in zip(*map(lay.slots, keys))]
 
 
@@ -72,10 +74,10 @@ def _min_key(lay: Layout, keys) -> int:
 
 def _new(lay: Layout, terms: dict) -> "LaurentPoly":
     """The polynomial with these packed terms (no zero coefficients),
-    re-packed at the narrowest width that holds them."""
-    if lay.w > _BASE_WIDTH and terms:
-        lo = min(_slot_bounds(lay, terms, min))
-        hi = max(_slot_bounds(lay, terms, max))
+    re-packed at the narrowest width that holds them (0 at the base width)."""
+    if lay.w > _BASE_WIDTH:
+        lo = min(_slot_bounds(lay, terms, min), default=0)
+        hi = max(_slot_bounds(lay, terms, max), default=0)
         narrow = fitting(lay.r, lo, hi, _GUARD)
         if narrow is not lay:
             terms = _repack(terms, lay, narrow)
@@ -360,6 +362,19 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     ):
         raise NotDivisibleError("nonzero remainder in exact division")
     return _redo_wider(_divide, num, den)
+
+
+def exchange(first, second, den=None, sign=1) -> LaurentPoly:
+    """(prod first + sign * prod second) / den, divided exactly, or not
+    divided where ``den`` is None.  Each side is a sequence of (polynomial,
+    multiplicity) pairs, multiplied from its first factor on, so no product
+    has a unit operand; an empty side is 1."""
+    p, q = [reduce(mul, [f**m for f, m in side]) if side else None for side in (first, second)]
+    if p is None or q is None:
+        one = LaurentPoly.one(next(x.arity for x in (p, q, den) if x is not None))
+        p, q = (one if x is None else x for x in (p, q))
+    num = p + q if sign > 0 else p - q
+    return num if den is None else exact_div(num, den)
 
 
 def _values(p: LaurentPoly) -> tuple:

@@ -153,20 +153,19 @@ def pbw_expand(cat: mesh.CategoryModel, lbl: IntervalLabel, images=None) -> Laur
     order, by default the z_{l,c} themselves.
 
     Recursion: solve the determinantal identity at (i, a+1, b) for the
-    longest interval and divide exactly by T_{i,[a+1,b-1]}, a unit when
-    b = a + 1.  Each product starts from its first factor, so no product
-    has a unit operand.  Every quotient is a polynomial in the z_{l,c} and
-    evaluation is a ring map, so each division stays exact wherever its
-    divisor's value is not 0.  A division failure would contradict
-    polynomiality of the dual PBW expansion and is fatal."""
-    from .laurent import LaurentPoly, exact_div
+    longest interval with one ``laurent.exchange``, sign -1, dividing
+    exactly by T_{i,[a+1,b-1]} or, when b = a + 1, by nothing (a unit), so
+    no product has a unit operand.  Every quotient is a polynomial in the
+    z_{l,c} and evaluation is a ring map, so each division stays exact
+    wherever its divisor's value is not 0.  A division failure would
+    contradict polynomiality of the dual PBW expansion and is fatal."""
+    from .laurent import LaurentPoly, exchange
 
     mesh.validate_label(cat, lbl)
     td = cat.terminal
     op = qm_op(td)
     if images is None:
         images = [LaurentPoly.variable(p, cat.r) for p in range(cat.r)]
-    r = images[0].arity
     memo: dict = {}
 
     def expand(i: int, a: int, b: int) -> LaurentPoly:
@@ -177,19 +176,15 @@ def pbw_expand(cat: mesh.CategoryModel, lbl: IntervalLabel, images=None) -> Laur
         if a == b:
             res = images[cat.pos(MeshVertex(i, a))]
         else:
-            num = expand(i, a + 1, b) * expand(i, a, b - 1)
-            prod = None
-            for f, m in det_identity(td, op, i, a + 1, b).sides[1].items():
-                power = expand(*f) ** m
-                prod = power if prod is None else prod * power
-            res = num - (LaurentPoly.one(r) if prod is None else prod)
-            if b > a + 1:
-                res = exact_div(res, expand(i, a + 1, b - 1))
+            ident = det_identity(td, op, i, a + 1, b)
+            main = [(expand(*f), 1) for f in ident.main]
+            product = [(expand(*f), m) for f, m in ident.sides[1].items()]
+            res = exchange(main, product, expand(i, a + 1, b - 1) if b > a + 1 else None, -1)
         memo[key] = res
         return res
 
     if lbl.is_unit():
-        return LaurentPoly.one(r)
+        return LaurentPoly.one(images[0].arity)
     return expand(*lbl)
 
 

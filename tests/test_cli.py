@@ -259,7 +259,7 @@ def test_path_count_only(kron_file, capsys):
     assert cli.main(argv + ["--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out) == {"length": 5}
     assert cli.main(argv + ["--ordering", "bogus"]) == 2
-    assert "unknown ordering spec 'bogus'" in capsys.readouterr().err
+    assert "error: InputFormatError: unknown ordering spec 'bogus'" in capsys.readouterr().err
 
 
 def test_path_empty_schedule(kron_file, capsys):

@@ -1,6 +1,7 @@
 import json
 import random
 import signal
+from collections import Counter
 
 import pytest
 from oracles import (
@@ -612,3 +613,78 @@ def test_mutation_walks_match_the_tuple_oracle():
                     o.sorted_terms() for o in oracle
                 ], (name, k)
                 prev = k
+
+
+def test_a_zero_from_a_wide_operand_is_the_zero():
+    """A zero made from a polynomial held at a wide layout is held at the
+    base layout like every other zero, so it equals ``LaurentPoly.zero``,
+    hashes as it does and finds its entry in a dict."""
+    p = LaurentPoly(2, {(20000, 0): 1, (0, 1): 3})
+    zero = LaurentPoly.zero(2)
+    assert p._lay.w > 16
+    for z in (p - p, p.scale(0), p * zero, zero * p, -p + p):
+        assert z == zero and hash(z) == hash(zero) and {zero: 1}.get(z) == 1
+
+
+def _oracle_exchange(first, second, den, sign, arity):
+    """``laurent.exchange`` term by term: each side a product from 1, the
+    quotient by ``tuple_exact_div``."""
+    prods = []
+    for side in first, second:
+        p = TupleLaurent.one(arity)
+        for f, m in side:
+            p = p * TupleLaurent.of(f) ** m
+        prods.append(p)
+    num = prods[0] + prods[1] if sign > 0 else prods[0] - prods[1]
+    return num if den is None else tuple_exact_div(num, TupleLaurent.of(den))
+
+
+def test_exchange_matches_the_tuple_oracle():
+    """Random factored sides, given as lists or as ``dict.items()``: the
+    exchange kernel equals the tuple oracle's product, sum and exact
+    quotient, or both refuse the division.  A divisor is most often a
+    factor put into both sides, so the division is exact; wide exponents
+    come only where it is, since the oracle has no value gate and would
+    step through a refused wide division term by term."""
+    rng = random.Random(32)
+    seen = Counter()
+    for _ in range(400):
+        arity, pick = rng.randint(1, 3), rng.random()
+
+        def factor():
+            while True:
+                wide = pick < 0.85 and rng.random() < 0.2
+                f = wide_poly(rng, arity, 2) if wide else rand_poly(rng, arity, 3, 2, True)
+                if not f.is_zero():
+                    return f
+
+        sides = [[(factor(), rng.randint(1, 3)) for _ in range(rng.choice((0, 1, 1, 2, 3)))] for _ in "ab"]
+        for side in sides:
+            if side and rng.random() < 0.3:
+                side.append((side[0][0], rng.randint(1, 2)))
+                seen["repeated factor"] += 1
+        if pick < 0.5:
+            den = factor()
+            for side in sides:
+                side.insert(rng.randint(0, len(side)), (den, rng.randint(1, 2)))
+        elif pick < 0.7:
+            den = monomial(arity, [rng.randint(-3, 3) for _ in range(arity)], rng.choice((1, -1)))
+        elif pick < 0.85 and any(sides):
+            den = None
+        else:
+            den = factor()
+        first, second = (side if rng.random() < 0.5 else dict(side).items() for side in sides)
+        sign = rng.choice((1, -1))
+        seen["empty side"] += not (first and second)
+        seen["multiplicity > 1"] += any(m > 1 for f, m in [*first, *second])
+        seen["sign -1"] += sign < 0
+        seen["no divisor"] += den is None
+        try:
+            want = _oracle_exchange(first, second, den, sign, arity).sorted_terms()
+        except NotDivisibleError:
+            seen["refused"] += 1
+            with pytest.raises(NotDivisibleError):
+                laurent.exchange(first, second, den, sign)
+        else:
+            assert laurent.exchange(first, second, den, sign).sorted_terms() == want
+    assert len(seen) == 6 and min(seen.values()) >= 20, seen

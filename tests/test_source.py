@@ -189,6 +189,40 @@ def test_only_packing_packs_slots():
     assert [site.split(":")[0] for site in _imports(trees, "struct")] == ["packing"]
 
 
+def _naming(trees: dict, name: str) -> list:
+    """The modules whose source names ``name``: a variable, an attribute
+    or an import."""
+    return [module for module, tree in trees.items() if _mentions(tree, module, _module_aliases(tree))[0][name]]
+
+
+def _powers(tree) -> list:
+    """The lines of a module that raise something to a power with ``**``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow)
+    )
+
+
+def test_only_laurent_builds_exchange_relations():
+    """``laurent.exchange`` builds and divides every exchange relation: no
+    other module names ``exact_div``, and neither the seed mutation nor the
+    dual-PBW expansion multiplies out a power of its own, so the numerator
+    of a relation is built in one place."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert _naming(trees, "exact_div") == ["laurent"]
+    for module in ("cluster", "rigidpath"):
+        assert _mentions(trees[module], module, {})[1]["laurent", "exchange"], module
+        assert not _powers(trees[module]), module
+    sample = {
+        "a": ast.parse("from .laurent import exact_div as div\n"),
+        "b": ast.parse("from . import laurent\nq = laurent.exact_div(n, d)\n"),
+        "c": ast.parse("def exact(n, d):\n    return n\n"),
+    }
+    assert _naming(sample, "exact_div") == ["a", "b"]
+    assert _powers(ast.parse("p = f ** 2\nq = 1\nq **= m\n")) == [1, 3]
+
+
 def test_the_guard_resolves_module_names():
     """A definition named only through another module's namesake is
     reported; one named through its own module is not.  Private
@@ -223,10 +257,12 @@ def _raised(trees: dict) -> set:
 def test_every_error_class_is_raised():
     """Each class in ``errors`` is raised by name somewhere in ``src/``.  A
     class that nothing raises is left behind by deleted code, and a caller
-    that catches it waits for an error that never comes."""
+    that catches it waits for an error that never comes.  The base class
+    ``ClusterKnitError`` is raised through its subclasses only: every error
+    names what went wrong."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     classes = {node.name for node in trees["errors"].body if isinstance(node, ast.ClassDef)}
-    missing = sorted(classes - _raised(trees))
+    missing = sorted(classes - _raised(trees) - {"ClusterKnitError"})
     assert len(classes) > 10 and not missing, missing
     sample = ast.parse("raise A\nraise b.B('x') from None\ntry:\n    f()\nexcept C:\n    raise\n")
     assert _raised({"a": sample}) == {"A", "B"}
